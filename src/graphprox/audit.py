@@ -286,6 +286,8 @@ def run_audit(
 
     checks=None or ["all"] expands per measure via default_checks.
     """
+    if not 0 <= tol < math.inf:
+        raise ValueError(f"tolerance must be finite and nonnegative, got {tol}")
     gm = build_matrices(g)
     results = []
     for measure, param in measures:
@@ -368,6 +370,8 @@ def find_threshold(
         raise ValueError("resolution must be positive")
     if not lo < hi:
         raise ValueError("bracket must satisfy lo < hi")
+    if not 0 <= tol < math.inf:
+        raise ValueError(f"tolerance must be finite and nonnegative, got {tol}")
     gm = build_matrices(g)
     predicate = _threshold_predicate(prop)
 

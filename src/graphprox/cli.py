@@ -45,6 +45,7 @@ _USAGE_ERRORS = (
     NotPositiveSemidefiniteError,
     SingularMatrixError,
     NonConvergenceError,
+    OverflowError,
     ValueError,
     KeyError,
     IndexError,

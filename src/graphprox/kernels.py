@@ -114,8 +114,13 @@ def param_domain(measure: str, gm: GraphMatrices) -> tuple[float, float]:
 def _check_param(measure: str, param: float, domain: tuple[float, float]) -> None:
     lo, hi = domain
     # The domain is open; resolvents blow up at its ends, so values within
-    # 1e-12 of a boundary are rejected too.
-    if param <= lo + _BOUNDARY_MARGIN or (math.isfinite(hi) and param >= hi - _BOUNDARY_MARGIN):
+    # 1e-12 of a boundary are rejected too. NaN fails every comparison,
+    # hence the explicit finiteness test.
+    if (
+        not math.isfinite(param)
+        or param <= lo + _BOUNDARY_MARGIN
+        or (math.isfinite(hi) and param >= hi - _BOUNDARY_MARGIN)
+    ):
         hi_text = f"{hi:.6g}" if math.isfinite(hi) else "inf"
         extra = " = 1/rho(W)" if measure == "katz" else ""
         raise ParameterDomainError(
@@ -145,7 +150,10 @@ def double_factorial(gm: GraphMatrices, t: float) -> KernelResult:
     The series converges for every t since k!! outgrows any geometric
     factor; summation stops once the additive term drops below 1e-16 in
     max-norm and the last three term norms are decreasing (so growth from
-    t^k cannot masquerade as convergence).
+    t^k cannot masquerade as convergence). Raises OverflowError as soon
+    as a term or the running sum leaves float64 range. The sum is
+    symmetrized, since rounding in the matrix products leaves W's
+    symmetry only approximately intact on large entries.
     """
     dom = param_domain("dfact", gm)
     _check_param("dfact", t, dom)
@@ -156,11 +164,14 @@ def double_factorial(gm: GraphMatrices, t: float) -> KernelResult:
     total = prev2 + prev1
     norms = [1.0, float(np.abs(prev1).max())]
     for k in range(2, _DFACT_MAX_TERMS):
-        cur = prev2 @ tw2 / k  # t^k/k!! W^k from the k-2 term
-        total += cur
+        with np.errstate(over="ignore", invalid="ignore"):
+            cur = prev2 @ tw2 / k  # t^k/k!! W^k from the k-2 term
+            total += cur
         norms.append(float(np.abs(cur).max()))
+        if not (math.isfinite(norms[-1]) and np.isfinite(total).all()):
+            raise OverflowError(f"double-factorial series overflowed float64 at term {k}")
         if norms[-1] < _DFACT_TERM_TOL and norms[-3] > norms[-2] > norms[-1]:
-            return KernelResult("dfact", t, total, dom, symmetric=True)
+            return KernelResult("dfact", t, 0.5 * (total + total.T), dom, symmetric=True)
         prev2, prev1 = prev1, cur
     raise NonConvergenceError(
         f"double-factorial series did not converge within {_DFACT_MAX_TERMS} terms"

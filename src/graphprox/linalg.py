@@ -1,8 +1,16 @@
-"""Dense matrix primitives: LU inverse, Jacobi eigensolver, matrix
-exponential, spectral radius, and PSD square root.
+"""Dense matrix primitives: LU inverse, symmetric eigendecomposition,
+matrix exponential, spectral radius, and PSD square root.
 
-Everything works on plain float64 numpy arrays and is written for the
-small dense matrices this package deals in (a few hundred rows at most).
+Everything works on plain float64 numpy arrays sized for the small dense
+matrices this package deals in (a few hundred rows at most). The
+symmetric eigendecomposition, and the spectral radius and PSD square
+root built on it, come from LAPACK through numpy.linalg. The
+Gauss-Jordan inverse and the scaling-and-squaring exponential stay in
+this module: on the M-matrix resolvents and nonnegative exponentials the
+property checks read entry by entry, they are accurate entrywise,
+whereas assembling V f(Lambda) V^T from eigenvectors leaves absolute
+errors of about machine epsilon times the largest eigenvalue, enough to
+flip the sign or the last digits of small entries.
 """
 
 from __future__ import annotations
@@ -27,10 +35,6 @@ __all__ = [
 
 SYMMETRY_TOL = 1e-10
 _SINGULAR_PIVOT = 1e-12
-_JACOBI_OFF_FACTOR = 1e-12
-_JACOBI_MAX_SWEEPS = 100
-_POWER_STEP_TOL = 1e-12
-_POWER_MAX_ITER = 100_000
 _EXP_TAYLOR_TOL = 1e-18
 PSD_CLAMP_TOL = 1e-9
 
@@ -53,7 +57,8 @@ class NotPositiveSemidefiniteError(ValueError):
 
 
 class NonConvergenceError(RuntimeError):
-    """An iterative routine hit its iteration cap."""
+    """An iterative routine hit its iteration cap, or LAPACK reported
+    that its eigensolver failed to converge."""
 
 
 class EigenDecomposition(NamedTuple):
@@ -104,88 +109,22 @@ def invert(m: np.ndarray) -> np.ndarray:
 
 
 def sym_eigen(m: np.ndarray) -> EigenDecomposition:
-    """Full eigendecomposition of a symmetric matrix by cyclic Jacobi
-    rotations, iterated until the off-diagonal Frobenius norm falls below
-    1e-12 times the norm of the input."""
+    """Full eigendecomposition of a symmetric matrix by LAPACK's
+    symmetric eigensolver (numpy.linalg.eigh) on the exactly symmetrized
+    input."""
     a = _as_square(m)
     if not is_symmetric(a):
         raise ValueError("sym_eigen requires a symmetric matrix")
-    a = 0.5 * (a + a.T)
-    n = a.shape[0]
-    v = np.eye(n)
-    norm = math.sqrt(float((a * a).sum()))
-    if norm == 0.0 or n == 1:
-        order = np.argsort(np.diag(a))
-        return EigenDecomposition(np.diag(a)[order].copy(), v[:, order].copy())
-    target = _JACOBI_OFF_FACTOR * norm
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        # Summing the off-diagonal entries directly avoids the cancellation
-        # that total-minus-diagonal suffers once they reach roundoff level.
-        hollow = a.copy()
-        np.fill_diagonal(hollow, 0.0)
-        off = math.sqrt(float((hollow * hollow).sum()))
-        if off <= target:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                # An entry too small to perturb either diagonal value is
-                # noise; zero it instead of rotating (avoids overflow in
-                # the rotation angle as well).
-                if abs(a[p, p]) + 100.0 * abs(apq) == abs(a[p, p]) and (
-                    abs(a[q, q]) + 100.0 * abs(apq) == abs(a[q, q])
-                ):
-                    a[p, q] = a[q, p] = 0.0
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                row_p, row_q = a[p].copy(), a[q].copy()
-                a[p] = c * row_p - s * row_q
-                a[q] = s * row_p + c * row_q
-                col_p, col_q = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                a[p, q] = a[q, p] = 0.0
-                vp, vq = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-    else:
-        raise NonConvergenceError("Jacobi sweeps did not converge")
-    order = np.argsort(np.diag(a))
-    return EigenDecomposition(np.diag(a)[order].copy(), v[:, order].copy())
+    try:
+        return EigenDecomposition(*np.linalg.eigh(0.5 * (a + a.T)))
+    except np.linalg.LinAlgError as exc:
+        raise NonConvergenceError(f"symmetric eigensolver failed: {exc}") from exc
 
 
 def spectral_radius(m: np.ndarray) -> float:
-    """Largest eigenvalue magnitude.
-
-    Symmetric input goes through sym_eigen. Otherwise power iteration is
-    run on m @ m: squaring makes paired +-rho eigenvalues (bipartite
-    Markov matrices) coincide, and every matrix used here has a real
-    spectrum, so the dominant eigenvalue of the square is rho^2.
-    """
-    a = _as_square(m)
-    if is_symmetric(a):
-        vals = sym_eigen(a).eigenvalues
-        return float(np.abs(vals).max())
-    n = a.shape[0]
-    m2 = a @ a
-    x = 1.0 + np.arange(n) / (10.0 * n)  # deterministic, not axis-aligned
-    x /= math.sqrt(float((x * x).sum()))
-    est_prev = math.inf
-    for _ in range(_POWER_MAX_ITER):
-        y = m2 @ x
-        ny = math.sqrt(float((y * y).sum()))
-        if ny == 0.0:
-            return 0.0
-        if abs(ny - est_prev) <= _POWER_STEP_TOL * max(1.0, ny):
-            return math.sqrt(ny)
-        est_prev = ny
-        x = y / ny
-    raise NonConvergenceError("power iteration did not converge")
+    """Largest eigenvalue magnitude of a symmetric matrix; asymmetric
+    input raises ValueError, as in sym_eigen."""
+    return float(np.abs(sym_eigen(m).eigenvalues).max())
 
 
 def matrix_exp(m: np.ndarray) -> np.ndarray:

@@ -59,6 +59,11 @@ class TestRunAudit:
         assert not report.results[1].checks[0].holds
         assert not report.all_hold
 
+    @pytest.mark.parametrize("tol", [-1.0, -1e-12, float("nan"), float("inf")])
+    def test_bad_tolerance_rejected(self, path4, tol):
+        with pytest.raises(ValueError, match="tolerance"):
+            run_audit(path4, [("regL", 1.0)], checks=["psd"], tol=tol)
+
     def test_reproducible(self, path5):
         a = run_audit(path5, [("ppr", 0.9)], checks=["all"])
         b = run_audit(path5, [("ppr", 0.9)], checks=["all"])
@@ -114,6 +119,11 @@ class TestFindThreshold:
     def test_bad_range_rejected(self, path4):
         with pytest.raises(ValueError, match="lo < hi"):
             find_threshold(path4, "heat", "proximity", 1.0, 0.1)
+
+    @pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf")])
+    def test_bad_tolerance_rejected(self, path4, tol):
+        with pytest.raises(ValueError, match="tolerance"):
+            find_threshold(path4, "heat", "proximity", 0.1, 1.0, tol=tol)
 
     def test_evaluation_count_reported(self, path4):
         res = find_threshold(path4, "heat", "proximity", 0.1, 1.0, resolution=1e-2)
@@ -267,3 +277,35 @@ class TestCli:
                      "--out", str(tmp_path / "x.csv")])
         assert code == 2
         assert "eigenvalue" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["audit", "paper:path4", "--measure", "comm:1000", "--check", "psd"],
+        ["embed", "paper:path4", "--measure", "comm:400", "--out", "x.csv"],
+        ["threshold", "paper:path4", "--measure", "comm", "--property", "psd",
+         "--range", "0.1", "2000"],
+        ["audit", "paper:path4", "--measure", "dfact:50", "--check", "psd"],
+    ])
+    def test_overflow_is_usage_error(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("error:") and "overflow" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["audit", "paper:path4", "--measure", "heat:nan", "--check", "psd"],
+        ["audit", "paper:path4", "--measure", "heat:inf", "--check", "psd"],
+        ["audit", "paper:path4", "--measure", "regL:1.0", "--check", "psd", "--tol", "-1"],
+        ["audit", "paper:path4", "--measure", "regL:1.0", "--check", "psd", "--tol", "nan"],
+        ["threshold", "paper:path4", "--measure", "heat", "--property", "proximity",
+         "--range", "0.1", "1.0", "--tol", "-1"],
+    ])
+    def test_meaningless_input_is_usage_error(self, capsys, argv):
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:")
+        assert "domain" in err or "tolerance" in err

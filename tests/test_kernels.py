@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -6,7 +8,10 @@ from graphprox import (
     MEASURES,
     SYMMETRIC_MEASURES,
     ParameterDomainError,
+    WeightedGraph,
     absorption,
+    build_matrices,
+    check_psd,
     compute_kernel,
     double_factorial,
     heat,
@@ -53,6 +58,12 @@ class TestParameterDomains:
     def test_zero_parameter_rejected_everywhere(self, path4_gm, measure):
         with pytest.raises(ParameterDomainError):
             compute_kernel(path4_gm, measure, 0.0)
+
+    @pytest.mark.parametrize("measure", MEASURES)
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_parameter_rejected_everywhere(self, path4_gm, measure, bad):
+        with pytest.raises(ParameterDomainError, match="outside open domain"):
+            compute_kernel(path4_gm, measure, bad)
 
     def test_boundary_margin(self, path4_gm):
         with pytest.raises(ParameterDomainError):
@@ -122,6 +133,20 @@ class TestDoubleFactorial:
     def test_large_parameter_still_converges(self, path4_gm):
         k = double_factorial(path4_gm, 5.0).matrix
         assert np.isfinite(k).all()
+
+    def test_exactly_symmetric_on_large_entries(self):
+        # On the unit complete graph K12, t = 0.5 gives entries near 7e5,
+        # where unsymmetrized matrix products drift apart by 1e-10.
+        n = 12
+        gm = build_matrices(WeightedGraph(n, np.ones((n, n)) - np.eye(n), name="K12"))
+        k = double_factorial(gm, 0.5).matrix
+        assert k.max() > 1e5
+        npt.assert_array_equal(k, k.T)
+        assert check_psd(k).note == "smallest eigenvalue"
+
+    def test_overflow_stops_at_first_non_finite_term(self, path4_gm):
+        with pytest.raises(OverflowError, match="term"):
+            double_factorial(path4_gm, 50.0)
 
 
 class TestHeatFamily:

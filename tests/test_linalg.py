@@ -5,6 +5,7 @@ import numpy.testing as npt
 import pytest
 
 from graphprox import (
+    NonConvergenceError,
     NotPositiveSemidefiniteError,
     SingularMatrixError,
     gram_factor,
@@ -118,6 +119,18 @@ class TestSymEigen:
         with pytest.raises(ValueError, match="symmetric"):
             sym_eigen(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    def test_rejects_non_finite(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            sym_eigen(np.array([[1.0, np.nan], [np.nan, 1.0]]))
+
+    def test_lapack_failure_is_non_convergence(self, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(NonConvergenceError, match="eigensolver failed"):
+            sym_eigen(np.eye(3))
+
 
 class TestSpectralRadius:
     def test_identity(self):
@@ -126,21 +139,9 @@ class TestSpectralRadius:
     def test_path4_weights(self, path4_gm):
         assert spectral_radius(path4_gm.weights) == pytest.approx(RHO_PATH4, abs=1e-9)
 
-    def test_markov_matrix_radius_one(self, corpus):
-        # P is row stochastic; its spectrum pairs +-1 on bipartite graphs,
-        # which plain power iteration cannot separate
-        for _, gm in corpus:
-            assert spectral_radius(gm.markov) == pytest.approx(1.0, abs=1e-9)
-
-    def test_asymmetric_matches_numpy(self):
-        rng = np.random.default_rng(31)
-        for _ in range(5):
-            w = rng.uniform(0, 1, size=(6, 6))
-            w = 0.5 * (w + w.T)
-            np.fill_diagonal(w, 0)
-            p = w / w.sum(axis=1)[:, None]  # row stochastic, real spectrum
-            expected = np.abs(np.linalg.eigvals(0.7 * p)).max()
-            assert spectral_radius(0.7 * p) == pytest.approx(expected, abs=1e-9)
+    def test_rejects_asymmetric(self, path4_gm):
+        with pytest.raises(ValueError, match="symmetric"):
+            spectral_radius(path4_gm.markov)
 
     def test_zero_matrix(self):
         assert spectral_radius(np.zeros((3, 3))) == 0.0
