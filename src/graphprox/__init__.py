@@ -25,6 +25,7 @@ from .graphs import (
     builtin_graph,
     is_cut_between,
     load_graph,
+    separation_labels,
 )
 from .kernels import (
     MEASURES,

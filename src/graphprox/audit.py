@@ -365,7 +365,8 @@ def find_threshold(
     rates: np.ndarray | None = None,
 ) -> ThresholdResult:
     """Bisect the kernel parameter for the interval where a property
-    flips, down to the requested bracket width."""
+    flips, down to the requested bracket width, or to adjacent floats
+    when the width is below their spacing."""
     if not (resolution > 0):
         raise ValueError("resolution must be positive")
     if not lo < hi:
@@ -392,6 +393,8 @@ def find_threshold(
         )
     while hi - lo > resolution:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # lo and hi are adjacent floats
+            break
         if holds_at(mid) == holds_lo:
             lo = mid
         else:

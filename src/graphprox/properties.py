@@ -4,6 +4,12 @@ Every check returns a PropertyReport. Witness vertex indices are 1-based
 to match file and report conventions; the numeric slack is the value of
 the defining inequality at the witness, so a reported violation can be
 reproduced by re-evaluating it there.
+
+The triple checks scan one (y, z) slab of numpy arrays per first index,
+O(n^3) work in O(n^2) memory. Each term is formed with the operands and
+operation order of the defining inequality, and each witness is the
+first extreme in (x, y, z) order, so a report equals the one a scalar
+loop over all triples would give.
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import WeightedGraph, is_cut_between
+from .graphs import WeightedGraph, separation_labels
 from .linalg import is_symmetric, sym_eigen
 
 __all__ = [
@@ -70,15 +76,38 @@ class PropertyReport:
             object.__setattr__(self, "sigma", float(self.sigma))
 
 
-def _distinct_triples(n: int):
-    for x in range(n):
-        for y in range(n):
-            if y == x:
-                continue
-            for z in range(n):
-                if z == x or z == y:
-                    continue
-                yield x, y, z
+def _require_finite(a: np.ndarray, check: str) -> None:
+    bad = ~np.isfinite(a)
+    if bad.any():
+        i, j = np.unravel_index(int(np.argmax(bad)), a.shape)
+        raise ValueError(
+            f"{check} requires finite entries; "
+            f"entry ({int(i) + 1},{int(j) + 1}) = {a[i, j]}"
+        )
+
+
+def _distinct(n: int, x: int) -> np.ndarray:
+    """Mask of the (y, z) slab for first index x: x, y, z all distinct."""
+    keep = ~np.eye(n, dtype=bool)
+    keep[x, :] = False
+    keep[:, x] = False
+    return keep
+
+
+def _first_max(v: np.ndarray, keep) -> tuple[float, int]:
+    """Largest entry of v where keep holds, and the first C-order flat
+    index holding it. As in a strict `>` scan, NaN never wins; a result
+    of -inf means nothing was found."""
+    v = np.where(keep & ~np.isnan(v), v, -np.inf)
+    idx = int(np.argmax(v))
+    return v.flat[idx], idx
+
+
+def _first_min(v: np.ndarray, keep) -> tuple[float, int]:
+    """Smallest entry of v where keep holds, as _first_max; +inf means
+    nothing was found."""
+    val, idx = _first_max(-v, keep)
+    return -val, idx
 
 
 def check_psd(k: np.ndarray, tol: float = DEFAULT_TOL) -> PropertyReport:
@@ -107,24 +136,22 @@ def check_proximity(k: np.ndarray, tol: float = DEFAULT_TOL) -> PropertyReport:
     k(x,y) + k(x,z) - k(y,z) <= k(x,x) over all ordered triples, strict
     when z = y != x."""
     a = np.asarray(k, dtype=float)
+    _require_finite(a, "check_proximity")
     if not is_symmetric(a):
         raise ValueError("check_proximity requires a symmetric matrix")
     n = a.shape[0]
     worst_weak = -np.inf
     weak_witness = None
-    for x, y, z in _distinct_triples(n):
-        v = a[x, y] + a[x, z] - a[y, z] - a[x, x]
-        if v > worst_weak:
-            worst_weak, weak_witness = v, (x, y, z)
-    worst_strict = np.inf
-    strict_witness = None
     for x in range(n):
-        for y in range(n):
-            if y == x:
-                continue
-            slack = a[x, x] + a[y, y] - 2.0 * a[x, y]
-            if slack < worst_strict:
-                worst_strict, strict_witness = slack, (x, y, y)
+        # v[y, z] = k(x,y) + k(x,z) - k(y,z) - k(x,x), left to right
+        v = ((a[x, :, None] + a[x, None, :]) - a) - a[x, x]
+        val, idx = _first_max(v, _distinct(n, x))
+        if val > worst_weak:
+            worst_weak, weak_witness = val, (x, *divmod(idx, n))
+    diag = np.diag(a)
+    worst_strict, strict_idx = _first_min(
+        (diag[:, None] + diag[None, :]) - 2.0 * a, ~np.eye(n, dtype=bool)
+    )
     weak_fail = worst_weak > tol
     strict_fail = worst_strict < tol
     indeterminate = (0.5 * tol <= worst_weak <= 2.0 * tol) or (
@@ -139,10 +166,10 @@ def check_proximity(k: np.ndarray, tol: float = DEFAULT_TOL) -> PropertyReport:
             note="k(x,y)+k(x,z)-k(y,z)-k(x,x) at witness (x,y,z)",
         )
     if strict_fail:
-        x, y, z = strict_witness
+        x, y = divmod(strict_idx, n)
         return PropertyReport(
             "proximity", holds=False, tolerance=tol,
-            witness=(x + 1, y + 1, z + 1), slack=float(worst_strict),
+            witness=(x + 1, y + 1, y + 1), slack=float(worst_strict),
             indeterminate=indeterminate,
             note="strictness margin k(x,x)+k(y,y)-2k(x,y) at witness (x,y,y)",
         )
@@ -184,19 +211,12 @@ def check_sigma_proximity(k: np.ndarray, tol: float = DEFAULT_TOL) -> PropertyRe
 def check_egocentrism(k: np.ndarray, tol: float = DEFAULT_TOL) -> PropertyReport:
     """Strict entrywise diagonal dominance: k(x,x) > k(x,y) for x != y."""
     a = np.asarray(k, dtype=float)
+    _require_finite(a, "check_egocentrism")
     n = a.shape[0]
-    worst = np.inf
-    witness = None
-    for x in range(n):
-        for y in range(n):
-            if y == x:
-                continue
-            margin = a[x, x] - a[x, y]
-            if margin < worst:
-                worst, witness = margin, (x, y)
-    if witness is None:  # 1x1 matrix
+    worst, idx = _first_min(np.diag(a)[:, None] - a, ~np.eye(n, dtype=bool))
+    if worst == np.inf:  # 1x1 matrix
         return PropertyReport("egocentrism", holds=True, tolerance=tol)
-    x, y = witness
+    x, y = divmod(idx, n)
     return PropertyReport(
         "egocentrism",
         holds=worst > tol,
@@ -234,20 +254,22 @@ def _metric_axioms(
             witness=(i + 1, i + 1), slack=diag, note="nonzero self-distance",
         )
     if require_separation:
-        for x in range(n):
-            for y in range(x + 1, n):
-                if d[x, y] <= tol:
-                    return PropertyReport(
-                        prop, holds=False, tolerance=tol,
-                        witness=(x + 1, y + 1), slack=float(d[x, y]),
-                        note="distinct vertices at zero distance",
-                    )
+        close = np.triu(d <= tol, 1)
+        if close.any():
+            x, y = divmod(int(np.argmax(close)), n)
+            return PropertyReport(
+                prop, holds=False, tolerance=tol,
+                witness=(x + 1, y + 1), slack=float(d[x, y]),
+                note="distinct vertices at zero distance",
+            )
     worst = -np.inf
     witness = None
-    for x, y, z in _distinct_triples(n):
-        v = d[x, z] - d[x, y] - d[y, z]
-        if v > worst:
-            worst, witness = v, (x, y, z)
+    for x in range(n):
+        # v[y, z] = d(x,z) - d(x,y) - d(y,z), left to right
+        v = (d[x, None, :] - d[x, :, None]) - d
+        val, idx = _first_max(v, _distinct(n, x))
+        if val > worst:
+            worst, witness = val, (x, *divmod(idx, n))
     if witness is None:  # n < 3: nothing to check
         return PropertyReport(prop, holds=True, tolerance=tol)
     x, y, z = witness
@@ -266,7 +288,9 @@ def _metric_axioms(
 def check_metric(d: np.ndarray, tol: float = DEFAULT_TOL) -> PropertyReport:
     """The four metric axioms: nonnegativity, symmetry, identity of
     indiscernibles, and the triangle inequality over all ordered triples."""
-    return _metric_axioms(np.asarray(d, dtype=float), tol, "metric")
+    a = np.asarray(d, dtype=float)
+    _require_finite(a, "check_metric")
+    return _metric_axioms(a, tol, "metric")
 
 
 def check_sq_euclidean(d: np.ndarray, tol: float = DEFAULT_TOL) -> PropertyReport:
@@ -292,6 +316,44 @@ def check_sq_euclidean(d: np.ndarray, tol: float = DEFAULT_TOL) -> PropertyRepor
     )
 
 
+def _require_order(a: np.ndarray, g: WeightedGraph, check: str) -> None:
+    if a.shape != (g.n, g.n):
+        raise ValueError(f"{check}: matrix of shape {a.shape} for a graph of order {g.n}")
+
+
+def _relative_excess(a: np.ndarray, i: int) -> np.ndarray:
+    """rel[j, k] = (s_ij s_jk - s_ik s_jj) / (s_ik s_jj) for first index i."""
+    jj = np.diag(a)[:, None]
+    return (a[i, :, None] * a - a[i, None, :] * jj) / (a[i, None, :] * jj)
+
+
+def _separation_scan(slab, g: WeightedGraph, tol: float):
+    """Find the first distinct triple (i, j, k), in scan order, where
+    |slab(i)[j, k]| <= tol disagrees with "j separates i from k".
+
+    Returns (witness, value, within_tol, near_boundary): the 0-based
+    triple, the slab value there and whether it was within tol, or
+    (None, None, False, ...) when there is no such triple. near_boundary
+    says whether some |value| scanned lies within a factor two of tol.
+    """
+    n = g.n
+    comp = separation_labels(g)
+    near_boundary = False
+    for i in range(n):
+        v = slab(i)
+        m = np.abs(v)
+        keep = _distinct(n, i)
+        small = m <= tol
+        mismatch = keep & (small != (comp[:, i][:, None] != comp))
+        if mismatch.any():
+            j, k = divmod(int(np.argmax(mismatch)), n)
+            return (i, j, k), v[j, k], bool(small[j, k]), near_boundary
+        near_boundary = near_boundary or bool(
+            (keep & (0.5 * tol <= m) & (m <= 2.0 * tol)).any()
+        )
+    return None, None, False, near_boundary
+
+
 def check_transitional(
     s: np.ndarray, g: WeightedGraph, tol: float = DEFAULT_TOL
 ) -> PropertyReport:
@@ -300,6 +362,8 @@ def check_transitional(
     Equality detection at relative tolerance is cross-checked against the
     cut-vertex predicate in both directions."""
     a = np.asarray(s, dtype=float)
+    _require_finite(a, "check_transitional")
+    _require_order(a, g, "check_transitional")
     if a.min() <= 0:
         i, j = np.unravel_index(int(np.argmin(a)), a.shape)
         raise ValueError(
@@ -310,11 +374,9 @@ def check_transitional(
     worst = -np.inf
     witness = None
     for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                rel = (a[i, j] * a[j, k] - a[i, k] * a[j, j]) / (a[i, k] * a[j, j])
-                if rel > worst:
-                    worst, witness = rel, (i, j, k)
+        val, idx = _first_max(_relative_excess(a, i), True)
+        if val > worst:
+            worst, witness = val, (i, *divmod(idx, n))
     if worst > tol:
         i, j, k = witness
         return PropertyReport(
@@ -323,24 +385,18 @@ def check_transitional(
             indeterminate=worst <= 2.0 * tol,
             note="relative excess of s(i,j)s(j,k) over s(i,k)s(j,j)",
         )
-    boundary_cases = False
-    for i, j, k in _distinct_triples(n):
-        rel = (a[i, j] * a[j, k] - a[i, k] * a[j, j]) / (a[i, k] * a[j, j])
-        equal = abs(rel) <= tol
-        boundary_cases = boundary_cases or 0.5 * tol <= abs(rel) <= 2.0 * tol
-        cut = is_cut_between(g, j, i, k)
-        if equal and not cut:
-            return PropertyReport(
-                "transitional", holds=False, tolerance=tol,
-                witness=(i + 1, j + 1, k + 1), slack=float(rel),
-                note="product equality although j does not separate i from k",
-            )
-        if cut and not equal:
-            return PropertyReport(
-                "transitional", holds=False, tolerance=tol,
-                witness=(i + 1, j + 1, k + 1), slack=float(rel),
-                note="j separates i from k but products differ",
-            )
+    witness, rel, equal, boundary_cases = _separation_scan(
+        lambda i: _relative_excess(a, i), g, tol
+    )
+    if witness is not None:
+        i, j, k = witness
+        return PropertyReport(
+            "transitional", holds=False, tolerance=tol,
+            witness=(i + 1, j + 1, k + 1), slack=float(rel),
+            note="product equality although j does not separate i from k"
+            if equal
+            else "j separates i from k but products differ",
+        )
     return PropertyReport(
         "transitional", holds=True, tolerance=tol, slack=float(worst),
         indeterminate=boundary_cases,
@@ -353,24 +409,21 @@ def check_cutpoint_additive(
     """d(i,j) + d(j,k) = d(i,k) exactly when j separates i from k, both
     directions checked on every ordered triple."""
     a = np.asarray(d, dtype=float)
-    boundary_cases = False
-    for i, j, k in _distinct_triples(a.shape[0]):
-        gap = a[i, j] + a[j, k] - a[i, k]
-        additive = abs(gap) <= tol
-        boundary_cases = boundary_cases or 0.5 * tol <= abs(gap) <= 2.0 * tol
-        cut = is_cut_between(g, j, i, k)
-        if additive and not cut:
-            return PropertyReport(
-                "cutpoint_additive", holds=False, tolerance=tol,
-                witness=(i + 1, j + 1, k + 1), slack=float(gap),
-                note="additive although j does not separate i from k",
-            )
-        if cut and not additive:
-            return PropertyReport(
-                "cutpoint_additive", holds=False, tolerance=tol,
-                witness=(i + 1, j + 1, k + 1), slack=float(gap),
-                note="j separates i from k but d(i,j)+d(j,k) != d(i,k)",
-            )
+    _require_finite(a, "check_cutpoint_additive")
+    _require_order(a, g, "check_cutpoint_additive")
+    # gap[j, k] = d(i,j) + d(j,k) - d(i,k), left to right
+    witness, gap, additive, boundary_cases = _separation_scan(
+        lambda i: (a[i, :, None] + a) - a[i, None, :], g, tol
+    )
+    if witness is not None:
+        i, j, k = witness
+        return PropertyReport(
+            "cutpoint_additive", holds=False, tolerance=tol,
+            witness=(i + 1, j + 1, k + 1), slack=float(gap),
+            note="additive although j does not separate i from k"
+            if additive
+            else "j separates i from k but d(i,j)+d(j,k) != d(i,k)",
+        )
     return PropertyReport(
         "cutpoint_additive", holds=True, tolerance=tol, indeterminate=boundary_cases
     )
@@ -401,6 +454,7 @@ def check_sqrt_distance(d: np.ndarray, tol: float = DEFAULT_TOL) -> PropertyRepo
     nonnegative and its entrywise square root must satisfy the triangle
     inequality. Coinciding points are allowed (an all-zero d passes)."""
     a = np.asarray(d, dtype=float)
+    _require_finite(a, "check_sqrt_distance")
     if a.min() < -tol:
         i, j = np.unravel_index(int(np.argmin(a)), a.shape)
         return PropertyReport(

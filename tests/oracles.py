@@ -4,14 +4,23 @@ Everything here deliberately avoids the library's own code paths:
 resolvents are summed as Neumann series instead of LU-inverted, the
 exponential is a raw Taylor sum, the double-factorial series uses exact
 integer double factorials with explicit matrix powers, and cut vertices
-come from brute-force enumeration of simple paths.
+come from brute-force enumeration of simple paths. The reference_* triple
+checks at the end are the library's former scalar loops, kept to pin the
+vectorized checks to the exact reports those loops gave.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from graphprox import GraphMatrices, WeightedGraph
+from graphprox import (
+    DEFAULT_TOL,
+    GraphMatrices,
+    PropertyReport,
+    WeightedGraph,
+    is_cut_between,
+    is_symmetric,
+)
 
 
 def neumann_series(n_matrix: np.ndarray, tol: float = 1e-14, max_terms: int = 200_000) -> np.ndarray:
@@ -125,3 +134,259 @@ def random_connected_graph(rng: np.random.Generator, n: int, name: str) -> Weigh
 def pairwise_sq_dists(x: np.ndarray) -> np.ndarray:
     diff = x[:, None, :] - x[None, :, :]
     return (diff * diff).sum(axis=2)
+
+
+# Reference triple checks: the scalar loops over every vertex triple that
+# graphprox.properties replaced with per-slab numpy scans, kept verbatim
+# (one cut-vertex BFS per triple included). Each returns the PropertyReport
+# the matching check_* function must equal exactly.
+
+
+def _distinct_triples(n: int):
+    for x in range(n):
+        for y in range(n):
+            if y == x:
+                continue
+            for z in range(n):
+                if z == x or z == y:
+                    continue
+                yield x, y, z
+
+
+def reference_proximity(k: np.ndarray, tol: float = DEFAULT_TOL) -> PropertyReport:
+    """Triangle inequality for proximities:
+    k(x,y) + k(x,z) - k(y,z) <= k(x,x) over all ordered triples, strict
+    when z = y != x."""
+    a = np.asarray(k, dtype=float)
+    if not is_symmetric(a):
+        raise ValueError("check_proximity requires a symmetric matrix")
+    n = a.shape[0]
+    worst_weak = -np.inf
+    weak_witness = None
+    for x, y, z in _distinct_triples(n):
+        v = a[x, y] + a[x, z] - a[y, z] - a[x, x]
+        if v > worst_weak:
+            worst_weak, weak_witness = v, (x, y, z)
+    worst_strict = np.inf
+    strict_witness = None
+    for x in range(n):
+        for y in range(n):
+            if y == x:
+                continue
+            slack = a[x, x] + a[y, y] - 2.0 * a[x, y]
+            if slack < worst_strict:
+                worst_strict, strict_witness = slack, (x, y, y)
+    weak_fail = worst_weak > tol
+    strict_fail = worst_strict < tol
+    indeterminate = (0.5 * tol <= worst_weak <= 2.0 * tol) or (
+        0.0 <= worst_strict <= 2.0 * tol
+    )
+    if weak_fail:
+        x, y, z = weak_witness
+        return PropertyReport(
+            "proximity", holds=False, tolerance=tol,
+            witness=(x + 1, y + 1, z + 1), slack=float(worst_weak),
+            indeterminate=indeterminate,
+            note="k(x,y)+k(x,z)-k(y,z)-k(x,x) at witness (x,y,z)",
+        )
+    if strict_fail:
+        x, y, z = strict_witness
+        return PropertyReport(
+            "proximity", holds=False, tolerance=tol,
+            witness=(x + 1, y + 1, z + 1), slack=float(worst_strict),
+            indeterminate=indeterminate,
+            note="strictness margin k(x,x)+k(y,y)-2k(x,y) at witness (x,y,y)",
+        )
+    return PropertyReport(
+        "proximity", holds=True, tolerance=tol,
+        slack=None if weak_witness is None else float(worst_weak),
+        indeterminate=indeterminate,
+    )
+
+
+def reference_egocentrism(k: np.ndarray, tol: float = DEFAULT_TOL) -> PropertyReport:
+    """Strict entrywise diagonal dominance: k(x,x) > k(x,y) for x != y."""
+    a = np.asarray(k, dtype=float)
+    n = a.shape[0]
+    worst = np.inf
+    witness = None
+    for x in range(n):
+        for y in range(n):
+            if y == x:
+                continue
+            margin = a[x, x] - a[x, y]
+            if margin < worst:
+                worst, witness = margin, (x, y)
+    if witness is None:  # 1x1 matrix
+        return PropertyReport("egocentrism", holds=True, tolerance=tol)
+    x, y = witness
+    return PropertyReport(
+        "egocentrism",
+        holds=worst > tol,
+        tolerance=tol,
+        witness=None if worst > tol else (x + 1, y + 1),
+        slack=float(worst),
+        indeterminate=0.0 <= worst <= 2.0 * tol,
+        note="diagonal dominance margin k(x,x)-k(x,y)",
+    )
+
+
+def _reference_metric_axioms(
+    d: np.ndarray, tol: float, prop: str, require_separation: bool = True
+) -> PropertyReport:
+    n = d.shape[0]
+    neg = float(d.min())
+    if neg < -tol:
+        i, j = np.unravel_index(int(np.argmin(d)), d.shape)
+        return PropertyReport(
+            prop, holds=False, tolerance=tol,
+            witness=(int(i) + 1, int(j) + 1), slack=neg, note="negative entry",
+        )
+    asym = float(np.abs(d - d.T).max())
+    if asym > tol:
+        i, j = np.unravel_index(int(np.argmax(np.abs(d - d.T))), d.shape)
+        return PropertyReport(
+            prop, holds=False, tolerance=tol,
+            witness=(int(i) + 1, int(j) + 1), slack=asym, note="asymmetric",
+        )
+    diag = float(np.abs(np.diag(d)).max())
+    if diag > tol:
+        i = int(np.argmax(np.abs(np.diag(d))))
+        return PropertyReport(
+            prop, holds=False, tolerance=tol,
+            witness=(i + 1, i + 1), slack=diag, note="nonzero self-distance",
+        )
+    if require_separation:
+        for x in range(n):
+            for y in range(x + 1, n):
+                if d[x, y] <= tol:
+                    return PropertyReport(
+                        prop, holds=False, tolerance=tol,
+                        witness=(x + 1, y + 1), slack=float(d[x, y]),
+                        note="distinct vertices at zero distance",
+                    )
+    worst = -np.inf
+    witness = None
+    for x, y, z in _distinct_triples(n):
+        v = d[x, z] - d[x, y] - d[y, z]
+        if v > worst:
+            worst, witness = v, (x, y, z)
+    if witness is None:  # n < 3: nothing to check
+        return PropertyReport(prop, holds=True, tolerance=tol)
+    x, y, z = witness
+    holds = worst <= tol
+    return PropertyReport(
+        prop,
+        holds=holds,
+        tolerance=tol,
+        witness=None if holds else (x + 1, y + 1, z + 1),
+        slack=float(worst),
+        indeterminate=0.5 * tol <= worst <= 2.0 * tol,
+        note="triangle excess d(x,z)-d(x,y)-d(y,z) at worst (x,y,z)",
+    )
+
+
+def reference_metric(d: np.ndarray, tol: float = DEFAULT_TOL) -> PropertyReport:
+    """The four metric axioms: nonnegativity, symmetry, identity of
+    indiscernibles, and the triangle inequality over all ordered triples."""
+    return _reference_metric_axioms(np.asarray(d, dtype=float), tol, "metric")
+
+
+def reference_transitional(
+    s: np.ndarray, g: WeightedGraph, tol: float = DEFAULT_TOL
+) -> PropertyReport:
+    """Transitional-measure test: s_ij s_jk <= s_ik s_jj for all triples
+    (relative slack), with equality exactly when j separates i from k.
+    Equality detection at relative tolerance is cross-checked against the
+    cut-vertex predicate in both directions."""
+    a = np.asarray(s, dtype=float)
+    if a.min() <= 0:
+        i, j = np.unravel_index(int(np.argmin(a)), a.shape)
+        raise ValueError(
+            f"check_transitional requires strictly positive entries; "
+            f"entry ({int(i) + 1},{int(j) + 1}) = {a[i, j]:.6g}"
+        )
+    n = a.shape[0]
+    worst = -np.inf
+    witness = None
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                rel = (a[i, j] * a[j, k] - a[i, k] * a[j, j]) / (a[i, k] * a[j, j])
+                if rel > worst:
+                    worst, witness = rel, (i, j, k)
+    if worst > tol:
+        i, j, k = witness
+        return PropertyReport(
+            "transitional", holds=False, tolerance=tol,
+            witness=(i + 1, j + 1, k + 1), slack=float(worst),
+            indeterminate=worst <= 2.0 * tol,
+            note="relative excess of s(i,j)s(j,k) over s(i,k)s(j,j)",
+        )
+    boundary_cases = False
+    for i, j, k in _distinct_triples(n):
+        rel = (a[i, j] * a[j, k] - a[i, k] * a[j, j]) / (a[i, k] * a[j, j])
+        equal = abs(rel) <= tol
+        boundary_cases = boundary_cases or 0.5 * tol <= abs(rel) <= 2.0 * tol
+        cut = is_cut_between(g, j, i, k)
+        if equal and not cut:
+            return PropertyReport(
+                "transitional", holds=False, tolerance=tol,
+                witness=(i + 1, j + 1, k + 1), slack=float(rel),
+                note="product equality although j does not separate i from k",
+            )
+        if cut and not equal:
+            return PropertyReport(
+                "transitional", holds=False, tolerance=tol,
+                witness=(i + 1, j + 1, k + 1), slack=float(rel),
+                note="j separates i from k but products differ",
+            )
+    return PropertyReport(
+        "transitional", holds=True, tolerance=tol, slack=float(worst),
+        indeterminate=boundary_cases,
+    )
+
+
+def reference_cutpoint_additive(
+    d: np.ndarray, g: WeightedGraph, tol: float = DEFAULT_TOL
+) -> PropertyReport:
+    """d(i,j) + d(j,k) = d(i,k) exactly when j separates i from k, both
+    directions checked on every ordered triple."""
+    a = np.asarray(d, dtype=float)
+    boundary_cases = False
+    for i, j, k in _distinct_triples(a.shape[0]):
+        gap = a[i, j] + a[j, k] - a[i, k]
+        additive = abs(gap) <= tol
+        boundary_cases = boundary_cases or 0.5 * tol <= abs(gap) <= 2.0 * tol
+        cut = is_cut_between(g, j, i, k)
+        if additive and not cut:
+            return PropertyReport(
+                "cutpoint_additive", holds=False, tolerance=tol,
+                witness=(i + 1, j + 1, k + 1), slack=float(gap),
+                note="additive although j does not separate i from k",
+            )
+        if cut and not additive:
+            return PropertyReport(
+                "cutpoint_additive", holds=False, tolerance=tol,
+                witness=(i + 1, j + 1, k + 1), slack=float(gap),
+                note="j separates i from k but d(i,j)+d(j,k) != d(i,k)",
+            )
+    return PropertyReport(
+        "cutpoint_additive", holds=True, tolerance=tol, indeterminate=boundary_cases
+    )
+
+
+def reference_sqrt_distance(d: np.ndarray, tol: float = DEFAULT_TOL) -> PropertyReport:
+    """Necessary-condition filter for proximities: d must be entrywise
+    nonnegative and its entrywise square root must satisfy the triangle
+    inequality. Coinciding points are allowed (an all-zero d passes)."""
+    a = np.asarray(d, dtype=float)
+    if a.min() < -tol:
+        i, j = np.unravel_index(int(np.argmin(a)), a.shape)
+        return PropertyReport(
+            "sqrt_distance", holds=False, tolerance=tol,
+            witness=(int(i) + 1, int(j) + 1), slack=float(a.min()),
+            note="negative entry, no square-root distance exists",
+        )
+    root = np.sqrt(np.clip(a, 0.0, None))
+    return _reference_metric_axioms(root, tol, "sqrt_distance", require_separation=False)

@@ -129,6 +129,28 @@ class TestFindThreshold:
         res = find_threshold(path4, "heat", "proximity", 0.1, 1.0, resolution=1e-2)
         assert res.evaluations == 2 + 7  # endpoints plus ceil(log2(0.9/0.01))
 
+    def test_resolution_below_float_spacing_stops_at_adjacent_floats(
+        self, path4, monkeypatch
+    ):
+        from graphprox import audit, build_matrices, compute_kernel, run_check
+
+        calls = 0
+
+        def counted(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            assert calls <= 200, "bisection does not terminate"
+            return compute_kernel(*args, **kwargs)
+
+        monkeypatch.setattr(audit, "compute_kernel", counted)
+        res = find_threshold(path4, "heat", "proximity", 0.1, 1.0, resolution=1e-20)
+        assert res.evaluations <= 2 + 64
+        assert res.bracket_high == np.nextafter(res.bracket_low, np.inf)
+        gm = build_matrices(path4)
+        low = run_check("proximity", compute_kernel(gm, "heat", res.bracket_low), path4)
+        high = run_check("proximity", compute_kernel(gm, "heat", res.bracket_high), path4)
+        assert low.holds and not high.holds
+
     def test_reproducible(self, path4):
         a = find_threshold(path4, "nheat", "proximity", 0.5, 3.0)
         b = find_threshold(path4, "nheat", "proximity", 0.5, 3.0)

@@ -258,3 +258,44 @@ class TestConsistencyAcrossChecks:
         log_k = np.log(regularized_laplacian(path4_gm, 1.0).matrix)
         assert check_proximity(log_k).holds
         assert not check_psd(log_k).holds
+
+
+class TestNonFiniteInputRejected:
+    """NaN would be skipped by every scan, since no comparison with it
+    holds; such input is refused instead of given a verdict."""
+
+    @staticmethod
+    def with_entry(a, i, j, value):
+        a = np.array(a, dtype=float)
+        a[i, j] = a[j, i] = value
+        return a
+
+    def test_proximity(self):
+        with pytest.raises(ValueError, match="finite"):
+            check_proximity(self.with_entry(np.eye(3) + 1.0, 0, 2, np.nan))
+
+    def test_egocentrism(self):
+        k = np.eye(3) + 1.0
+        k[0, 1] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            check_egocentrism(k)
+
+    def test_metric(self):
+        d = self.with_entry(np.ones((3, 3)) - np.eye(3), 0, 2, np.nan)
+        with pytest.raises(ValueError, match=r"finite entries; entry \(1,3\) = nan"):
+            check_metric(d)
+
+    def test_sqrt_distance(self):
+        d = self.with_entry(np.ones((3, 3)) - np.eye(3), 1, 2, np.inf)
+        with pytest.raises(ValueError, match="finite"):
+            check_sqrt_distance(d)
+
+    def test_transitional(self, path4, path4_gm):
+        k = self.with_entry(regularized_laplacian(path4_gm, 1.0).matrix, 0, 3, np.nan)
+        with pytest.raises(ValueError, match="finite"):
+            check_transitional(k, path4)
+
+    def test_cutpoint_additive(self, path4, path4_gm):
+        d = log_distance(regularized_laplacian(path4_gm, 1.0).matrix)
+        with pytest.raises(ValueError, match="finite"):
+            check_cutpoint_additive(self.with_entry(d, 1, 3, np.inf), path4)
