@@ -13,6 +13,7 @@ import dataclasses
 import math
 import re
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -48,29 +49,7 @@ __all__ = [
     "export_embedding",
 ]
 
-SCHEMA_VERSION = 1
-
-# Requestable audit checks. The log_* family evaluates the logarithmic
-# similarity ln(s) and its induced distance; sym_psd tests the
-# symmetrized kernel (K + K^T)/2, the PSD question that remains once an
-# asymmetric measure has failed plain psd by definition.
-CHECKS: tuple[str, ...] = (
-    "psd",
-    "sym_psd",
-    "proximity",
-    "sigma",
-    "egocentrism",
-    "metric",
-    "sq_euclidean",
-    "sqrt_distance",
-    "distance_order",
-    "transitional",
-    "cutpoint_additive",
-    "log_metric",
-    "log_proximity",
-    "log_psd",
-    "log_order",
-)
+SCHEMA_VERSION = 2
 
 _ORDER_RE = re.compile(r"^order:(\d)(\d)<(\d)(\d)$")
 _TRIANGLE_RE = re.compile(r"^triangle:(\d+),(\d+),(\d+)$")
@@ -100,7 +79,6 @@ class AuditReport:
     graph: str
     n: int
     tolerance: float
-    sigma: float
     tool_version: str
     results: tuple[MeasureAudit, ...]
 
@@ -123,7 +101,6 @@ class AuditReport:
             "graph": self.graph,
             "n": self.n,
             "tolerance": self.tolerance,
-            "sigma": self.sigma,
             "results": [
                 {
                     "measure": r.measure,
@@ -141,6 +118,9 @@ class AuditReport:
 
     @classmethod
     def from_dict(cls, data: dict) -> "AuditReport":
+        """Read a to_dict document of schema version 1 or 2. Version 1
+        also carried a report-level "sigma" that no check read; it is
+        dropped."""
         results = []
         for r in data["results"]:
             checks = tuple(
@@ -170,7 +150,6 @@ class AuditReport:
             graph=data["graph"],
             n=data["n"],
             tolerance=data["tolerance"],
-            sigma=data["sigma"],
             tool_version=data["tool_version"],
             results=tuple(results),
         )
@@ -203,55 +182,66 @@ def _asymmetry_report(prop: str, matrix: np.ndarray, tol: float) -> PropertyRepo
     )
 
 
+def _renamed(prop: str, report: PropertyReport) -> PropertyReport:
+    return dataclasses.replace(report, property=prop)
+
+
+def _log_similarity(kres: KernelResult) -> np.ndarray:
+    k = kres.matrix
+    return np.log(k if kres.symmetric else symmetrize_geometric(k))
+
+
+# Requestable audit checks, each a function of (kernel result, graph,
+# tolerance). The log_* family evaluates the logarithmic similarity
+# ln(s) and its induced distance; sym_psd tests the symmetrized kernel
+# (K + K^T)/2, the PSD question that remains once an asymmetric measure
+# has failed plain psd by definition. The lambdas look up the property
+# checks by their module-level names at call time, so a caller may wrap
+# those names.
+_CHECKS: dict[str, Callable[[KernelResult, WeightedGraph, float], PropertyReport]] = {
+    "psd": lambda kr, g, tol: check_psd(kr.matrix, tol),
+    "sym_psd": lambda kr, g, tol: _renamed(
+        "sym_psd", check_psd(0.5 * (kr.matrix + kr.matrix.T), tol)
+    ),
+    "proximity": lambda kr, g, tol: (
+        check_proximity(kr.matrix, tol) if kr.symmetric
+        else _asymmetry_report("proximity", kr.matrix, tol)
+    ),
+    "sigma": lambda kr, g, tol: (
+        check_sigma_proximity(kr.matrix, tol) if kr.symmetric
+        else _asymmetry_report("sigma_proximity", kr.matrix, tol)
+    ),
+    "egocentrism": lambda kr, g, tol: check_egocentrism(kr.matrix, tol),
+    "metric": lambda kr, g, tol: check_metric(pair_to_dist(kr.matrix), tol),
+    "sq_euclidean": lambda kr, g, tol: check_sq_euclidean(pair_to_dist(kr.matrix), tol),
+    "sqrt_distance": lambda kr, g, tol: check_sqrt_distance(pair_to_dist(kr.matrix), tol),
+    "distance_order": lambda kr, g, tol: check_distance_order(pair_to_dist(kr.matrix)),
+    "transitional": lambda kr, g, tol: check_transitional(kr.matrix, g, tol),
+    "cutpoint_additive": lambda kr, g, tol: check_cutpoint_additive(
+        log_distance(kr.matrix), g, tol
+    ),
+    "log_metric": lambda kr, g, tol: _renamed(
+        "log_metric", check_metric(log_distance(kr.matrix), tol)
+    ),
+    "log_proximity": lambda kr, g, tol: _renamed(
+        "log_proximity", check_proximity(_log_similarity(kr), tol)
+    ),
+    "log_psd": lambda kr, g, tol: _renamed("log_psd", check_psd(_log_similarity(kr), tol)),
+    "log_order": lambda kr, g, tol: _renamed(
+        "log_order", check_distance_order(log_distance(kr.matrix))
+    ),
+}
+
+CHECKS: tuple[str, ...] = tuple(_CHECKS)
+
+
 def run_check(
     check: str, kres: KernelResult, g: WeightedGraph, tol: float = DEFAULT_TOL
 ) -> PropertyReport:
     """Run one named audit check against a computed kernel."""
-    k = kres.matrix
-    if check == "psd":
-        return check_psd(k, tol)
-    if check == "sym_psd":
-        rep = check_psd(0.5 * (k + k.T), tol)
-        return dataclasses.replace(rep, property="sym_psd")
-    if check == "proximity":
-        if not kres.symmetric:
-            return _asymmetry_report("proximity", k, tol)
-        return check_proximity(k, tol)
-    if check == "sigma":
-        if not kres.symmetric:
-            return _asymmetry_report("sigma_proximity", k, tol)
-        return check_sigma_proximity(k, tol)
-    if check == "egocentrism":
-        return check_egocentrism(k, tol)
-    if check == "metric":
-        return check_metric(pair_to_dist(k), tol)
-    if check == "sq_euclidean":
-        return check_sq_euclidean(pair_to_dist(k), tol)
-    if check == "sqrt_distance":
-        return check_sqrt_distance(pair_to_dist(k), tol)
-    if check == "distance_order":
-        return check_distance_order(pair_to_dist(k))
-    if check == "transitional":
-        return check_transitional(k, g, tol)
-    if check == "cutpoint_additive":
-        return check_cutpoint_additive(log_distance(k), g, tol)
-    if check == "log_metric":
-        return dataclasses.replace(
-            check_metric(log_distance(k), tol), property="log_metric"
-        )
-    if check == "log_proximity":
-        s = k if kres.symmetric else symmetrize_geometric(k)
-        return dataclasses.replace(
-            check_proximity(np.log(s), tol), property="log_proximity"
-        )
-    if check == "log_psd":
-        s = k if kres.symmetric else symmetrize_geometric(k)
-        return dataclasses.replace(check_psd(np.log(s), tol), property="log_psd")
-    if check == "log_order":
-        return dataclasses.replace(
-            check_distance_order(log_distance(k)), property="log_order"
-        )
-    raise ValueError(f"unknown check {check!r} (known: {', '.join(CHECKS)})")
+    if check not in _CHECKS:
+        raise ValueError(f"unknown check {check!r} (known: {', '.join(CHECKS)})")
+    return _CHECKS[check](kres, g, tol)
 
 
 def default_checks(measure_symmetric: bool, n: int) -> list[str]:
@@ -279,7 +269,6 @@ def run_audit(
     measures: list[tuple[str, float]],
     checks: list[str] | None = None,
     tol: float = DEFAULT_TOL,
-    sigma: float = 1.0,
     rates: np.ndarray | None = None,
 ) -> AuditReport:
     """Compute each (measure, param) on g and run the requested checks.
@@ -310,38 +299,41 @@ def run_audit(
         graph=g.name,
         n=g.n,
         tolerance=tol,
-        sigma=sigma,
         tool_version=__version__,
         results=tuple(results),
     )
 
 
-def _threshold_predicate(prop: str):
+def _vertex_indices(prop: str, m: re.Match, n: int) -> list[int]:
+    """0-based indices of the 1-based vertices matched in prop."""
+    vertices = [int(c) - 1 for c in m.groups()]
+    if not all(0 <= v < n for v in vertices):
+        raise ValueError(f"{prop}: vertex index out of range for n={n}")
+    return vertices
+
+
+def _threshold_predicate(prop: str, n: int):
     """Map a threshold property name to a function of (kres, g, tol).
 
     Beyond the audit checks, two parameterized forms are accepted:
     order:IJ<KL   d(I,J) < d(K,L) on the induced squared distances
     triangle:I,J,K  d(I,J) + d(J,K) >= d(I,K), the single triangle with
-                    middle vertex J (1-based indices).
+                    middle vertex J (1-based indices, at most n).
     """
     m = _ORDER_RE.match(prop)
     if m:
-        i, j, k, l = (int(c) - 1 for c in m.groups())
+        i, j, k, l = _vertex_indices(prop, m, n)
 
         def order_holds(kres, g, tol):
-            if max(i, j, k, l) >= g.n:
-                raise ValueError(f"{prop}: vertex index out of range for n={g.n}")
             d = pair_to_dist(kres.matrix)
             return bool(d[i, j] < d[k, l])
 
         return order_holds
     m = _TRIANGLE_RE.match(prop)
     if m:
-        i, j, k = (int(c) - 1 for c in m.groups())
+        i, j, k = _vertex_indices(prop, m, n)
 
         def triangle_holds(kres, g, tol):
-            if max(i, j, k) >= g.n:
-                raise ValueError(f"{prop}: vertex index out of range for n={g.n}")
             d = pair_to_dist(kres.matrix)
             return bool(d[i, j] + d[j, k] >= d[i, k])
 
@@ -374,7 +366,7 @@ def find_threshold(
     if not 0 <= tol < math.inf:
         raise ValueError(f"tolerance must be finite and nonnegative, got {tol}")
     gm = build_matrices(g)
-    predicate = _threshold_predicate(prop)
+    predicate = _threshold_predicate(prop, g.n)
 
     evaluations = 0
 
@@ -435,9 +427,12 @@ def export_embedding(
     diff = coords[:, None, :] - coords[None, :, :]
     actual = (diff * diff).sum(axis=2)
     err = float(np.abs(actual - expected).max())
-    if err > 1e-7:
+    # relative to the largest squared distance once that exceeds 1, since
+    # rounding error grows with the kernel's entries
+    bound = 1e-7 * max(1.0, float(np.abs(expected).max()))
+    if err > bound:
         raise RuntimeError(
-            f"embedding reconstruction off by {err:.3e}, beyond 1e-07"
+            f"embedding reconstruction off by {err:.3e}, beyond {bound:.3g}"
         )
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)

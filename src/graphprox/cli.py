@@ -18,34 +18,15 @@ from pathlib import Path
 import numpy as np
 
 from ._version import __version__
-from .audit import (
-    CHECKS,
-    AuditReport,
-    ThresholdBracketError,
-    export_embedding,
-    find_threshold,
-    run_audit,
-)
-from .graphs import (
-    BUILTIN_GRAPHS,
-    GraphFormatError,
-    GraphValidationError,
-    WeightedGraph,
-    builtin_graph,
-    load_graph,
-)
-from .kernels import MEASURES, ParameterDomainError
-from .linalg import NonConvergenceError, NotPositiveSemidefiniteError, SingularMatrixError
+from .audit import CHECKS, AuditReport, export_embedding, find_threshold, run_audit
+from .graphs import BUILTIN_GRAPHS, WeightedGraph, builtin_graph, load_graph
+from .kernels import MEASURES
+from .linalg import NonConvergenceError
 
 _USAGE_ERRORS = (
-    GraphFormatError,
-    GraphValidationError,
-    ParameterDomainError,
-    ThresholdBracketError,
-    NotPositiveSemidefiniteError,
-    SingularMatrixError,
     NonConvergenceError,
     OverflowError,
+    FloatingPointError,
     ValueError,
     KeyError,
     IndexError,
@@ -141,7 +122,6 @@ def _cmd_audit(args: argparse.Namespace) -> int:
         measures,
         checks=checks,
         tol=args.tol,
-        sigma=args.sigma,
         rates=_parse_rates(args.rates),
     )
     print(_format_report(report))
@@ -209,8 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_audit.add_argument("--check", default="all",
                          help=f"comma list or 'all'; checks: {', '.join(CHECKS)}")
     p_audit.add_argument("--tol", type=float, default=1e-9, help="inequality tolerance (default 1e-9)")
-    p_audit.add_argument("--sigma", type=float, default=1.0,
-                         help="row-sum constant recorded with the report (default 1)")
     p_audit.add_argument("--rates", help="absorption rates a1,a2,... (default all ones)")
     p_audit.add_argument("--json", metavar="PATH", help="also write the report as JSON")
     p_audit.set_defaults(func=_cmd_audit)
@@ -240,7 +218,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # A float64 overflow, a log of 0 or a nan ends the command with one
+        # error line instead of warnings and a verdict drawn from inf or nan.
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return args.func(args)
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -106,6 +107,13 @@ class WeightedGraph:
         """Weighted degree of each vertex (row sums of the weight matrix)."""
         return self.weights.sum(axis=1)
 
+    @cached_property
+    def _separation(self) -> np.ndarray:
+        neighbours = _neighbours(self.weights)
+        comp = np.array([_labels_without(neighbours, j) for j in range(self.n)])
+        comp.setflags(write=False)
+        return comp
+
 
 @dataclass(frozen=True)
 class GraphMatrices:
@@ -142,6 +150,7 @@ def load_graph(source: str, name: str = "graph") -> WeightedGraph:
     """Parse edge-list text: one "i j w" edge per line, 1-based vertex
     indices, positive weights, '#' starting a comment line."""
     edges: dict[tuple[int, int], float] = {}
+    vertices: set[int] = set()
     max_vertex = 0
     for lineno, raw in enumerate(source.splitlines(), start=1):
         line = raw.strip()
@@ -167,9 +176,14 @@ def load_graph(source: str, name: str = "graph") -> WeightedGraph:
         if key in edges:
             raise GraphValidationError(f"line {lineno}: duplicate edge {key[0]}-{key[1]}")
         edges[key] = w
+        vertices.update(key)
         max_vertex = max(max_vertex, i, j)
     if not edges:
         raise GraphValidationError("no edges found")
+    # An unused label is an isolated vertex; rejecting it here also keeps
+    # a huge label from sizing the weight matrix.
+    if len(vertices) < max_vertex:
+        raise GraphValidationError("graph must be connected")
     weights = np.zeros((max_vertex, max_vertex))
     for (i, j), w in edges.items():
         weights[i - 1, j - 1] = w
@@ -212,10 +226,10 @@ def separation_labels(g: WeightedGraph) -> np.ndarray:
     """comp[j, v] is the component label of v in G - j, with comp[j, j] = -1.
 
     For distinct i, j, k, vertex j separates i from k exactly when
-    comp[j, i] != comp[j, k]. One BFS per removed vertex, O(n (n + m)).
+    comp[j, i] != comp[j, k]. One BFS per removed vertex, O(n (n + m)),
+    run once per graph: later calls return the same read-only array.
     """
-    neighbours = _neighbours(g.weights)
-    return np.array([_labels_without(neighbours, j) for j in range(g.n)])
+    return g._separation
 
 
 def is_cut_between(g: WeightedGraph, j: int, i: int, k: int) -> bool:

@@ -49,34 +49,35 @@ _BOUNDARY_MARGIN = 1e-12
 _DFACT_TERM_TOL = 1e-16
 _DFACT_MAX_TERMS = 10_000
 
-MEASURES: tuple[str, ...] = (
-    "katz",
-    "comm",
-    "dfact",
-    "heat",
-    "nheat",
-    "regL",
-    "absorp",
-    "ppr",
-    "modifppr",
-    "heatppr",
-)
 
-# ppr and heatppr are the only measures whose matrix is not symmetric.
-SYMMETRIC_MEASURES: frozenset[str] = frozenset(MEASURES) - {"ppr", "heatppr"}
+@dataclass(frozen=True)
+class _Measure:
+    """What the paper fixes for a measure besides its formula: the name
+    of its parameter, whether its matrix is symmetric, and the upper end
+    of its open parameter domain, whose lower end is always 0. An upper
+    end of None stands for 1/rho(W), which depends on the graph."""
 
-PARAM_NAMES: dict[str, str] = {
-    "katz": "alpha",
-    "comm": "t",
-    "dfact": "t",
-    "heat": "t",
-    "nheat": "t",
-    "regL": "t",
-    "absorp": "t",
-    "ppr": "alpha",
-    "modifppr": "alpha",
-    "heatppr": "t",
+    param: str
+    symmetric: bool
+    upper: float | None
+
+
+_SPECS: dict[str, _Measure] = {
+    "katz": _Measure("alpha", True, None),
+    "comm": _Measure("t", True, math.inf),
+    "dfact": _Measure("t", True, math.inf),
+    "heat": _Measure("t", True, math.inf),
+    "nheat": _Measure("t", True, math.inf),
+    "regL": _Measure("t", True, math.inf),
+    "absorp": _Measure("t", True, math.inf),
+    "ppr": _Measure("alpha", False, 1.0),
+    "modifppr": _Measure("alpha", True, 1.0),
+    "heatppr": _Measure("t", False, math.inf),
 }
+
+MEASURES: tuple[str, ...] = tuple(_SPECS)
+SYMMETRIC_MEASURES: frozenset[str] = frozenset(m for m, s in _SPECS.items() if s.symmetric)
+PARAM_NAMES: dict[str, str] = {m: s.param for m, s in _SPECS.items()}
 
 
 class ParameterDomainError(ValueError):
@@ -102,17 +103,17 @@ class KernelResult:
 
 def param_domain(measure: str, gm: GraphMatrices) -> tuple[float, float]:
     """Open interval of valid parameters for a measure on this graph."""
-    if measure == "katz":
-        return (0.0, 1.0 / spectral_radius(gm.weights))
-    if measure in ("ppr", "modifppr"):
-        return (0.0, 1.0)
-    if measure in MEASURES:
-        return (0.0, math.inf)
-    raise ValueError(f"unknown measure {measure!r}")
+    if measure not in _SPECS:
+        raise ValueError(f"unknown measure {measure!r}")
+    upper = _SPECS[measure].upper
+    return (0.0, 1.0 / spectral_radius(gm.weights) if upper is None else upper)
 
 
-def _check_param(measure: str, param: float, domain: tuple[float, float]) -> None:
-    lo, hi = domain
+def _kernel(measure: str, gm: GraphMatrices, param: float, formula) -> KernelResult:
+    """Check param against the measure's domain, then evaluate formula()
+    and tag the matrix with the measure's table entry."""
+    spec = _SPECS[measure]
+    lo, hi = dom = param_domain(measure, gm)
     # The domain is open; resolvents blow up at its ends, so values within
     # 1e-12 of a boundary are rejected too. NaN fails every comparison,
     # hence the explicit finiteness test.
@@ -122,26 +123,22 @@ def _check_param(measure: str, param: float, domain: tuple[float, float]) -> Non
         or (math.isfinite(hi) and param >= hi - _BOUNDARY_MARGIN)
     ):
         hi_text = f"{hi:.6g}" if math.isfinite(hi) else "inf"
-        extra = " = 1/rho(W)" if measure == "katz" else ""
+        extra = " = 1/rho(W)" if spec.upper is None else ""
         raise ParameterDomainError(
-            f"{measure}: {PARAM_NAMES[measure]} = {param} outside open domain "
+            f"{measure}: {spec.param} = {param} outside open domain "
             f"({lo:.6g}, {hi_text}{extra})"
         )
+    return KernelResult(measure, param, formula(), dom, spec.symmetric)
 
 
 def katz(gm: GraphMatrices, alpha: float) -> KernelResult:
     """Walk-counting resolvent (I - alpha W)^-1, alpha below 1/rho(W)."""
-    dom = param_domain("katz", gm)
-    _check_param("katz", alpha, dom)
-    k = invert(np.eye(gm.n) - alpha * gm.weights)
-    return KernelResult("katz", alpha, k, dom, symmetric=True)
+    return _kernel("katz", gm, alpha, lambda: invert(np.eye(gm.n) - alpha * gm.weights))
 
 
 def communicability(gm: GraphMatrices, t: float) -> KernelResult:
     """exp(t W); positive semidefinite for every t > 0."""
-    dom = param_domain("comm", gm)
-    _check_param("comm", t, dom)
-    return KernelResult("comm", t, matrix_exp(t * gm.weights), dom, symmetric=True)
+    return _kernel("comm", gm, t, lambda: matrix_exp(t * gm.weights))
 
 
 def double_factorial(gm: GraphMatrices, t: float) -> KernelResult:
@@ -155,11 +152,12 @@ def double_factorial(gm: GraphMatrices, t: float) -> KernelResult:
     symmetrized, since rounding in the matrix products leaves W's
     symmetry only approximately intact on large entries.
     """
-    dom = param_domain("dfact", gm)
-    _check_param("dfact", t, dom)
-    tw = t * gm.weights
+    return _kernel("dfact", gm, t, lambda: _double_factorial_series(t * gm.weights))
+
+
+def _double_factorial_series(tw: np.ndarray) -> np.ndarray:
     tw2 = tw @ tw
-    prev2 = np.eye(gm.n)  # k = 0
+    prev2 = np.eye(tw.shape[0])  # k = 0
     prev1 = tw.copy()  # k = 1
     total = prev2 + prev1
     norms = [1.0, float(np.abs(prev1).max())]
@@ -171,7 +169,7 @@ def double_factorial(gm: GraphMatrices, t: float) -> KernelResult:
         if not (math.isfinite(norms[-1]) and np.isfinite(total).all()):
             raise OverflowError(f"double-factorial series overflowed float64 at term {k}")
         if norms[-1] < _DFACT_TERM_TOL and norms[-3] > norms[-2] > norms[-1]:
-            return KernelResult("dfact", t, 0.5 * (total + total.T), dom, symmetric=True)
+            return 0.5 * (total + total.T)
         prev2, prev1 = prev1, cur
     raise NonConvergenceError(
         f"double-factorial series did not converge within {_DFACT_MAX_TERMS} terms"
@@ -180,63 +178,48 @@ def double_factorial(gm: GraphMatrices, t: float) -> KernelResult:
 
 def heat(gm: GraphMatrices, t: float) -> KernelResult:
     """Laplacian heat kernel exp(-t L); rows sum to 1 since L 1 = 0."""
-    dom = param_domain("heat", gm)
-    _check_param("heat", t, dom)
-    return KernelResult("heat", t, matrix_exp(-t * gm.laplacian), dom, symmetric=True)
+    return _kernel("heat", gm, t, lambda: matrix_exp(-t * gm.laplacian))
 
 
 def normalized_heat(gm: GraphMatrices, t: float) -> KernelResult:
     """Heat kernel of the normalized Laplacian; row sums are not constant."""
-    dom = param_domain("nheat", gm)
-    _check_param("nheat", t, dom)
-    return KernelResult("nheat", t, matrix_exp(-t * gm.norm_laplacian), dom, symmetric=True)
+    return _kernel("nheat", gm, t, lambda: matrix_exp(-t * gm.norm_laplacian))
 
 
 def regularized_laplacian(gm: GraphMatrices, t: float) -> KernelResult:
     """Forest kernel (I + t L)^-1: PSD, row stochastic, entrywise positive."""
-    dom = param_domain("regL", gm)
-    _check_param("regL", t, dom)
-    k = invert(np.eye(gm.n) + t * gm.laplacian)
-    return KernelResult("regL", t, k, dom, symmetric=True)
+    return _kernel("regL", gm, t, lambda: invert(np.eye(gm.n) + t * gm.laplacian))
 
 
 def absorption(gm: GraphMatrices, rates: np.ndarray, t: float) -> KernelResult:
     """(t Diag(rates) + L)^-1 for strictly positive absorption rates."""
-    dom = param_domain("absorp", gm)
-    _check_param("absorp", t, dom)
-    a = np.asarray(rates, dtype=float)
-    if a.shape != (gm.n,):
-        raise ValueError(f"expected {gm.n} absorption rates, got shape {a.shape}")
-    if not np.isfinite(a).all() or a.min() <= 0:
-        raise ValueError("absorption rates must be positive")
-    k = invert(t * np.diag(a) + gm.laplacian)
-    return KernelResult("absorp", t, k, dom, symmetric=True)
+
+    def formula():
+        a = np.asarray(rates, dtype=float)
+        if a.shape != (gm.n,):
+            raise ValueError(f"expected {gm.n} absorption rates, got shape {a.shape}")
+        if not np.isfinite(a).all() or a.min() <= 0:
+            raise ValueError("absorption rates must be positive")
+        return invert(t * np.diag(a) + gm.laplacian)
+
+    return _kernel("absorp", gm, t, formula)
 
 
 def ppr(gm: GraphMatrices, alpha: float) -> KernelResult:
     """Personalized PageRank (I - alpha P)^-1; asymmetric, rows sum to
     1/(1 - alpha)."""
-    dom = param_domain("ppr", gm)
-    _check_param("ppr", alpha, dom)
-    k = invert(np.eye(gm.n) - alpha * gm.markov)
-    return KernelResult("ppr", alpha, k, dom, symmetric=False)
+    return _kernel("ppr", gm, alpha, lambda: invert(np.eye(gm.n) - alpha * gm.markov))
 
 
 def modified_ppr(gm: GraphMatrices, alpha: float) -> KernelResult:
     """(D - alpha W)^-1, the symmetric PSD variant of personalized
     PageRank; equals ppr's matrix times D^-1."""
-    dom = param_domain("modifppr", gm)
-    _check_param("modifppr", alpha, dom)
-    k = invert(gm.degree - alpha * gm.weights)
-    return KernelResult("modifppr", alpha, k, dom, symmetric=True)
+    return _kernel("modifppr", gm, alpha, lambda: invert(gm.degree - alpha * gm.weights))
 
 
 def pagerank_heat(gm: GraphMatrices, t: float) -> KernelResult:
     """exp(-t (I - P)); asymmetric, rows sum to 1."""
-    dom = param_domain("heatppr", gm)
-    _check_param("heatppr", t, dom)
-    k = matrix_exp(-t * (np.eye(gm.n) - gm.markov))
-    return KernelResult("heatppr", t, k, dom, symmetric=False)
+    return _kernel("heatppr", gm, t, lambda: matrix_exp(-t * (np.eye(gm.n) - gm.markov)))
 
 
 def compute_kernel(
@@ -247,24 +230,21 @@ def compute_kernel(
 ) -> KernelResult:
     """Dispatch by measure name. Absorption rates default to all ones,
     which reduces absorp to a rescaled regularized Laplacian."""
-    if measure == "katz":
-        return katz(gm, param)
-    if measure == "comm":
-        return communicability(gm, param)
-    if measure == "dfact":
-        return double_factorial(gm, param)
-    if measure == "heat":
-        return heat(gm, param)
-    if measure == "nheat":
-        return normalized_heat(gm, param)
-    if measure == "regL":
-        return regularized_laplacian(gm, param)
     if measure == "absorp":
         return absorption(gm, np.ones(gm.n) if rates is None else rates, param)
-    if measure == "ppr":
-        return ppr(gm, param)
-    if measure == "modifppr":
-        return modified_ppr(gm, param)
-    if measure == "heatppr":
-        return pagerank_heat(gm, param)
-    raise ValueError(f"unknown measure {measure!r} (known: {', '.join(MEASURES)})")
+    # Built per call so that each name resolves to the module-level
+    # binding at call time, which a caller may have wrapped.
+    kernels = {
+        "katz": katz,
+        "comm": communicability,
+        "dfact": double_factorial,
+        "heat": heat,
+        "nheat": normalized_heat,
+        "regL": regularized_laplacian,
+        "ppr": ppr,
+        "modifppr": modified_ppr,
+        "heatppr": pagerank_heat,
+    }
+    if measure not in kernels:
+        raise ValueError(f"unknown measure {measure!r} (known: {', '.join(MEASURES)})")
+    return kernels[measure](gm, param)

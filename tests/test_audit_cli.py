@@ -6,13 +6,16 @@ import pytest
 from graphprox import (
     AuditReport,
     ThresholdBracketError,
+    build_matrices,
+    compute_kernel,
     export_embedding,
     find_threshold,
+    kernel_to_sq_dist,
     run_audit,
 )
 from graphprox.cli import main
 
-from oracles import pairwise_sq_dists
+from oracles import pairwise_sq_dists, random_connected_graph
 
 
 class TestRunAudit:
@@ -75,12 +78,16 @@ class TestRunAudit:
             [("regL", 1.0), ("ppr", 0.95), ("katz", 0.2)],
             checks=["all"],
             tol=1e-9,
-            sigma=1.0,
         )
         wire = json.dumps(report.to_dict(), sort_keys=True)
         again = AuditReport.from_dict(json.loads(wire))
         assert again == report
         assert json.dumps(again.to_dict(), sort_keys=True) == wire
+
+    def test_schema_version_1_document_loads(self, path4):
+        report = run_audit(path4, [("regL", 1.0), ("ppr", 0.95)], checks=["all"])
+        old = {**report.to_dict(), "schema_version": 1, "sigma": 1.0}
+        assert AuditReport.from_dict(old) == report
 
 
 class TestFindThreshold:
@@ -178,6 +185,14 @@ class TestExportEmbedding:
         coords = export_embedding(g, "regL", 1.0, str(tmp_path / "two.csv"))
         assert coords.shape == (2, 2)
 
+    def test_large_kernel_checked_relative_to_its_distances(self, tmp_path):
+        # squared distances near 6e7 carry rounding error near 2e-7
+        g = random_connected_graph(np.random.default_rng(0), 6, name="g")
+        coords = export_embedding(g, "comm", 3.75, str(tmp_path / "x.csv"))
+        expected = kernel_to_sq_dist(compute_kernel(build_matrices(g), "comm", 3.75).matrix)
+        err = np.abs(pairwise_sq_dists(coords) - expected).max()
+        assert err <= 1e-7 * np.abs(expected).max()
+
     def test_indefinite_kernel_rejected(self, tmp_path, path4):
         from graphprox import NotPositiveSemidefiniteError
 
@@ -213,7 +228,8 @@ class TestCli:
         ])
         assert code == 1
         data = json.loads(out_file.read_text())
-        assert data["schema_version"] == 1
+        assert data["schema_version"] == 2
+        assert "sigma" not in data
         assert [r["measure"] for r in data["results"]] == ["dfact", "regL"]
         assert AuditReport.from_dict(data).results[1].all_hold
 
@@ -286,6 +302,17 @@ class TestCli:
         ])
         assert code == 2
         assert "out of range" in capsys.readouterr().err
+        # vertex 0 would index the last vertex from the end
+        for prop in ("order:02<13", "triangle:0,1,2"):
+            code = main([
+                "threshold", "paper:path4",
+                "--measure", "heat", "--property", prop,
+                "--range", "0.05", "5",
+            ])
+            err = capsys.readouterr().err
+            assert code == 2
+            assert len(err.strip().splitlines()) == 1
+            assert err.startswith("error:") and "out of range" in err
 
     def test_embed_subcommand(self, tmp_path, capsys):
         out_file = tmp_path / "coords.csv"
@@ -306,6 +333,7 @@ class TestCli:
         ["threshold", "paper:path4", "--measure", "comm", "--property", "psd",
          "--range", "0.1", "2000"],
         ["audit", "paper:path4", "--measure", "dfact:50", "--check", "psd"],
+        ["audit", "paper:path4", "--measure", "heat:1e308", "--check", "psd"],
     ])
     def test_overflow_is_usage_error(self, tmp_path, monkeypatch, capsys, argv):
         monkeypatch.chdir(tmp_path)

@@ -11,6 +11,7 @@ from graphprox import (
     builtin_graph,
     is_cut_between,
     load_graph,
+    separation_labels,
 )
 
 from oracles import every_path_visits
@@ -81,6 +82,8 @@ class TestLoadGraph:
             ("1 3 1", "connected"),  # vertex 2 is isolated
             ("", "no edges"),
             ("# only a comment", "no edges"),
+            # rejected before a 10^8 x 10^8 weight matrix is allocated
+            ("1 2 1\n2 100000000 1", "connected"),
         ],
     )
     def test_validation_errors(self, text, message):
@@ -171,3 +174,9 @@ class TestIsCutBetween:
                         assert is_cut_between(g, j, i, k) == every_path_visits(
                             g.weights, j, i, k
                         ), (g.name, j, i, k)
+
+
+def test_separation_labels_built_once_and_read_only(path5):
+    comp = separation_labels(path5)
+    assert separation_labels(path5) is comp
+    assert not comp.flags.writeable
