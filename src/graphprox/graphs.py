@@ -110,7 +110,12 @@ class WeightedGraph:
     @cached_property
     def _separation(self) -> np.ndarray:
         neighbours = _neighbours(self.weights)
-        comp = np.array([_labels_without(neighbours, j) for j in range(self.n)])
+        # the narrowest signed type that holds every label: the triple
+        # checks compare these labels n^3 times
+        comp = np.array(
+            [_labels_without(neighbours, j) for j in range(self.n)],
+            dtype=np.min_scalar_type(-max(self.n, 1)),
+        )
         comp.setflags(write=False)
         return comp
 

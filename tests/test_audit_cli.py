@@ -90,6 +90,23 @@ class TestRunAudit:
         assert AuditReport.from_dict(old) == report
 
 
+@pytest.mark.parametrize("call", [
+    # dfact:5 overflows the products of the transitional check; unguarded,
+    # it warned and passed with slack -inf, and the threshold bisected a
+    # flip drawn from inf
+    lambda g, tmp: run_audit(g, [("dfact", 5.0)], checks=["transitional"]),
+    lambda g, tmp: find_threshold(g, "dfact", "transitional", 0.5, 5.0),
+    lambda g, tmp: export_embedding(g, "heat", 1e308, str(tmp / "x.csv")),
+], ids=["run_audit", "find_threshold", "export_embedding"])
+def test_library_calls_raise_on_float_errors(call, tmp_path):
+    g = random_connected_graph(np.random.default_rng(3), 8, "r8")
+    before = np.geterr()
+    with pytest.raises(FloatingPointError):
+        call(g, tmp_path)
+    assert np.geterr() == before
+    assert not (tmp_path / "x.csv").exists()
+
+
 class TestFindThreshold:
     def test_heat_proximity_bracket(self, path4):
         res = find_threshold(path4, "heat", "proximity", 0.1, 1.0, resolution=1e-4)
@@ -192,6 +209,15 @@ class TestExportEmbedding:
         expected = kernel_to_sq_dist(compute_kernel(build_matrices(g), "comm", 3.75).matrix)
         err = np.abs(pairwise_sq_dists(coords) - expected).max()
         assert err <= 1e-7 * np.abs(expected).max()
+
+    def test_large_entries_checked_relative_to_themselves(self, tmp_path):
+        # absorp:5e-10 has entries near 7e8 but squared distances near 0.4,
+        # each computed with a rounding error near 1.4e-7
+        g = random_connected_graph(np.random.default_rng(0), 3, name="g")
+        coords = export_embedding(g, "absorp", 5e-10, str(tmp_path / "x.csv"))
+        k = compute_kernel(build_matrices(g), "absorp", 5e-10).matrix
+        err = np.abs(pairwise_sq_dists(coords) - kernel_to_sq_dist(k)).max()
+        assert err <= 1e-7 * np.abs(k).max()
 
     def test_indefinite_kernel_rejected(self, tmp_path, path4):
         from graphprox import NotPositiveSemidefiniteError
@@ -352,10 +378,19 @@ class TestCli:
         ["audit", "paper:path4", "--measure", "regL:1.0", "--check", "psd", "--tol", "nan"],
         ["threshold", "paper:path4", "--measure", "heat", "--property", "proximity",
          "--range", "0.1", "1.0", "--tol", "-1"],
+        # minus-led numbers with an exponent, or infinite, are values too
+        ["threshold", "paper:path4", "--measure", "heat", "--property", "proximity",
+         "--range", "0.1", "1.0", "--tol", "-1e-9"],
+        ["threshold", "paper:path4", "--measure", "heat", "--property", "proximity",
+         "--range", "-1e-300", "1"],
+        ["threshold", "paper:path4", "--measure", "heat", "--property", "proximity",
+         "--range", "-inf", "1"],
+        ["audit", "paper:path4", "--measure", "regL:1.0", "--check", "psd", "--tol", "-1E-9"],
     ])
     def test_meaningless_input_is_usage_error(self, capsys, argv):
         code = main(argv)
         err = capsys.readouterr().err
         assert code == 2
+        assert len(err.strip().splitlines()) == 1
         assert err.startswith("error:")
         assert "domain" in err or "tolerance" in err

@@ -4,7 +4,9 @@ Every check must return exactly the PropertyReport of its reference loop
 in tests/oracles.py: verdict, witness, note, indeterminate flag and slack,
 bit for bit. Kernels are checked against their own graph and against a
 mismatched one of the same order, which reaches the cut-vertex branches
-that a kernel's own graph never does.
+that a kernel's own graph never does. Orders up to 32 fit one block of
+first vertices, so the multi-block scans are also run under a smaller
+block budget.
 """
 
 import numpy as np
@@ -29,6 +31,7 @@ from graphprox import (
     separation_labels,
     symmetrize_geometric,
 )
+from graphprox import properties
 from graphprox.kernels import MEASURES
 
 from oracles import (
@@ -121,6 +124,45 @@ def test_mismatched_pairs_reach_every_branch(n):
         "distinct vertices at zero distance",
     ):
         assert note in notes
+
+
+def set_block_size(monkeypatch, n: int, per_block: int) -> None:
+    """Make the triple scans take per_block first vertices per block."""
+    monkeypatch.setattr(properties, "_BLOCK_ENTRIES", per_block * n * n)
+
+
+# at n = 7, three per block splits unevenly into blocks of 3, 3 and 1
+@pytest.mark.parametrize("per_block", [1, 3])
+@pytest.mark.parametrize("n", [4, 7])
+def test_multi_block_scans_match_reference_loops(monkeypatch, n, per_block):
+    set_block_size(monkeypatch, n, per_block)
+    test_mismatched_pairs_reach_every_branch(n)
+    rng = np.random.default_rng(n)
+    for measure in MEASURES:
+        g = random_connected_graph(rng, n, name="g")
+        h = random_connected_graph(rng, n, name="h")
+        for u in (0.2, 0.9):
+            assert_all_checks_match(kernel(g, measure, u), g, h)
+
+
+@pytest.mark.parametrize("per_block", [1, 3])
+def test_transitional_excess_in_a_later_block_beats_an_earlier_mismatch(
+    monkeypatch, per_block
+):
+    n = 7
+    set_block_size(monkeypatch, n, per_block)
+    path = path_graph(n)
+    s = kernel(complete_graph(n), "regL", 0.5).copy()
+    mismatch = check_transitional(s, path)
+    assert mismatch.note == "j separates i from k but products differ"
+    assert mismatch.witness[0] == 1
+    # shrinking s(n,1) alone keeps every excess with first vertex below n
+    # negative; below s(n,j)s(j,1)/s(j,j) it makes (n, j, 1) an excess
+    s[n - 1, 0] = 0.5 * min(s[n - 1, j] * s[j, 0] / s[j, j] for j in range(1, n - 1))
+    got = check_transitional(s, path)
+    assert got == reference_transitional(s, path)
+    assert got.note == "relative excess of s(i,j)s(j,k) over s(i,k)s(j,j)"
+    assert got.witness[0] == n
 
 
 @pytest.mark.parametrize("n", [1, 2])
