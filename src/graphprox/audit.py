@@ -1,4 +1,4 @@
-"""Batch property audits, parameter-threshold bisection, and embedding
+"""Batch property audits, parameter-threshold search, and embedding
 export; everything the CLI front end drives.
 
 An audit check names a full pipeline: which matrix is derived from the
@@ -11,7 +11,6 @@ where a float64 operation overflows, divides by zero or is invalid.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import functools
 import math
@@ -57,6 +56,9 @@ SCHEMA_VERSION = 2
 
 _ORDER_RE = re.compile(r"^order:(\d)(\d)<(\d)(\d)$")
 _TRIANGLE_RE = re.compile(r"^triangle:(\d+),(\d+),(\d+)$")
+# Threshold properties whose report slack is a smallest eigenvalue.
+_EIGEN_CHECKS = frozenset({"psd", "sym_psd", "sq_euclidean"})
+_EPS = float(np.finfo(float).eps)
 
 
 class ThresholdBracketError(ValueError):
@@ -175,9 +177,11 @@ class AuditReport:
 
 @dataclass(frozen=True)
 class ThresholdResult:
-    """Bisection bracket around a property transition. The transition is
-    assumed monotone inside the bracket; the flag records that this is an
-    assumption, not a proof."""
+    """Bracket around a property transition, narrowed by find_threshold
+    with ITP steps where the property has a signed margin and bisection
+    steps elsewhere. evaluations counts the property evaluations, the two
+    endpoints included. The transition is assumed monotone inside the
+    bracket; the flag records that this is an assumption, not a proof."""
 
     measure: str
     property: str
@@ -332,12 +336,20 @@ def _vertex_indices(prop: str, m: re.Match, n: int) -> list[int]:
 
 
 def _threshold_predicate(prop: str, n: int):
-    """Map a threshold property name to a function of (kres, g, tol).
+    """Map a threshold property name to a function of (kres, g, tol) that
+    returns (holds, margin).
 
     Beyond the audit checks, two parameterized forms are accepted:
     order:IJ<KL   d(I,J) < d(K,L) on the induced squared distances
     triangle:I,J,K  d(I,J) + d(J,K) >= d(I,K), the single triangle with
                     middle vertex J (1-based indices, at most n).
+
+    The margin is a continuous signed value, positive where the property
+    holds: d(K,L) - d(I,J) for order, d(I,J) + d(J,K) - d(I,K) for
+    triangle, and the smallest eigenvalue plus tol for psd, sym_psd and
+    sq_euclidean when the report's slack is that eigenvalue. Every other
+    property has none (None). find_threshold only interpolates margins
+    to pick its next parameter; the verdict is always holds.
     """
     m = _ORDER_RE.match(prop)
     if m:
@@ -345,7 +357,7 @@ def _threshold_predicate(prop: str, n: int):
 
         def order_holds(kres, g, tol):
             d = pair_to_dist(kres.matrix)
-            return bool(d[i, j] < d[k, l])
+            return bool(d[i, j] < d[k, l]), float(d[k, l] - d[i, j])
 
         return order_holds
     m = _TRIANGLE_RE.match(prop)
@@ -354,15 +366,52 @@ def _threshold_predicate(prop: str, n: int):
 
         def triangle_holds(kres, g, tol):
             d = pair_to_dist(kres.matrix)
-            return bool(d[i, j] + d[j, k] >= d[i, k])
+            return bool(d[i, j] + d[j, k] >= d[i, k]), float(d[i, j] + d[j, k] - d[i, k])
 
         return triangle_holds
+    if prop in _EIGEN_CHECKS:
+
+        def eigen_holds(kres, g, tol):
+            report = run_check(prop, kres, g, tol)
+            if report.note.startswith("smallest eigenvalue"):
+                return report.holds, report.slack + tol
+            return report.holds, None  # the slack is an asymmetry
+
+        return eigen_holds
     if prop in CHECKS:
-        return lambda kres, g, tol: run_check(prop, kres, g, tol).holds
+        return lambda kres, g, tol: (run_check(prop, kres, g, tol).holds, None)
     raise ValueError(
         f"unknown threshold property {prop!r}; expected one of {', '.join(CHECKS)}, "
         "order:IJ<KL, or triangle:I,J,K"
     )
+
+
+def _itp_point(
+    lo: float, hi: float, m_lo: float | None, m_hi: float | None, k1: float, budget: float
+) -> float:
+    """The next parameter to evaluate inside (lo, hi) by ITP (interpolate,
+    truncate, project; Oliveira & Takahashi, ACM TOMS 47(1), 2020).
+
+    The regula falsi point of the margins m_lo and m_hi is moved towards
+    the midpoint by k1 (hi - lo)^2 (the truncation, k2 = 2), then
+    projected onto the points that leave an interval no wider than budget
+    whichever end is replaced.
+    Without a usable interpolant (a margin of None, equal margins, or a
+    point outside (lo, hi), as when a margin disagrees in sign with its
+    verdict) or once the budget allows nothing else, it is the midpoint.
+    """
+    mid = 0.5 * (lo + hi)
+    r = budget - 0.5 * (hi - lo)
+    if m_lo is None or m_hi is None or m_lo == m_hi or not r > 0:
+        return mid
+    x_f = lo + (hi - lo) * (m_lo / (m_lo - m_hi))
+    if not lo < x_f < hi:  # also false for a NaN from infinite margins
+        return mid
+    sigma = math.copysign(1.0, mid - x_f)
+    delta = k1 * (hi - lo) * (hi - lo)
+    x_t = x_f + sigma * delta if delta <= abs(mid - x_f) else mid
+    x = x_t if abs(x_t - mid) <= r else mid - sigma * r
+    return x if lo < x < hi else mid
 
 
 @_raise_on_float_error
@@ -376,9 +425,20 @@ def find_threshold(
     tol: float = DEFAULT_TOL,
     rates: np.ndarray | None = None,
 ) -> ThresholdResult:
-    """Bisect the kernel parameter for the interval where a property
-    flips, down to the requested bracket width, or to adjacent floats
-    when the width is below their spacing."""
+    """Narrow the kernel parameter interval where a property flips down to
+    the requested bracket width, or to adjacent floats when the width is
+    below their spacing.
+
+    Each step evaluates the property at one parameter and replaces the
+    end whose verdict it shares. Where the property has a signed margin
+    (see _threshold_predicate) the parameter is chosen by ITP, which
+    converges superlinearly on a smooth margin; elsewhere it is the
+    midpoint. Either way it takes no more steps than bisection,
+    ceil(log2((hi - lo) / resolution)) after the two endpoints: ITP's
+    projection keeps the interval after each step within resolution times
+    2 to the number of steps bisection would still have to take. The
+    constants are the paper's k1 = 0.2 / (hi - lo), k2 = 2 and n0 = 0.
+    """
     if not (resolution > 0):
         raise ValueError("resolution must be positive")
     if not lo < hi:
@@ -390,27 +450,40 @@ def find_threshold(
 
     evaluations = 0
 
-    def holds_at(param: float) -> bool:
+    def holds_at(param: float) -> tuple[bool, float | None]:
         nonlocal evaluations
         evaluations += 1
         kres = compute_kernel(gm, measure, param, rates=rates)
         return predicate(kres, g, tol)
 
-    holds_lo = holds_at(lo)
-    holds_hi = holds_at(hi)
+    holds_lo, m_lo = holds_at(lo)
+    holds_hi, m_hi = holds_at(hi)
     if holds_lo == holds_hi:
         raise ThresholdBracketError(
             f"{measure}/{prop}: property {'holds' if holds_lo else 'fails'} at both "
             f"endpoints {lo} and {hi}; nothing to bisect"
         )
+    k1 = 0.2 / (hi - lo)
+    # The width bisection's schedule allows after the next step: the
+    # smallest resolution * 2^m that is at least half the bracket, halved
+    # per step. A sliver is held back so that the rounding of every step
+    # cannot carry the last bracket past resolution; where that sliver is
+    # the whole budget, every step is a midpoint.
+    budget, steps = resolution, 1
+    while 2.0 * budget < hi - lo:
+        budget, steps = 2.0 * budget, steps + 1
+    budget *= 1.0 - 8.0 * steps * _EPS * max(abs(lo), abs(hi)) / resolution
     while hi - lo > resolution:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:  # lo and hi are adjacent floats
             break
-        if holds_at(mid) == holds_lo:
-            lo = mid
+        param = _itp_point(lo, hi, m_lo, m_hi, k1, budget)
+        holds, margin = holds_at(param)
+        if holds == holds_lo:
+            lo, m_lo = param, margin
         else:
-            hi = mid
+            hi, m_hi = param, margin
+        budget *= 0.5
     return ThresholdResult(
         measure=measure,
         property=prop,
@@ -445,8 +518,11 @@ def export_embedding(
         )
     coords = embed(kres.matrix)
     expected = kernel_to_sq_dist(kres.matrix)
-    diff = coords[:, None, :] - coords[None, :, :]
-    actual = (diff * diff).sum(axis=2)
+    # |c_i - c_j|^2 in Gram form, sq_i + sq_j - 2 c_i.c_j; its rounding
+    # error, about n eps max|K|, is far below the bound
+    gram = coords @ coords.T
+    sq = np.diag(gram)
+    actual = (sq[:, None] + sq[None, :]) - 2.0 * gram
     err = float(np.abs(actual - expected).max())
     # relative to the largest squared distance or kernel entry once that
     # exceeds 1: both sides are differences of kernel entries, so their
@@ -456,9 +532,9 @@ def export_embedding(
         raise RuntimeError(
             f"embedding reconstruction off by {err:.3e}, beyond {bound:.3g}"
         )
+    # the bytes csv.writer writes: no field needs quoting, lines end in \r\n
+    lines = [",".join(f"x{i + 1}" for i in range(coords.shape[1]))]
+    lines += [",".join(map(repr, row)) for row in coords.tolist()]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"x{i + 1}" for i in range(coords.shape[1])])
-        for row in coords:
-            writer.writerow([repr(float(v)) for v in row])
+        fh.write("\r\n".join(lines) + "\r\n")
     return coords

@@ -12,6 +12,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .linalg import spectral_radius
+
 __all__ = [
     "GraphFormatError",
     "GraphValidationError",
@@ -141,6 +143,11 @@ class GraphMatrices:
     @property
     def n(self) -> int:
         return self.graph.n
+
+    @cached_property
+    def rho(self) -> float:
+        """Spectral radius of W, computed on first use and then kept."""
+        return spectral_radius(self.weights)
 
 
 # Weighted paths 1-2-3-4 (edge weights 2, 1, 2) and 1-2-3-4-5

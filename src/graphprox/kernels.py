@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import GraphMatrices
-from .linalg import NonConvergenceError, invert, matrix_exp, spectral_radius
+from .linalg import NonConvergenceError, invert, matrix_exp
 
 __all__ = [
     "ParameterDomainError",
@@ -106,7 +106,7 @@ def param_domain(measure: str, gm: GraphMatrices) -> tuple[float, float]:
     if measure not in _SPECS:
         raise ValueError(f"unknown measure {measure!r}")
     upper = _SPECS[measure].upper
-    return (0.0, 1.0 / spectral_radius(gm.weights) if upper is None else upper)
+    return (0.0, 1.0 / gm.rho if upper is None else upper)
 
 
 def _kernel(measure: str, gm: GraphMatrices, param: float, formula) -> KernelResult:
@@ -126,7 +126,7 @@ def _kernel(measure: str, gm: GraphMatrices, param: float, formula) -> KernelRes
         extra = " = 1/rho(W)" if spec.upper is None else ""
         raise ParameterDomainError(
             f"{measure}: {spec.param} = {param} outside open domain "
-            f"({lo:.6g}, {hi_text}{extra})"
+            f"({lo:.6g}, {hi_text}{extra}) or within {_BOUNDARY_MARGIN:g} of a finite end"
         )
     return KernelResult(measure, param, formula(), dom, spec.symmetric)
 

@@ -1,9 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from graphprox import WeightedGraph, build_matrices, builtin_graph
 
 from oracles import random_connected_graph
+
+# Tier-1 draws the same examples on every run, so that a failure there is
+# reproducible rather than flaky. The "explore" profile draws fresh ones,
+# ten times as many for a test that leaves its count to the profile:
+#     pytest tests/test_cli_fuzz.py --hypothesis-profile=explore
+settings.register_profile("tier1", derandomize=True, database=None, max_examples=60)
+settings.register_profile("explore", derandomize=False, database=None, max_examples=600)
+settings.load_profile("tier1")
 
 
 @pytest.fixture(scope="session")

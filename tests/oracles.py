@@ -6,10 +6,14 @@ exponential is a raw Taylor sum, the double-factorial series uses exact
 integer double factorials with explicit matrix powers, and cut vertices
 come from brute-force enumeration of simple paths. The reference_* triple
 checks at the end are the library's former scalar loops, kept to pin the
-vectorized checks to the exact reports those loops gave.
+vectorized checks to the exact reports those loops gave, and
+reference_embedding_csv is the library's former CSV writer, kept to pin
+export_embedding's bytes.
 """
 
 from __future__ import annotations
+
+import csv
 
 import numpy as np
 
@@ -390,3 +394,12 @@ def reference_sqrt_distance(d: np.ndarray, tol: float = DEFAULT_TOL) -> Property
         )
     root = np.sqrt(np.clip(a, 0.0, None))
     return _reference_metric_axioms(root, tol, "sqrt_distance", require_separation=False)
+
+
+def reference_embedding_csv(coords: np.ndarray, path: str) -> None:
+    """export_embedding's former csv.writer output, kept verbatim."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([f"x{i + 1}" for i in range(coords.shape[1])])
+        for row in coords:
+            writer.writerow([repr(float(v)) for v in row])

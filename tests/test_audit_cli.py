@@ -15,7 +15,7 @@ from graphprox import (
 )
 from graphprox.cli import main
 
-from oracles import pairwise_sq_dists, random_connected_graph
+from oracles import pairwise_sq_dists, random_connected_graph, reference_embedding_csv
 
 
 class TestRunAudit:
@@ -219,6 +219,31 @@ class TestExportEmbedding:
         err = np.abs(pairwise_sq_dists(coords) - kernel_to_sq_dist(k)).max()
         assert err <= 1e-7 * np.abs(k).max()
 
+    @pytest.mark.parametrize("measure,param", [
+        ("heat", 1.0), ("regL", 0.5), ("comm", 0.7), ("katz", 0.05), ("modifppr", 0.6),
+    ])
+    def test_csv_bytes_match_former_writer(self, tmp_path, corpus, measure, param):
+        out, ref = tmp_path / "coords.csv", tmp_path / "reference.csv"
+        for g, _ in corpus:
+            coords = export_embedding(g, measure, param, str(out))
+            reference_embedding_csv(coords, str(ref))
+            assert out.read_bytes() == ref.read_bytes(), g.name
+
+    def test_perturbed_coordinates_rejected(self, tmp_path, path4, monkeypatch):
+        from graphprox import audit
+
+        real_embed = audit.embed
+
+        def off_by_a_little(k):
+            coords = real_embed(k)
+            coords[2, 0] += 1e-3
+            return coords
+
+        monkeypatch.setattr(audit, "embed", off_by_a_little)
+        with pytest.raises(RuntimeError, match="reconstruction"):
+            export_embedding(path4, "heat", 1.0, str(tmp_path / "x.csv"))
+        assert not (tmp_path / "x.csv").exists()
+
     def test_indefinite_kernel_rejected(self, tmp_path, path4):
         from graphprox import NotPositiveSemidefiniteError
 
@@ -280,6 +305,15 @@ class TestCli:
         code = main(["audit", "paper:path4", "--measure", "katz:0.5"])
         assert code == 2
         assert "rho" in capsys.readouterr().err
+
+    def test_param_within_boundary_margin_names_the_margin(self, tmp_path, capsys):
+        code = main(["embed", "paper:path4", "--measure", "absorp:1e-13",
+                     "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: absorp: t = 1e-13 outside open domain (0, inf) "
+            "or within 1e-12 of a finite end\n"
+        )
 
     def test_unknown_measure_is_usage_error(self, capsys):
         code = main(["audit", "paper:path4", "--measure", "bogus:1.0"])

@@ -71,8 +71,8 @@ def invocations(draw, tmp_path):
             "--tol", tol]
 
 
-@settings(max_examples=60, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
+# the example count comes from the hypothesis profile (tests/conftest.py)
+@settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_cli_exits_0_1_or_2_with_one_error_line(tmp_path, capsys, data):
     argv = data.draw(invocations(tmp_path))

@@ -41,6 +41,19 @@ class TestParameterDomains:
         assert lo == 0.0
         assert hi == pytest.approx(1.0 / spectral_radius(path4_gm.weights))
 
+    def test_spectral_radius_computed_once_per_graph(self, path4, monkeypatch):
+        from graphprox import graphs
+
+        calls = []
+        real = graphs.spectral_radius
+        monkeypatch.setattr(graphs, "spectral_radius", lambda m: calls.append(1) or real(m))
+        gm = build_matrices(path4)
+        for alpha in (0.1, 0.2, 0.3):
+            katz(gm, alpha)
+        assert param_domain("katz", gm)[1] == 1.0 / gm.rho
+        assert len(calls) == 1
+        assert gm.rho == spectral_radius(path4.weights)
+
     @pytest.mark.parametrize("measure", ["ppr", "modifppr"])
     def test_unit_interval_measures(self, path4_gm, measure):
         assert param_domain(measure, path4_gm) == (0.0, 1.0)
