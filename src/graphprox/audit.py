@@ -26,13 +26,13 @@ from .kernels import KernelResult, compute_kernel
 from .properties import (
     DEFAULT_TOL,
     PropertyReport,
+    _sigma_proximity,
     check_cutpoint_additive,
     check_distance_order,
     check_egocentrism,
     check_metric,
     check_proximity,
     check_psd,
-    check_sigma_proximity,
     check_sq_euclidean,
     check_sqrt_distance,
     check_transitional,
@@ -59,6 +59,8 @@ _TRIANGLE_RE = re.compile(r"^triangle:(\d+),(\d+),(\d+)$")
 # Threshold properties whose report slack is a smallest eigenvalue.
 _EIGEN_CHECKS = frozenset({"psd", "sym_psd", "sq_euclidean"})
 _EPS = float(np.finfo(float).eps)
+# PropertyReport's fields in declaration order: the keys of a check's JSON
+_REPORT_FIELDS = tuple(f.name for f in dataclasses.fields(PropertyReport))
 
 
 class ThresholdBracketError(ValueError):
@@ -128,8 +130,7 @@ class AuditReport:
                     "param_domain": [enc(r.param_domain[0]), enc(r.param_domain[1])],
                     "symmetric": r.symmetric,
                     "checks": [
-                        {k: enc(v) for k, v in dataclasses.asdict(c).items()}
-                        for c in r.checks
+                        {k: enc(getattr(c, k)) for k in _REPORT_FIELDS} for c in r.checks
                     ],
                 }
                 for r in self.results
@@ -208,49 +209,88 @@ def _renamed(prop: str, report: PropertyReport) -> PropertyReport:
     return dataclasses.replace(report, property=prop)
 
 
-def _log_similarity(kres: KernelResult) -> np.ndarray:
-    k = kres.matrix
-    return np.log(k if kres.symmetric else symmetrize_geometric(k))
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+class _Derived(KernelResult):
+    """A kernel result that keeps what the audit checks derive from it.
+
+    Its pair distance, logarithmic distance and logarithmic similarity,
+    and its proximity report at each tolerance, are computed on first use
+    and then kept, so that the checks of one audit derive each of them
+    once. run_audit makes one per kernel; run_check makes a fresh one for
+    any other kernel result. Each derivation looks up its transform or
+    check by module-level name at call time, so a caller may wrap those
+    names.
+    """
+
+    @classmethod
+    def of(cls, kres: KernelResult) -> "_Derived":
+        if isinstance(kres, cls):
+            return kres
+        return cls(kres.measure, kres.param, kres.matrix, kres.param_domain, kres.symmetric)
+
+    @functools.cached_property
+    def dist(self) -> np.ndarray:
+        return _read_only(pair_to_dist(self.matrix))
+
+    @functools.cached_property
+    def log_dist(self) -> np.ndarray:
+        return _read_only(log_distance(self.matrix))
+
+    @functools.cached_property
+    def log_similarity(self) -> np.ndarray:
+        k = self.matrix
+        return _read_only(np.log(k if self.symmetric else symmetrize_geometric(k)))
+
+    @functools.cached_property
+    def _proximity(self) -> dict[float, PropertyReport]:
+        return {}
+
+    def proximity(self, tol: float) -> PropertyReport:
+        """check_proximity of the matrix at tol."""
+        if tol not in self._proximity:
+            self._proximity[tol] = check_proximity(self.matrix, tol)
+        return self._proximity[tol]
 
 
 # Requestable audit checks, each a function of (kernel result, graph,
 # tolerance). The log_* family evaluates the logarithmic similarity
 # ln(s) and its induced distance; sym_psd tests the symmetrized kernel
 # (K + K^T)/2, the PSD question that remains once an asymmetric measure
-# has failed plain psd by definition. The lambdas look up the property
-# checks by their module-level names at call time, so a caller may wrap
-# those names.
-_CHECKS: dict[str, Callable[[KernelResult, WeightedGraph, float], PropertyReport]] = {
+# has failed plain psd by definition; sigma adds the row-sum condition
+# to the proximity report. The lambdas look up the property checks by
+# their module-level names at call time, so a caller may wrap those
+# names.
+_CHECKS: dict[str, Callable[[_Derived, WeightedGraph, float], PropertyReport]] = {
     "psd": lambda kr, g, tol: check_psd(kr.matrix, tol),
     "sym_psd": lambda kr, g, tol: _renamed(
         "sym_psd", check_psd(0.5 * (kr.matrix + kr.matrix.T), tol)
     ),
     "proximity": lambda kr, g, tol: (
-        check_proximity(kr.matrix, tol) if kr.symmetric
+        kr.proximity(tol) if kr.symmetric
         else _asymmetry_report("proximity", kr.matrix, tol)
     ),
     "sigma": lambda kr, g, tol: (
-        check_sigma_proximity(kr.matrix, tol) if kr.symmetric
+        _sigma_proximity(kr.matrix, kr.proximity(tol), tol) if kr.symmetric
         else _asymmetry_report("sigma_proximity", kr.matrix, tol)
     ),
     "egocentrism": lambda kr, g, tol: check_egocentrism(kr.matrix, tol),
-    "metric": lambda kr, g, tol: check_metric(pair_to_dist(kr.matrix), tol),
-    "sq_euclidean": lambda kr, g, tol: check_sq_euclidean(pair_to_dist(kr.matrix), tol),
-    "sqrt_distance": lambda kr, g, tol: check_sqrt_distance(pair_to_dist(kr.matrix), tol),
-    "distance_order": lambda kr, g, tol: check_distance_order(pair_to_dist(kr.matrix)),
+    "metric": lambda kr, g, tol: check_metric(kr.dist, tol),
+    "sq_euclidean": lambda kr, g, tol: check_sq_euclidean(kr.dist, tol),
+    "sqrt_distance": lambda kr, g, tol: check_sqrt_distance(kr.dist, tol),
+    "distance_order": lambda kr, g, tol: check_distance_order(kr.dist),
     "transitional": lambda kr, g, tol: check_transitional(kr.matrix, g, tol),
-    "cutpoint_additive": lambda kr, g, tol: check_cutpoint_additive(
-        log_distance(kr.matrix), g, tol
-    ),
-    "log_metric": lambda kr, g, tol: _renamed(
-        "log_metric", check_metric(log_distance(kr.matrix), tol)
-    ),
+    "cutpoint_additive": lambda kr, g, tol: check_cutpoint_additive(kr.log_dist, g, tol),
+    "log_metric": lambda kr, g, tol: _renamed("log_metric", check_metric(kr.log_dist, tol)),
     "log_proximity": lambda kr, g, tol: _renamed(
-        "log_proximity", check_proximity(_log_similarity(kr), tol)
+        "log_proximity", check_proximity(kr.log_similarity, tol)
     ),
-    "log_psd": lambda kr, g, tol: _renamed("log_psd", check_psd(_log_similarity(kr), tol)),
+    "log_psd": lambda kr, g, tol: _renamed("log_psd", check_psd(kr.log_similarity, tol)),
     "log_order": lambda kr, g, tol: _renamed(
-        "log_order", check_distance_order(log_distance(kr.matrix))
+        "log_order", check_distance_order(kr.log_dist)
     ),
 }
 
@@ -263,7 +303,7 @@ def run_check(
     """Run one named audit check against a computed kernel."""
     if check not in _CHECKS:
         raise ValueError(f"unknown check {check!r} (known: {', '.join(CHECKS)})")
-    return _CHECKS[check](kres, g, tol)
+    return _CHECKS[check](_Derived.of(kres), g, tol)
 
 
 def default_checks(measure_symmetric: bool, n: int) -> list[str]:
@@ -303,7 +343,8 @@ def run_audit(
     gm = build_matrices(g)
     results = []
     for measure, param in measures:
-        kres = compute_kernel(gm, measure, param, rates=rates)
+        # one per kernel, so that its checks share what they derive
+        kres = _Derived.of(compute_kernel(gm, measure, param, rates=rates))
         if checks is None or checks == ["all"]:
             wanted = default_checks(kres.symmetric, g.n)
         else:

@@ -11,8 +11,10 @@ still emitted), 2 usage or computation error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
+import shutil
 import sys
 from pathlib import Path
 
@@ -78,6 +80,8 @@ def _parse_checks(value: str) -> list[str] | None:
     names = [c.strip() for c in value.split(",") if c.strip()]
     if names == ["all"]:
         return None
+    if "all" in names:
+        raise ValueError("--check all takes no other check names")
     for name in names:
         if name not in CHECKS:
             raise ValueError(f"unknown check {name!r} (known: all, {', '.join(CHECKS)})")
@@ -187,15 +191,25 @@ def _cmd_embed(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # argparse sizes each help formatter it makes, one per argument added,
+    # to the terminal unless told a width; read the width once, as
+    # HelpFormatter would (columns less 2), and hand it to every parser.
+    formatter = functools.partial(
+        argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2
+    )
     parser = _ArgumentParser(
         prog="graphprox",
+        formatter_class=formatter,
         description="Audit graph similarity measures for kernel, proximity, "
         "metric, and embeddability properties.",
     )
     parser.add_argument("--version", action="version", version=f"graphprox {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_audit = sub.add_parser("audit", help="run property checks for measures at fixed parameters")
+    p_audit = sub.add_parser(
+        "audit", formatter_class=formatter,
+        help="run property checks for measures at fixed parameters",
+    )
     _graph_args(p_audit)
     p_audit.add_argument("--measure", action="append", required=True, metavar="NAME:PARAM[,...]",
                          help=f"measure and parameter; names: {', '.join(MEASURES)}")
@@ -206,7 +220,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_audit.add_argument("--json", metavar="PATH", help="also write the report as JSON")
     p_audit.set_defaults(func=_cmd_audit)
 
-    p_thr = sub.add_parser("threshold", help="bisect the parameter where a property flips")
+    p_thr = sub.add_parser(
+        "threshold", formatter_class=formatter, help="locate the parameter where a property flips"
+    )
     _graph_args(p_thr)
     p_thr.add_argument("--measure", required=True, choices=MEASURES)
     p_thr.add_argument("--property", required=True,
@@ -218,7 +234,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_thr.add_argument("--json", metavar="PATH", help="also write the bracket as JSON")
     p_thr.set_defaults(func=_cmd_threshold)
 
-    p_embed = sub.add_parser("embed", help="export kernel embedding coordinates as CSV")
+    p_embed = sub.add_parser(
+        "embed", formatter_class=formatter, help="export kernel embedding coordinates as CSV"
+    )
     _graph_args(p_embed)
     p_embed.add_argument("--measure", required=True, metavar="NAME:PARAM")
     p_embed.add_argument("--out", required=True, metavar="PATH")

@@ -1,5 +1,6 @@
-"""Dense matrix primitives: LU inverse, symmetric eigendecomposition,
-matrix exponential, spectral radius, and PSD square root.
+"""Dense matrix primitives: Gauss-Jordan inverse, symmetric
+eigendecomposition, matrix exponential, spectral radius, and PSD square
+root.
 
 Everything works on plain float64 numpy arrays sized for the small dense
 matrices this package deals in (a few hundred rows at most). The
@@ -93,15 +94,18 @@ def invert(m: np.ndarray) -> np.ndarray:
     sym = is_symmetric(a)
     aug = np.hstack([a, np.eye(n)])
     for col in range(n):
-        p = col + int(np.argmax(np.abs(aug[col:, col])))
-        if abs(aug[p, col]) <= _SINGULAR_PIVOT:
-            raise SingularMatrixError(col, abs(aug[p, col]))
+        p = col + int(np.abs(aug[col:, col]).argmax())
+        piv = aug[p, col]
+        if abs(piv) <= _SINGULAR_PIVOT:
+            raise SingularMatrixError(col, abs(piv))
         if p != col:
             aug[[col, p]] = aug[[p, col]]
-        aug[col] /= aug[col, col]
+        aug[col] /= piv
         factors = aug[:, col].copy()
         factors[col] = 0.0
-        aug -= np.outer(factors, aug[col])
+        # the products np.outer(factors, aug[col]) forms; updating only the
+        # active columns aug[:, col:] is slower (non-contiguous rows)
+        aug -= factors[:, None] * aug[col]
     inv = aug[:, n:]
     if sym:
         inv = 0.5 * (inv + inv.T)

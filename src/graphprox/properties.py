@@ -219,7 +219,12 @@ def check_sigma_proximity(k: np.ndarray, tol: float = DEFAULT_TOL) -> PropertyRe
     """Proximity plus the normalization condition: all row sums equal.
     Reports the common row sum as sigma when they do."""
     a = np.asarray(k, dtype=float)
-    prox = check_proximity(a, tol)
+    return _sigma_proximity(a, check_proximity(a, tol), tol)
+
+
+def _sigma_proximity(a: np.ndarray, prox: PropertyReport, tol: float) -> PropertyReport:
+    """check_sigma_proximity of the float array a, given prox, the
+    check_proximity report of a at tol."""
     rows = a.sum(axis=1)
     spread = float(rows.max() - rows.min())
     normalized = spread <= tol

@@ -6,9 +6,10 @@ exponential is a raw Taylor sum, the double-factorial series uses exact
 integer double factorials with explicit matrix powers, and cut vertices
 come from brute-force enumeration of simple paths. The reference_* triple
 checks at the end are the library's former scalar loops, kept to pin the
-vectorized checks to the exact reports those loops gave, and
+vectorized checks to the exact reports those loops gave,
 reference_embedding_csv is the library's former CSV writer, kept to pin
-export_embedding's bytes.
+export_embedding's bytes, and reference_invert is the library's former
+Gauss-Jordan loop, kept to pin invert's bytes.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from graphprox import (
     is_cut_between,
     is_symmetric,
 )
+from graphprox.linalg import _SINGULAR_PIVOT, SingularMatrixError, _as_square
 
 
 def neumann_series(n_matrix: np.ndarray, tol: float = 1e-14, max_terms: int = 200_000) -> np.ndarray:
@@ -403,3 +405,25 @@ def reference_embedding_csv(coords: np.ndarray, path: str) -> None:
         writer.writerow([f"x{i + 1}" for i in range(coords.shape[1])])
         for row in coords:
             writer.writerow([repr(float(v)) for v in row])
+
+
+def reference_invert(m: np.ndarray) -> np.ndarray:
+    """linalg.invert's former Gauss-Jordan loop, kept verbatim."""
+    a = _as_square(m)
+    n = a.shape[0]
+    sym = is_symmetric(a)
+    aug = np.hstack([a, np.eye(n)])
+    for col in range(n):
+        p = col + int(np.argmax(np.abs(aug[col:, col])))
+        if abs(aug[p, col]) <= _SINGULAR_PIVOT:
+            raise SingularMatrixError(col, abs(aug[p, col]))
+        if p != col:
+            aug[[col, p]] = aug[[p, col]]
+        aug[col] /= aug[col, col]
+        factors = aug[:, col].copy()
+        factors[col] = 0.0
+        aug -= np.outer(factors, aug[col])
+    inv = aug[:, n:]
+    if sym:
+        inv = 0.5 * (inv + inv.T)
+    return inv

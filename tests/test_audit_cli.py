@@ -420,6 +420,7 @@ class TestCli:
         ["threshold", "paper:path4", "--measure", "heat", "--property", "proximity",
          "--range", "-inf", "1"],
         ["audit", "paper:path4", "--measure", "regL:1.0", "--check", "psd", "--tol", "-1E-9"],
+        ["audit", "paper:path4", "--measure", "regL:1.0", "--check", "all,psd"],
     ])
     def test_meaningless_input_is_usage_error(self, capsys, argv):
         code = main(argv)
@@ -427,4 +428,5 @@ class TestCli:
         assert code == 2
         assert len(err.strip().splitlines()) == 1
         assert err.startswith("error:")
-        assert "domain" in err or "tolerance" in err
+        assert "domain" in err or "tolerance" in err or "--check all" in err
+        assert "unknown" not in err

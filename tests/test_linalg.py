@@ -3,6 +3,8 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from graphprox import (
     NonConvergenceError,
@@ -16,7 +18,7 @@ from graphprox import (
     sym_eigen,
 )
 
-from oracles import neumann_series, taylor_exp
+from oracles import neumann_series, reference_invert, taylor_exp
 
 RHO_PATH4 = (1 + math.sqrt(17)) / 2  # spectral radius of the path4 weights
 
@@ -72,6 +74,45 @@ class TestInvert:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError, match="square"):
             invert(np.ones((2, 3)))
+
+
+def drawn_matrix(n, seed, kind, scale):
+    """An n x n matrix of the given kind with entries of order 10^scale:
+    general (row swaps needed), symmetric, an M-matrix resolvent like the
+    kernels invert, or singular (a row repeated up to a tiny multiple)."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, n))
+    if kind == "symmetric":
+        a = a + a.T
+    elif kind == "m_matrix":
+        w = np.abs(a + a.T)
+        np.fill_diagonal(w, 0.0)
+        a = np.diag(w.sum(axis=1) + rng.uniform(0.01, 1.0, n)) - w
+    elif kind == "singular" and n > 1:
+        a[rng.integers(1, n)] = a[0] * rng.choice([1.0, -2.0, 1e-13])
+    return a * 10.0**scale
+
+
+class TestInvertMatchesFormerLoop:
+    @given(
+        n=st.integers(1, 24),
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(["general", "symmetric", "m_matrix", "singular"]),
+        scale=st.integers(-3, 3),
+    )
+    def test_same_bytes_or_same_error(self, n, seed, kind, scale):
+        m = drawn_matrix(n, seed, kind, scale)
+        try:
+            want = reference_invert(m)
+        except SingularMatrixError as exc:
+            with pytest.raises(SingularMatrixError) as got:
+                invert(m)
+            assert str(got.value) == str(exc)
+            assert (got.value.pivot_index, got.value.pivot) == (exc.pivot_index, exc.pivot)
+            return
+        got = invert(m)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 class TestSymEigen:

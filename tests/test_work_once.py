@@ -1,0 +1,133 @@
+"""Each piece of per-command work is done once.
+
+An audit derives each kernel's pair distance, logarithmic distance and
+logarithmic similarity once, and scans it for the proximity triangle
+once, for `proximity` and `sigma` together; its reports still equal
+those of one fresh run_check per check. build_parser reads the terminal
+width once, and the help text still wraps to it.
+"""
+
+import shutil
+import textwrap
+from collections import Counter
+
+import numpy as np
+import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+
+from graphprox import (
+    WeightedGraph,
+    audit,
+    build_matrices,
+    check_sigma_proximity,
+    compute_kernel,
+    param_domain,
+    run_audit,
+    run_check,
+)
+from graphprox.audit import default_checks
+from graphprox.cli import build_parser, main
+from graphprox.kernels import MEASURES, SYMMETRIC_MEASURES
+
+from oracles import random_connected_graph
+
+LOG_CHECKS = ["log_metric", "log_proximity", "log_psd", "log_order"]
+
+
+def audit_checks(measure, n):
+    checks = default_checks(measure in SYMMETRIC_MEASURES, n) + LOG_CHECKS
+    return checks if n == 4 else checks[:-1]
+
+
+def fresh_reports(g, gm, measure, param, checks, tol):
+    """One run_check per check, each on the bare kernel result, under the
+    floating-point guard run_audit sets; the first error ends the list."""
+    kres = compute_kernel(gm, measure, param)
+    reports = []
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        for check in checks:
+            try:
+                reports.append(run_check(check, kres, g, tol))
+            except (ValueError, FloatingPointError) as exc:
+                return reports, exc
+    return reports, None
+
+
+def unit_path(n):
+    w = np.zeros((n, n))
+    idx = np.arange(n - 1)
+    w[idx, idx + 1] = w[idx + 1, idx] = 1.0
+    return WeightedGraph(n, w, name=f"path{n}")
+
+
+@given(
+    n=st.integers(3, 9),
+    seed=st.integers(0, 2**32 - 1),
+    long_path=st.booleans(),
+    measure=st.sampled_from(MEASURES),
+    frac=st.floats(0.02, 0.98),
+    tol=st.sampled_from([0.0, 1e-9, 1e-6]),
+)
+@example(n=7, seed=0, long_path=True, measure="heat", frac=0.025, tol=1e-9)  # raises
+def test_audit_reports_equal_one_fresh_check_each(n, seed, long_path, measure, frac, tol):
+    # a long unit path drives small entries to zero, where the first check
+    # that needs positive entries raises
+    if long_path:
+        g = unit_path(3 * n)
+    else:
+        g = random_connected_graph(np.random.default_rng(seed), n, name="g")
+    n = g.n
+    gm = build_matrices(g)
+    lo, hi = param_domain(measure, gm)
+    param = lo + frac * (hi - lo) if np.isfinite(hi) else 4.0 * frac
+    checks = audit_checks(measure, n)
+    want, error = fresh_reports(g, gm, measure, param, checks, tol)
+    if error is not None:
+        with pytest.raises(type(error)) as got:
+            run_audit(g, [(measure, param)], checks=checks, tol=tol)
+        assert str(got.value) == str(error)
+        return
+    got = run_audit(g, [(measure, param)], checks=checks, tol=tol).results[0].checks
+    assert list(got) == want
+    if measure in SYMMETRIC_MEASURES:
+        # the sigma check still reports what the public check reports
+        kres = compute_kernel(gm, measure, param)
+        assert got[checks.index("sigma")] == check_sigma_proximity(kres.matrix, tol)
+
+
+def test_symmetric_kernel_derives_and_scans_once(monkeypatch, capsys):
+    calls = Counter()
+    for name in ("check_proximity", "pair_to_dist", "log_distance"):
+        def counted(*args, _name=name, _real=getattr(audit, name), **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(audit, name, counted)
+    code = main(["audit", "paper:path5", "--measure", "regL:1.0", "--check", "all"])
+    capsys.readouterr()
+    assert code in (0, 1)
+    assert calls == {"check_proximity": 1, "pair_to_dist": 1, "log_distance": 1}
+
+
+def test_build_parser_reads_terminal_width_once(monkeypatch):
+    calls = []
+    real = shutil.get_terminal_size
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(shutil, "get_terminal_size", counted)
+    build_parser()
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("columns", [40, 80, 200])
+def test_help_wraps_to_columns(monkeypatch, capsys, columns):
+    monkeypatch.setenv("COLUMNS", str(columns))
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    description = build_parser().description
+    # argparse fills the description to the width less 2
+    assert capsys.readouterr().out.split("\n\n")[1] == textwrap.fill(description, columns - 2)
