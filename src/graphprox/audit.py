@@ -23,9 +23,11 @@ import numpy as np
 from ._version import __version__
 from .graphs import WeightedGraph, build_matrices
 from .kernels import KernelResult, compute_kernel
+from .linalg import is_symmetric
 from .properties import (
     DEFAULT_TOL,
     PropertyReport,
+    _asymmetry_report,
     _sigma_proximity,
     check_cutpoint_additive,
     check_distance_order,
@@ -144,18 +146,9 @@ class AuditReport:
         dropped."""
         results = []
         for r in data["results"]:
+            # PropertyReport turns a witness list back into a tuple
             checks = tuple(
-                PropertyReport(
-                    property=c["property"],
-                    holds=c["holds"],
-                    tolerance=c["tolerance"],
-                    witness=None if c["witness"] is None else tuple(c["witness"]),
-                    slack=c["slack"],
-                    sigma=c["sigma"],
-                    indeterminate=c["indeterminate"],
-                    note=c["note"],
-                )
-                for c in r["checks"]
+                PropertyReport(**{k: c[k] for k in _REPORT_FIELDS}) for c in r["checks"]
             )
             lo, hi = r["param_domain"]
             results.append(
@@ -195,14 +188,6 @@ class ThresholdResult:
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
-
-
-def _asymmetry_report(prop: str, matrix: np.ndarray, tol: float) -> PropertyReport:
-    return PropertyReport(
-        prop, holds=False, tolerance=tol,
-        slack=float(np.abs(matrix - matrix.T).max()),
-        note="matrix is not symmetric",
-    )
 
 
 def _renamed(prop: str, report: PropertyReport) -> PropertyReport:
@@ -261,20 +246,21 @@ class _Derived(KernelResult):
 # ln(s) and its induced distance; sym_psd tests the symmetrized kernel
 # (K + K^T)/2, the PSD question that remains once an asymmetric measure
 # has failed plain psd by definition; sigma adds the row-sum condition
-# to the proximity report. The lambdas look up the property checks by
-# their module-level names at call time, so a caller may wrap those
-# names.
+# to the proximity report. proximity and sigma ask whether the matrix,
+# not the measure, is symmetric: on a regular graph ppr's is. The lambdas
+# look up the property checks by their module-level names at call time,
+# so a caller may wrap those names.
 _CHECKS: dict[str, Callable[[_Derived, WeightedGraph, float], PropertyReport]] = {
     "psd": lambda kr, g, tol: check_psd(kr.matrix, tol),
     "sym_psd": lambda kr, g, tol: _renamed(
         "sym_psd", check_psd(0.5 * (kr.matrix + kr.matrix.T), tol)
     ),
     "proximity": lambda kr, g, tol: (
-        kr.proximity(tol) if kr.symmetric
+        kr.proximity(tol) if is_symmetric(kr.matrix)
         else _asymmetry_report("proximity", kr.matrix, tol)
     ),
     "sigma": lambda kr, g, tol: (
-        _sigma_proximity(kr.matrix, kr.proximity(tol), tol) if kr.symmetric
+        _sigma_proximity(kr.matrix, kr.proximity(tol), tol) if is_symmetric(kr.matrix)
         else _asymmetry_report("sigma_proximity", kr.matrix, tol)
     ),
     "egocentrism": lambda kr, g, tol: check_egocentrism(kr.matrix, tol),
@@ -326,6 +312,11 @@ def default_checks(measure_symmetric: bool, n: int) -> list[str]:
     return checks
 
 
+def _check_tol(tol: float) -> None:
+    if not 0 <= tol < math.inf:
+        raise ValueError(f"tolerance must be finite and nonnegative, got {tol}")
+
+
 @_raise_on_float_error
 def run_audit(
     g: WeightedGraph,
@@ -338,8 +329,7 @@ def run_audit(
 
     checks=None or ["all"] expands per measure via default_checks.
     """
-    if not 0 <= tol < math.inf:
-        raise ValueError(f"tolerance must be finite and nonnegative, got {tol}")
+    _check_tol(tol)
     gm = build_matrices(g)
     results = []
     for measure, param in measures:
@@ -410,17 +400,17 @@ def _threshold_predicate(prop: str, n: int):
             return bool(d[i, j] + d[j, k] >= d[i, k]), float(d[i, j] + d[j, k] - d[i, k])
 
         return triangle_holds
-    if prop in _EIGEN_CHECKS:
-
-        def eigen_holds(kres, g, tol):
-            report = run_check(prop, kres, g, tol)
-            if report.note.startswith("smallest eigenvalue"):
-                return report.holds, report.slack + tol
-            return report.holds, None  # the slack is an asymmetry
-
-        return eigen_holds
     if prop in CHECKS:
-        return lambda kres, g, tol: (run_check(prop, kres, g, tol).holds, None)
+        eigen = prop in _EIGEN_CHECKS
+
+        def check_holds(kres, g, tol):
+            report = run_check(prop, kres, g, tol)
+            # an eigen check's slack may instead be an asymmetry
+            if eigen and report.note.startswith("smallest eigenvalue"):
+                return report.holds, report.slack + tol
+            return report.holds, None
+
+        return check_holds
     raise ValueError(
         f"unknown threshold property {prop!r}; expected one of {', '.join(CHECKS)}, "
         "order:IJ<KL, or triangle:I,J,K"
@@ -484,8 +474,7 @@ def find_threshold(
         raise ValueError("resolution must be positive")
     if not lo < hi:
         raise ValueError("bracket must satisfy lo < hi")
-    if not 0 <= tol < math.inf:
-        raise ValueError(f"tolerance must be finite and nonnegative, got {tol}")
+    _check_tol(tol)
     gm = build_matrices(g)
     predicate = _threshold_predicate(prop, g.n)
 
@@ -502,7 +491,7 @@ def find_threshold(
     if holds_lo == holds_hi:
         raise ThresholdBracketError(
             f"{measure}/{prop}: property {'holds' if holds_lo else 'fails'} at both "
-            f"endpoints {lo} and {hi}; nothing to bisect"
+            f"endpoints {lo} and {hi}; nothing to locate"
         )
     k1 = 0.2 / (hi - lo)
     # The width bisection's schedule allows after the next step: the
@@ -552,7 +541,7 @@ def export_embedding(
     """
     gm = build_matrices(g)
     kres = compute_kernel(gm, measure, param, rates=rates)
-    if not kres.symmetric:
+    if not is_symmetric(kres.matrix):
         raise ValueError(
             f"{measure} is not symmetric, hence not positive semidefinite: "
             "no Euclidean embedding exists"

@@ -14,7 +14,6 @@ import argparse
 import functools
 import json
 import re
-import shutil
 import sys
 from pathlib import Path
 
@@ -130,6 +129,11 @@ def _format_report(report: AuditReport) -> str:
     return "\n".join(lines)
 
 
+def _write_json(path: str, doc: dict) -> None:
+    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"wrote {path}")
+
+
 def _cmd_audit(args: argparse.Namespace) -> int:
     g = _resolve_graph(args.graph_pos, args.graph)
     measures = _parse_measures(args.measure)
@@ -143,11 +147,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     )
     print(_format_report(report))
     if args.json:
-        Path(args.json).write_text(
-            json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
-        print(f"wrote {args.json}")
+        _write_json(args.json, report.to_dict())
     return 0 if report.all_hold else 1
 
 
@@ -171,11 +171,7 @@ def _cmd_threshold(args: argparse.Namespace) -> int:
         "transition assumed monotone in bracket)"
     )
     if args.json:
-        Path(args.json).write_text(
-            json.dumps(result.to_dict(), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
-        print(f"wrote {args.json}")
+        _write_json(args.json, result.to_dict())
     return 0
 
 
@@ -190,26 +186,19 @@ def _cmd_embed(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    # argparse sizes each help formatter it makes, one per argument added,
-    # to the terminal unless told a width; read the width once, as
-    # HelpFormatter would (columns less 2), and hand it to every parser.
-    formatter = functools.partial(
-        argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2
-    )
+    # Built once per process. Parsing leaves the parser as it was, and
+    # argparse sizes help to the terminal when it formats it, not here.
     parser = _ArgumentParser(
         prog="graphprox",
-        formatter_class=formatter,
         description="Audit graph similarity measures for kernel, proximity, "
         "metric, and embeddability properties.",
     )
     parser.add_argument("--version", action="version", version=f"graphprox {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_audit = sub.add_parser(
-        "audit", formatter_class=formatter,
-        help="run property checks for measures at fixed parameters",
-    )
+    p_audit = sub.add_parser("audit", help="run property checks for measures at fixed parameters")
     _graph_args(p_audit)
     p_audit.add_argument("--measure", action="append", required=True, metavar="NAME:PARAM[,...]",
                          help=f"measure and parameter; names: {', '.join(MEASURES)}")
@@ -220,9 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_audit.add_argument("--json", metavar="PATH", help="also write the report as JSON")
     p_audit.set_defaults(func=_cmd_audit)
 
-    p_thr = sub.add_parser(
-        "threshold", formatter_class=formatter, help="locate the parameter where a property flips"
-    )
+    p_thr = sub.add_parser("threshold", help="locate the parameter where a property flips")
     _graph_args(p_thr)
     p_thr.add_argument("--measure", required=True, choices=MEASURES)
     p_thr.add_argument("--property", required=True,
@@ -234,9 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_thr.add_argument("--json", metavar="PATH", help="also write the bracket as JSON")
     p_thr.set_defaults(func=_cmd_threshold)
 
-    p_embed = sub.add_parser(
-        "embed", formatter_class=formatter, help="export kernel embedding coordinates as CSV"
-    )
+    p_embed = sub.add_parser("embed", help="export kernel embedding coordinates as CSV")
     _graph_args(p_embed)
     p_embed.add_argument("--measure", required=True, metavar="NAME:PARAM")
     p_embed.add_argument("--out", required=True, metavar="PATH")

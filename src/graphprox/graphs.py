@@ -104,11 +104,6 @@ class WeightedGraph:
             raise GraphValidationError("graph must be connected")
         object.__setattr__(self, "weights", _frozen(w))
 
-    @property
-    def degrees(self) -> np.ndarray:
-        """Weighted degree of each vertex (row sums of the weight matrix)."""
-        return self.weights.sum(axis=1)
-
     @cached_property
     def _separation(self) -> np.ndarray:
         neighbours = _neighbours(self.weights)

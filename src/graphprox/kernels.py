@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -30,7 +31,6 @@ __all__ = [
     "KernelResult",
     "MEASURES",
     "SYMMETRIC_MEASURES",
-    "PARAM_NAMES",
     "param_domain",
     "compute_kernel",
     "katz",
@@ -55,29 +55,36 @@ class _Measure:
     """What the paper fixes for a measure besides its formula: the name
     of its parameter, whether its matrix is symmetric, and the upper end
     of its open parameter domain, whose lower end is always 0. An upper
-    end of None stands for 1/rho(W), which depends on the graph."""
+    end of None stands for 1/rho(W), which depends on the graph. compute
+    maps (graph matrices, parameter, absorption rates or None) to the
+    kernel; it calls the public function by its module-level name at
+    call time, so a caller may wrap that name."""
 
     param: str
     symmetric: bool
     upper: float | None
+    compute: Callable[[GraphMatrices, float, np.ndarray | None], KernelResult]
 
 
 _SPECS: dict[str, _Measure] = {
-    "katz": _Measure("alpha", True, None),
-    "comm": _Measure("t", True, math.inf),
-    "dfact": _Measure("t", True, math.inf),
-    "heat": _Measure("t", True, math.inf),
-    "nheat": _Measure("t", True, math.inf),
-    "regL": _Measure("t", True, math.inf),
-    "absorp": _Measure("t", True, math.inf),
-    "ppr": _Measure("alpha", False, 1.0),
-    "modifppr": _Measure("alpha", True, 1.0),
-    "heatppr": _Measure("t", False, math.inf),
+    "katz": _Measure("alpha", True, None, lambda gm, p, r: katz(gm, p)),
+    "comm": _Measure("t", True, math.inf, lambda gm, p, r: communicability(gm, p)),
+    "dfact": _Measure("t", True, math.inf, lambda gm, p, r: double_factorial(gm, p)),
+    "heat": _Measure("t", True, math.inf, lambda gm, p, r: heat(gm, p)),
+    "nheat": _Measure("t", True, math.inf, lambda gm, p, r: normalized_heat(gm, p)),
+    "regL": _Measure("t", True, math.inf, lambda gm, p, r: regularized_laplacian(gm, p)),
+    # rates default to all ones, which reduce absorp to a rescaled regL
+    "absorp": _Measure(
+        "t", True, math.inf,
+        lambda gm, p, r: absorption(gm, np.ones(gm.n) if r is None else r, p),
+    ),
+    "ppr": _Measure("alpha", False, 1.0, lambda gm, p, r: ppr(gm, p)),
+    "modifppr": _Measure("alpha", True, 1.0, lambda gm, p, r: modified_ppr(gm, p)),
+    "heatppr": _Measure("t", False, math.inf, lambda gm, p, r: pagerank_heat(gm, p)),
 }
 
 MEASURES: tuple[str, ...] = tuple(_SPECS)
 SYMMETRIC_MEASURES: frozenset[str] = frozenset(m for m, s in _SPECS.items() if s.symmetric)
-PARAM_NAMES: dict[str, str] = {m: s.param for m, s in _SPECS.items()}
 
 
 class ParameterDomainError(ValueError):
@@ -228,23 +235,9 @@ def compute_kernel(
     param: float,
     rates: np.ndarray | None = None,
 ) -> KernelResult:
-    """Dispatch by measure name. Absorption rates default to all ones,
-    which reduces absorp to a rescaled regularized Laplacian."""
-    if measure == "absorp":
-        return absorption(gm, np.ones(gm.n) if rates is None else rates, param)
-    # Built per call so that each name resolves to the module-level
-    # binding at call time, which a caller may have wrapped.
-    kernels = {
-        "katz": katz,
-        "comm": communicability,
-        "dfact": double_factorial,
-        "heat": heat,
-        "nheat": normalized_heat,
-        "regL": regularized_laplacian,
-        "ppr": ppr,
-        "modifppr": modified_ppr,
-        "heatppr": pagerank_heat,
-    }
-    if measure not in kernels:
+    """Dispatch by measure name. Absorption rates default to all ones;
+    the other measures ignore rates."""
+    spec = _SPECS.get(measure)
+    if spec is None:
         raise ValueError(f"unknown measure {measure!r} (known: {', '.join(MEASURES)})")
-    return kernels[measure](gm, param)
+    return spec.compute(gm, param, rates)

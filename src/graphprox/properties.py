@@ -24,6 +24,7 @@ import numpy as np
 
 from .graphs import WeightedGraph, separation_labels
 from .linalg import is_symmetric, sym_eigen
+from .transforms import _require_positive
 
 __all__ = [
     "PropertyReport",
@@ -149,25 +150,39 @@ def _first_min(v: np.ndarray, keep: np.ndarray) -> tuple[float, int]:
     return -val, idx
 
 
+def _asymmetry_report(
+    prop: str, a: np.ndarray, tol: float, note: str = "matrix is not symmetric"
+) -> PropertyReport:
+    """prop fails on the asymmetric float array a; the slack is the
+    largest |a - a^T| entry."""
+    return PropertyReport(
+        prop, holds=False, tolerance=tol, slack=float(np.abs(a - a.T).max()), note=note
+    )
+
+
+def _eigen_report(prop: str, a: np.ndarray, tol: float, note: str) -> PropertyReport:
+    """prop holds when the smallest eigenvalue of the symmetric float
+    array a is at least -tol; the slack is that eigenvalue."""
+    min_eig = float(sym_eigen(a).eigenvalues[0])
+    return PropertyReport(
+        prop,
+        holds=min_eig >= -tol,
+        tolerance=tol,
+        slack=min_eig,
+        indeterminate=-2.0 * tol <= min_eig <= -0.5 * tol,
+        note=note,
+    )
+
+
 def check_psd(k: np.ndarray, tol: float = DEFAULT_TOL) -> PropertyReport:
     """Positive semidefiniteness. Asymmetric input is reported as not PSD
     outright; it is never silently symmetrized."""
     a = np.asarray(k, dtype=float)
     if not is_symmetric(a):
-        asym = float(np.abs(a - a.T).max())
-        return PropertyReport(
-            "psd", holds=False, tolerance=tol, slack=asym,
-            note="matrix is not symmetric, hence not positive semidefinite",
+        return _asymmetry_report(
+            "psd", a, tol, "matrix is not symmetric, hence not positive semidefinite"
         )
-    min_eig = float(sym_eigen(a).eigenvalues[0])
-    return PropertyReport(
-        "psd",
-        holds=min_eig >= -tol,
-        tolerance=tol,
-        slack=min_eig,
-        indeterminate=-2.0 * tol <= min_eig <= -0.5 * tol,
-        note="smallest eigenvalue",
-    )
+    return _eigen_report("psd", a, tol, "smallest eigenvalue")
 
 
 def check_proximity(k: np.ndarray, tol: float = DEFAULT_TOL) -> PropertyReport:
@@ -339,14 +354,8 @@ def check_sq_euclidean(d: np.ndarray, tol: float = DEFAULT_TOL) -> PropertyRepor
     j = np.full((n, n), 1.0 / n)
     h = np.eye(n) - j
     b = -h @ a @ h
-    min_eig = float(sym_eigen(0.5 * (b + b.T)).eigenvalues[0])
-    return PropertyReport(
-        "sq_euclidean",
-        holds=min_eig >= -tol,
-        tolerance=tol,
-        slack=min_eig,
-        indeterminate=-2.0 * tol <= min_eig <= -0.5 * tol,
-        note="smallest eigenvalue of the centered Gram matrix",
+    return _eigen_report(
+        "sq_euclidean", 0.5 * (b + b.T), tol, "smallest eigenvalue of the centered Gram matrix"
     )
 
 
@@ -394,12 +403,7 @@ def check_transitional(
     a = np.asarray(s, dtype=float)
     _require_finite(a, "check_transitional")
     _require_order(a, g, "check_transitional")
-    if a.min() <= 0:
-        i, j = np.unravel_index(int(np.argmin(a)), a.shape)
-        raise ValueError(
-            f"check_transitional requires strictly positive entries; "
-            f"entry ({int(i) + 1},{int(j) + 1}) = {a[i, j]:.6g}"
-        )
+    _require_positive(a, "check_transitional")
     n = a.shape[0]
     worst, witness = -np.inf, None
     mismatch, boundary_cases, comp = None, False, None

@@ -49,6 +49,18 @@ class TestRunAudit:
         assert not by_name["proximity"].holds
         assert not by_name["sigma_proximity"].holds
 
+    @pytest.mark.parametrize("measure,param", [("ppr", 0.9), ("heatppr", 1.0)])
+    def test_symmetric_matrix_of_asymmetric_measure(self, tmp_path, triangle, measure, param):
+        # on a regular graph P = W / deg is symmetric, and so is the kernel
+        report = run_audit(triangle, [(measure, param)], checks=["proximity", "sigma"])
+        prox, sigma = report.results[0].checks
+        assert prox.holds and prox.witness is None and prox.note is None
+        assert sigma.holds and sigma.witness is None and sigma.note is None
+        out = tmp_path / "coords.csv"
+        coords = export_embedding(triangle, measure, param, str(out))
+        assert coords.shape == (3, 3)
+        assert out.read_text().startswith("x1,x2,x3\n")
+
     def test_default_checks_add_sym_psd_for_asymmetric(self, path5):
         report = run_audit(path5, [("heatppr", 0.5)], checks=["all"])
         names = [c.property for c in report.results[0].checks]
@@ -133,7 +145,7 @@ class TestFindThreshold:
         assert res.direction == "holds_below"
 
     def test_same_status_raises(self, path4):
-        with pytest.raises(ThresholdBracketError, match="both"):
+        with pytest.raises(ThresholdBracketError, match="both endpoints .*; nothing to locate$"):
             find_threshold(path4, "regL", "proximity", 0.1, 10.0)
 
     def test_unknown_property_rejected(self, path4):

@@ -3,11 +3,10 @@
 An audit derives each kernel's pair distance, logarithmic distance and
 logarithmic similarity once, and scans it for the proximity triangle
 once, for `proximity` and `sigma` together; its reports still equal
-those of one fresh run_check per check. build_parser reads the terminal
-width once, and the help text still wraps to it.
+those of one fresh run_check per check. A process builds its parser
+once, and the help text still wraps to the terminal.
 """
 
-import shutil
 import textwrap
 from collections import Counter
 
@@ -21,6 +20,7 @@ from graphprox import (
     audit,
     build_matrices,
     check_sigma_proximity,
+    cli,
     compute_kernel,
     param_domain,
     run_audit,
@@ -110,17 +110,25 @@ def test_symmetric_kernel_derives_and_scans_once(monkeypatch, capsys):
     assert calls == {"check_proximity": 1, "pair_to_dist": 1, "log_distance": 1}
 
 
-def test_build_parser_reads_terminal_width_once(monkeypatch):
-    calls = []
-    real = shutil.get_terminal_size
+def test_two_main_calls_build_one_parser(monkeypatch, capsys):
+    built = []
+    real_init = cli._ArgumentParser.__init__
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+    def counted_init(self, *args, **kwargs):
+        built.append(self)
+        real_init(self, *args, **kwargs)
 
-    monkeypatch.setattr(shutil, "get_terminal_size", counted)
-    build_parser()
-    assert len(calls) == 1
+    monkeypatch.setattr(cli._ArgumentParser, "__init__", counted_init)
+    build_parser.cache_clear()
+    counts = []
+    try:
+        for _ in range(2):
+            assert main(["audit", "paper:path4", "--measure", "regL:1.0", "--check", "psd"]) == 0
+            counts.append(len(built))
+    finally:
+        build_parser.cache_clear()  # drop the parser built while patched
+    capsys.readouterr()
+    assert counts[0] > 0 and counts[1] == counts[0]
 
 
 @pytest.mark.parametrize("columns", [40, 80, 200])
