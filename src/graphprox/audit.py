@@ -562,9 +562,19 @@ def export_embedding(
         raise RuntimeError(
             f"embedding reconstruction off by {err:.3e}, beyond {bound:.3g}"
         )
+    # embed's coordinates are exactly symmetric, so each value is formatted
+    # once, on or above the diagonal, and row i takes its first i fields
+    # from the rows above. embed may be wrapped, hence the check: equal
+    # bits on both sides, signed zeros included, give the same text.
+    bits = np.asarray(coords, dtype=float).view(np.uint64)
+    if not np.array_equal(bits, bits.T):
+        raise RuntimeError("embedding coordinates are not exactly symmetric")
+    cells: list[list[str]] = []
+    for i, row in enumerate(coords.tolist()):
+        cells.append([above[i] for above in cells] + list(map(repr, row[i:])))
     # the bytes csv.writer writes: no field needs quoting, lines end in \r\n
     lines = [",".join(f"x{i + 1}" for i in range(coords.shape[1]))]
-    lines += [",".join(map(repr, row)) for row in coords.tolist()]
+    lines += [",".join(row) for row in cells]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("\r\n".join(lines) + "\r\n")
     return coords

@@ -6,6 +6,7 @@ Vertices are 1-based in edge-list files and in all user-facing reports,
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -46,7 +47,13 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 def _neighbours(weights: np.ndarray) -> list[list[int]]:
-    return [np.flatnonzero(row).tolist() for row in weights]
+    """Sorted neighbour list of every vertex, cut from one np.nonzero:
+    its indices come in row-major order, so each row's columns are one
+    slice."""
+    rows, cols = np.nonzero(weights)
+    stops = np.searchsorted(rows, np.arange(1, len(weights) + 1)).tolist()
+    cols = cols.tolist()
+    return [cols[start:stop] for start, stop in zip([0, *stops], stops)]
 
 
 def _labels_without(neighbours: list[list[int]], j: int) -> list[int]:
@@ -177,7 +184,7 @@ def load_graph(source: str, name: str = "graph") -> WeightedGraph:
             raise GraphFormatError(f"line {lineno}: vertex indices are 1-based")
         if i == j:
             raise GraphValidationError(f"line {lineno}: self-loop at vertex {i}")
-        if not np.isfinite(w) or w <= 0:
+        if not math.isfinite(w) or w <= 0:
             raise GraphValidationError(f"line {lineno}: edge weight must be positive, got {fields[2]}")
         key = (min(i, j), max(i, j))
         if key in edges:

@@ -101,7 +101,9 @@ def embed(k: np.ndarray) -> np.ndarray:
     """Vertex coordinates realizing the kernel's squared distances.
 
     Row i holds the coordinates of vertex i; pairwise squared Euclidean
-    distances of the rows reproduce kernel_to_sq_dist(k). Raises
+    distances of the rows reproduce kernel_to_sq_dist(k). The result is
+    exactly symmetric, bit for bit: gram_factor returns (B + B^T)/2, and
+    the transpose and rescale below act entry by entry. Raises
     NotPositiveSemidefiniteError when no such embedding exists.
     """
     b = gram_factor(k)

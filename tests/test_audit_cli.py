@@ -11,6 +11,7 @@ from graphprox import (
     export_embedding,
     find_threshold,
     kernel_to_sq_dist,
+    param_domain,
     run_audit,
 )
 from graphprox.cli import main
@@ -236,8 +237,12 @@ class TestExportEmbedding:
     ])
     def test_csv_bytes_match_former_writer(self, tmp_path, corpus, measure, param):
         out, ref = tmp_path / "coords.csv", tmp_path / "reference.csv"
-        for g, _ in corpus:
-            coords = export_embedding(g, measure, param, str(out))
+        rng = np.random.default_rng(20261018)
+        larger = [random_connected_graph(rng, n, name=f"random-n{n}") for n in (20, 60)]
+        for g in [g for g, _ in corpus] + larger:
+            # katz's domain ends at 1/rho(W), which falls as n grows
+            hi = param_domain(measure, build_matrices(g))[1]
+            coords = export_embedding(g, measure, param if param < hi else hi / 2, str(out))
             reference_embedding_csv(coords, str(ref))
             assert out.read_bytes() == ref.read_bytes(), g.name
 
@@ -253,6 +258,38 @@ class TestExportEmbedding:
 
         monkeypatch.setattr(audit, "embed", off_by_a_little)
         with pytest.raises(RuntimeError, match="reconstruction"):
+            export_embedding(path4, "heat", 1.0, str(tmp_path / "x.csv"))
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_asymmetric_coordinates_rejected(self, tmp_path, path4, monkeypatch):
+        # one ulp passes the reconstruction check, but the writer formats
+        # each value once and mirrors it, so it must see exact symmetry
+        from graphprox import audit
+
+        real_embed = audit.embed
+
+        def off_by_one_ulp(k):
+            coords = real_embed(k)
+            coords[2, 0] = np.nextafter(coords[2, 0], np.inf)
+            return coords
+
+        monkeypatch.setattr(audit, "embed", off_by_one_ulp)
+        with pytest.raises(RuntimeError, match="not exactly symmetric"):
+            export_embedding(path4, "heat", 1.0, str(tmp_path / "x.csv"))
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_signed_zeros_off_the_diagonal_rejected(self, tmp_path, path4, monkeypatch):
+        # 0.0 == -0.0, yet their text differs
+        from graphprox import audit
+
+        def with_signed_zeros(k):
+            coords = np.eye(4)
+            coords[0, 3], coords[3, 0] = 0.0, -0.0
+            return coords
+
+        monkeypatch.setattr(audit, "embed", with_signed_zeros)
+        monkeypatch.setattr(audit, "kernel_to_sq_dist", lambda k: 2.0 - 2.0 * np.eye(4))
+        with pytest.raises(RuntimeError, match="not exactly symmetric"):
             export_embedding(path4, "heat", 1.0, str(tmp_path / "x.csv"))
         assert not (tmp_path / "x.csv").exists()
 

@@ -13,6 +13,7 @@ from graphprox import (
     load_graph,
     separation_labels,
 )
+from graphprox.graphs import _neighbours
 
 from oracles import every_path_visits
 
@@ -77,6 +78,10 @@ class TestLoadGraph:
             ("1 1 2", "self-loop"),
             ("1 2 -1", "positive"),
             ("1 2 0", "positive"),
+            ("1 2 nan", "positive"),
+            ("1 2 inf", "positive"),
+            ("1 2 -inf", "positive"),
+            ("1 2 1e400", "positive"),  # parses as inf
             ("1 2 1\n2 1 3", "duplicate"),
             ("1 2 1\n3 4 1", "connected"),
             ("1 3 1", "connected"),  # vertex 2 is isolated
@@ -180,3 +185,12 @@ def test_separation_labels_built_once_and_read_only(path5):
     comp = separation_labels(path5)
     assert separation_labels(path5) is comp
     assert not comp.flags.writeable
+
+
+def test_neighbours_match_per_row_flatnonzero(corpus, path4):
+    # isolated vertices first, inside and last: rows with no neighbour
+    isolated = np.zeros((6, 6))
+    isolated[1, 3] = isolated[3, 1] = isolated[2, 4] = isolated[4, 2] = 1.0
+    extra = [np.asfortranarray(path4.weights), isolated, np.zeros((2, 2))]
+    for w in [g.weights for g, _ in corpus] + extra:
+        assert _neighbours(w) == [np.flatnonzero(row).tolist() for row in w]

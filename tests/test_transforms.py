@@ -1,9 +1,12 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from graphprox import (
     NotPositiveSemidefiniteError,
+    build_matrices,
     communicability,
     compute_kernel,
     dist_to_sigma_prox,
@@ -12,13 +15,16 @@ from graphprox import (
     kernel_to_sq_dist,
     log_distance,
     pagerank_heat,
+    param_domain,
     pair_to_dist,
     ppr,
     regularized_laplacian,
     symmetrize_geometric,
 )
 
-from oracles import pairwise_sq_dists
+from graphprox.kernels import SYMMETRIC_MEASURES
+
+from oracles import pairwise_sq_dists, random_connected_graph
 
 
 class TestKernelToSqDist:
@@ -173,3 +179,20 @@ class TestEmbed:
     def test_indefinite_kernel_rejected(self, path4_gm):
         with pytest.raises(NotPositiveSemidefiniteError):
             embed(double_factorial(path4_gm, 1.0).matrix)
+
+
+@pytest.mark.parametrize("measure", sorted(SYMMETRIC_MEASURES))
+@settings(max_examples=20)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 12), u=st.floats(0.05, 0.95))
+def test_embed_is_exactly_symmetric(seed, n, measure, u):
+    # export_embedding formats each coordinate once and mirrors it, which
+    # is right only because of this: equal bits on both sides
+    gm = build_matrices(random_connected_graph(np.random.default_rng(seed), n, name="g"))
+    lo, hi = param_domain(measure, gm)
+    param = lo + u * (hi - lo) if np.isfinite(hi) else 1.5 * u
+    try:
+        c = embed(compute_kernel(gm, measure, param).matrix)
+    except NotPositiveSemidefiniteError:
+        assume(False)
+    assert np.array_equal(c, c.T)
+    assert np.array_equal(c.view(np.uint64), c.T.view(np.uint64))
