@@ -22,8 +22,7 @@ import numpy as np
 
 from ._version import __version__
 from .graphs import WeightedGraph, build_matrices
-from .kernels import KernelResult, compute_kernel
-from .linalg import is_symmetric
+from .kernels import SYMMETRIC_MEASURES, KernelResult, compute_kernel
 from .properties import (
     DEFAULT_TOL,
     PropertyReport,
@@ -85,7 +84,10 @@ def _raise_on_float_error(fn):
 
 @dataclass(frozen=True)
 class MeasureAudit:
-    """One measure at one parameter with its property reports."""
+    """One measure at one parameter with its property reports.
+
+    symmetric is the measure's flag (measure in SYMMETRIC_MEASURES), not
+    whether this graph's matrix happens to be symmetric."""
 
     measure: str
     param: float
@@ -215,7 +217,7 @@ class _Derived(KernelResult):
     def of(cls, kres: KernelResult) -> "_Derived":
         if isinstance(kres, cls):
             return kres
-        return cls(kres.measure, kres.param, kres.matrix, kres.param_domain, kres.symmetric)
+        return cls(kres.measure, kres.param, kres.matrix, kres.param_domain)
 
     @functools.cached_property
     def dist(self) -> np.ndarray:
@@ -246,8 +248,8 @@ class _Derived(KernelResult):
 # ln(s) and its induced distance; sym_psd tests the symmetrized kernel
 # (K + K^T)/2, the PSD question that remains once an asymmetric measure
 # has failed plain psd by definition; sigma adds the row-sum condition
-# to the proximity report. proximity and sigma ask whether the matrix,
-# not the measure, is symmetric: on a regular graph ppr's is. The lambdas
+# to the proximity report. proximity and sigma read kr.symmetric, which
+# the matrix decides, not the measure: on a regular graph ppr's is. The lambdas
 # look up the property checks by their module-level names at call time,
 # so a caller may wrap those names.
 _CHECKS: dict[str, Callable[[_Derived, WeightedGraph, float], PropertyReport]] = {
@@ -256,11 +258,11 @@ _CHECKS: dict[str, Callable[[_Derived, WeightedGraph, float], PropertyReport]] =
         "sym_psd", check_psd(0.5 * (kr.matrix + kr.matrix.T), tol)
     ),
     "proximity": lambda kr, g, tol: (
-        kr.proximity(tol) if is_symmetric(kr.matrix)
+        kr.proximity(tol) if kr.symmetric
         else _asymmetry_report("proximity", kr.matrix, tol)
     ),
     "sigma": lambda kr, g, tol: (
-        _sigma_proximity(kr.matrix, kr.proximity(tol), tol) if is_symmetric(kr.matrix)
+        _sigma_proximity(kr.matrix, kr.proximity(tol), tol) if kr.symmetric
         else _asymmetry_report("sigma_proximity", kr.matrix, tol)
     ),
     "egocentrism": lambda kr, g, tol: check_egocentrism(kr.matrix, tol),
@@ -292,10 +294,12 @@ def run_check(
     return _CHECKS[check](_Derived.of(kres), g, tol)
 
 
-def default_checks(measure_symmetric: bool, n: int) -> list[str]:
-    """Expansion of '--check all' for one measure."""
+def default_checks(symmetric: bool, n: int) -> list[str]:
+    """Expansion of '--check all' for one kernel: sym_psd joins psd
+    where the kernel's matrix is asymmetric (run_audit passes
+    KernelResult.symmetric), distance_order where n is 4."""
     checks = ["psd"]
-    if not measure_symmetric:
+    if not symmetric:
         checks.append("sym_psd")
     checks += [
         "proximity",
@@ -345,7 +349,7 @@ def run_audit(
                 measure=measure,
                 param=param,
                 param_domain=kres.param_domain,
-                symmetric=kres.symmetric,
+                symmetric=measure in SYMMETRIC_MEASURES,
                 checks=reports,
             )
         )
@@ -377,8 +381,9 @@ def _threshold_predicate(prop: str, n: int):
 
     The margin is a continuous signed value, positive where the property
     holds: d(K,L) - d(I,J) for order, d(I,J) + d(J,K) - d(I,K) for
-    triangle, and the smallest eigenvalue plus tol for psd, sym_psd and
-    sq_euclidean when the report's slack is that eigenvalue. Every other
+    triangle, and the smallest eigenvalue plus tol for sym_psd,
+    sq_euclidean and, where the kernel's matrix is symmetric, psd; psd of
+    an asymmetric matrix reports the asymmetry instead. Every other
     property has none (None). find_threshold only interpolates margins
     to pick its next parameter; the verdict is always holds.
     """
@@ -405,8 +410,7 @@ def _threshold_predicate(prop: str, n: int):
 
         def check_holds(kres, g, tol):
             report = run_check(prop, kres, g, tol)
-            # an eigen check's slack may instead be an asymmetry
-            if eigen and report.note.startswith("smallest eigenvalue"):
+            if eigen and (kres.symmetric or prop != "psd"):
                 return report.holds, report.slack + tol
             return report.holds, None
 
@@ -541,7 +545,7 @@ def export_embedding(
     """
     gm = build_matrices(g)
     kres = compute_kernel(gm, measure, param, rates=rates)
-    if not is_symmetric(kres.matrix):
+    if not kres.symmetric:
         raise ValueError(
             f"{measure} is not symmetric, hence not positive semidefinite: "
             "no Euclidean embedding exists"
@@ -558,7 +562,7 @@ def export_embedding(
     # exceeds 1: both sides are differences of kernel entries, so their
     # rounding error grows with the entries even where distances are small
     bound = 1e-7 * max(1.0, float(np.abs(expected).max()), float(np.abs(kres.matrix).max()))
-    if err > bound:
+    if not err <= bound:  # also true for a NaN error
         raise RuntimeError(
             f"embedding reconstruction off by {err:.3e}, beyond {bound:.3g}"
         )

@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import spectral_radius
+from .linalg import is_symmetric, spectral_radius
 
 __all__ = [
     "GraphFormatError",
@@ -101,7 +101,7 @@ class WeightedGraph:
             raise GraphValidationError("graph must have at least 2 vertices")
         if not np.isfinite(w).all():
             raise GraphValidationError("weights must be finite")
-        if np.abs(w - w.T).max() > _SYMMETRY_TOL:
+        if not is_symmetric(w, _SYMMETRY_TOL):
             raise GraphValidationError("weight matrix must be symmetric")
         if w.min() < 0:
             raise GraphValidationError("weights must be nonnegative")

@@ -18,13 +18,13 @@ Measure names used throughout the library, reports, and the CLI:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .graphs import GraphMatrices
-from .linalg import NonConvergenceError, invert, matrix_exp
+from .linalg import NonConvergenceError, invert, is_symmetric, matrix_exp
 
 __all__ = [
     "ParameterDomainError",
@@ -53,12 +53,12 @@ _DFACT_MAX_TERMS = 10_000
 @dataclass(frozen=True)
 class _Measure:
     """What the paper fixes for a measure besides its formula: the name
-    of its parameter, whether its matrix is symmetric, and the upper end
-    of its open parameter domain, whose lower end is always 0. An upper
-    end of None stands for 1/rho(W), which depends on the graph. compute
-    maps (graph matrices, parameter, absorption rates or None) to the
-    kernel; it calls the public function by its module-level name at
-    call time, so a caller may wrap that name."""
+    of its parameter, whether its matrix is symmetric on every graph, and
+    the upper end of its open parameter domain, whose lower end is always
+    0. An upper end of None stands for 1/rho(W), which depends on the
+    graph. compute maps (graph matrices, parameter, absorption rates or
+    None) to the kernel; it calls the public function by its module-level
+    name at call time, so a caller may wrap that name."""
 
     param: str
     symmetric: bool
@@ -93,19 +93,27 @@ class ParameterDomainError(ValueError):
 
 @dataclass(frozen=True)
 class KernelResult:
-    """A computed similarity matrix tagged with its measure and parameter."""
+    """A computed similarity matrix tagged with its measure and parameter.
+
+    symmetric tells whether this matrix is symmetric, to linalg's
+    tolerance; it is decided once, from the matrix, and is not a
+    constructor argument. It may differ from the measure's flag in
+    SYMMETRIC_MEASURES: on a regular graph P = W / deg is symmetric, and
+    so are the matrices of the asymmetric measures ppr and heatppr.
+    """
 
     measure: str
     param: float
     matrix: np.ndarray
     param_domain: tuple[float, float]
-    symmetric: bool
+    symmetric: bool = field(init=False)
 
     def __post_init__(self):
         m = np.array(self.matrix, dtype=float)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "param", float(self.param))
+        object.__setattr__(self, "symmetric", bool(is_symmetric(m)))
 
 
 def param_domain(measure: str, gm: GraphMatrices) -> tuple[float, float]:
@@ -118,7 +126,7 @@ def param_domain(measure: str, gm: GraphMatrices) -> tuple[float, float]:
 
 def _kernel(measure: str, gm: GraphMatrices, param: float, formula) -> KernelResult:
     """Check param against the measure's domain, then evaluate formula()
-    and tag the matrix with the measure's table entry."""
+    and tag the matrix with the measure, parameter and domain."""
     spec = _SPECS[measure]
     lo, hi = dom = param_domain(measure, gm)
     # The domain is open; resolvents blow up at its ends, so values within
@@ -135,7 +143,7 @@ def _kernel(measure: str, gm: GraphMatrices, param: float, formula) -> KernelRes
             f"{measure}: {spec.param} = {param} outside open domain "
             f"({lo:.6g}, {hi_text}{extra}) or within {_BOUNDARY_MARGIN:g} of a finite end"
         )
-    return KernelResult(measure, param, formula(), dom, spec.symmetric)
+    return KernelResult(measure, param, formula(), dom)
 
 
 def katz(gm: GraphMatrices, alpha: float) -> KernelResult:

@@ -47,6 +47,17 @@ def triangle_gm(triangle):
 
 
 @pytest.fixture(scope="session")
+def cycle4():
+    w = np.array([[0, 1, 0, 1], [1, 0, 1, 0], [0, 1, 0, 1], [1, 0, 1, 0]], dtype=float)
+    return WeightedGraph(4, w, name="cycle4")
+
+
+@pytest.fixture(scope="session")
+def cycle4_gm(cycle4):
+    return build_matrices(cycle4)
+
+
+@pytest.fixture(scope="session")
 def corpus(path4, path5, triangle):
     """path4, path5, the unit triangle, and 20 seeded random connected
     graphs with n <= 7 and weights in (0, 3]."""

@@ -8,11 +8,13 @@ from graphprox import (
     ThresholdBracketError,
     build_matrices,
     compute_kernel,
+    default_checks,
     export_embedding,
     find_threshold,
     kernel_to_sq_dist,
     param_domain,
     run_audit,
+    run_check,
 )
 from graphprox.cli import main
 
@@ -61,6 +63,21 @@ class TestRunAudit:
         coords = export_embedding(triangle, measure, param, str(out))
         assert coords.shape == (3, 3)
         assert out.read_text().startswith("x1,x2,x3\n")
+
+    @pytest.mark.parametrize("measure,param", [("ppr", 0.9), ("heatppr", 1.0)])
+    @pytest.mark.parametrize("graph", ["triangle", "cycle4"])
+    def test_check_all_of_symmetric_matrix_omits_sym_psd(self, request, graph, measure, param):
+        # the kernel's matrix, not the measure, decides the expansion
+        g = request.getfixturevalue(graph)
+        report = run_audit(g, [(measure, param)], checks=None)
+        (result,) = report.results
+        checks = default_checks(True, g.n)
+        assert "sym_psd" not in checks
+        kres = compute_kernel(build_matrices(g), measure, param)
+        assert list(result.checks) == [run_check(c, kres, g) for c in checks]
+        # the JSON flag stays the measure's
+        assert result.symmetric is False
+        assert report.to_dict()["results"][0]["symmetric"] is False
 
     def test_default_checks_add_sym_psd_for_asymmetric(self, path5):
         report = run_audit(path5, [("heatppr", 0.5)], checks=["all"])
@@ -261,6 +278,15 @@ class TestExportEmbedding:
             export_embedding(path4, "heat", 1.0, str(tmp_path / "x.csv"))
         assert not (tmp_path / "x.csv").exists()
 
+    def test_nan_coordinates_rejected(self, tmp_path, path4, monkeypatch):
+        # a NaN reconstruction error compares false with any bound
+        from graphprox import audit
+
+        monkeypatch.setattr(audit, "embed", lambda k: np.full(k.shape, np.nan))
+        with pytest.raises(RuntimeError, match="reconstruction"):
+            export_embedding(path4, "heat", 1.0, str(tmp_path / "x.csv"))
+        assert not (tmp_path / "x.csv").exists()
+
     def test_asymmetric_coordinates_rejected(self, tmp_path, path4, monkeypatch):
         # one ulp passes the reconstruction check, but the writer formats
         # each value once and mirrors it, so it must see exact symmetry
@@ -317,6 +343,16 @@ class TestCli:
         assert code == 0
         assert "FAIL" not in out
         assert "sigma=1" in out
+
+    @pytest.mark.parametrize("measure", ["ppr:0.9", "heatppr:1.0"])
+    def test_audit_of_symmetric_matrix_exit_code(self, tmp_path, capsys, measure):
+        # without sym_psd, which held where psd holds, the exit code stays 0
+        edges = tmp_path / "triangle.txt"
+        edges.write_text("1 2 1\n1 3 1\n2 3 1\n", encoding="utf-8")
+        code = main(["audit", str(edges), "--measure", measure, "--check", "all"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "sym_psd" not in out and "9 check(s): 9 passed, 0 failed" in out
 
     def test_audit_writes_json(self, tmp_path, capsys):
         out_file = tmp_path / "report.json"

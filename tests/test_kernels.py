@@ -6,6 +6,7 @@ import pytest
 
 from graphprox import (
     MEASURES,
+    KernelResult,
     SYMMETRIC_MEASURES,
     ParameterDomainError,
     WeightedGraph,
@@ -272,6 +273,32 @@ class TestKernelResultMetadata:
             assert res.measure == measure
             lo, hi = res.param_domain
             assert lo < res.param < hi
+
+    @pytest.mark.parametrize("measure", ["ppr", "heatppr"])
+    def test_matrix_not_measure_decides_symmetry(
+        self, measure, triangle_gm, cycle4_gm, path4_gm, path5_gm
+    ):
+        # P = W / deg is symmetric exactly where the graph is regular
+        assert measure not in SYMMETRIC_MEASURES
+        assert compute_kernel(triangle_gm, measure, 0.5).symmetric is True
+        assert compute_kernel(cycle4_gm, measure, 0.5).symmetric is True
+        assert compute_kernel(path4_gm, measure, 0.5).symmetric is False
+        assert compute_kernel(path5_gm, measure, 0.5).symmetric is False
+
+    @pytest.mark.parametrize("measure", sorted(SYMMETRIC_MEASURES))
+    def test_symmetric_measures_give_symmetric_matrices(self, measure, corpus, cycle4_gm):
+        for gm in [gm for _, gm in corpus] + [cycle4_gm]:
+            # katz's domain ends at 1/rho(W), below 0.3 on heavier graphs
+            param = min(0.3, param_domain(measure, gm)[1] / 2)
+            assert compute_kernel(gm, measure, param).symmetric is True
+
+    def test_symmetry_is_no_constructor_argument(self):
+        args = ("ppr", 0.5, np.array([[1.0, 2.0], [3.0, 4.0]]), (0.0, 1.0))
+        with pytest.raises(TypeError, match="symmetric"):
+            KernelResult(*args, symmetric=True)
+        with pytest.raises(TypeError):
+            KernelResult(*args, True)
+        assert KernelResult(*args).symmetric is False
 
     def test_matrix_is_immutable(self, path4_gm):
         res = compute_kernel(path4_gm, "regL", 1.0)

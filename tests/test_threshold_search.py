@@ -160,6 +160,16 @@ def test_margin_sign_agrees_with_verdict(path4, prop, measure, params):
             assert (margin >= 0 if holds else margin <= 0), (p, margin)
 
 
+@pytest.mark.parametrize("measure,param", [("ppr", 0.9), ("heatppr", 1.0)])
+def test_psd_margin_of_symmetric_asymmetric_measure(triangle, triangle_gm, measure, param):
+    # on the regular triangle the matrix is symmetric, so psd has a margin
+    kres = compute_kernel(triangle_gm, measure, param)
+    report = run_check("psd", kres, triangle, 1e-9)
+    assert report.note == "smallest eigenvalue"
+    holds, margin = audit._threshold_predicate("psd", triangle.n)(kres, triangle, 1e-9)
+    assert (holds, margin) == (report.holds, report.slack + 1e-9)
+
+
 @pytest.mark.parametrize("prop", ["proximity", "metric", "transitional", "log_psd"])
 def test_properties_without_margin_bisect(path4, prop):
     kres = compute_kernel(build_matrices(path4), "regL", 1.0)

@@ -20,6 +20,9 @@ from graphprox.kernels import MEASURES, SYMMETRIC_MEASURES
 PIN = json.loads((Path(__file__).parent / "verdict_pin.json").read_text(encoding="utf-8"))
 
 
+# The measure's flag, not KernelResult.symmetric, picks the checks, so
+# the pin keeps sym_psd on the triangle for ppr and heatppr, whose
+# matrices there are symmetric and whose '--check all' now omits it.
 def pinned_checks(measure: str, n: int) -> list[str]:
     checks = default_checks(measure in SYMMETRIC_MEASURES, n)
     checks += ["log_metric", "log_proximity", "log_psd"]
