@@ -38,7 +38,7 @@ from .properties import (
     check_sqrt_distance,
     check_transitional,
 )
-from .transforms import embed, kernel_to_sq_dist, log_distance, pair_to_dist, symmetrize_geometric
+from .transforms import embed, kernel_to_sq_dist
 
 __all__ = [
     "CHECKS",
@@ -196,63 +196,18 @@ def _renamed(prop: str, report: PropertyReport) -> PropertyReport:
     return dataclasses.replace(report, property=prop)
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
-
-
-class _Derived(KernelResult):
-    """A kernel result that keeps what the audit checks derive from it.
-
-    Its pair distance, logarithmic distance and logarithmic similarity,
-    and its proximity report at each tolerance, are computed on first use
-    and then kept, so that the checks of one audit derive each of them
-    once. run_audit makes one per kernel; run_check makes a fresh one for
-    any other kernel result. Each derivation looks up its transform or
-    check by module-level name at call time, so a caller may wrap those
-    names.
-    """
-
-    @classmethod
-    def of(cls, kres: KernelResult) -> "_Derived":
-        if isinstance(kres, cls):
-            return kres
-        return cls(kres.measure, kres.param, kres.matrix, kres.param_domain)
-
-    @functools.cached_property
-    def dist(self) -> np.ndarray:
-        return _read_only(pair_to_dist(self.matrix))
-
-    @functools.cached_property
-    def log_dist(self) -> np.ndarray:
-        return _read_only(log_distance(self.matrix))
-
-    @functools.cached_property
-    def log_similarity(self) -> np.ndarray:
-        k = self.matrix
-        return _read_only(np.log(k if self.symmetric else symmetrize_geometric(k)))
-
-    @functools.cached_property
-    def _proximity(self) -> dict[float, PropertyReport]:
-        return {}
-
-    def proximity(self, tol: float) -> PropertyReport:
-        """check_proximity of the matrix at tol."""
-        if tol not in self._proximity:
-            self._proximity[tol] = check_proximity(self.matrix, tol)
-        return self._proximity[tol]
-
-
 # Requestable audit checks, each a function of (kernel result, graph,
 # tolerance). The log_* family evaluates the logarithmic similarity
 # ln(s) and its induced distance; sym_psd tests the symmetrized kernel
 # (K + K^T)/2, the PSD question that remains once an asymmetric measure
 # has failed plain psd by definition; sigma adds the row-sum condition
 # to the proximity report. proximity and sigma read kr.symmetric, which
-# the matrix decides, not the measure: on a regular graph ppr's is. The lambdas
+# the matrix decides, not the measure: on a regular graph ppr's is. The
+# distances, the logarithmic similarity and the proximity scan are the
+# kernel result's, derived once however many checks read them. The lambdas
 # look up the property checks by their module-level names at call time,
 # so a caller may wrap those names.
-_CHECKS: dict[str, Callable[[_Derived, WeightedGraph, float], PropertyReport]] = {
+_CHECKS: dict[str, Callable[[KernelResult, WeightedGraph, float], PropertyReport]] = {
     "psd": lambda kr, g, tol: check_psd(kr.matrix, tol),
     "sym_psd": lambda kr, g, tol: _renamed(
         "sym_psd", check_psd(0.5 * (kr.matrix + kr.matrix.T), tol)
@@ -288,10 +243,11 @@ CHECKS: tuple[str, ...] = tuple(_CHECKS)
 def run_check(
     check: str, kres: KernelResult, g: WeightedGraph, tol: float = DEFAULT_TOL
 ) -> PropertyReport:
-    """Run one named audit check against a computed kernel."""
+    """Run one named audit check against a computed kernel. Checks run on
+    one KernelResult share what they derive from its matrix."""
     if check not in _CHECKS:
         raise ValueError(f"unknown check {check!r} (known: {', '.join(CHECKS)})")
-    return _CHECKS[check](_Derived.of(kres), g, tol)
+    return _CHECKS[check](kres, g, tol)
 
 
 def default_checks(symmetric: bool, n: int) -> list[str]:
@@ -337,8 +293,7 @@ def run_audit(
     gm = build_matrices(g)
     results = []
     for measure, param in measures:
-        # one per kernel, so that its checks share what they derive
-        kres = _Derived.of(compute_kernel(gm, measure, param, rates=rates))
+        kres = compute_kernel(gm, measure, param, rates=rates)
         if checks is None or checks == ["all"]:
             wanted = default_checks(kres.symmetric, g.n)
         else:
@@ -392,7 +347,7 @@ def _threshold_predicate(prop: str, n: int):
         i, j, k, l = _vertex_indices(prop, m, n)
 
         def order_holds(kres, g, tol):
-            d = pair_to_dist(kres.matrix)
+            d = kres.dist
             return bool(d[i, j] < d[k, l]), float(d[k, l] - d[i, j])
 
         return order_holds
@@ -401,7 +356,7 @@ def _threshold_predicate(prop: str, n: int):
         i, j, k = _vertex_indices(prop, m, n)
 
         def triangle_holds(kres, g, tol):
-            d = pair_to_dist(kres.matrix)
+            d = kres.dist
             return bool(d[i, j] + d[j, k] >= d[i, k]), float(d[i, j] + d[j, k] - d[i, k])
 
         return triangle_holds

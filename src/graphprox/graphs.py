@@ -248,11 +248,12 @@ def separation_labels(g: WeightedGraph) -> np.ndarray:
 
 def is_cut_between(g: WeightedGraph, j: int, i: int, k: int) -> bool:
     """True iff removing vertex j disconnects i from k, i.e. every path
-    from i to k visits j. Vertices are 0-based and must be distinct."""
+    from i to k visits j. Vertices are 0-based and must be distinct. Reads
+    the graph's separation table (separation_labels)."""
     for v in (j, i, k):
         if not 0 <= v < g.n:
             raise IndexError(f"vertex {v} out of range for graph of order {g.n}")
     if len({i, j, k}) != 3:
         raise ValueError("vertices i, j, k must be distinct")
-    labels = _labels_without(_neighbours(g.weights), j)
-    return labels[i] != labels[k]
+    comp = separation_labels(g)
+    return bool(comp[j, i] != comp[j, k])

@@ -19,12 +19,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
 from .graphs import GraphMatrices
 from .linalg import NonConvergenceError, invert, is_symmetric, matrix_exp
+from .properties import PropertyReport, check_proximity
+from .transforms import log_distance, pair_to_dist, symmetrize_geometric
 
 __all__ = [
     "ParameterDomainError",
@@ -91,6 +94,11 @@ class ParameterDomainError(ValueError):
     """Kernel parameter outside its open domain."""
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True)
 class KernelResult:
     """A computed similarity matrix tagged with its measure and parameter.
@@ -100,6 +108,13 @@ class KernelResult:
     constructor argument. It may differ from the measure's flag in
     SYMMETRIC_MEASURES: on a regular graph P = W / deg is symmetric, and
     so are the matrices of the asymmetric measures ppr and heatppr.
+
+    What the audit checks derive from the matrix, its pair distance,
+    logarithmic distance and logarithmic similarity, and its proximity
+    report at each tolerance, is computed on first use and then kept, so
+    that every check run on one kernel result derives each of them once.
+    Each derivation looks up its transform or check by module-level name
+    at call time, so a caller may wrap those names.
     """
 
     measure: str
@@ -109,11 +124,36 @@ class KernelResult:
     symmetric: bool = field(init=False)
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=float)
-        m.setflags(write=False)
+        m = _read_only(np.array(self.matrix, dtype=float))
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "param", float(self.param))
         object.__setattr__(self, "symmetric", bool(is_symmetric(m)))
+
+    @cached_property
+    def dist(self) -> np.ndarray:
+        """pair_to_dist of the matrix, the induced distance."""
+        return _read_only(pair_to_dist(self.matrix))
+
+    @cached_property
+    def log_dist(self) -> np.ndarray:
+        """log_distance of the matrix."""
+        return _read_only(log_distance(self.matrix))
+
+    @cached_property
+    def log_similarity(self) -> np.ndarray:
+        """ln of the matrix, geometrically symmetrized first if asymmetric."""
+        k = self.matrix
+        return _read_only(np.log(k if self.symmetric else symmetrize_geometric(k)))
+
+    @cached_property
+    def _proximity(self) -> dict[float, PropertyReport]:
+        return {}
+
+    def proximity(self, tol: float) -> PropertyReport:
+        """check_proximity of the matrix at tol."""
+        if tol not in self._proximity:
+            self._proximity[tol] = check_proximity(self.matrix, tol)
+        return self._proximity[tol]
 
 
 def param_domain(measure: str, gm: GraphMatrices) -> tuple[float, float]:

@@ -14,6 +14,9 @@ import numpy as np
 
 from .linalg import gram_factor, is_symmetric
 
+_TINY = float(np.finfo(float).tiny)
+_HUGE = float(np.finfo(float).max)
+
 __all__ = [
     "kernel_to_sq_dist",
     "pair_to_dist",
@@ -79,13 +82,32 @@ def dist_to_sigma_prox(d: np.ndarray, sigma: float) -> np.ndarray:
     return 0.5 * (k + k.T)
 
 
+def _normal(x: np.ndarray) -> np.ndarray:
+    """Entries of a nonnegative array that are normal floats; NaN is not."""
+    return (x >= _TINY) & (x <= _HUGE)
+
+
 def log_distance(s: np.ndarray) -> np.ndarray:
     """d_ij = ln sqrt(s_ii s_jj / (s_ij s_ji)) for a strictly positive
     similarity matrix; for transitional measures this is a cutpoint
-    additive distance."""
+    additive distance.
+
+    Where s_ii s_jj, s_ij s_ji or their ratio leaves the normal float
+    range, that entry is 0.5 ((ln s_ii + ln s_jj) - (ln s_ij + ln s_ji)),
+    which takes the logs before the products; every other entry keeps the
+    products' rounding."""
     a = _require_positive(s, "log_distance")
     dg = np.diag(a)
-    d = 0.5 * np.log(np.outer(dg, dg) / (a * a.T))
+    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
+        num = np.outer(dg, dg)
+        den = a * a.T
+        ratio = num / den
+    i, j = np.nonzero(~(_normal(num) & _normal(den) & _normal(ratio)))
+    ratio[i, j] = 1.0  # keeps the log below finite; replaced after it
+    d = 0.5 * np.log(ratio)
+    if i.size:
+        ln_dg = np.log(dg)
+        d[i, j] = 0.5 * ((ln_dg[i] + ln_dg[j]) - (np.log(a[i, j]) + np.log(a[j, i])))
     np.fill_diagonal(d, 0.0)
     return d
 

@@ -490,6 +490,24 @@ class TestCli:
         assert "Traceback" not in err
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("n,measure,check", [
+        (80, "regL:0.001", "cutpoint_additive"),
+        (80, "regL:0.001", "log_metric"),
+        (40, "absorp:10000", "cutpoint_additive"),
+        (40, "absorp:10000", "all"),
+    ])
+    def test_log_distance_of_normal_entries_gets_a_verdict(
+        self, tmp_path, capsys, n, measure, check
+    ):
+        # every kernel entry is a normal float, but s_ii s_jj or s_ij s_ji
+        # under- or overflows on these long unit paths
+        edges = tmp_path / "path.txt"
+        edges.write_text("".join(f"{i} {i + 1} 1\n" for i in range(1, n)), encoding="utf-8")
+        code = main(["audit", str(edges), "--measure", measure, "--check", check])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (0, "")
+        assert "FAIL" not in captured.out
+
     @pytest.mark.parametrize("argv", [
         ["audit", "paper:path4", "--measure", "heat:nan", "--check", "psd"],
         ["audit", "paper:path4", "--measure", "heat:inf", "--check", "psd"],

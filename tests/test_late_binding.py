@@ -3,9 +3,11 @@ name exists.
 
 A caller may wrap a public function where another module looks it up,
 as the per-layer tracer in perfbench/spans.py does: compute_kernel must
-reach each kernel through graphprox.kernels, and the audit checks must
-reach each property check and transform through graphprox.audit. A
-table that held the functions themselves would bypass the wrapper.
+reach each kernel through graphprox.kernels, the audit checks must reach
+each property check and transform through graphprox.audit, and a kernel
+result must reach what it derives its distances and proximity scan with
+through graphprox.kernels. A table that held the functions themselves
+would bypass the wrapper.
 """
 
 import importlib
@@ -32,14 +34,18 @@ KERNEL_FUNCTIONS = {
     "heatppr": "pagerank_heat",
 }
 
-# The property checks and transforms the audit module calls by name.
-AUDIT_NAMES = sorted(
-    name
-    for name, obj in vars(audit).items()
+# The property checks and transforms the audit checks call by name, each
+# with the module that looks it up: audit, or kernels for what a kernel
+# result derives.
+AUDIT_BINDINGS = [
+    (module, name)
+    for module in (audit, kernels)
+    for name, obj in sorted(vars(module).items())
     if isinstance(obj, types.FunctionType)
     and not name.startswith("_")
     and obj.__module__ in ("graphprox.properties", "graphprox.transforms")
-)
+]
+AUDIT_NAMES = {name for _, name in AUDIT_BINDINGS}
 # Transforms that only export_embedding calls, not any check.
 EMBED_ONLY = {"embed", "kernel_to_sq_dist"}
 
@@ -69,11 +75,22 @@ def test_audit_names_cover_checks_and_transforms():
         "embed", "kernel_to_sq_dist", "log_distance", "pair_to_dist", "symmetrize_geometric",
     }
     assert len([n for n in AUDIT_NAMES if n.startswith("check_")]) == 9
+    # a kernel result derives its distances and proximity scan itself
+    assert {n for m, n in AUDIT_BINDINGS if m is kernels} == {
+        "check_proximity", "log_distance", "pair_to_dist", "symmetrize_geometric",
+    }
 
 
-@pytest.mark.parametrize("name", AUDIT_NAMES)
-def test_audit_sees_a_wrapped_check_or_transform(monkeypatch, tmp_path, path4, path4_gm, name):
-    calls = wrap_counting(monkeypatch, audit, name)
+def binding_id(binding) -> str:
+    module, name = binding
+    return name if module is audit else f"kernels.{name}"
+
+
+@pytest.mark.parametrize("module,name", AUDIT_BINDINGS, ids=map(binding_id, AUDIT_BINDINGS))
+def test_audit_sees_a_wrapped_check_or_transform(
+    monkeypatch, tmp_path, path4, path4_gm, module, name
+):
+    calls = wrap_counting(monkeypatch, module, name)
     if name in EMBED_ONLY:
         export_embedding(path4, "heat", 1.0, str(tmp_path / "x.csv"))
     else:

@@ -132,6 +132,18 @@ class TestLogDistance:
         k = regularized_laplacian(path4_gm, 2.0).matrix
         npt.assert_allclose(log_distance(17.0 * k), log_distance(k), atol=1e-12)
 
+    def test_products_out_of_range_take_logs_first(self):
+        # s_11 s_22 overflows and s_23 s_32 underflows; s_13 and s_31 are
+        # in range, so d_13 keeps the linear form bit for bit
+        s = np.array([[1e200, 1.0, 2.0], [1.0, 1e200, 1e-170], [3.0, 1e-170, 5.0]])
+        ln = np.log(s)
+        by_logs = 0.5 * ((np.diag(ln)[:, None] + np.diag(ln)[None, :]) - (ln + ln.T))
+        np.fill_diagonal(by_logs, 0.0)
+        d = log_distance(s)
+        assert np.isfinite(d).all()
+        npt.assert_allclose(d, by_logs, rtol=1e-14)
+        assert d[0, 2] == d[2, 0] == 0.5 * np.log(1e200 * 5.0 / (2.0 * 3.0))
+
     def test_rejects_nonpositive_entries_with_location(self):
         s = np.ones((3, 3))
         s[1, 2] = s[2, 1] = 0.0

@@ -24,7 +24,6 @@ from graphprox import (
     check_sqrt_distance,
     check_transitional,
     compute_kernel,
-    is_cut_between,
     log_distance,
     pair_to_dist,
     param_domain,
@@ -35,6 +34,7 @@ from graphprox import properties
 from graphprox.kernels import MEASURES
 
 from oracles import (
+    cut_by_bfs,
     random_connected_graph,
     reference_cutpoint_additive,
     reference_egocentrism,
@@ -183,7 +183,7 @@ def assert_labels_match_cuts(g: WeightedGraph) -> None:
         for i in range(g.n):
             for k in range(g.n):
                 if len({i, j, k}) == 3:
-                    assert (comp[j, i] != comp[j, k]) == is_cut_between(g, j, i, k)
+                    assert (comp[j, i] != comp[j, k]) == cut_by_bfs(g, j, i, k)
 
 
 @settings(max_examples=30, deadline=None)

@@ -1,10 +1,12 @@
 """Each piece of per-command work is done once.
 
-An audit derives each kernel's pair distance, logarithmic distance and
-logarithmic similarity once, and scans it for the proximity triangle
-once, for `proximity` and `sigma` together; its reports still equal
-those of one fresh run_check per check. A process builds its parser
-once, and the help text still wraps to the terminal.
+A kernel result derives its pair distance, logarithmic distance and
+logarithmic similarity once, and scans its matrix for the proximity
+triangle once, for `proximity` and `sigma` together, whether an audit
+or repeated run_check calls read them; an audit's reports still equal
+those of one run_check per check on a fresh kernel result. A threshold
+evaluation builds one kernel result. A process builds its parser once,
+and the help text still wraps to the terminal.
 """
 
 import textwrap
@@ -16,12 +18,14 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from graphprox import (
+    KernelResult,
     WeightedGraph,
-    audit,
     build_matrices,
     check_sigma_proximity,
     cli,
     compute_kernel,
+    find_threshold,
+    kernels,
     param_domain,
     run_audit,
     run_check,
@@ -41,13 +45,15 @@ def audit_checks(measure, n):
 
 
 def fresh_reports(g, gm, measure, param, checks, tol):
-    """One run_check per check, each on the bare kernel result, under the
-    floating-point guard run_audit sets; the first error ends the list."""
-    kres = compute_kernel(gm, measure, param)
+    """One run_check per check, each on a kernel result of its own, so
+    that no check reads what another derived, under the floating-point
+    guard run_audit sets; the first error ends the list."""
+    base = compute_kernel(gm, measure, param)
     reports = []
     with np.errstate(over="raise", divide="raise", invalid="raise"):
         for check in checks:
             try:
+                kres = KernelResult(base.measure, base.param, base.matrix, base.param_domain)
                 reports.append(run_check(check, kres, g, tol))
             except (ValueError, FloatingPointError) as exc:
                 return reports, exc
@@ -96,18 +102,44 @@ def test_audit_reports_equal_one_fresh_check_each(n, seed, long_path, measure, f
         assert got[checks.index("sigma")] == check_sigma_proximity(kres.matrix, tol)
 
 
-def test_symmetric_kernel_derives_and_scans_once(monkeypatch, capsys):
+def count_calls(monkeypatch, module, names) -> Counter:
     calls = Counter()
-    for name in ("check_proximity", "pair_to_dist", "log_distance"):
-        def counted(*args, _name=name, _real=getattr(audit, name), **kwargs):
+    for name in names:
+        def counted(*args, _name=name, _real=getattr(module, name), **kwargs):
             calls[_name] += 1
             return _real(*args, **kwargs)
 
-        monkeypatch.setattr(audit, name, counted)
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_symmetric_kernel_derives_and_scans_once(monkeypatch, capsys):
+    calls = count_calls(monkeypatch, kernels, ("check_proximity", "pair_to_dist", "log_distance"))
     code = main(["audit", "paper:path5", "--measure", "regL:1.0", "--check", "all"])
     capsys.readouterr()
     assert code in (0, 1)
     assert calls == {"check_proximity": 1, "pair_to_dist": 1, "log_distance": 1}
+
+
+def test_run_check_calls_share_the_kernel_results_distance(monkeypatch, path4):
+    calls = count_calls(monkeypatch, kernels, ("pair_to_dist",))
+    kres = compute_kernel(build_matrices(path4), "regL", 1.0)
+    for check in ("metric", "sqrt_distance"):
+        run_check(check, kres, path4)
+    assert calls == {"pair_to_dist": 1}
+
+
+def test_threshold_evaluation_builds_one_kernel_result(monkeypatch, path4):
+    built = []
+    real = kernels.KernelResult.__post_init__
+
+    def counted(self):
+        built.append(self)
+        real(self)
+
+    monkeypatch.setattr(kernels.KernelResult, "__post_init__", counted)
+    result = find_threshold(path4, "ppr", "sym_psd", 0.9, 0.999)
+    assert len(built) == result.evaluations
 
 
 def test_two_main_calls_build_one_parser(monkeypatch, capsys):
