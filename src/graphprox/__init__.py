@@ -18,10 +18,8 @@ from .audit import (
 from .graphs import (
     BUILTIN_GRAPHS,
     GraphFormatError,
-    GraphMatrices,
     GraphValidationError,
     WeightedGraph,
-    build_matrices,
     builtin_graph,
     is_cut_between,
     load_graph,

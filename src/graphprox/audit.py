@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from ._version import __version__
-from .graphs import WeightedGraph, build_matrices
+from .graphs import WeightedGraph
 from .kernels import SYMMETRIC_MEASURES, KernelResult, compute_kernel
 from .properties import (
     DEFAULT_TOL,
@@ -247,6 +247,7 @@ def run_check(
     one KernelResult share what they derive from its matrix."""
     if check not in _CHECKS:
         raise ValueError(f"unknown check {check!r} (known: {', '.join(CHECKS)})")
+    _check_tol(tol)
     return _CHECKS[check](kres, g, tol)
 
 
@@ -290,10 +291,9 @@ def run_audit(
     checks=None or ["all"] expands per measure via default_checks.
     """
     _check_tol(tol)
-    gm = build_matrices(g)
     results = []
     for measure, param in measures:
-        kres = compute_kernel(gm, measure, param, rates=rates)
+        kres = compute_kernel(g, measure, param, rates=rates)
         if checks is None or checks == ["all"]:
             wanted = default_checks(kres.symmetric, g.n)
         else:
@@ -434,7 +434,6 @@ def find_threshold(
     if not lo < hi:
         raise ValueError("bracket must satisfy lo < hi")
     _check_tol(tol)
-    gm = build_matrices(g)
     predicate = _threshold_predicate(prop, g.n)
 
     evaluations = 0
@@ -442,7 +441,7 @@ def find_threshold(
     def holds_at(param: float) -> tuple[bool, float | None]:
         nonlocal evaluations
         evaluations += 1
-        kres = compute_kernel(gm, measure, param, rates=rates)
+        kres = compute_kernel(g, measure, param, rates=rates)
         return predicate(kres, g, tol)
 
     holds_lo, m_lo = holds_at(lo)
@@ -498,8 +497,7 @@ def export_embedding(
     Raises NotPositiveSemidefiniteError for indefinite kernels and
     ValueError for asymmetric ones (no embedding exists either way).
     """
-    gm = build_matrices(g)
-    kres = compute_kernel(gm, measure, param, rates=rates)
+    kres = compute_kernel(g, measure, param, rates=rates)
     if not kres.symmetric:
         raise ValueError(
             f"{measure} is not symmetric, hence not positive semidefinite: "

@@ -19,11 +19,9 @@ __all__ = [
     "GraphFormatError",
     "GraphValidationError",
     "WeightedGraph",
-    "GraphMatrices",
     "load_graph",
     "builtin_graph",
     "BUILTIN_GRAPHS",
-    "build_matrices",
     "separation_labels",
     "is_cut_between",
 ]
@@ -40,10 +38,9 @@ class GraphValidationError(ValueError):
     non-positive weight, duplicate edge, disconnected graph, ...)."""
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=float)
-    out.setflags(write=False)
-    return out
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 def _neighbours(weights: np.ndarray) -> list[list[int]]:
@@ -80,12 +77,23 @@ def _is_connected(weights: np.ndarray) -> bool:
     return max(_labels_without(_neighbours(weights), -1)) == 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightedGraph:
     """Connected undirected graph given by a symmetric nonnegative weight
-    matrix with zero diagonal. Immutable after construction."""
+    matrix with zero diagonal. Immutable after construction; graphs
+    compare by identity.
 
-    n: int
+    Its fundamental matrices are computed on first use and then kept,
+    each read-only:
+
+    weights          W, symmetric nonnegative
+    degree           D = Diag(W 1)
+    laplacian        L = D - W, zero row sums
+    norm_laplacian   D^(-1/2) L D^(-1/2)
+    markov           P = D^(-1) W, row stochastic
+    rho              spectral radius of W
+    """
+
     weights: np.ndarray
     name: str = "graph"
 
@@ -93,11 +101,7 @@ class WeightedGraph:
         w = np.array(self.weights, dtype=float)
         if w.ndim != 2 or w.shape[0] != w.shape[1]:
             raise GraphValidationError("weight matrix must be square")
-        if w.shape[0] != self.n:
-            raise GraphValidationError(
-                f"vertex count {self.n} does not match weight matrix of order {w.shape[0]}"
-            )
-        if self.n < 2:
+        if w.shape[0] < 2:
             raise GraphValidationError("graph must have at least 2 vertices")
         if not np.isfinite(w).all():
             raise GraphValidationError("weights must be finite")
@@ -109,7 +113,34 @@ class WeightedGraph:
             raise GraphValidationError("self-loops are not allowed")
         if not _is_connected(w):
             raise GraphValidationError("graph must be connected")
-        object.__setattr__(self, "weights", _frozen(w))
+        object.__setattr__(self, "weights", _read_only(w))
+
+    @property
+    def n(self) -> int:
+        return self.weights.shape[0]
+
+    # Connectivity with n >= 2 guarantees every degree is positive.
+    @cached_property
+    def degree(self) -> np.ndarray:
+        return _read_only(np.diag(self.weights.sum(axis=1)))
+
+    @cached_property
+    def laplacian(self) -> np.ndarray:
+        return _read_only(self.degree - self.weights)
+
+    @cached_property
+    def norm_laplacian(self) -> np.ndarray:
+        inv_sqrt = np.diag(1.0 / np.sqrt(self.weights.sum(axis=1)))
+        norm_laplacian = inv_sqrt @ self.laplacian @ inv_sqrt
+        return _read_only(0.5 * (norm_laplacian + norm_laplacian.T))
+
+    @cached_property
+    def markov(self) -> np.ndarray:
+        return _read_only(self.weights / self.weights.sum(axis=1)[:, None])
+
+    @cached_property
+    def rho(self) -> float:
+        return spectral_radius(self.weights)
 
     @cached_property
     def _separation(self) -> np.ndarray:
@@ -120,36 +151,7 @@ class WeightedGraph:
             [_labels_without(neighbours, j) for j in range(self.n)],
             dtype=np.min_scalar_type(-max(self.n, 1)),
         )
-        comp.setflags(write=False)
-        return comp
-
-
-@dataclass(frozen=True)
-class GraphMatrices:
-    """The five fundamental matrices of a weighted graph.
-
-    weights          W, symmetric nonnegative
-    degree           D = Diag(W 1)
-    laplacian        L = D - W, zero row sums
-    norm_laplacian   D^(-1/2) L D^(-1/2)
-    markov           P = D^(-1) W, row stochastic
-    """
-
-    graph: WeightedGraph
-    weights: np.ndarray
-    degree: np.ndarray
-    laplacian: np.ndarray
-    norm_laplacian: np.ndarray
-    markov: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.graph.n
-
-    @cached_property
-    def rho(self) -> float:
-        """Spectral radius of W, computed on first use and then kept."""
-        return spectral_radius(self.weights)
+        return _read_only(comp)
 
 
 # Weighted paths 1-2-3-4 (edge weights 2, 1, 2) and 1-2-3-4-5
@@ -202,7 +204,7 @@ def load_graph(source: str, name: str = "graph") -> WeightedGraph:
     for (i, j), w in edges.items():
         weights[i - 1, j - 1] = w
         weights[j - 1, i - 1] = w
-    return WeightedGraph(max_vertex, weights, name=name)
+    return WeightedGraph(weights, name=name)
 
 
 def builtin_graph(name: str) -> WeightedGraph:
@@ -213,27 +215,6 @@ def builtin_graph(name: str) -> WeightedGraph:
         known = ", ".join(sorted(BUILTIN_GRAPHS))
         raise KeyError(f"unknown built-in graph {name!r} (known: {known})") from None
     return load_graph(text, name=name)
-
-
-def build_matrices(g: WeightedGraph) -> GraphMatrices:
-    """Construct W, D, L, the normalized Laplacian, and the Markov matrix."""
-    w = np.array(g.weights)
-    d = w.sum(axis=1)
-    # Connectivity with n >= 2 guarantees every degree is positive.
-    degree = np.diag(d)
-    laplacian = degree - w
-    inv_sqrt = np.diag(1.0 / np.sqrt(d))
-    norm_laplacian = inv_sqrt @ laplacian @ inv_sqrt
-    norm_laplacian = 0.5 * (norm_laplacian + norm_laplacian.T)
-    markov = w / d[:, None]
-    return GraphMatrices(
-        graph=g,
-        weights=_frozen(w),
-        degree=_frozen(degree),
-        laplacian=_frozen(laplacian),
-        norm_laplacian=_frozen(norm_laplacian),
-        markov=_frozen(markov),
-    )
 
 
 def separation_labels(g: WeightedGraph) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""The ten similarity measures, each mapping graph matrices plus one
+"""The ten similarity measures, each mapping a weighted graph plus one
 parameter to a KernelResult.
 
 Measure names used throughout the library, reports, and the CLI:
@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .graphs import GraphMatrices
+from .graphs import WeightedGraph, _read_only
 from .linalg import NonConvergenceError, invert, is_symmetric, matrix_exp
 from .properties import PropertyReport, check_proximity
 from .transforms import log_distance, pair_to_dist, symmetrize_geometric
@@ -59,31 +59,31 @@ class _Measure:
     of its parameter, whether its matrix is symmetric on every graph, and
     the upper end of its open parameter domain, whose lower end is always
     0. An upper end of None stands for 1/rho(W), which depends on the
-    graph. compute maps (graph matrices, parameter, absorption rates or
-    None) to the kernel; it calls the public function by its module-level
-    name at call time, so a caller may wrap that name."""
+    graph. compute maps (graph, parameter, absorption rates or None) to
+    the kernel; it calls the public function by its module-level name at
+    call time, so a caller may wrap that name."""
 
     param: str
     symmetric: bool
     upper: float | None
-    compute: Callable[[GraphMatrices, float, np.ndarray | None], KernelResult]
+    compute: Callable[[WeightedGraph, float, np.ndarray | None], KernelResult]
 
 
 _SPECS: dict[str, _Measure] = {
-    "katz": _Measure("alpha", True, None, lambda gm, p, r: katz(gm, p)),
-    "comm": _Measure("t", True, math.inf, lambda gm, p, r: communicability(gm, p)),
-    "dfact": _Measure("t", True, math.inf, lambda gm, p, r: double_factorial(gm, p)),
-    "heat": _Measure("t", True, math.inf, lambda gm, p, r: heat(gm, p)),
-    "nheat": _Measure("t", True, math.inf, lambda gm, p, r: normalized_heat(gm, p)),
-    "regL": _Measure("t", True, math.inf, lambda gm, p, r: regularized_laplacian(gm, p)),
+    "katz": _Measure("alpha", True, None, lambda g, p, r: katz(g, p)),
+    "comm": _Measure("t", True, math.inf, lambda g, p, r: communicability(g, p)),
+    "dfact": _Measure("t", True, math.inf, lambda g, p, r: double_factorial(g, p)),
+    "heat": _Measure("t", True, math.inf, lambda g, p, r: heat(g, p)),
+    "nheat": _Measure("t", True, math.inf, lambda g, p, r: normalized_heat(g, p)),
+    "regL": _Measure("t", True, math.inf, lambda g, p, r: regularized_laplacian(g, p)),
     # rates default to all ones, which reduce absorp to a rescaled regL
     "absorp": _Measure(
         "t", True, math.inf,
-        lambda gm, p, r: absorption(gm, np.ones(gm.n) if r is None else r, p),
+        lambda g, p, r: absorption(g, np.ones(g.n) if r is None else r, p),
     ),
-    "ppr": _Measure("alpha", False, 1.0, lambda gm, p, r: ppr(gm, p)),
-    "modifppr": _Measure("alpha", True, 1.0, lambda gm, p, r: modified_ppr(gm, p)),
-    "heatppr": _Measure("t", False, math.inf, lambda gm, p, r: pagerank_heat(gm, p)),
+    "ppr": _Measure("alpha", False, 1.0, lambda g, p, r: ppr(g, p)),
+    "modifppr": _Measure("alpha", True, 1.0, lambda g, p, r: modified_ppr(g, p)),
+    "heatppr": _Measure("t", False, math.inf, lambda g, p, r: pagerank_heat(g, p)),
 }
 
 MEASURES: tuple[str, ...] = tuple(_SPECS)
@@ -94,14 +94,10 @@ class ParameterDomainError(ValueError):
     """Kernel parameter outside its open domain."""
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KernelResult:
-    """A computed similarity matrix tagged with its measure and parameter.
+    """A computed similarity matrix tagged with its measure and parameter;
+    kernel results compare by identity.
 
     symmetric tells whether this matrix is symmetric, to linalg's
     tolerance; it is decided once, from the matrix, and is not a
@@ -156,19 +152,19 @@ class KernelResult:
         return self._proximity[tol]
 
 
-def param_domain(measure: str, gm: GraphMatrices) -> tuple[float, float]:
+def param_domain(measure: str, g: WeightedGraph) -> tuple[float, float]:
     """Open interval of valid parameters for a measure on this graph."""
     if measure not in _SPECS:
         raise ValueError(f"unknown measure {measure!r}")
     upper = _SPECS[measure].upper
-    return (0.0, 1.0 / gm.rho if upper is None else upper)
+    return (0.0, 1.0 / g.rho if upper is None else upper)
 
 
-def _kernel(measure: str, gm: GraphMatrices, param: float, formula) -> KernelResult:
+def _kernel(measure: str, g: WeightedGraph, param: float, formula) -> KernelResult:
     """Check param against the measure's domain, then evaluate formula()
     and tag the matrix with the measure, parameter and domain."""
     spec = _SPECS[measure]
-    lo, hi = dom = param_domain(measure, gm)
+    lo, hi = dom = param_domain(measure, g)
     # The domain is open; resolvents blow up at its ends, so values within
     # 1e-12 of a boundary are rejected too. NaN fails every comparison,
     # hence the explicit finiteness test.
@@ -186,17 +182,17 @@ def _kernel(measure: str, gm: GraphMatrices, param: float, formula) -> KernelRes
     return KernelResult(measure, param, formula(), dom)
 
 
-def katz(gm: GraphMatrices, alpha: float) -> KernelResult:
+def katz(g: WeightedGraph, alpha: float) -> KernelResult:
     """Walk-counting resolvent (I - alpha W)^-1, alpha below 1/rho(W)."""
-    return _kernel("katz", gm, alpha, lambda: invert(np.eye(gm.n) - alpha * gm.weights))
+    return _kernel("katz", g, alpha, lambda: invert(np.eye(g.n) - alpha * g.weights))
 
 
-def communicability(gm: GraphMatrices, t: float) -> KernelResult:
+def communicability(g: WeightedGraph, t: float) -> KernelResult:
     """exp(t W); positive semidefinite for every t > 0."""
-    return _kernel("comm", gm, t, lambda: matrix_exp(t * gm.weights))
+    return _kernel("comm", g, t, lambda: matrix_exp(t * g.weights))
 
 
-def double_factorial(gm: GraphMatrices, t: float) -> KernelResult:
+def double_factorial(g: WeightedGraph, t: float) -> KernelResult:
     """Series sum_k t^k / k!! W^k with 0!! = 1!! = 1, k!! = k (k-2)!!.
 
     The series converges for every t since k!! outgrows any geometric
@@ -207,7 +203,7 @@ def double_factorial(gm: GraphMatrices, t: float) -> KernelResult:
     symmetrized, since rounding in the matrix products leaves W's
     symmetry only approximately intact on large entries.
     """
-    return _kernel("dfact", gm, t, lambda: _double_factorial_series(t * gm.weights))
+    return _kernel("dfact", g, t, lambda: _double_factorial_series(t * g.weights))
 
 
 def _double_factorial_series(tw: np.ndarray) -> np.ndarray:
@@ -231,54 +227,54 @@ def _double_factorial_series(tw: np.ndarray) -> np.ndarray:
     )
 
 
-def heat(gm: GraphMatrices, t: float) -> KernelResult:
+def heat(g: WeightedGraph, t: float) -> KernelResult:
     """Laplacian heat kernel exp(-t L); rows sum to 1 since L 1 = 0."""
-    return _kernel("heat", gm, t, lambda: matrix_exp(-t * gm.laplacian))
+    return _kernel("heat", g, t, lambda: matrix_exp(-t * g.laplacian))
 
 
-def normalized_heat(gm: GraphMatrices, t: float) -> KernelResult:
+def normalized_heat(g: WeightedGraph, t: float) -> KernelResult:
     """Heat kernel of the normalized Laplacian; row sums are not constant."""
-    return _kernel("nheat", gm, t, lambda: matrix_exp(-t * gm.norm_laplacian))
+    return _kernel("nheat", g, t, lambda: matrix_exp(-t * g.norm_laplacian))
 
 
-def regularized_laplacian(gm: GraphMatrices, t: float) -> KernelResult:
+def regularized_laplacian(g: WeightedGraph, t: float) -> KernelResult:
     """Forest kernel (I + t L)^-1: PSD, row stochastic, entrywise positive."""
-    return _kernel("regL", gm, t, lambda: invert(np.eye(gm.n) + t * gm.laplacian))
+    return _kernel("regL", g, t, lambda: invert(np.eye(g.n) + t * g.laplacian))
 
 
-def absorption(gm: GraphMatrices, rates: np.ndarray, t: float) -> KernelResult:
+def absorption(g: WeightedGraph, rates: np.ndarray, t: float) -> KernelResult:
     """(t Diag(rates) + L)^-1 for strictly positive absorption rates."""
 
     def formula():
         a = np.asarray(rates, dtype=float)
-        if a.shape != (gm.n,):
-            raise ValueError(f"expected {gm.n} absorption rates, got shape {a.shape}")
+        if a.shape != (g.n,):
+            raise ValueError(f"expected {g.n} absorption rates, got shape {a.shape}")
         if not np.isfinite(a).all() or a.min() <= 0:
             raise ValueError("absorption rates must be positive")
-        return invert(t * np.diag(a) + gm.laplacian)
+        return invert(t * np.diag(a) + g.laplacian)
 
-    return _kernel("absorp", gm, t, formula)
+    return _kernel("absorp", g, t, formula)
 
 
-def ppr(gm: GraphMatrices, alpha: float) -> KernelResult:
+def ppr(g: WeightedGraph, alpha: float) -> KernelResult:
     """Personalized PageRank (I - alpha P)^-1; asymmetric, rows sum to
     1/(1 - alpha)."""
-    return _kernel("ppr", gm, alpha, lambda: invert(np.eye(gm.n) - alpha * gm.markov))
+    return _kernel("ppr", g, alpha, lambda: invert(np.eye(g.n) - alpha * g.markov))
 
 
-def modified_ppr(gm: GraphMatrices, alpha: float) -> KernelResult:
+def modified_ppr(g: WeightedGraph, alpha: float) -> KernelResult:
     """(D - alpha W)^-1, the symmetric PSD variant of personalized
     PageRank; equals ppr's matrix times D^-1."""
-    return _kernel("modifppr", gm, alpha, lambda: invert(gm.degree - alpha * gm.weights))
+    return _kernel("modifppr", g, alpha, lambda: invert(g.degree - alpha * g.weights))
 
 
-def pagerank_heat(gm: GraphMatrices, t: float) -> KernelResult:
+def pagerank_heat(g: WeightedGraph, t: float) -> KernelResult:
     """exp(-t (I - P)); asymmetric, rows sum to 1."""
-    return _kernel("heatppr", gm, t, lambda: matrix_exp(-t * (np.eye(gm.n) - gm.markov)))
+    return _kernel("heatppr", g, t, lambda: matrix_exp(-t * (np.eye(g.n) - g.markov)))
 
 
 def compute_kernel(
-    gm: GraphMatrices,
+    g: WeightedGraph,
     measure: str,
     param: float,
     rates: np.ndarray | None = None,
@@ -288,4 +284,4 @@ def compute_kernel(
     spec = _SPECS.get(measure)
     if spec is None:
         raise ValueError(f"unknown measure {measure!r} (known: {', '.join(MEASURES)})")
-    return spec.compute(gm, param, rates)
+    return spec.compute(g, param, rates)

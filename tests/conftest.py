@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from graphprox import WeightedGraph, build_matrices, builtin_graph
+from graphprox import WeightedGraph, builtin_graph
 
 from oracles import random_connected_graph
 
@@ -21,40 +21,20 @@ def path4():
 
 
 @pytest.fixture(scope="session")
-def path4_gm(path4):
-    return build_matrices(path4)
-
-
-@pytest.fixture(scope="session")
 def path5():
     return builtin_graph("paper:path5")
 
 
 @pytest.fixture(scope="session")
-def path5_gm(path5):
-    return build_matrices(path5)
-
-
-@pytest.fixture(scope="session")
 def triangle():
     w = np.array([[0, 1, 1], [1, 0, 1], [1, 1, 0]], dtype=float)
-    return WeightedGraph(3, w, name="triangle")
-
-
-@pytest.fixture(scope="session")
-def triangle_gm(triangle):
-    return build_matrices(triangle)
+    return WeightedGraph(w, name="triangle")
 
 
 @pytest.fixture(scope="session")
 def cycle4():
     w = np.array([[0, 1, 0, 1], [1, 0, 1, 0], [0, 1, 0, 1], [1, 0, 1, 0]], dtype=float)
-    return WeightedGraph(4, w, name="cycle4")
-
-
-@pytest.fixture(scope="session")
-def cycle4_gm(cycle4):
-    return build_matrices(cycle4)
+    return WeightedGraph(w, name="cycle4")
 
 
 @pytest.fixture(scope="session")
@@ -66,4 +46,4 @@ def corpus(path4, path5, triangle):
     for idx in range(20):
         n = 3 + idx % 5  # sizes 3..7
         graphs.append(random_connected_graph(rng, n, name=f"random{idx}"))
-    return [(g, build_matrices(g)) for g in graphs]
+    return graphs

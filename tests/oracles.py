@@ -9,8 +9,10 @@ question instead of the library's separation table. The reference_* triple
 checks at the end are the library's former scalar loops, kept to pin the
 vectorized checks to the exact reports those loops gave,
 reference_embedding_csv is the library's former CSV writer, kept to pin
-export_embedding's bytes, and reference_invert is the library's former
-Gauss-Jordan loop, kept to pin invert's bytes.
+export_embedding's bytes, reference_invert is the library's former
+Gauss-Jordan loop, kept to pin invert's bytes, and reference_matrices is
+the library's former build_matrices, kept to pin the bytes of the
+matrices a graph caches.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ import numpy as np
 
 from graphprox import (
     DEFAULT_TOL,
-    GraphMatrices,
     PropertyReport,
     WeightedGraph,
     is_symmetric,
@@ -44,29 +45,29 @@ def neumann_series(n_matrix: np.ndarray, tol: float = 1e-14, max_terms: int = 20
 
 
 def resolvent_oracle(
-    measure: str, gm: GraphMatrices, param: float, rates: np.ndarray | None = None
+    measure: str, g: WeightedGraph, param: float, rates: np.ndarray | None = None
 ) -> np.ndarray:
     """Series evaluation of each resolvent kernel.
 
     Every case is rewritten as c^-1 (I - N)^-1 with N nonnegative and
     row sums below one, so the series converges for any valid parameter.
     """
-    eye = np.eye(gm.n)
+    eye = np.eye(g.n)
     if measure == "katz":
-        return neumann_series(param * gm.weights)
+        return neumann_series(param * g.weights)
     if measure == "ppr":
-        return neumann_series(param * gm.markov)
+        return neumann_series(param * g.markov)
     if measure == "modifppr":
-        d_inv = np.diag(1.0 / np.diag(gm.degree))
-        return neumann_series(param * gm.markov) @ d_inv
+        d_inv = np.diag(1.0 / np.diag(g.degree))
+        return neumann_series(param * g.markov) @ d_inv
     if measure == "regL":
-        c = 1.0 + param * np.diag(gm.laplacian).max()
-        n_mat = ((c - 1.0) * eye - param * gm.laplacian) / c
+        c = 1.0 + param * np.diag(g.laplacian).max()
+        n_mat = ((c - 1.0) * eye - param * g.laplacian) / c
         return neumann_series(n_mat) / c
     if measure == "absorp":
-        a = np.ones(gm.n) if rates is None else np.asarray(rates, dtype=float)
-        h = (param * a + np.diag(gm.laplacian)).max()
-        n_mat = eye - (param * np.diag(a) + gm.laplacian) / h
+        a = np.ones(g.n) if rates is None else np.asarray(rates, dtype=float)
+        h = (param * a + np.diag(g.laplacian)).max()
+        n_mat = eye - (param * np.diag(a) + g.laplacian) / h
         return neumann_series(n_mat) / h
     raise ValueError(f"{measure} is not a resolvent kernel")
 
@@ -149,7 +150,7 @@ def random_connected_graph(rng: np.random.Generator, n: int, name: str) -> Weigh
         for j in range(i + 1, n):
             if w[i, j] == 0 and rng.random() < 0.3:
                 w[i, j] = w[j, i] = rng.uniform(0.1, 3.0)
-    return WeightedGraph(n, w, name=name)
+    return WeightedGraph(w, name=name)
 
 
 def pairwise_sq_dists(x: np.ndarray) -> np.ndarray:
@@ -442,3 +443,24 @@ def reference_invert(m: np.ndarray) -> np.ndarray:
     if sym:
         inv = 0.5 * (inv + inv.T)
     return inv
+
+
+def reference_matrices(g: WeightedGraph) -> dict[str, np.ndarray]:
+    """The library's former build_matrices, kept verbatim: W, D, L, the
+    normalized Laplacian and the Markov matrix, by name."""
+    w = np.array(g.weights)
+    d = w.sum(axis=1)
+    # Connectivity with n >= 2 guarantees every degree is positive.
+    degree = np.diag(d)
+    laplacian = degree - w
+    inv_sqrt = np.diag(1.0 / np.sqrt(d))
+    norm_laplacian = inv_sqrt @ laplacian @ inv_sqrt
+    norm_laplacian = 0.5 * (norm_laplacian + norm_laplacian.T)
+    markov = w / d[:, None]
+    return {
+        "weights": w,
+        "degree": degree,
+        "laplacian": laplacian,
+        "norm_laplacian": norm_laplacian,
+        "markov": markov,
+    }

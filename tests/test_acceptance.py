@@ -40,10 +40,10 @@ def _record(name: str, ok: bool, detail: str = "") -> None:
     assert ok, f"{name} {detail}"
 
 
-def _grid_params(measure: str, gm) -> list[float]:
+def _grid_params(measure: str, g) -> list[float]:
     """Default parameter grid: domain fractions 0.1..0.9 for alpha-type
     measures, a fixed small/large spread for t-type measures."""
-    lo, hi = param_domain(measure, gm)
+    lo, hi = param_domain(measure, g)
     if math.isfinite(hi):
         return [frac / 10.0 * hi for frac in range(1, 10)]
     return [0.1, 0.5, 1.0, 2.0, 5.0]
@@ -126,22 +126,22 @@ class TestThresholdReproduction:
 
 
 class TestPointChecks:
-    def test_communicability_proximity_witness(self, path4_gm):
-        rep = check_proximity(compute_kernel(path4_gm, "comm", 1.0).matrix)
+    def test_communicability_proximity_witness(self, path4):
+        rep = check_proximity(compute_kernel(path4, "comm", 1.0).matrix)
         ok = (not rep.holds) and rep.witness[0] == 2 and set(rep.witness[1:]) == {1, 3}
         _record("comm(1) on path4 fails proximity with witness x=2 on {1,2,3}", ok,
                 f"witness={rep.witness}")
 
-    def test_communicability_distance_order_flips(self, path4_gm):
-        d3 = kernel_to_sq_dist(compute_kernel(path4_gm, "comm", 3.0).matrix)
-        d45 = kernel_to_sq_dist(compute_kernel(path4_gm, "comm", 4.5).matrix)
+    def test_communicability_distance_order_flips(self, path4):
+        d3 = kernel_to_sq_dist(compute_kernel(path4, "comm", 3.0).matrix)
+        d45 = kernel_to_sq_dist(compute_kernel(path4, "comm", 4.5).matrix)
         _record("comm(3) on path4 has d(1,3)>d(1,4)", d3[0, 2] > d3[0, 3],
                 f"d13={d3[0, 2]:.4g} d14={d3[0, 3]:.4g}")
         _record("comm(4.5) on path4 has d(1,2)>d(1,4)", d45[0, 1] > d45[0, 3],
                 f"d12={d45[0, 1]:.4g} d14={d45[0, 3]:.4g}")
 
-    def test_double_factorial_spectrum_and_distances(self, path4_gm):
-        k = compute_kernel(path4_gm, "dfact", 1.0).matrix
+    def test_double_factorial_spectrum_and_distances(self, path4):
+        k = compute_kernel(path4, "dfact", 1.0).matrix
         vals, _ = sym_eigen(k)
         neg = int((vals < -1e-9).sum())
         _record("dfact(1) on path4 has exactly two eigenvalues below -1e-9",
@@ -169,13 +169,13 @@ class TestPropertySuites:
     def test_neumann_oracle_equality(self, corpus):
         rng = np.random.default_rng(101)
         worst = 0.0
-        for g, gm in corpus:
+        for g in corpus:
             for measure in RESOLVENTS:
-                lo, hi = param_domain(measure, gm)
+                lo, hi = param_domain(measure, g)
                 param = 0.5 * hi if math.isfinite(hi) else 0.8
-                rates = rng.uniform(0.5, 2.0, size=gm.n) if measure == "absorp" else None
-                k = compute_kernel(gm, measure, param, rates=rates).matrix
-                oracle = resolvent_oracle(measure, gm, param, rates=rates)
+                rates = rng.uniform(0.5, 2.0, size=g.n) if measure == "absorp" else None
+                k = compute_kernel(g, measure, param, rates=rates).matrix
+                oracle = resolvent_oracle(measure, g, param, rates=rates)
                 worst = max(worst, float(np.abs(k - oracle).max()))
         _record("resolvent kernels equal their series oracles within 1e-10 on the corpus",
                 worst <= 1e-10, f"worst deviation {worst:.2e}")
@@ -185,12 +185,12 @@ class TestPropertySuites:
 
         rng = np.random.default_rng(103)
         worst = 0.0
-        for g, gm in corpus:
-            d = kernel_to_sq_dist(compute_kernel(gm, "regL", 1.0).matrix)
+        for g in corpus:
+            d = kernel_to_sq_dist(compute_kernel(g, "regL", 1.0).matrix)
             for sigma in (0.0, 1.0, 2.5):
                 back = kernel_to_sq_dist(dist_to_sigma_prox(d, sigma))
                 worst = max(worst, float(np.abs(back - d).max()))
-            b = rng.normal(size=(gm.n, gm.n))
+            b = rng.normal(size=(g.n, g.n))
             d_random = kernel_to_sq_dist(b @ b.T)
             kappa = dist_to_sigma_prox(d_random, 1.5)
             back_kappa = dist_to_sigma_prox(kernel_to_sq_dist(kappa), 1.5)
@@ -201,23 +201,23 @@ class TestPropertySuites:
     def test_schoenberg_equivalence(self, corpus):
         cases = 0
         negatives = 0
-        for g, gm in corpus:
+        for g in corpus:
             builtin = g.name.startswith("paper:")
             matrices = []
             for measure in ("katz", "regL", "modifppr", "absorp"):
-                lo, hi = param_domain(measure, gm)
+                lo, hi = param_domain(measure, g)
                 for frac in (0.3, 0.9):
                     param = frac * hi if math.isfinite(hi) else frac
-                    matrices.append(compute_kernel(gm, measure, param).matrix)
+                    matrices.append(compute_kernel(g, measure, param).matrix)
             # exponential-family scales stay small enough on random graphs
             # that PSD tolerances remain meaningful
             for t in (0.2, 0.5) + ((1.0,) if builtin else ()):
-                matrices.append(compute_kernel(gm, "comm", t).matrix)
-                matrices.append(compute_kernel(gm, "dfact", t).matrix)
-                matrices.append(compute_kernel(gm, "heat", t).matrix)
-                matrices.append(compute_kernel(gm, "nheat", t).matrix)
+                matrices.append(compute_kernel(g, "comm", t).matrix)
+                matrices.append(compute_kernel(g, "dfact", t).matrix)
+                matrices.append(compute_kernel(g, "heat", t).matrix)
+                matrices.append(compute_kernel(g, "nheat", t).matrix)
             if builtin:
-                matrices.append(compute_kernel(gm, "dfact", 1.0).matrix)
+                matrices.append(compute_kernel(g, "dfact", 1.0).matrix)
             for k in matrices:
                 psd = check_psd(k, tol=1e-8).holds
                 euclidean = check_sq_euclidean(kernel_to_sq_dist(k), tol=1e-8).holds
@@ -230,24 +230,24 @@ class TestPropertySuites:
                 f"{cases} cases, {negatives} non-PSD among them")
 
     def test_psd_implies_embeddable_and_converse_fails_for_symmetrized_ppr(
-        self, corpus, path4_gm
+        self, corpus, path4
     ):
         # The forward direction is unconditional: a PSD matrix's distance
         # transform always embeds. The converse can fail once a matrix is
         # symmetrized from an asymmetric measure: centering annihilates
         # the direction carrying the negativity, so the distances stay
         # embeddable while the matrix itself is indefinite.
-        for g, gm in corpus:
+        for g in corpus:
             for measure in ("ppr", "heatppr"):
                 for frac in (0.5, 0.99):
                     param = frac if measure == "ppr" else 3.0 * frac
-                    k = compute_kernel(gm, measure, param).matrix
+                    k = compute_kernel(g, measure, param).matrix
                     k_sym = 0.5 * (k + k.T)
                     if check_psd(k_sym, tol=1e-8).holds:
                         assert check_sq_euclidean(
                             kernel_to_sq_dist(k_sym), tol=1e-8
                         ).holds, (g.name, measure, param)
-        k = compute_kernel(path4_gm, "ppr", 0.99).matrix
+        k = compute_kernel(path4, "ppr", 0.99).matrix
         k_sym = 0.5 * (k + k.T)
         not_psd = not check_psd(k_sym, tol=1e-8).holds
         still_embeddable = check_sq_euclidean(kernel_to_sq_dist(k_sym), tol=1e-8).holds
@@ -257,13 +257,13 @@ class TestPropertySuites:
 
     def test_proximity_implies_metric_and_sqrt_metric(self, corpus):
         proximities = 0
-        for g, gm in corpus:
+        for g in corpus:
             for measure in ("katz", "comm", "dfact", "heat", "nheat", "regL",
                             "absorp", "modifppr"):
-                lo, hi = param_domain(measure, gm)
+                lo, hi = param_domain(measure, g)
                 params = [0.3 * hi, 0.7 * hi] if math.isfinite(hi) else [0.3, 0.7]
                 for param in params:
-                    k = compute_kernel(gm, measure, param).matrix
+                    k = compute_kernel(g, measure, param).matrix
                     if not check_proximity(k, tol=1e-9).holds:
                         continue
                     proximities += 1
@@ -279,12 +279,12 @@ class TestPropertySuites:
     def test_transitional_measures_with_cut_oracle(self, corpus):
         rng = np.random.default_rng(107)
         checked = 0
-        for g, gm in corpus:
+        for g in corpus:
             for measure in TRANSITIONAL_MEASURES:
-                lo, hi = param_domain(measure, gm)
+                lo, hi = param_domain(measure, g)
                 param = 0.5 * hi if math.isfinite(hi) else 1.0
-                rates = rng.uniform(0.5, 2.0, size=gm.n) if measure == "absorp" else None
-                k = compute_kernel(gm, measure, param, rates=rates).matrix
+                rates = rng.uniform(0.5, 2.0, size=g.n) if measure == "absorp" else None
+                k = compute_kernel(g, measure, param, rates=rates).matrix
                 rep = check_transitional(k, g, tol=1e-9)
                 assert rep.holds, (g.name, measure, rep)
                 # independent re-check of the equality cases against brute
@@ -306,10 +306,10 @@ class TestPropertySuites:
 
     def test_ppr_degree_identity(self, corpus):
         worst = 0.0
-        for g, gm in corpus:
-            d = np.diag(gm.degree)
+        for g in corpus:
+            d = np.diag(g.degree)
             for alpha in (0.1, 0.5, 0.9):
-                k = compute_kernel(gm, "ppr", alpha).matrix
+                k = compute_kernel(g, "ppr", alpha).matrix
                 scaled = k / d[None, :]
                 worst = max(worst, float(np.abs(scaled - scaled.T).max()))
         _record("ppr degree identity K_ij/d_j = K_ji/d_i within 1e-10",
@@ -317,29 +317,29 @@ class TestPropertySuites:
 
     def test_log_distances_cutpoint_additive_and_metric(self, corpus):
         rng = np.random.default_rng(109)
-        for g, gm in corpus:
+        for g in corpus:
             for measure in TRANSITIONAL_MEASURES:
-                lo, hi = param_domain(measure, gm)
+                lo, hi = param_domain(measure, g)
                 param = 0.5 * hi if math.isfinite(hi) else 1.0
-                rates = rng.uniform(0.5, 2.0, size=gm.n) if measure == "absorp" else None
-                k = compute_kernel(gm, measure, param, rates=rates).matrix
+                rates = rng.uniform(0.5, 2.0, size=g.n) if measure == "absorp" else None
+                k = compute_kernel(g, measure, param, rates=rates).matrix
                 d = log_distance(k)
                 assert check_cutpoint_additive(d, g, tol=1e-9).holds, (g.name, measure)
                 assert check_metric(d, tol=1e-9).holds, (g.name, measure)
         _record("logarithmic distances of the transitional measures are cutpoint "
                 "additive metrics", True)
 
-    def test_log_forest_kernel_is_not_psd(self, path4_gm):
-        log_k = np.log(compute_kernel(path4_gm, "regL", 1.0).matrix)
+    def test_log_forest_kernel_is_not_psd(self, path4):
+        log_k = np.log(compute_kernel(path4, "regL", 1.0).matrix)
         rep = check_psd(log_k)
         _record("elementwise log of regL(1) on path4 fails the PSD check",
                 not rep.holds, f"min eigenvalue {rep.slack:.4g}")
 
-    def test_log_distance_order_on_path4(self, path4_gm):
+    def test_log_distance_order_on_path4(self, path4):
         ok = True
         for measure in TRANSITIONAL_MEASURES:
-            for param in _grid_params(measure, path4_gm):
-                k = compute_kernel(path4_gm, measure, param).matrix
+            for param in _grid_params(measure, path4):
+                k = compute_kernel(path4, measure, param).matrix
                 d = log_distance(k)
                 ok = ok and d[0, 1] < d[0, 2] < d[0, 3]
         _record("logarithmic distances keep d(1,2)<d(1,3)<d(1,4) on path4 across the "
@@ -362,13 +362,13 @@ class TestEmbeddingReconstruction:
     ]
 
     @pytest.mark.parametrize("measure,param,rates", PSD_CASES)
-    def test_export_reproduces_squared_distances(self, tmp_path, path4, path4_gm,
+    def test_export_reproduces_squared_distances(self, tmp_path, path4,
                                                  measure, param, rates):
         rates_arr = None if rates is None else np.array(rates)
         out = tmp_path / f"{measure}.csv"
         coords = export_embedding(path4, measure, param, str(out), rates=rates_arr)
         expected = kernel_to_sq_dist(
-            compute_kernel(path4_gm, measure, param, rates=rates_arr).matrix
+            compute_kernel(path4, measure, param, rates=rates_arr).matrix
         )
         err = float(np.abs(pairwise_sq_dists(coords) - expected).max())
         _record(f"embedding of {measure}({param}) on path4 reproduces its squared "

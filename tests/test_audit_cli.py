@@ -6,7 +6,6 @@ import pytest
 from graphprox import (
     AuditReport,
     ThresholdBracketError,
-    build_matrices,
     compute_kernel,
     default_checks,
     export_embedding,
@@ -73,7 +72,7 @@ class TestRunAudit:
         (result,) = report.results
         checks = default_checks(True, g.n)
         assert "sym_psd" not in checks
-        kres = compute_kernel(build_matrices(g), measure, param)
+        kres = compute_kernel(g, measure, param)
         assert list(result.checks) == [run_check(c, kres, g) for c in checks]
         # the JSON flag stays the measure's
         assert result.symmetric is False
@@ -96,6 +95,15 @@ class TestRunAudit:
     def test_bad_tolerance_rejected(self, path4, tol):
         with pytest.raises(ValueError, match="tolerance"):
             run_audit(path4, [("regL", 1.0)], checks=["psd"], tol=tol)
+
+    @pytest.mark.parametrize("tol", [-1.0, -1e-12, float("nan"), float("inf")])
+    @pytest.mark.parametrize("check", ["proximity", "transitional", "egocentrism"])
+    def test_run_check_rejects_bad_tolerance(self, path4, check, tol):
+        # unchecked, tol = nan passed proximity and transitional on heat:1,
+        # and tol = -1 passed egocentrism with a negative slack
+        kres = compute_kernel(path4, "heat", 1.0)
+        with pytest.raises(ValueError, match="tolerance"):
+            run_check(check, kres, path4, tol)
 
     def test_reproducible(self, path5):
         a = run_audit(path5, [("ppr", 0.9)], checks=["all"])
@@ -146,12 +154,11 @@ class TestFindThreshold:
         assert res.monotonic_assumed
 
     def test_bracket_statuses_differ(self, path4):
-        from graphprox import build_matrices, compute_kernel, run_check
+        from graphprox import compute_kernel, run_check
 
         res = find_threshold(path4, "heat", "proximity", 0.1, 1.0, resolution=1e-4)
-        gm = build_matrices(path4)
-        low = run_check("proximity", compute_kernel(gm, "heat", res.bracket_low), path4)
-        high = run_check("proximity", compute_kernel(gm, "heat", res.bracket_high), path4)
+        low = run_check("proximity", compute_kernel(path4, "heat", res.bracket_low), path4)
+        high = run_check("proximity", compute_kernel(path4, "heat", res.bracket_high), path4)
         assert low.holds and not high.holds
 
     def test_order_property_syntax(self, path4):
@@ -186,7 +193,7 @@ class TestFindThreshold:
     def test_resolution_below_float_spacing_stops_at_adjacent_floats(
         self, path4, monkeypatch
     ):
-        from graphprox import audit, build_matrices, compute_kernel, run_check
+        from graphprox import audit, compute_kernel, run_check
 
         calls = 0
 
@@ -200,9 +207,8 @@ class TestFindThreshold:
         res = find_threshold(path4, "heat", "proximity", 0.1, 1.0, resolution=1e-20)
         assert res.evaluations <= 2 + 64
         assert res.bracket_high == np.nextafter(res.bracket_low, np.inf)
-        gm = build_matrices(path4)
-        low = run_check("proximity", compute_kernel(gm, "heat", res.bracket_low), path4)
-        high = run_check("proximity", compute_kernel(gm, "heat", res.bracket_high), path4)
+        low = run_check("proximity", compute_kernel(path4, "heat", res.bracket_low), path4)
+        high = run_check("proximity", compute_kernel(path4, "heat", res.bracket_high), path4)
         assert low.holds and not high.holds
 
     def test_reproducible(self, path4):
@@ -212,7 +218,7 @@ class TestFindThreshold:
 
 
 class TestExportEmbedding:
-    def test_heat_embedding_csv(self, tmp_path, path4, path4_gm):
+    def test_heat_embedding_csv(self, tmp_path, path4):
         from graphprox import compute_kernel, kernel_to_sq_dist
 
         out = tmp_path / "coords.csv"
@@ -222,7 +228,7 @@ class TestExportEmbedding:
         assert len(lines) == 5
         parsed = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
         np.testing.assert_array_equal(parsed, coords)
-        expected = kernel_to_sq_dist(compute_kernel(path4_gm, "heat", 1.0).matrix)
+        expected = kernel_to_sq_dist(compute_kernel(path4, "heat", 1.0).matrix)
         assert np.abs(pairwise_sq_dists(parsed) - expected).max() <= 1e-7
 
     def test_two_point_embedding(self, tmp_path):
@@ -236,7 +242,7 @@ class TestExportEmbedding:
         # squared distances near 6e7 carry rounding error near 2e-7
         g = random_connected_graph(np.random.default_rng(0), 6, name="g")
         coords = export_embedding(g, "comm", 3.75, str(tmp_path / "x.csv"))
-        expected = kernel_to_sq_dist(compute_kernel(build_matrices(g), "comm", 3.75).matrix)
+        expected = kernel_to_sq_dist(compute_kernel(g, "comm", 3.75).matrix)
         err = np.abs(pairwise_sq_dists(coords) - expected).max()
         assert err <= 1e-7 * np.abs(expected).max()
 
@@ -245,7 +251,7 @@ class TestExportEmbedding:
         # each computed with a rounding error near 1.4e-7
         g = random_connected_graph(np.random.default_rng(0), 3, name="g")
         coords = export_embedding(g, "absorp", 5e-10, str(tmp_path / "x.csv"))
-        k = compute_kernel(build_matrices(g), "absorp", 5e-10).matrix
+        k = compute_kernel(g, "absorp", 5e-10).matrix
         err = np.abs(pairwise_sq_dists(coords) - kernel_to_sq_dist(k)).max()
         assert err <= 1e-7 * np.abs(k).max()
 
@@ -256,9 +262,9 @@ class TestExportEmbedding:
         out, ref = tmp_path / "coords.csv", tmp_path / "reference.csv"
         rng = np.random.default_rng(20261018)
         larger = [random_connected_graph(rng, n, name=f"random-n{n}") for n in (20, 60)]
-        for g in [g for g, _ in corpus] + larger:
+        for g in corpus + larger:
             # katz's domain ends at 1/rho(W), which falls as n grows
-            hi = param_domain(measure, build_matrices(g))[1]
+            hi = param_domain(measure, g)[1]
             coords = export_embedding(g, measure, param if param < hi else hi / 2, str(out))
             reference_embedding_csv(coords, str(ref))
             assert out.read_bytes() == ref.read_bytes(), g.name

@@ -13,7 +13,7 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from graphprox import CHECKS, MEASURES, build_matrices, param_domain
+from graphprox import CHECKS, MEASURES, param_domain
 from graphprox.cli import main
 
 from oracles import random_connected_graph
@@ -49,7 +49,7 @@ def invocations(draw, tmp_path):
         for i in range(n) for j in range(i + 1, n) if g.weights[i, j] > 0
     ))
     measure = draw(st.sampled_from(MEASURES))
-    domain = param_domain(measure, build_matrices(g))
+    domain = param_domain(measure, g)
     param = draw(params(domain))
     command = draw(st.sampled_from(["audit", "threshold", "embed"]))
     if command == "embed":

@@ -1,21 +1,26 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from graphprox import (
     BUILTIN_GRAPHS,
     GraphFormatError,
     GraphValidationError,
     WeightedGraph,
-    build_matrices,
     builtin_graph,
     is_cut_between,
     load_graph,
     separation_labels,
+    spectral_radius,
 )
 from graphprox.graphs import _neighbours
 
-from oracles import every_path_visits
+from oracles import every_path_visits, random_connected_graph, reference_matrices
+
+# the matrices a WeightedGraph holds, in reference_matrices' order
+MATRICES = ("weights", "degree", "laplacian", "norm_laplacian", "markov")
 
 PATH4_W = np.array(
     [[0, 2, 0, 0], [2, 0, 1, 0], [0, 1, 0, 2], [0, 0, 2, 0]], dtype=float
@@ -104,47 +109,90 @@ class TestLoadGraph:
         with pytest.raises(ValueError):
             g.weights[0, 1] = 5.0
 
+    def test_graphs_compare_by_identity(self):
+        g, h = builtin_graph("paper:path4"), builtin_graph("paper:path4")
+        assert g == g and not g != g
+        assert g != h and not g == h
+        assert hash(g) == hash(g)
+        assert len({g, h, g}) == 2
+
 
 class TestWeightedGraphValidation:
     def test_asymmetric_rejected(self):
         w = np.array([[0, 1], [2, 0]], dtype=float)
         with pytest.raises(GraphValidationError, match="symmetric"):
-            WeightedGraph(2, w)
+            WeightedGraph(w)
 
     def test_single_vertex_rejected(self):
         with pytest.raises(GraphValidationError, match="at least 2"):
-            WeightedGraph(1, np.zeros((1, 1)))
-
-    def test_wrong_order_rejected(self):
-        with pytest.raises(GraphValidationError, match="does not match"):
-            WeightedGraph(3, np.array([[0, 1], [1, 0]], dtype=float))
+            WeightedGraph(np.zeros((1, 1)))
 
 
 class TestBuildMatrices:
-    def test_path4_degree_and_laplacian(self, path4_gm):
-        npt.assert_allclose(np.diag(path4_gm.degree), [2, 3, 3, 2])
-        npt.assert_allclose(path4_gm.laplacian.sum(axis=1), 0, atol=1e-12)
+    """The matrices a WeightedGraph computes on first use."""
 
-    def test_path4_markov_entries(self, path4_gm):
+    def test_path4_degree_and_laplacian(self, path4):
+        npt.assert_allclose(np.diag(path4.degree), [2, 3, 3, 2])
+        npt.assert_allclose(path4.laplacian.sum(axis=1), 0, atol=1e-12)
+
+    def test_path4_markov_entries(self, path4):
         # row 2 of W divided by its degree 3
-        assert path4_gm.markov[1, 2] == pytest.approx(1 / 3)
-        assert path4_gm.markov[1, 0] == pytest.approx(2 / 3)
+        assert path4.markov[1, 2] == pytest.approx(1 / 3)
+        assert path4.markov[1, 0] == pytest.approx(2 / 3)
 
     def test_single_edge_forced_values(self):
-        gm = build_matrices(load_graph("1 2 1"))
-        npt.assert_allclose(gm.laplacian, [[1, -1], [-1, 1]])
-        npt.assert_allclose(gm.markov, [[0, 1], [1, 0]])
+        g = load_graph("1 2 1")
+        npt.assert_allclose(g.laplacian, [[1, -1], [-1, 1]])
+        npt.assert_allclose(g.markov, [[0, 1], [1, 0]])
 
-    def test_norm_laplacian_symmetric(self, path4_gm):
-        npt.assert_allclose(path4_gm.norm_laplacian, path4_gm.norm_laplacian.T, atol=1e-14)
+    def test_norm_laplacian_symmetric(self, path4):
+        npt.assert_allclose(path4.norm_laplacian, path4.norm_laplacian.T, atol=1e-14)
+
+    def test_matrices_cannot_be_replaced(self):
+        g = load_graph("1 2 1")
+        for name in (*MATRICES, "rho", "n"):
+            with pytest.raises(AttributeError):
+                setattr(g, name, None)
+            with pytest.raises(AttributeError):
+                delattr(g, name)
 
     def test_invariants_on_corpus(self, corpus):
         one = 1.0
-        for g, gm in corpus:
-            npt.assert_allclose(gm.weights, gm.weights.T, atol=1e-12)
-            npt.assert_allclose(gm.laplacian.sum(axis=1), 0, atol=1e-12)
-            npt.assert_allclose(gm.markov.sum(axis=1), one, atol=1e-12)
-            assert np.diag(gm.degree).min() > 0
+        for g in corpus:
+            npt.assert_allclose(g.weights, g.weights.T, atol=1e-12)
+            npt.assert_allclose(g.laplacian.sum(axis=1), 0, atol=1e-12)
+            npt.assert_allclose(g.markov.sum(axis=1), one, atol=1e-12)
+            assert np.diag(g.degree).min() > 0
+
+
+def assert_matrices_match_reference(g, order=MATRICES):
+    """Each matrix, read in the given order, has the former build_matrices
+    bytes, is read-only and is the same object when read again."""
+    ref = reference_matrices(g)
+    for name in order:
+        got = getattr(g, name)
+        assert (got.dtype, got.shape) == (ref[name].dtype, ref[name].shape), name
+        assert got.tobytes() == ref[name].tobytes(), name
+        assert not got.flags.writeable, name
+        assert getattr(g, name) is got, name
+    assert g.rho == spectral_radius(ref["weights"])
+    assert g.rho is g.rho
+    assert g.n == ref["weights"].shape[0]
+
+
+@given(
+    n=st.integers(2, 12),
+    seed=st.integers(0, 2**32 - 1),
+    order=st.permutations(MATRICES),
+)
+def test_cached_matrices_equal_former_build_matrices(n, seed, order):
+    g = random_connected_graph(np.random.default_rng(seed), n, name="g")
+    assert_matrices_match_reference(g, order)
+
+
+def test_cached_matrices_equal_former_build_matrices_on_corpus(corpus):
+    for g in corpus:
+        assert_matrices_match_reference(g)
 
 
 class TestIsCutBetween:
@@ -168,7 +216,7 @@ class TestIsCutBetween:
             is_cut_between(path4, 4, 0, 1)
 
     def test_agrees_with_path_enumeration_oracle(self, corpus):
-        for g, _ in corpus:
+        for g in corpus:
             if g.n > 7:
                 continue
             for j in range(g.n):
@@ -192,5 +240,5 @@ def test_neighbours_match_per_row_flatnonzero(corpus, path4):
     isolated = np.zeros((6, 6))
     isolated[1, 3] = isolated[3, 1] = isolated[2, 4] = isolated[4, 2] = 1.0
     extra = [np.asfortranarray(path4.weights), isolated, np.zeros((2, 2))]
-    for w in [g.weights for g, _ in corpus] + extra:
+    for w in [g.weights for g in corpus] + extra:
         assert _neighbours(w) == [np.flatnonzero(row).tolist() for row in w]

@@ -63,9 +63,9 @@ def wrap_counting(monkeypatch, module, name) -> list:
 
 
 @pytest.mark.parametrize("measure", MEASURES)
-def test_compute_kernel_sees_a_wrapped_kernel(monkeypatch, path4_gm, measure):
+def test_compute_kernel_sees_a_wrapped_kernel(monkeypatch, path4, measure):
     calls = wrap_counting(monkeypatch, kernels, KERNEL_FUNCTIONS[measure])
-    kres = compute_kernel(path4_gm, measure, 0.05)
+    kres = compute_kernel(path4, measure, 0.05)
     assert calls == [KERNEL_FUNCTIONS[measure]]
     assert kres.measure == measure
 
@@ -88,7 +88,7 @@ def binding_id(binding) -> str:
 
 @pytest.mark.parametrize("module,name", AUDIT_BINDINGS, ids=map(binding_id, AUDIT_BINDINGS))
 def test_audit_sees_a_wrapped_check_or_transform(
-    monkeypatch, tmp_path, path4, path4_gm, module, name
+    monkeypatch, tmp_path, path4, module, name
 ):
     calls = wrap_counting(monkeypatch, module, name)
     if name in EMBED_ONLY:
@@ -96,7 +96,7 @@ def test_audit_sees_a_wrapped_check_or_transform(
     else:
         # a symmetric and an asymmetric kernel, so that every branch runs
         for measure in ("regL", "ppr"):
-            kres = compute_kernel(path4_gm, measure, 0.9)
+            kres = compute_kernel(path4, measure, 0.9)
             for check in CHECKS:
                 run_check(check, kres, path4)
     assert calls

@@ -35,10 +35,10 @@ class TestInvert:
     def test_diagonal(self):
         npt.assert_allclose(invert(np.diag([2.0, 4.0])), np.diag([0.5, 0.25]))
 
-    def test_resolvent_matches_neumann_oracle(self, path4_gm):
+    def test_resolvent_matches_neumann_oracle(self, path4):
         # 0.2 < 1/rho(W), so the geometric series converges
-        m = np.eye(4) - 0.2 * path4_gm.weights
-        npt.assert_allclose(invert(m), neumann_series(0.2 * path4_gm.weights), atol=1e-12)
+        m = np.eye(4) - 0.2 * path4.weights
+        npt.assert_allclose(invert(m), neumann_series(0.2 * path4.weights), atol=1e-12)
 
     def test_residual_bound(self):
         rng = np.random.default_rng(7)
@@ -58,8 +58,8 @@ class TestInvert:
         a = rng.normal(size=(7, 7)) + 7 * np.eye(7)
         npt.assert_allclose(invert(a), np.linalg.inv(a), atol=1e-10)
 
-    def test_symmetric_input_gives_exactly_symmetric_output(self, path4_gm):
-        r = invert(np.eye(4) + 1.0 * path4_gm.laplacian)
+    def test_symmetric_input_gives_exactly_symmetric_output(self, path4):
+        r = invert(np.eye(4) + 1.0 * path4.laplacian)
         npt.assert_array_equal(r, r.T)
 
     def test_singular_reports_pivot(self):
@@ -125,7 +125,7 @@ class TestSymEigen:
         vals, _ = sym_eigen(np.array([[0.0, 1.0], [1.0, 0.0]]))
         npt.assert_allclose(vals, [-1, 1], atol=1e-14)
 
-    def test_path4_spectrum_from_characteristic_polynomial(self, path4_gm):
+    def test_path4_spectrum_from_characteristic_polynomial(self, path4):
         # Quartic lam^4 - 9 lam^2 + 16 factors through lam^2 - lam - 4 = 0
         expected = [
             -(1 + math.sqrt(17)) / 2,
@@ -133,7 +133,7 @@ class TestSymEigen:
             (math.sqrt(17) - 1) / 2,
             (1 + math.sqrt(17)) / 2,
         ]
-        vals, _ = sym_eigen(path4_gm.weights)
+        vals, _ = sym_eigen(path4.weights)
         npt.assert_allclose(vals, expected, atol=1e-10)
 
     def test_reconstruction_and_orthogonality(self):
@@ -177,12 +177,12 @@ class TestSpectralRadius:
     def test_identity(self):
         assert spectral_radius(np.eye(4)) == pytest.approx(1.0)
 
-    def test_path4_weights(self, path4_gm):
-        assert spectral_radius(path4_gm.weights) == pytest.approx(RHO_PATH4, abs=1e-9)
+    def test_path4_weights(self, path4):
+        assert spectral_radius(path4.weights) == pytest.approx(RHO_PATH4, abs=1e-9)
 
-    def test_rejects_asymmetric(self, path4_gm):
+    def test_rejects_asymmetric(self, path4):
         with pytest.raises(ValueError, match="symmetric"):
-            spectral_radius(path4_gm.markov)
+            spectral_radius(path4.markov)
 
     def test_zero_matrix(self):
         assert spectral_radius(np.zeros((3, 3))) == 0.0
@@ -197,9 +197,9 @@ class TestMatrixExp:
             matrix_exp(np.diag([1.0, -2.0])), np.diag([math.e, math.exp(-2)]), rtol=1e-14
         )
 
-    def test_path4_matches_taylor_oracle(self, path4_gm):
+    def test_path4_matches_taylor_oracle(self, path4):
         npt.assert_allclose(
-            matrix_exp(path4_gm.weights), taylor_exp(path4_gm.weights), atol=1e-10
+            matrix_exp(path4.weights), taylor_exp(path4.weights), atol=1e-10
         )
 
     def test_large_norm_against_taylor(self):
@@ -209,13 +209,13 @@ class TestMatrixExp:
             a *= 10.0 / np.abs(a).sum(axis=1).max()  # infinity norm 10
             npt.assert_allclose(matrix_exp(a), taylor_exp(a), atol=1e-10)
 
-    def test_eigenvalue_mapping(self, path4_gm):
-        vals_in, _ = sym_eigen(-0.5 * path4_gm.laplacian)
-        vals_out, _ = sym_eigen(matrix_exp(-0.5 * path4_gm.laplacian))
+    def test_eigenvalue_mapping(self, path4):
+        vals_in, _ = sym_eigen(-0.5 * path4.laplacian)
+        vals_out, _ = sym_eigen(matrix_exp(-0.5 * path4.laplacian))
         npt.assert_allclose(vals_out, np.sort(np.exp(vals_in)), atol=1e-8)
 
-    def test_symmetric_input_gives_exactly_symmetric_output(self, path4_gm):
-        e = matrix_exp(1.5 * path4_gm.weights)
+    def test_symmetric_input_gives_exactly_symmetric_output(self, path4):
+        e = matrix_exp(1.5 * path4.weights)
         npt.assert_array_equal(e, e.T)
 
     def test_overflow_raises(self):

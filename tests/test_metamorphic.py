@@ -24,7 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphprox import WeightedGraph, build_matrices, compute_kernel, param_domain, run_audit
+from graphprox import WeightedGraph, compute_kernel, param_domain, run_audit
 from graphprox.audit import default_checks
 from graphprox.kernels import MEASURES, SYMMETRIC_MEASURES
 
@@ -52,11 +52,10 @@ def test_relabelling_keeps_verdicts_and_slacks(seed, n, measure, u):
     rng = np.random.default_rng(seed)
     g = random_connected_graph(rng, n, name="g")
     perm = rng.permutation(n)
-    h = WeightedGraph(n, g.weights[np.ix_(perm, perm)], name="h")
-    gm = build_matrices(g)
-    lo, hi = param_domain(measure, gm)
+    h = WeightedGraph(g.weights[np.ix_(perm, perm)], name="h")
+    lo, hi = param_domain(measure, g)
     param = lo + u * (hi - lo) if np.isfinite(hi) else 1.5 * u
-    scale = max(1.0, float(np.abs(compute_kernel(gm, measure, param).matrix).max()))
+    scale = max(1.0, float(np.abs(compute_kernel(g, measure, param).matrix).max()))
     checks = default_checks(measure in SYMMETRIC_MEASURES, n)
     checks += ["log_metric", "log_proximity", "log_psd"]
     before = run_audit(g, [(measure, param)], checks=checks).results[0].checks
@@ -91,8 +90,8 @@ SHRUNK_CHECKS = ["transitional", "cutpoint_additive", "log_metric"]
 def test_scaling_weights_by_4_keeps_reports(seed, n, measure):
     rng = np.random.default_rng(seed)
     g = random_connected_graph(rng, n, name="g")
-    scaled = WeightedGraph(n, 4.0 * g.weights, name="g")
-    lo, hi = param_domain(measure, build_matrices(g))
+    scaled = WeightedGraph(4.0 * g.weights, name="g")
+    lo, hi = param_domain(measure, g)
     u = float(rng.uniform(0.05, 0.95))
     param = lo + u * (hi - lo) if np.isfinite(hi) else 1.5 * u
     if measure in SAME_KERNEL:

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 from graphprox import (
     audit,
-    build_matrices,
     compute_kernel,
     find_threshold,
     pair_to_dist,
@@ -39,7 +38,7 @@ def bisection_evaluations(lo, hi, resolution):
 
 
 def verdict(g, measure, prop, param):
-    kres = compute_kernel(build_matrices(g), measure, param)
+    kres = compute_kernel(g, measure, param)
     return audit._threshold_predicate(prop, g.n)(kres, g, 1e-9)[0]
 
 
@@ -59,11 +58,10 @@ def assert_sound(res, g, lo, hi, resolution):
 def grid_verdicts(g, measure, kind):
     """{property: verdict at each grid parameter} for every property of
     the kind on g, read off the pair distances directly."""
-    gm = build_matrices(g)
-    lo, hi = param_domain(measure, gm)
+    lo, hi = param_domain(measure, g)
     top = hi if math.isfinite(hi) else 4.0
     params = [float(lo + u * (top - lo)) for u in _GRID]
-    kernels = [compute_kernel(gm, measure, p) for p in params]
+    kernels = [compute_kernel(g, measure, p) for p in params]
     if kind == "sym_psd":
         return params, {"sym_psd": [run_check("sym_psd", k, g).holds for k in kernels]}
     d = np.stack([pair_to_dist(k.matrix) for k in kernels])
@@ -149,10 +147,9 @@ def test_margin_steps_save_evaluations(path5):
     ("heatppr", [0.5, 2.0, 5.0]),
 ])
 def test_margin_sign_agrees_with_verdict(path4, prop, measure, params):
-    gm = build_matrices(path4)
     predicate = audit._threshold_predicate(prop, path4.n)
     for p in params:
-        kres = compute_kernel(gm, measure, p)
+        kres = compute_kernel(path4, measure, p)
         holds, margin = predicate(kres, path4, 1e-9)
         if prop == "psd" and not kres.symmetric:
             assert margin is None  # the report's slack is the asymmetry
@@ -161,9 +158,9 @@ def test_margin_sign_agrees_with_verdict(path4, prop, measure, params):
 
 
 @pytest.mark.parametrize("measure,param", [("ppr", 0.9), ("heatppr", 1.0)])
-def test_psd_margin_of_symmetric_asymmetric_measure(triangle, triangle_gm, measure, param):
+def test_psd_margin_of_symmetric_asymmetric_measure(triangle, measure, param):
     # on the regular triangle the matrix is symmetric, so psd has a margin
-    kres = compute_kernel(triangle_gm, measure, param)
+    kres = compute_kernel(triangle, measure, param)
     report = run_check("psd", kres, triangle, 1e-9)
     assert report.note == "smallest eigenvalue"
     holds, margin = audit._threshold_predicate("psd", triangle.n)(kres, triangle, 1e-9)
@@ -172,5 +169,5 @@ def test_psd_margin_of_symmetric_asymmetric_measure(triangle, triangle_gm, measu
 
 @pytest.mark.parametrize("prop", ["proximity", "metric", "transitional", "log_psd"])
 def test_properties_without_margin_bisect(path4, prop):
-    kres = compute_kernel(build_matrices(path4), "regL", 1.0)
+    kres = compute_kernel(path4, "regL", 1.0)
     assert audit._threshold_predicate(prop, path4.n)(kres, path4, 1e-9)[1] is None

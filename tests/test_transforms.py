@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from graphprox import (
     NotPositiveSemidefiniteError,
-    build_matrices,
     communicability,
     compute_kernel,
     dist_to_sigma_prox,
@@ -36,12 +35,12 @@ class TestKernelToSqDist:
         d = kernel_to_sq_dist(3.5 * np.ones((4, 4)))
         npt.assert_allclose(d, 0, atol=1e-14)
 
-    def test_diagonal_exactly_zero(self, path4_gm):
-        d = kernel_to_sq_dist(communicability(path4_gm, 1.0).matrix)
+    def test_diagonal_exactly_zero(self, path4):
+        d = kernel_to_sq_dist(communicability(path4, 1.0).matrix)
         npt.assert_array_equal(np.diag(d), np.zeros(4))
 
-    def test_double_factorial_produces_negative_entry(self, path4_gm):
-        d = kernel_to_sq_dist(double_factorial(path4_gm, 1.0).matrix)
+    def test_double_factorial_produces_negative_entry(self, path4):
+        d = kernel_to_sq_dist(double_factorial(path4, 1.0).matrix)
         assert d.min() < 0
 
     def test_rejects_asymmetric(self):
@@ -50,23 +49,23 @@ class TestKernelToSqDist:
 
 
 class TestPairToDist:
-    def test_coincides_with_kernel_transform_on_symmetric(self, path4_gm):
-        k = regularized_laplacian(path4_gm, 1.0).matrix
+    def test_coincides_with_kernel_transform_on_symmetric(self, path4):
+        k = regularized_laplacian(path4, 1.0).matrix
         npt.assert_allclose(pair_to_dist(k), kernel_to_sq_dist(k), atol=1e-12)
 
-    def test_symmetric_zero_diagonal_output(self, path5_gm):
-        d = pair_to_dist(ppr(path5_gm, 0.7).matrix)
+    def test_symmetric_zero_diagonal_output(self, path5):
+        d = pair_to_dist(ppr(path5, 0.7).matrix)
         npt.assert_array_equal(d, d.T)
         npt.assert_array_equal(np.diag(d), np.zeros(5))
 
-    def test_ppr_triangle_violation_on_path5(self, path5_gm):
+    def test_ppr_triangle_violation_on_path5(self, path5):
         # d(1,3) + d(3,4) < d(1,4) once alpha is large enough
-        d = pair_to_dist(ppr(path5_gm, 0.96).matrix)
+        d = pair_to_dist(ppr(path5, 0.96).matrix)
         assert d[0, 2] + d[2, 3] < d[0, 3]
 
-    def test_pagerank_heat_triangle_violation_on_path5(self, path5_gm):
+    def test_pagerank_heat_triangle_violation_on_path5(self, path5):
         # d(1,2) + d(2,3) < d(1,3) for t beyond the onset
-        d = pair_to_dist(pagerank_heat(path5_gm, 1.5).matrix)
+        d = pair_to_dist(pagerank_heat(path5, 1.5).matrix)
         assert d[0, 1] + d[1, 2] < d[0, 2]
 
 
@@ -103,9 +102,9 @@ class TestDistToSigmaProx:
             dist_to_sigma_prox(kernel_to_sq_dist(kappa), 3.0), kappa, atol=1e-9
         )
 
-    def test_regularized_laplacian_is_fixed_point(self, path4_gm):
+    def test_regularized_laplacian_is_fixed_point(self, path4):
         # a 1-proximity comes back unchanged
-        k = regularized_laplacian(path4_gm, 1.0).matrix
+        k = regularized_laplacian(path4, 1.0).matrix
         npt.assert_allclose(dist_to_sigma_prox(kernel_to_sq_dist(k), 1.0), k, atol=1e-9)
 
     def test_rejects_nonzero_diagonal(self):
@@ -117,19 +116,19 @@ class TestLogDistance:
     def test_constant_similarity_gives_zero(self):
         npt.assert_array_equal(log_distance(np.ones((3, 3))), np.zeros((3, 3)))
 
-    def test_cutpoint_additivity_on_path(self, path4_gm):
-        d = log_distance(regularized_laplacian(path4_gm, 1.0).matrix)
+    def test_cutpoint_additivity_on_path(self, path4):
+        d = log_distance(regularized_laplacian(path4, 1.0).matrix)
         assert d[0, 1] + d[1, 2] == pytest.approx(d[0, 2], abs=1e-9)
         assert d[0, 1] + d[1, 2] + d[2, 3] == pytest.approx(d[0, 3], abs=1e-9)
 
-    def test_geometric_symmetrization_preserves_log_distance(self, path5_gm):
-        k = ppr(path5_gm, 0.5).matrix
+    def test_geometric_symmetrization_preserves_log_distance(self, path5):
+        k = ppr(path5, 0.5).matrix
         npt.assert_allclose(
             log_distance(k), log_distance(symmetrize_geometric(k)), atol=1e-12
         )
 
-    def test_scaling_invariance(self, path4_gm):
-        k = regularized_laplacian(path4_gm, 2.0).matrix
+    def test_scaling_invariance(self, path4):
+        k = regularized_laplacian(path4, 2.0).matrix
         npt.assert_allclose(log_distance(17.0 * k), log_distance(k), atol=1e-12)
 
     def test_products_out_of_range_take_logs_first(self):
@@ -152,8 +151,8 @@ class TestLogDistance:
 
 
 class TestSymmetrizeGeometric:
-    def test_symmetric_input_unchanged(self, path4_gm):
-        k = regularized_laplacian(path4_gm, 1.0).matrix
+    def test_symmetric_input_unchanged(self, path4):
+        k = regularized_laplacian(path4, 1.0).matrix
         npt.assert_allclose(symmetrize_geometric(k), k, atol=1e-14)
 
     def test_hand_value(self):
@@ -173,9 +172,9 @@ class TestEmbed:
         d = pairwise_sq_dists(x)
         npt.assert_allclose(d, [[0, 1], [1, 0]], atol=1e-12)
 
-    def test_reproduces_squared_distances(self, path4_gm):
+    def test_reproduces_squared_distances(self, path4):
         for measure, param in [("heat", 1.0), ("regL", 1.0), ("comm", 1.0)]:
-            k = compute_kernel(path4_gm, measure, param).matrix
+            k = compute_kernel(path4, measure, param).matrix
             x = embed(k)
             npt.assert_allclose(pairwise_sq_dists(x), kernel_to_sq_dist(k), atol=1e-7)
 
@@ -188,9 +187,9 @@ class TestEmbed:
                 pairwise_sq_dists(embed(k)), kernel_to_sq_dist(k), atol=1e-7
             )
 
-    def test_indefinite_kernel_rejected(self, path4_gm):
+    def test_indefinite_kernel_rejected(self, path4):
         with pytest.raises(NotPositiveSemidefiniteError):
-            embed(double_factorial(path4_gm, 1.0).matrix)
+            embed(double_factorial(path4, 1.0).matrix)
 
 
 @pytest.mark.parametrize("measure", sorted(SYMMETRIC_MEASURES))
@@ -199,11 +198,11 @@ class TestEmbed:
 def test_embed_is_exactly_symmetric(seed, n, measure, u):
     # export_embedding formats each coordinate once and mirrors it, which
     # is right only because of this: equal bits on both sides
-    gm = build_matrices(random_connected_graph(np.random.default_rng(seed), n, name="g"))
-    lo, hi = param_domain(measure, gm)
+    g = random_connected_graph(np.random.default_rng(seed), n, name="g")
+    lo, hi = param_domain(measure, g)
     param = lo + u * (hi - lo) if np.isfinite(hi) else 1.5 * u
     try:
-        c = embed(compute_kernel(gm, measure, param).matrix)
+        c = embed(compute_kernel(g, measure, param).matrix)
     except NotPositiveSemidefiniteError:
         assume(False)
     assert np.array_equal(c, c.T)

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 from graphprox import (
     WeightedGraph,
-    build_matrices,
     check_cutpoint_additive,
     check_egocentrism,
     check_metric,
@@ -49,20 +48,19 @@ def path_graph(n: int) -> WeightedGraph:
     w = np.zeros((n, n))
     for v in range(n - 1):
         w[v, v + 1] = w[v + 1, v] = 1.0 + 0.5 * v
-    return WeightedGraph(n, w, name=f"path{n}")
+    return WeightedGraph(w, name=f"path{n}")
 
 
 def complete_graph(n: int) -> WeightedGraph:
-    return WeightedGraph(n, np.ones((n, n)) - np.eye(n), name=f"complete{n}")
+    return WeightedGraph(np.ones((n, n)) - np.eye(n), name=f"complete{n}")
 
 
 def kernel(g: WeightedGraph, measure: str, u: float) -> np.ndarray:
     """The measure on g at fraction u of a bounded domain, or at t = 1.5 u
     on an unbounded one."""
-    gm = build_matrices(g)
-    lo, hi = param_domain(measure, gm)
+    lo, hi = param_domain(measure, g)
     param = lo + u * (hi - lo) if np.isfinite(hi) else 1.5 * u
-    return compute_kernel(gm, measure, param).matrix
+    return compute_kernel(g, measure, param).matrix
 
 
 def assert_all_checks_match(k: np.ndarray, g: WeightedGraph, h: WeightedGraph) -> list:
@@ -112,7 +110,7 @@ def test_mismatched_pairs_reach_every_branch(n):
     reports += assert_all_checks_match(on_complete, complete, path)
     # a duplicated vertex: zero distance and a zero strictness margin
     twin = np.r_[np.arange(n), 0]
-    doubled = WeightedGraph(n + 1, np.ones((n + 1, n + 1)) - np.eye(n + 1))
+    doubled = WeightedGraph(np.ones((n + 1, n + 1)) - np.eye(n + 1))
     reports += assert_all_checks_match(on_path[np.ix_(twin, twin)], doubled, doubled)
     notes = {r.note for r in reports}
     for note in (
@@ -193,7 +191,7 @@ def test_separation_labels_match_is_cut_between(seed, n):
 
 
 def test_separation_labels_on_corpus_and_paths(corpus):
-    for g, _ in corpus:
+    for g in corpus:
         assert_labels_match_cuts(g)
     comp = separation_labels(path_graph(5))
     # removing interior vertex 2 (0-based) leaves {0, 1} and {3, 4}

@@ -33,14 +33,14 @@ def pinned_checks(measure: str, n: int) -> list[str]:
 
 def test_pin_covers_corpus_and_measures(corpus):
     assert list(PIN["params"]) == list(MEASURES)
-    expected = {f"{g.name} {m}" for g, _ in corpus for m in MEASURES}
+    expected = {f"{g.name} {m}" for g in corpus for m in MEASURES}
     assert set(PIN["cases"]) == expected
 
 
 @pytest.mark.parametrize("measure", MEASURES)
 def test_verdicts_match_pin(corpus, measure):
     param = PIN["params"][measure]
-    for g, _ in corpus:
+    for g in corpus:
         report = run_audit(g, [(measure, param)], checks=pinned_checks(measure, g.n))
         got = report.results[0].checks
         want = [dict(zip(PIN["fields"], row)) for row in PIN["cases"][f"{g.name} {measure}"]]

@@ -5,7 +5,8 @@ logarithmic similarity once, and scans its matrix for the proximity
 triangle once, for `proximity` and `sigma` together, whether an audit
 or repeated run_check calls read them; an audit's reports still equal
 those of one run_check per check on a fresh kernel result. A threshold
-evaluation builds one kernel result. A process builds its parser once,
+evaluation builds one kernel result. A graph computes its spectral
+radius once, however many commands read it. A process builds its parser once,
 and the help text still wraps to the terminal.
 """
 
@@ -20,11 +21,12 @@ from hypothesis import strategies as st
 from graphprox import (
     KernelResult,
     WeightedGraph,
-    build_matrices,
+    builtin_graph,
     check_sigma_proximity,
     cli,
     compute_kernel,
     find_threshold,
+    graphs,
     kernels,
     param_domain,
     run_audit,
@@ -44,11 +46,11 @@ def audit_checks(measure, n):
     return checks if n == 4 else checks[:-1]
 
 
-def fresh_reports(g, gm, measure, param, checks, tol):
+def fresh_reports(g, measure, param, checks, tol):
     """One run_check per check, each on a kernel result of its own, so
     that no check reads what another derived, under the floating-point
     guard run_audit sets; the first error ends the list."""
-    base = compute_kernel(gm, measure, param)
+    base = compute_kernel(g, measure, param)
     reports = []
     with np.errstate(over="raise", divide="raise", invalid="raise"):
         for check in checks:
@@ -64,7 +66,7 @@ def unit_path(n):
     w = np.zeros((n, n))
     idx = np.arange(n - 1)
     w[idx, idx + 1] = w[idx + 1, idx] = 1.0
-    return WeightedGraph(n, w, name=f"path{n}")
+    return WeightedGraph(w, name=f"path{n}")
 
 
 @given(
@@ -84,11 +86,10 @@ def test_audit_reports_equal_one_fresh_check_each(n, seed, long_path, measure, f
     else:
         g = random_connected_graph(np.random.default_rng(seed), n, name="g")
     n = g.n
-    gm = build_matrices(g)
-    lo, hi = param_domain(measure, gm)
+    lo, hi = param_domain(measure, g)
     param = lo + frac * (hi - lo) if np.isfinite(hi) else 4.0 * frac
     checks = audit_checks(measure, n)
-    want, error = fresh_reports(g, gm, measure, param, checks, tol)
+    want, error = fresh_reports(g, measure, param, checks, tol)
     if error is not None:
         with pytest.raises(type(error)) as got:
             run_audit(g, [(measure, param)], checks=checks, tol=tol)
@@ -98,7 +99,7 @@ def test_audit_reports_equal_one_fresh_check_each(n, seed, long_path, measure, f
     assert list(got) == want
     if measure in SYMMETRIC_MEASURES:
         # the sigma check still reports what the public check reports
-        kres = compute_kernel(gm, measure, param)
+        kres = compute_kernel(g, measure, param)
         assert got[checks.index("sigma")] == check_sigma_proximity(kres.matrix, tol)
 
 
@@ -123,7 +124,7 @@ def test_symmetric_kernel_derives_and_scans_once(monkeypatch, capsys):
 
 def test_run_check_calls_share_the_kernel_results_distance(monkeypatch, path4):
     calls = count_calls(monkeypatch, kernels, ("pair_to_dist",))
-    kres = compute_kernel(build_matrices(path4), "regL", 1.0)
+    kres = compute_kernel(path4, "regL", 1.0)
     for check in ("metric", "sqrt_distance"):
         run_check(check, kres, path4)
     assert calls == {"pair_to_dist": 1}
@@ -140,6 +141,14 @@ def test_threshold_evaluation_builds_one_kernel_result(monkeypatch, path4):
     monkeypatch.setattr(kernels.KernelResult, "__post_init__", counted)
     result = find_threshold(path4, "ppr", "sym_psd", 0.9, 0.999)
     assert len(built) == result.evaluations
+
+
+def test_audit_and_threshold_on_one_graph_compute_rho_once(monkeypatch):
+    g = builtin_graph("paper:path4")  # fresh, so rho is not cached yet
+    calls = count_calls(monkeypatch, graphs, ("spectral_radius",))
+    run_audit(g, [("katz", 0.1)])
+    find_threshold(g, "katz", "order:13<14", 0.1, 0.39, resolution=1e-4)
+    assert calls == {"spectral_radius": 1}
 
 
 def test_two_main_calls_build_one_parser(monkeypatch, capsys):
