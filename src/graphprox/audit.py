@@ -27,6 +27,7 @@ from .properties import (
     DEFAULT_TOL,
     PropertyReport,
     _asymmetry_report,
+    _check_tol,
     _sigma_proximity,
     check_cutpoint_additive,
     check_distance_order,
@@ -145,7 +146,10 @@ class AuditReport:
     def from_dict(cls, data: dict) -> "AuditReport":
         """Read a to_dict document of schema version 1 or 2. Version 1
         also carried a report-level "sigma" that no check read; it is
-        dropped."""
+        dropped. Any other version raises ValueError."""
+        version = data.get("schema_version")
+        if version not in (1, 2):
+            raise ValueError(f"AuditReport schema_version {version!r} is not 1 or 2")
         results = []
         for r in data["results"]:
             # PropertyReport turns a witness list back into a tuple
@@ -196,8 +200,9 @@ def _renamed(prop: str, report: PropertyReport) -> PropertyReport:
     return dataclasses.replace(report, property=prop)
 
 
-# Requestable audit checks, each a function of (kernel result, graph,
-# tolerance). The log_* family evaluates the logarithmic similarity
+# Requestable audit checks, each a function of (kernel result,
+# tolerance); transitional and cutpoint_additive read the graph the kernel
+# result carries. The log_* family evaluates the logarithmic similarity
 # ln(s) and its induced distance; sym_psd tests the symmetrized kernel
 # (K + K^T)/2, the PSD question that remains once an asymmetric measure
 # has failed plain psd by definition; sigma adds the row-sum condition
@@ -207,48 +212,45 @@ def _renamed(prop: str, report: PropertyReport) -> PropertyReport:
 # kernel result's, derived once however many checks read them. The lambdas
 # look up the property checks by their module-level names at call time,
 # so a caller may wrap those names.
-_CHECKS: dict[str, Callable[[KernelResult, WeightedGraph, float], PropertyReport]] = {
-    "psd": lambda kr, g, tol: check_psd(kr.matrix, tol),
-    "sym_psd": lambda kr, g, tol: _renamed(
+_CHECKS: dict[str, Callable[[KernelResult, float], PropertyReport]] = {
+    "psd": lambda kr, tol: check_psd(kr.matrix, tol),
+    "sym_psd": lambda kr, tol: _renamed(
         "sym_psd", check_psd(0.5 * (kr.matrix + kr.matrix.T), tol)
     ),
-    "proximity": lambda kr, g, tol: (
+    "proximity": lambda kr, tol: (
         kr.proximity(tol) if kr.symmetric
         else _asymmetry_report("proximity", kr.matrix, tol)
     ),
-    "sigma": lambda kr, g, tol: (
+    "sigma": lambda kr, tol: (
         _sigma_proximity(kr.matrix, kr.proximity(tol), tol) if kr.symmetric
         else _asymmetry_report("sigma_proximity", kr.matrix, tol)
     ),
-    "egocentrism": lambda kr, g, tol: check_egocentrism(kr.matrix, tol),
-    "metric": lambda kr, g, tol: check_metric(kr.dist, tol),
-    "sq_euclidean": lambda kr, g, tol: check_sq_euclidean(kr.dist, tol),
-    "sqrt_distance": lambda kr, g, tol: check_sqrt_distance(kr.dist, tol),
-    "distance_order": lambda kr, g, tol: check_distance_order(kr.dist),
-    "transitional": lambda kr, g, tol: check_transitional(kr.matrix, g, tol),
-    "cutpoint_additive": lambda kr, g, tol: check_cutpoint_additive(kr.log_dist, g, tol),
-    "log_metric": lambda kr, g, tol: _renamed("log_metric", check_metric(kr.log_dist, tol)),
-    "log_proximity": lambda kr, g, tol: _renamed(
+    "egocentrism": lambda kr, tol: check_egocentrism(kr.matrix, tol),
+    "metric": lambda kr, tol: check_metric(kr.dist, tol),
+    "sq_euclidean": lambda kr, tol: check_sq_euclidean(kr.dist, tol),
+    "sqrt_distance": lambda kr, tol: check_sqrt_distance(kr.dist, tol),
+    "distance_order": lambda kr, tol: check_distance_order(kr.dist),
+    "transitional": lambda kr, tol: check_transitional(kr.matrix, kr.graph, tol),
+    "cutpoint_additive": lambda kr, tol: check_cutpoint_additive(kr.log_dist, kr.graph, tol),
+    "log_metric": lambda kr, tol: _renamed("log_metric", check_metric(kr.log_dist, tol)),
+    "log_proximity": lambda kr, tol: _renamed(
         "log_proximity", check_proximity(kr.log_similarity, tol)
     ),
-    "log_psd": lambda kr, g, tol: _renamed("log_psd", check_psd(kr.log_similarity, tol)),
-    "log_order": lambda kr, g, tol: _renamed(
-        "log_order", check_distance_order(kr.log_dist)
-    ),
+    "log_psd": lambda kr, tol: _renamed("log_psd", check_psd(kr.log_similarity, tol)),
+    "log_order": lambda kr, tol: _renamed("log_order", check_distance_order(kr.log_dist)),
 }
 
 CHECKS: tuple[str, ...] = tuple(_CHECKS)
 
 
-def run_check(
-    check: str, kres: KernelResult, g: WeightedGraph, tol: float = DEFAULT_TOL
-) -> PropertyReport:
-    """Run one named audit check against a computed kernel. Checks run on
-    one KernelResult share what they derive from its matrix."""
+def run_check(check: str, kres: KernelResult, tol: float = DEFAULT_TOL) -> PropertyReport:
+    """Run one named audit check against a computed kernel and the graph
+    it carries. Checks run on one KernelResult share what they derive
+    from its matrix."""
     if check not in _CHECKS:
         raise ValueError(f"unknown check {check!r} (known: {', '.join(CHECKS)})")
     _check_tol(tol)
-    return _CHECKS[check](kres, g, tol)
+    return _CHECKS[check](kres, tol)
 
 
 def default_checks(symmetric: bool, n: int) -> list[str]:
@@ -273,11 +275,6 @@ def default_checks(symmetric: bool, n: int) -> list[str]:
     return checks
 
 
-def _check_tol(tol: float) -> None:
-    if not 0 <= tol < math.inf:
-        raise ValueError(f"tolerance must be finite and nonnegative, got {tol}")
-
-
 @_raise_on_float_error
 def run_audit(
     g: WeightedGraph,
@@ -298,7 +295,7 @@ def run_audit(
             wanted = default_checks(kres.symmetric, g.n)
         else:
             wanted = list(checks)
-        reports = tuple(run_check(c, kres, g, tol) for c in wanted)
+        reports = tuple(run_check(c, kres, tol) for c in wanted)
         results.append(
             MeasureAudit(
                 measure=measure,
@@ -326,7 +323,7 @@ def _vertex_indices(prop: str, m: re.Match, n: int) -> list[int]:
 
 
 def _threshold_predicate(prop: str, n: int):
-    """Map a threshold property name to a function of (kres, g, tol) that
+    """Map a threshold property name to a function of (kres, tol) that
     returns (holds, margin).
 
     Beyond the audit checks, two parameterized forms are accepted:
@@ -346,7 +343,7 @@ def _threshold_predicate(prop: str, n: int):
     if m:
         i, j, k, l = _vertex_indices(prop, m, n)
 
-        def order_holds(kres, g, tol):
+        def order_holds(kres, tol):
             d = kres.dist
             return bool(d[i, j] < d[k, l]), float(d[k, l] - d[i, j])
 
@@ -355,7 +352,7 @@ def _threshold_predicate(prop: str, n: int):
     if m:
         i, j, k = _vertex_indices(prop, m, n)
 
-        def triangle_holds(kres, g, tol):
+        def triangle_holds(kres, tol):
             d = kres.dist
             return bool(d[i, j] + d[j, k] >= d[i, k]), float(d[i, j] + d[j, k] - d[i, k])
 
@@ -363,8 +360,8 @@ def _threshold_predicate(prop: str, n: int):
     if prop in CHECKS:
         eigen = prop in _EIGEN_CHECKS
 
-        def check_holds(kres, g, tol):
-            report = run_check(prop, kres, g, tol)
+        def check_holds(kres, tol):
+            report = run_check(prop, kres, tol)
             if eigen and (kres.symmetric or prop != "psd"):
                 return report.holds, report.slack + tol
             return report.holds, None
@@ -441,8 +438,7 @@ def find_threshold(
     def holds_at(param: float) -> tuple[bool, float | None]:
         nonlocal evaluations
         evaluations += 1
-        kres = compute_kernel(g, measure, param, rates=rates)
-        return predicate(kres, g, tol)
+        return predicate(compute_kernel(g, measure, param, rates=rates), tol)
 
     holds_lo, m_lo = holds_at(lo)
     holds_hi, m_hi = holds_at(hi)

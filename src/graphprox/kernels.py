@@ -96,8 +96,8 @@ class ParameterDomainError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class KernelResult:
-    """A computed similarity matrix tagged with its measure and parameter;
-    kernel results compare by identity.
+    """A computed similarity matrix tagged with the graph it was computed
+    on, its measure and its parameter; kernel results compare by identity.
 
     symmetric tells whether this matrix is symmetric, to linalg's
     tolerance; it is decided once, from the matrix, and is not a
@@ -113,6 +113,7 @@ class KernelResult:
     at call time, so a caller may wrap those names.
     """
 
+    graph: WeightedGraph
     measure: str
     param: float
     matrix: np.ndarray
@@ -162,7 +163,7 @@ def param_domain(measure: str, g: WeightedGraph) -> tuple[float, float]:
 
 def _kernel(measure: str, g: WeightedGraph, param: float, formula) -> KernelResult:
     """Check param against the measure's domain, then evaluate formula()
-    and tag the matrix with the measure, parameter and domain."""
+    and tag the matrix with g, the measure, parameter and domain."""
     spec = _SPECS[measure]
     lo, hi = dom = param_domain(measure, g)
     # The domain is open; resolvents blow up at its ends, so values within
@@ -179,7 +180,7 @@ def _kernel(measure: str, g: WeightedGraph, param: float, formula) -> KernelResu
             f"{measure}: {spec.param} = {param} outside open domain "
             f"({lo:.6g}, {hi_text}{extra}) or within {_BOUNDARY_MARGIN:g} of a finite end"
         )
-    return KernelResult(measure, param, formula(), dom)
+    return KernelResult(g, measure, param, formula(), dom)
 
 
 def katz(g: WeightedGraph, alpha: float) -> KernelResult:

@@ -18,13 +18,14 @@ it to both its worst-excess scan and its cut-vertex scan.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .graphs import WeightedGraph, separation_labels
 from .linalg import is_symmetric, sym_eigen
-from .transforms import _require_positive
+from .transforms import _normal, _require_positive
 
 __all__ = [
     "PropertyReport",
@@ -47,6 +48,8 @@ DEFAULT_TOL = 1e-9
 # block, small enough that each temporary stays cache-sized. On a 2-vCPU
 # Xeon a budget of 2^18 made the checks 1.2-3x slower at n = 80 and 160.
 _BLOCK_ENTRIES = 1 << 15
+# The product of two floats in this range is a normal float.
+_PRODUCT_SAFE = (math.ldexp(1.0, -511), math.ldexp(1.0, 511))
 
 
 @dataclass(frozen=True)
@@ -84,6 +87,13 @@ class PropertyReport:
             object.__setattr__(self, "slack", float(self.slack))
         if self.sigma is not None:
             object.__setattr__(self, "sigma", float(self.sigma))
+
+
+def _check_tol(tol: float) -> None:
+    """Reject a tolerance that is negative, NaN or infinite; every public
+    check that takes one calls this first."""
+    if not 0 <= tol < math.inf:
+        raise ValueError(f"tolerance must be finite and nonnegative, got {tol}")
 
 
 def _require_finite(a: np.ndarray, check: str) -> None:
@@ -177,6 +187,7 @@ def _eigen_report(prop: str, a: np.ndarray, tol: float, note: str) -> PropertyRe
 def check_psd(k: np.ndarray, tol: float = DEFAULT_TOL) -> PropertyReport:
     """Positive semidefiniteness. Asymmetric input is reported as not PSD
     outright; it is never silently symmetrized."""
+    _check_tol(tol)
     a = np.asarray(k, dtype=float)
     if not is_symmetric(a):
         return _asymmetry_report(
@@ -189,6 +200,7 @@ def check_proximity(k: np.ndarray, tol: float = DEFAULT_TOL) -> PropertyReport:
     """Triangle inequality for proximities:
     k(x,y) + k(x,z) - k(y,z) <= k(x,x) over all ordered triples, strict
     when z = y != x."""
+    _check_tol(tol)
     a = np.asarray(k, dtype=float)
     _require_finite(a, "check_proximity")
     if not is_symmetric(a):
@@ -233,6 +245,7 @@ def check_proximity(k: np.ndarray, tol: float = DEFAULT_TOL) -> PropertyReport:
 def check_sigma_proximity(k: np.ndarray, tol: float = DEFAULT_TOL) -> PropertyReport:
     """Proximity plus the normalization condition: all row sums equal.
     Reports the common row sum as sigma when they do."""
+    _check_tol(tol)
     a = np.asarray(k, dtype=float)
     return _sigma_proximity(a, check_proximity(a, tol), tol)
 
@@ -265,6 +278,7 @@ def _sigma_proximity(a: np.ndarray, prox: PropertyReport, tol: float) -> Propert
 
 def check_egocentrism(k: np.ndarray, tol: float = DEFAULT_TOL) -> PropertyReport:
     """Strict entrywise diagonal dominance: k(x,x) > k(x,y) for x != y."""
+    _check_tol(tol)
     a = np.asarray(k, dtype=float)
     _require_finite(a, "check_egocentrism")
     n = a.shape[0]
@@ -337,6 +351,7 @@ def _metric_axioms(
 def check_metric(d: np.ndarray, tol: float = DEFAULT_TOL) -> PropertyReport:
     """The four metric axioms: nonnegativity, symmetry, identity of
     indiscernibles, and the triangle inequality over all ordered triples."""
+    _check_tol(tol)
     a = np.asarray(d, dtype=float)
     _require_finite(a, "check_metric")
     return _metric_axioms(a, tol, "metric")
@@ -345,6 +360,7 @@ def check_metric(d: np.ndarray, tol: float = DEFAULT_TOL) -> PropertyReport:
 def check_sq_euclidean(d: np.ndarray, tol: float = DEFAULT_TOL) -> PropertyReport:
     """Realizability of d as squared Euclidean distances: the doubly
     centered matrix -H d H must be PSD."""
+    _check_tol(tol)
     a = np.asarray(d, dtype=float)
     if not is_symmetric(a):
         raise ValueError("check_sq_euclidean requires a symmetric matrix")
@@ -366,9 +382,23 @@ def _require_order(a: np.ndarray, g: WeightedGraph, check: str) -> None:
 
 def _relative_excess(a: np.ndarray, xs: slice) -> np.ndarray:
     """rel[i, j, k] = (s_ij s_jk - s_ik s_jj) / (s_ik s_jj) for first
-    indices xs."""
-    den = a[xs, None, :] * np.diag(a)[:, None]
-    return (a[xs, :, None] * a - den) / den
+    indices xs of the positive array a.
+
+    Where s_ij s_jk or s_ik s_jj is not a normal float, that entry is
+    expm1((ln s_ij + ln s_jk) - (ln s_ik + ln s_jj)), which takes the logs
+    before the products; every other entry keeps the products' rounding."""
+    with np.errstate(over="ignore", under="ignore"):
+        num = a[xs, :, None] * a
+        den = a[xs, None, :] * np.diag(a)[:, None]
+    if _PRODUCT_SAFE[0] <= a.min() and a.max() <= _PRODUCT_SAFE[1]:
+        return (num - den) / den
+    x, j, k = np.nonzero(~(_normal(num) & _normal(den)))
+    num[x, j, k] = den[x, j, k] = 1.0  # keeps the division finite; replaced after it
+    rel = (num - den) / den
+    if x.size:
+        ln, i = np.log(a), x + xs.start
+        rel[x, j, k] = np.expm1((ln[i, j] + ln[j, k]) - (ln[i, k] + ln[j, j]))
+    return rel
 
 
 def _separation_scan(v: np.ndarray, xs: slice, comp: np.ndarray, tol: float):
@@ -400,6 +430,7 @@ def check_transitional(
     (relative slack), with equality exactly when j separates i from k.
     Equality detection at relative tolerance is cross-checked against the
     cut-vertex predicate in both directions."""
+    _check_tol(tol)
     a = np.asarray(s, dtype=float)
     _require_finite(a, "check_transitional")
     _require_order(a, g, "check_transitional")
@@ -446,6 +477,7 @@ def check_cutpoint_additive(
 ) -> PropertyReport:
     """d(i,j) + d(j,k) = d(i,k) exactly when j separates i from k, both
     directions checked on every ordered triple."""
+    _check_tol(tol)
     a = np.asarray(d, dtype=float)
     _require_finite(a, "check_cutpoint_additive")
     _require_order(a, g, "check_cutpoint_additive")
@@ -494,6 +526,7 @@ def check_sqrt_distance(d: np.ndarray, tol: float = DEFAULT_TOL) -> PropertyRepo
     """Necessary-condition filter for proximities: d must be entrywise
     nonnegative and its entrywise square root must satisfy the triangle
     inequality. Coinciding points are allowed (an all-zero d passes)."""
+    _check_tol(tol)
     a = np.asarray(d, dtype=float)
     _require_finite(a, "check_sqrt_distance")
     if a.min() < -tol:

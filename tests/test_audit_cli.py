@@ -11,6 +11,7 @@ from graphprox import (
     export_embedding,
     find_threshold,
     kernel_to_sq_dist,
+    load_graph,
     param_domain,
     run_audit,
     run_check,
@@ -73,7 +74,7 @@ class TestRunAudit:
         checks = default_checks(True, g.n)
         assert "sym_psd" not in checks
         kres = compute_kernel(g, measure, param)
-        assert list(result.checks) == [run_check(c, kres, g) for c in checks]
+        assert list(result.checks) == [run_check(c, kres) for c in checks]
         # the JSON flag stays the measure's
         assert result.symmetric is False
         assert report.to_dict()["results"][0]["symmetric"] is False
@@ -103,7 +104,21 @@ class TestRunAudit:
         # and tol = -1 passed egocentrism with a negative slack
         kres = compute_kernel(path4, "heat", 1.0)
         with pytest.raises(ValueError, match="tolerance"):
-            run_check(check, kres, path4, tol)
+            run_check(check, kres, tol)
+
+    def test_kernel_is_checked_against_its_own_graph(self, path4):
+        star = load_graph("1 2 1\n1 3 1\n1 4 1\n")
+        kres = compute_kernel(path4, "regL", 1.0)
+        assert kres.graph is path4
+        assert run_check("transitional", kres).holds
+        assert run_check("cutpoint_additive", kres).holds
+        assert run_check("transitional", compute_kernel(star, "regL", 1.0)).holds
+        # a graph passed next to the kernel result once gave FAIL on this
+        # pair; the call now raises instead of returning a report
+        with pytest.raises(TypeError):
+            run_check("transitional", kres, star)
+        with pytest.raises(TypeError):
+            run_check("transitional", kres, star, 1e-9)
 
     def test_reproducible(self, path5):
         a = run_audit(path5, [("ppr", 0.9)], checks=["all"])
@@ -127,13 +142,19 @@ class TestRunAudit:
         old = {**report.to_dict(), "schema_version": 1, "sigma": 1.0}
         assert AuditReport.from_dict(old) == report
 
+    @pytest.mark.parametrize("version", [0, 3, 99, None])
+    def test_unknown_schema_version_rejected(self, path4, version):
+        report = run_audit(path4, [("regL", 1.0)], checks=["psd"])
+        doc = {**report.to_dict(), "schema_version": version}
+        with pytest.raises(ValueError, match=f"schema_version {version!r} is not 1 or 2"):
+            AuditReport.from_dict(doc)
+
 
 @pytest.mark.parametrize("call", [
-    # dfact:5 overflows the products of the transitional check; unguarded,
-    # it warned and passed with slack -inf, and the threshold bisected a
-    # flip drawn from inf
-    lambda g, tmp: run_audit(g, [("dfact", 5.0)], checks=["transitional"]),
-    lambda g, tmp: find_threshold(g, "dfact", "transitional", 0.5, 5.0),
+    # heat:1e308 overflows t L; unguarded, numpy only warns and the
+    # checks read a matrix drawn from inf
+    lambda g, tmp: run_audit(g, [("heat", 1e308)], checks=["psd"]),
+    lambda g, tmp: find_threshold(g, "heat", "psd", 1.0, 1e308),
     lambda g, tmp: export_embedding(g, "heat", 1e308, str(tmp / "x.csv")),
 ], ids=["run_audit", "find_threshold", "export_embedding"])
 def test_library_calls_raise_on_float_errors(call, tmp_path):
@@ -157,8 +178,8 @@ class TestFindThreshold:
         from graphprox import compute_kernel, run_check
 
         res = find_threshold(path4, "heat", "proximity", 0.1, 1.0, resolution=1e-4)
-        low = run_check("proximity", compute_kernel(path4, "heat", res.bracket_low), path4)
-        high = run_check("proximity", compute_kernel(path4, "heat", res.bracket_high), path4)
+        low = run_check("proximity", compute_kernel(path4, "heat", res.bracket_low))
+        high = run_check("proximity", compute_kernel(path4, "heat", res.bracket_high))
         assert low.holds and not high.holds
 
     def test_order_property_syntax(self, path4):
@@ -207,8 +228,8 @@ class TestFindThreshold:
         res = find_threshold(path4, "heat", "proximity", 0.1, 1.0, resolution=1e-20)
         assert res.evaluations <= 2 + 64
         assert res.bracket_high == np.nextafter(res.bracket_low, np.inf)
-        low = run_check("proximity", compute_kernel(path4, "heat", res.bracket_low), path4)
-        high = run_check("proximity", compute_kernel(path4, "heat", res.bracket_high), path4)
+        low = run_check("proximity", compute_kernel(path4, "heat", res.bracket_low))
+        high = run_check("proximity", compute_kernel(path4, "heat", res.bracket_high))
         assert low.holds and not high.holds
 
     def test_reproducible(self, path4):
@@ -513,6 +534,15 @@ class TestCli:
         captured = capsys.readouterr()
         assert (code, captured.err) == (0, "")
         assert "FAIL" not in captured.out
+
+    @pytest.mark.parametrize("check", ["transitional", "cutpoint_additive"])
+    def test_products_of_normal_entries_get_a_verdict(self, capsys, check):
+        # every entry of comm:150 on path4 lies between 1.4e166 and 2.3e166,
+        # so s_ij s_jk and s_ik s_jj overflow
+        code = main(["audit", "paper:path4", "--measure", "comm:150", "--check", check])
+        captured = capsys.readouterr()
+        assert code in (0, 1) and captured.err == ""
+        assert f"{check} " in captured.out
 
     @pytest.mark.parametrize("argv", [
         ["audit", "paper:path4", "--measure", "heat:nan", "--check", "psd"],

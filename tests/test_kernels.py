@@ -269,6 +269,7 @@ class TestKernelResultMetadata:
     def test_symmetry_flags(self, path4):
         for measure in MEASURES:
             res = compute_kernel(path4, measure, 0.3)
+            assert res.graph is path4
             assert res.symmetric == (measure in SYMMETRIC_MEASURES)
             assert res.measure == measure
             lo, hi = res.param_domain
@@ -292,8 +293,8 @@ class TestKernelResultMetadata:
             param = min(0.3, param_domain(measure, g)[1] / 2)
             assert compute_kernel(g, measure, param).symmetric is True
 
-    def test_symmetry_is_no_constructor_argument(self):
-        args = ("ppr", 0.5, np.array([[1.0, 2.0], [3.0, 4.0]]), (0.0, 1.0))
+    def test_symmetry_is_no_constructor_argument(self, path4):
+        args = (path4, "ppr", 0.5, np.array([[1.0, 2.0], [3.0, 4.0]]), (0.0, 1.0))
         with pytest.raises(TypeError, match="symmetric"):
             KernelResult(*args, symmetric=True)
         with pytest.raises(TypeError):

@@ -98,7 +98,7 @@ def test_audit_sees_a_wrapped_check_or_transform(
         for measure in ("regL", "ppr"):
             kres = compute_kernel(path4, measure, 0.9)
             for check in CHECKS:
-                run_check(check, kres, path4)
+                run_check(check, kres)
     assert calls
 
 

@@ -1,7 +1,10 @@
+import inspect
+
 import numpy as np
 import pytest
 
 from graphprox import (
+    properties,
     check_cutpoint_additive,
     check_distance_order,
     check_egocentrism,
@@ -180,6 +183,19 @@ class TestCheckTransitional:
         with pytest.raises(ValueError, match="positive"):
             check_transitional(np.eye(4), path4)
 
+    @pytest.mark.parametrize("exponent", [-600, 600])
+    @pytest.mark.parametrize("measure,param", [("regL", 1.0), ("ppr", 0.5), ("modifppr", 0.5)])
+    def test_products_out_of_float_range_keep_the_report(self, path5, measure, param, exponent):
+        # scaling by a power of two is exact and leaves the relative excess
+        # as it is; at 2^-600 or 2^600 every product of two entries leaves
+        # the normal range, so each excess comes from the logs instead
+        k = compute_kernel(path5, measure, param).matrix
+        before = check_transitional(k, path5)
+        after = check_transitional(np.ldexp(k, exponent), path5)
+        assert after.holds and before.holds
+        assert (after.witness, after.indeterminate) == (before.witness, before.indeterminate)
+        assert after.slack == pytest.approx(before.slack, abs=1e-12)
+
 
 class TestCheckCutpointAdditive:
     def test_log_regularized_laplacian_on_path(self, path4):
@@ -299,3 +315,33 @@ class TestNonFiniteInputRejected:
         d = log_distance(regularized_laplacian(path4, 1.0).matrix)
         with pytest.raises(ValueError, match="finite"):
             check_cutpoint_additive(self.with_entry(d, 1, 3, np.inf), path4)
+
+
+# every public check that takes a tolerance, with arguments before it
+TOL_CHECKS = sorted(
+    name for name in properties.__all__
+    if name.startswith("check_")
+    and "tol" in inspect.signature(getattr(properties, name)).parameters
+)
+
+
+@pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("name", TOL_CHECKS)
+def test_every_check_rejects_a_bad_tolerance(path4, name, tol):
+    # unchecked, tol = nan passed check_proximity and check_transitional on
+    # heat:1, and tol = -1 passed check_egocentrism on comm:1
+    k = heat(path4, 1.0).matrix
+    d = pair_to_dist(k)
+    args = {
+        "check_metric": (d,),
+        "check_sq_euclidean": (d,),
+        "check_sqrt_distance": (d,),
+        "check_transitional": (k, path4),
+        "check_cutpoint_additive": (log_distance(k), path4),
+    }.get(name, (k,))
+    with pytest.raises(ValueError, match="tolerance must be finite and nonnegative"):
+        getattr(properties, name)(*args, tol)
+
+
+def test_tolerance_checks_cover_every_check_but_distance_order():
+    assert len(TOL_CHECKS) == 9 and "check_distance_order" not in TOL_CHECKS

@@ -39,7 +39,7 @@ def bisection_evaluations(lo, hi, resolution):
 
 def verdict(g, measure, prop, param):
     kres = compute_kernel(g, measure, param)
-    return audit._threshold_predicate(prop, g.n)(kres, g, 1e-9)[0]
+    return audit._threshold_predicate(prop, g.n)(kres, 1e-9)[0]
 
 
 def assert_sound(res, g, lo, hi, resolution):
@@ -63,7 +63,7 @@ def grid_verdicts(g, measure, kind):
     params = [float(lo + u * (top - lo)) for u in _GRID]
     kernels = [compute_kernel(g, measure, p) for p in params]
     if kind == "sym_psd":
-        return params, {"sym_psd": [run_check("sym_psd", k, g).holds for k in kernels]}
+        return params, {"sym_psd": [run_check("sym_psd", k).holds for k in kernels]}
     d = np.stack([pair_to_dist(k.matrix) for k in kernels])
     table = {}
     if kind == "order":
@@ -115,8 +115,8 @@ def test_margin_disagreeing_with_verdict_still_brackets(monkeypatch, path5, lie)
     def lying(prop, n):
         predicate = real(prop, n)
 
-        def lie_about_margin(kres, g, tol):
-            holds, margin = predicate(kres, g, tol)
+        def lie_about_margin(kres, tol):
+            holds, margin = predicate(kres, tol)
             if lie == "negated":
                 return holds, -margin
             if lie == "inverted_constants":
@@ -150,7 +150,7 @@ def test_margin_sign_agrees_with_verdict(path4, prop, measure, params):
     predicate = audit._threshold_predicate(prop, path4.n)
     for p in params:
         kres = compute_kernel(path4, measure, p)
-        holds, margin = predicate(kres, path4, 1e-9)
+        holds, margin = predicate(kres, 1e-9)
         if prop == "psd" and not kres.symmetric:
             assert margin is None  # the report's slack is the asymmetry
         else:  # zero sits on the boundary, on either side of it
@@ -161,13 +161,13 @@ def test_margin_sign_agrees_with_verdict(path4, prop, measure, params):
 def test_psd_margin_of_symmetric_asymmetric_measure(triangle, measure, param):
     # on the regular triangle the matrix is symmetric, so psd has a margin
     kres = compute_kernel(triangle, measure, param)
-    report = run_check("psd", kres, triangle, 1e-9)
+    report = run_check("psd", kres, 1e-9)
     assert report.note == "smallest eigenvalue"
-    holds, margin = audit._threshold_predicate("psd", triangle.n)(kres, triangle, 1e-9)
+    holds, margin = audit._threshold_predicate("psd", triangle.n)(kres, 1e-9)
     assert (holds, margin) == (report.holds, report.slack + 1e-9)
 
 
 @pytest.mark.parametrize("prop", ["proximity", "metric", "transitional", "log_psd"])
 def test_properties_without_margin_bisect(path4, prop):
     kres = compute_kernel(path4, "regL", 1.0)
-    assert audit._threshold_predicate(prop, path4.n)(kres, path4, 1e-9)[1] is None
+    assert audit._threshold_predicate(prop, path4.n)(kres, 1e-9)[1] is None

@@ -55,8 +55,10 @@ def fresh_reports(g, measure, param, checks, tol):
     with np.errstate(over="raise", divide="raise", invalid="raise"):
         for check in checks:
             try:
-                kres = KernelResult(base.measure, base.param, base.matrix, base.param_domain)
-                reports.append(run_check(check, kres, g, tol))
+                kres = KernelResult(
+                    base.graph, base.measure, base.param, base.matrix, base.param_domain
+                )
+                reports.append(run_check(check, kres, tol))
             except (ValueError, FloatingPointError) as exc:
                 return reports, exc
     return reports, None
@@ -126,7 +128,7 @@ def test_run_check_calls_share_the_kernel_results_distance(monkeypatch, path4):
     calls = count_calls(monkeypatch, kernels, ("pair_to_dist",))
     kres = compute_kernel(path4, "regL", 1.0)
     for check in ("metric", "sqrt_distance"):
-        run_check(check, kres, path4)
+        run_check(check, kres)
     assert calls == {"pair_to_dist": 1}
 
 
