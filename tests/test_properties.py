@@ -157,6 +157,11 @@ class TestCheckSqEuclidean:
         assert check_sq_euclidean(np.zeros((4, 4))).holds
 
 
+# exponents that scale row and column 3 of a 5 x 5 matrix by 2^400
+_E = 400 * (np.arange(5) == 2)
+VERTEX3_BY_2_400 = _E[:, None] + _E
+
+
 class TestCheckTransitional:
     def test_katz_equality_exactly_on_cut_triples(self, path4):
         k = katz(path4, 0.3).matrix
@@ -183,18 +188,55 @@ class TestCheckTransitional:
         with pytest.raises(ValueError, match="positive"):
             check_transitional(np.eye(4), path4)
 
-    @pytest.mark.parametrize("exponent", [-600, 600])
+    @staticmethod
+    def relative_excess(a, n):
+        return np.concatenate([properties._relative_excess(a, xs) for xs in properties._blocks(n)])
+
+    # one block of first vertices, and one block per first vertex
+    @pytest.mark.parametrize("one_per_block", [False, True])
+    @pytest.mark.parametrize("scale", [
+        lambda k: np.ldexp(k, -600),
+        lambda k: np.ldexp(k, 600),
+        # row and column 3 by 2^400: only the products holding s_33 and
+        # another entry of that row or column leave the normal range
+        lambda k: np.ldexp(k, VERTEX3_BY_2_400),
+    ], ids=["all-2^-600", "all-2^600", "vertex3-2^400"])
     @pytest.mark.parametrize("measure,param", [("regL", 1.0), ("ppr", 0.5), ("modifppr", 0.5)])
-    def test_products_out_of_float_range_keep_the_report(self, path5, measure, param, exponent):
-        # scaling by a power of two is exact and leaves the relative excess
-        # as it is; at 2^-600 or 2^600 every product of two entries leaves
-        # the normal range, so each excess comes from the logs instead
+    def test_products_out_of_float_range_keep_the_report(
+        self, monkeypatch, path5, measure, param, scale, one_per_block
+    ):
+        # scaling rows and columns alike by powers of two is exact and
+        # leaves every relative excess as it is; the excesses whose
+        # products leave the normal range come from the logs instead
+        if one_per_block:
+            monkeypatch.setattr(properties, "_BLOCK_ENTRIES", path5.n ** 2)
         k = compute_kernel(path5, measure, param).matrix
+        scaled = scale(k)
+        assert np.isfinite(scaled).all() and (scaled > 0).all()
+        np.testing.assert_allclose(
+            self.relative_excess(scaled, path5.n), self.relative_excess(k, path5.n),
+            rtol=0, atol=1e-12,
+        )
         before = check_transitional(k, path5)
-        after = check_transitional(np.ldexp(k, exponent), path5)
+        after = check_transitional(scaled, path5)
         assert after.holds and before.holds
         assert (after.witness, after.indeterminate) == (before.witness, before.indeterminate)
         assert after.slack == pytest.approx(before.slack, abs=1e-12)
+
+    def test_excess_of_normal_products_is_the_linear_form(self, path5):
+        # beside products out of range, every other entry is bit for bit
+        # (s_ij s_jk - s_ik s_jj) / (s_ik s_jj)
+        k = compute_kernel(path5, "regL", 1.0).matrix
+        a = np.ldexp(k, VERTEX3_BY_2_400)
+        with np.errstate(over="ignore"):
+            num = a[:, :, None] * a
+            den = a[:, None, :] * np.diag(a)[:, None]
+        linear = (num < np.inf) & (den < np.inf)
+        assert 0 < linear.sum() < linear.size
+        with np.errstate(invalid="ignore"):
+            expected = (num - den) / den
+        got = properties._relative_excess(a, slice(0, 5))
+        assert np.array_equal(got[linear], expected[linear])
 
 
 class TestCheckCutpointAdditive:
