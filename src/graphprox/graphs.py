@@ -7,7 +7,6 @@ Vertices are 1-based in edge-list files and in all user-facing reports,
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -53,30 +52,6 @@ def _neighbours(weights: np.ndarray) -> list[list[int]]:
     return [cols[start:stop] for start, stop in zip([0, *stops], stops)]
 
 
-def _labels_without(neighbours: list[list[int]], j: int) -> list[int]:
-    """Component label of every vertex once vertex j is removed, by BFS;
-    j itself gets -1, and j = -1 removes nothing. Labels count up from 0
-    in the order of each component's lowest vertex."""
-    labels = [-1] * len(neighbours)
-    label = 0
-    for s in range(len(labels)):
-        if s == j or labels[s] >= 0:
-            continue
-        labels[s] = label
-        queue = deque([s])
-        while queue:
-            for v in neighbours[queue.popleft()]:
-                if v != j and labels[v] < 0:
-                    labels[v] = label
-                    queue.append(v)
-        label += 1
-    return labels
-
-
-def _is_connected(weights: np.ndarray) -> bool:
-    return max(_labels_without(_neighbours(weights), -1)) == 0
-
-
 @dataclass(frozen=True, eq=False)
 class WeightedGraph:
     """Connected undirected graph given by a symmetric nonnegative weight
@@ -105,15 +80,18 @@ class WeightedGraph:
             raise GraphValidationError("graph must have at least 2 vertices")
         if not np.isfinite(w).all():
             raise GraphValidationError("weights must be finite")
-        if not is_symmetric(w, _SYMMETRY_TOL):
+        # the zero patterns must agree exactly: the tolerance would pass an
+        # edge seen from one end only
+        edges = w > 0
+        if not is_symmetric(w, _SYMMETRY_TOL) or (edges != edges.T).any():
             raise GraphValidationError("weight matrix must be symmetric")
         if w.min() < 0:
             raise GraphValidationError("weights must be nonnegative")
         if np.abs(np.diag(w)).max() > 0:
             raise GraphValidationError("self-loops are not allowed")
-        if not _is_connected(w):
-            raise GraphValidationError("graph must be connected")
         object.__setattr__(self, "weights", _read_only(w))
+        if len(self._traversal[0]) < self.n:
+            raise GraphValidationError("graph must be connected")
 
     @property
     def n(self) -> int:
@@ -143,14 +121,61 @@ class WeightedGraph:
         return spectral_radius(self.weights)
 
     @cached_property
-    def _separation(self) -> np.ndarray:
+    def _traversal(self) -> tuple[list[int], list[int], list[int]]:
+        """One iterative depth-first search from vertex 0: the reached
+        vertices in discovery order, and per vertex its parent in the
+        search tree and its discovery time disc. The root's parent is -1,
+        and both are -1 where the search did not reach.
+
+        A vertex is discovered when popped, and its parent is the last
+        vertex that pushed it, so the search is depth-first: every edge
+        joins an ancestor to a descendant, and the subtree of v is one
+        discovery-order range starting at disc[v].
+        """
         neighbours = _neighbours(self.weights)
+        order, parent, disc = [], [-1] * self.n, [-1] * self.n
+        stack = [0]
+        while stack:
+            v = stack.pop()
+            if disc[v] < 0:
+                disc[v] = len(order)
+                order.append(v)
+                for u in neighbours[v]:
+                    if disc[u] < 0:
+                        parent[u] = v
+                        stack.append(u)
+        return order, parent, disc
+
+    @cached_property
+    def _separation(self) -> np.ndarray:
+        order, parent, disc = self._traversal
+        n = self.n
+        # low[v] starts as the least disc adjacent to v and becomes the
+        # least over v's subtree; children come before their parents in
+        # reverse discovery order, so each is final when read
+        low = np.where(self.weights > 0, disc, n).min(axis=1).tolist()
+        size, lowest = [1] * n, list(range(n))
+        # Removing j splits off the subtree of each child c with
+        # low[c] >= disc[j] (Hopcroft & Tarjan, CACM 16(6), 1973), which
+        # holds for every child of the root 0.
+        # Unless j is 0, what is left holds vertex 0 and takes label 0, and
+        # the parts count up from 1 in the order of their lowest vertices.
+        parts: dict[int, list[tuple[int, int, int]]] = {}
+        for c in reversed(order[1:]):
+            j = parent[c]
+            if low[c] >= disc[j]:
+                parts.setdefault(j, []).append((lowest[c], disc[c], disc[c] + size[c]))
+            size[j] += size[c]
+            low[j] = min(low[j], low[c])
+            lowest[j] = min(lowest[j], lowest[c])
         # the narrowest signed type that holds every label: the triple
         # checks compare these labels n^3 times
-        comp = np.array(
-            [_labels_without(neighbours, j) for j in range(self.n)],
-            dtype=np.min_scalar_type(-max(self.n, 1)),
-        )
+        table = np.zeros((n, n), dtype=np.min_scalar_type(-n))
+        for j, ranges in parts.items():  # columns in discovery order
+            for label, (_, start, stop) in enumerate(sorted(ranges), start=int(j != 0)):
+                table[j, start:stop] = label
+        comp = table[:, disc]
+        np.fill_diagonal(comp, -1)
         return _read_only(comp)
 
 
@@ -221,8 +246,10 @@ def separation_labels(g: WeightedGraph) -> np.ndarray:
     """comp[j, v] is the component label of v in G - j, with comp[j, j] = -1.
 
     For distinct i, j, k, vertex j separates i from k exactly when
-    comp[j, i] != comp[j, k]. One BFS per removed vertex, O(n (n + m)),
-    run once per graph: later calls return the same read-only array.
+    comp[j, i] != comp[j, k]. Labels count up from 0 in the order of each
+    component's lowest vertex. Built once per graph from the depth-first
+    search that checked its connectivity, in O(n^2) numpy work and
+    O(n + m) Python steps; later calls return the same read-only array.
     """
     return g._separation
 

@@ -213,19 +213,23 @@ def _double_factorial_series(tw: np.ndarray) -> np.ndarray:
     prev1 = tw.copy()  # k = 1
     total = prev2 + prev1
     norms = [1.0, float(np.abs(prev1).max())]
-    for k in range(2, _DFACT_MAX_TERMS):
-        with np.errstate(over="ignore", invalid="ignore"):
+    # entered once, not per term; the isfinite test turns what it hides
+    # into OverflowError
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(2, _DFACT_MAX_TERMS):
             cur = prev2 @ tw2 / k  # t^k/k!! W^k from the k-2 term
             total += cur
-        norms.append(float(np.abs(cur).max()))
-        if not (math.isfinite(norms[-1]) and np.isfinite(total).all()):
-            raise OverflowError(f"double-factorial series overflowed float64 at term {k}")
-        if norms[-1] < _DFACT_TERM_TOL and norms[-3] > norms[-2] > norms[-1]:
-            return 0.5 * (total + total.T)
-        prev2, prev1 = prev1, cur
-    raise NonConvergenceError(
-        f"double-factorial series did not converge within {_DFACT_MAX_TERMS} terms"
-    )
+            norms.append(float(np.abs(cur).max()))
+            if not (math.isfinite(norms[-1]) and np.isfinite(total).all()):
+                raise OverflowError(f"double-factorial series overflowed float64 at term {k}")
+            if norms[-1] < _DFACT_TERM_TOL and norms[-3] > norms[-2] > norms[-1]:
+                break
+            prev2, prev1 = prev1, cur
+        else:
+            raise NonConvergenceError(
+                f"double-factorial series did not converge within {_DFACT_MAX_TERMS} terms"
+            )
+    return 0.5 * (total + total.T)
 
 
 def heat(g: WeightedGraph, t: float) -> KernelResult:

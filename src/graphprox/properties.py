@@ -13,7 +13,10 @@ defining inequality, and each witness is the first extreme in (x, y, z)
 order, replaced across blocks only on a strict improvement, so a report
 equals the one a scalar loop over all triples would give. The
 transitional check forms each block of relative excesses once and feeds
-it to both its worst-excess scan and its cut-vertex scan.
+it to both its worst-excess scan and its cut-vertex scan. It forms the
+mask of products that are not normal floats only on a block whose
+extreme products, bounded by the extremes of its rows and of the whole
+matrix, leave the normal range.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import numpy as np
 
 from .graphs import WeightedGraph, separation_labels
 from .linalg import is_symmetric, sym_eigen
-from .transforms import _normal, _require_positive
+from .transforms import _HUGE, _TINY, _normal, _require_positive
 
 __all__ = [
     "PropertyReport",
@@ -113,12 +116,15 @@ def _blocks(n: int):
 
 
 def _fill_repeats(v: np.ndarray, xs: slice, value) -> np.ndarray:
-    """Write value, in place, to each entry of block v (first indices xs)
-    whose x, y, z are not all distinct; return v."""
-    local = np.arange(v.shape[0])
-    v[local, local + xs.start, :] = value
-    v[local, :, local + xs.start] = value
-    np.einsum("ijj->ij", v)[...] = value  # a writable view of v[:, y, y]
+    """Write value to each entry of block v (first indices xs) whose x, y,
+    z are not all distinct, through basic-slice views, and return v. The
+    reshaped views need C order, so any other v is copied to it first."""
+    v = np.ascontiguousarray(v)
+    b, n, _ = v.shape
+    s = xs.start
+    v.reshape(b * n, n)[s::n + 1][:b] = value  # v[x, x, :]
+    np.einsum("iji->ij", v[:, :, s:s + b])[...] = value  # v[x, :, x]
+    v.reshape(b, n * n)[:, ::n + 1] = value  # v[:, y, y]
     return v
 
 
@@ -384,10 +390,16 @@ def _relative_excess(a: np.ndarray, xs: slice) -> np.ndarray:
 
     Where s_ij s_jk or s_ik s_jj is not a normal float, that entry is
     expm1((ln s_ij + ln s_jk) - (ln s_ik + ln s_jj)), which takes the logs
-    before the products; every other entry keeps the products' rounding."""
+    before the products; every other entry keeps the products' rounding.
+    Each product has one factor from rows xs and one from a, and rounding
+    is monotone, so when fl(min a[xs] min a) and fl(max a[xs] max a) are
+    normal every product is, and no mask is formed."""
     with np.errstate(over="ignore", under="ignore"):
         num = a[xs, :, None] * a
         den = a[xs, None, :] * np.diag(a)[:, None]
+        lo, hi = a[xs].min() * a.min(), a[xs].max() * a.max()
+    if _TINY <= lo and hi <= _HUGE:
+        return (num - den) / den
     x, j, k = np.nonzero(~(_normal(num) & _normal(den)))
     num[x, j, k] = den[x, j, k] = 1.0  # keeps the division finite; replaced after it
     rel = (num - den) / den

@@ -4,15 +4,19 @@ Everything here deliberately avoids the library's own code paths:
 resolvents are summed as Neumann series instead of LU-inverted, the
 exponential is a raw Taylor sum, the double-factorial series uses exact
 integer double factorials with explicit matrix powers, and cut vertices
-come from brute-force enumeration of simple paths or from one BFS per
-question instead of the library's separation table. The reference_* triple
+come from brute-force enumeration of simple paths, from one BFS per
+question or from labels_by_bfs, the library's former separation table of
+one BFS per removed vertex, instead of the table it builds now from one
+depth-first search. The reference_* triple
 checks at the end are the library's former scalar loops, kept to pin the
 vectorized checks to the exact reports those loops gave,
 reference_embedding_csv is the library's former CSV writer, kept to pin
 export_embedding's bytes, reference_invert is the library's former
-Gauss-Jordan loop, kept to pin invert's bytes, and reference_matrices is
+Gauss-Jordan loop, kept to pin invert's bytes, reference_matrices is
 the library's former build_matrices, kept to pin the bytes of the
-matrices a graph caches.
+matrices a graph caches, and reference_relative_excess is the library's
+former relative excess of the transitional check, which formed its mask
+of out-of-range products on every block.
 """
 
 from __future__ import annotations
@@ -138,6 +142,31 @@ def cut_by_bfs(g: WeightedGraph, j: int, i: int, k: int) -> bool:
                 seen.add(v)
                 queue.append(v)
     return k not in seen
+
+
+def labels_by_bfs(g: WeightedGraph) -> np.ndarray:
+    """comp[j, v]: the component label of v once vertex j is removed, by
+    one BFS per removed vertex; comp[j, j] = -1. Labels count up from 0 in
+    the order of each component's lowest vertex, in the narrowest signed
+    type that holds them all."""
+    neighbours = [np.flatnonzero(row).tolist() for row in g.weights]
+    rows = []
+    for j in range(g.n):
+        labels = [-1] * g.n
+        label = 0
+        for s in range(g.n):
+            if s == j or labels[s] >= 0:
+                continue
+            labels[s] = label
+            queue = deque([s])
+            while queue:
+                for v in neighbours[queue.popleft()]:
+                    if v != j and labels[v] < 0:
+                        labels[v] = label
+                        queue.append(v)
+            label += 1
+        rows.append(labels)
+    return np.array(rows, dtype=np.min_scalar_type(-max(g.n, 1)))
 
 
 def random_connected_graph(rng: np.random.Generator, n: int, name: str) -> WeightedGraph:
@@ -412,6 +441,22 @@ def reference_sqrt_distance(d: np.ndarray, tol: float = DEFAULT_TOL) -> Property
         )
     root = np.sqrt(np.clip(a, 0.0, None))
     return _reference_metric_axioms(root, tol, "sqrt_distance", require_separation=False)
+
+
+def reference_relative_excess(a: np.ndarray, xs: slice) -> np.ndarray:
+    """(s_ij s_jk - s_ik s_jj) / (s_ik s_jj) for first indices xs, with
+    expm1 of the log form where either product is not a normal float."""
+    with np.errstate(over="ignore", under="ignore"):
+        num = a[xs, :, None] * a
+        den = a[xs, None, :] * np.diag(a)[:, None]
+    tiny, huge = np.finfo(float).tiny, np.finfo(float).max
+    x, j, k = np.nonzero(~((num >= tiny) & (num <= huge) & (den >= tiny) & (den <= huge)))
+    num[x, j, k] = den[x, j, k] = 1.0
+    rel = (num - den) / den
+    if x.size:
+        ln, i = np.log(a), x + xs.start
+        rel[x, j, k] = np.expm1((ln[i, j] + ln[j, k]) - (ln[i, k] + ln[j, j]))
+    return rel
 
 
 def reference_embedding_csv(coords: np.ndarray, path: str) -> None:

@@ -17,7 +17,12 @@ from graphprox import (
 )
 from graphprox.graphs import _neighbours
 
-from oracles import every_path_visits, random_connected_graph, reference_matrices
+from oracles import (
+    every_path_visits,
+    labels_by_bfs,
+    random_connected_graph,
+    reference_matrices,
+)
 
 # the matrices a WeightedGraph holds, in reference_matrices' order
 MATRICES = ("weights", "degree", "laplacian", "norm_laplacian", "markov")
@@ -126,6 +131,17 @@ class TestWeightedGraphValidation:
     def test_single_vertex_rejected(self):
         with pytest.raises(GraphValidationError, match="at least 2"):
             WeightedGraph(np.zeros((1, 1)))
+
+    @pytest.mark.parametrize("w", [
+        # vertex 1 would have degree 0
+        [[0, 1e-13], [0, 0]],
+        # a search along rows would follow 0-2 one way only
+        [[0, 1, 1e-13], [1, 0, 1], [0, 1, 0]],
+    ])
+    def test_edge_seen_from_one_end_rejected(self, w):
+        # within the symmetry tolerance, but the zero patterns differ
+        with pytest.raises(GraphValidationError, match="symmetric"):
+            WeightedGraph(np.array(w, dtype=float))
 
 
 class TestBuildMatrices:
@@ -242,3 +258,69 @@ def test_neighbours_match_per_row_flatnonzero(corpus, path4):
     extra = [np.asfortranarray(path4.weights), isolated, np.zeros((2, 2))]
     for w in [g.weights for g in corpus] + extra:
         assert _neighbours(w) == [np.flatnonzero(row).tolist() for row in w]
+
+
+def graph_of_edges(n: int, edges, perm=None) -> WeightedGraph:
+    """Unit-weight graph on n vertices; vertex v is renamed perm[v]."""
+    perm = range(n) if perm is None else perm
+    w = np.zeros((n, n))
+    for u, v in edges:
+        w[perm[u], perm[v]] = w[perm[v], perm[u]] = 1.0
+    return WeightedGraph(w)
+
+
+def path_edges(n: int):
+    return [(v, v + 1) for v in range(n - 1)]
+
+
+def assert_table_is_bfs(g: WeightedGraph) -> None:
+    got, want = separation_labels(g), labels_by_bfs(g)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@given(
+    n=st.integers(2, 40),
+    seed=st.integers(0, 2**32 - 1),
+    extra=st.sampled_from([0.0, 0.02, 0.1, 0.3]),
+)
+def test_separation_table_equals_bfs_labels(n, seed, extra):
+    # a random tree plus each further edge with probability extra, its
+    # vertices renamed at random: the sparse ones have many cut vertices
+    rng = np.random.default_rng(seed)
+    edges = [(int(rng.integers(0, v)), v) for v in range(1, n)]
+    edges += [(u, v) for u in range(n) for v in range(u + 2, n) if rng.random() < extra]
+    assert_table_is_bfs(graph_of_edges(n, edges, rng.permutation(n)))
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_separation_table_of_paths_complete_graphs_and_stars(n):
+    assert_table_is_bfs(graph_of_edges(n, path_edges(n)))
+    assert_table_is_bfs(graph_of_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)]))
+    for centre in sorted({0, n // 2, n - 1}):
+        assert_table_is_bfs(graph_of_edges(n, [(centre, v) for v in range(n) if v != centre]))
+
+
+@pytest.mark.parametrize("root_cut", [False, True])
+@pytest.mark.parametrize("seed", range(5))
+def test_separation_table_of_permuted_near_paths(seed, root_cut):
+    # a 15-path with some chords between vertices two apart; vertex 0 of
+    # the graph, where the search starts, sits at an end or inside a run
+    # of chordless edges, where it separates the path
+    rng = np.random.default_rng(seed)
+    n = 15
+    edges = path_edges(n) + [(v, v + 2) for v in (1, 2, 9, 10) if rng.random() < 0.7]
+    perm = rng.permutation(n)
+    at = 7 if root_cut else int(rng.choice([0, n - 1]))
+    perm[perm == 0], perm[at] = perm[at], 0
+    g = graph_of_edges(n, edges, perm)
+    assert (separation_labels(g)[0] > 0).any() == root_cut
+    assert_table_is_bfs(g)
+
+
+@pytest.mark.parametrize("n,dtype", [(127, np.int8), (128, np.int8), (129, np.int16)])
+def test_separation_table_of_long_paths(n, dtype):
+    # n labels with -1 fit int8 up to n = 128
+    g = graph_of_edges(n, path_edges(n))
+    assert separation_labels(g).dtype == dtype
+    assert_table_is_bfs(g)

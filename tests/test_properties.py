@@ -2,6 +2,8 @@ import inspect
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphprox import (
     properties,
@@ -28,6 +30,8 @@ from graphprox import (
     ppr,
     regularized_laplacian,
 )
+
+from oracles import reference_relative_excess
 
 
 class TestCheckPsd:
@@ -237,6 +241,66 @@ class TestCheckTransitional:
             expected = (num - den) / den
         got = properties._relative_excess(a, slice(0, 5))
         assert np.array_equal(got[linear], expected[linear])
+
+
+    @staticmethod
+    def boundary_factors(end, step):
+        """(factor in the block's rows, factor outside them, their exact
+        product): fl(min a[xs] min a) one step below, at and one step above
+        2^-1022, or fl(max a[xs] max a) likewise at the largest float, one
+        step above it being 2^1024, an overflow. Every factor is a float,
+        and so is every product below 2^1024."""
+        if end == "tiny":
+            return np.ldexp(2.0**52 + step, -537), np.ldexp(1.0, -537), np.ldexp(2.0**52 + step, -1074)
+        with np.errstate(over="ignore"):
+            return np.ldexp(1.0, 485), np.ldexp(2.0**53 - 1 + step, 486), np.ldexp(2.0**53 - 1 + step, 971)
+
+    @settings(deadline=None)
+    @given(
+        data=st.data(),
+        n=st.integers(3, 6),
+        end=st.sampled_from(["tiny", "huge"]),
+        step=st.sampled_from([-1, 0, 1]),
+    )
+    def test_range_gate_equals_always_masked_reference(self, data, n, end, step):
+        inside, outside, product = self.boundary_factors(end, step)
+        b = data.draw(st.integers(1, n - 1), label="block rows")
+        s = data.draw(st.integers(0, n - b), label="first row")
+        x = data.draw(st.integers(s, s + b - 1), label="x")
+        j = data.draw(st.sampled_from([r for r in range(n) if not s <= r < s + b]), label="j")
+        k = data.draw(st.integers(0, n - 1), label="k")
+        fill = data.draw(st.lists(st.floats(1.0, 2.0), min_size=n * n, max_size=n * n))
+        # every other entry lies between the two factors, so inside is
+        # the extreme of the block's rows and outside that of the matrix
+        a = np.array(fill).reshape(n, n) * (inside if end == "tiny" else 0.5 * inside)
+        a[x, j], a[j, k] = inside, outside
+        with np.errstate(over="ignore"):
+            assert inside * outside == product  # s_xj s_jk, formed in block xs
+        for xs in (slice(s, s + b), slice(0, n)):
+            got = properties._relative_excess(a, xs)
+            assert got.tobytes() == reference_relative_excess(a, xs).tobytes()
+
+
+def test_fill_repeats_marks_exactly_the_repeated_triples():
+    rng = np.random.default_rng(0)
+    for n in [*range(1, 41), 80]:
+        x, y, z = np.indices((n, n, n))
+        repeated = (x == y) | (x == z) | (y == z)
+        for xs in properties._blocks(n):
+            block = rng.random((xs.stop - xs.start, n, n))
+            got = properties._fill_repeats(block.copy(), xs, -np.inf)
+            assert np.array_equal(got, np.where(repeated[xs], -np.inf, block)), (n, xs)
+
+
+def test_fortran_order_matrices_get_the_same_reports(path5):
+    # their blocks are not in C order, so the repeat fills cannot write
+    # through reshaped views of them
+    k = regularized_laplacian(path5, 1.0).matrix
+    d = log_distance(k)
+    for check, m in [(check_proximity, k), (check_metric, d), (check_sqrt_distance, d)]:
+        assert check(np.asfortranarray(m)) == check(m)
+    assert check_transitional(np.asfortranarray(k), path5) == check_transitional(k, path5)
+    assert check_cutpoint_additive(np.asfortranarray(d), path5) == check_cutpoint_additive(d, path5)
 
 
 class TestCheckCutpointAdditive:
