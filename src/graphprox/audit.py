@@ -337,7 +337,10 @@ def _threshold_predicate(prop: str, n: int):
     sq_euclidean and, where the kernel's matrix is symmetric, psd; psd of
     an asymmetric matrix reports the asymmetry instead. Every other
     property has none (None). find_threshold only interpolates margins
-    to pick its next parameter; the verdict is always holds.
+    to pick its next parameter; the verdict is always holds. (An
+    eigenvalue check whose rounding floor exceeds tol decides against
+    the floor, so its margin can disagree in sign with its verdict; ITP
+    then takes the midpoint.)
     """
     m = _ORDER_RE.match(prop)
     if m:

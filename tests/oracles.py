@@ -7,16 +7,19 @@ integer double factorials with explicit matrix powers, and cut vertices
 come from brute-force enumeration of simple paths, from one BFS per
 question or from labels_by_bfs, the library's former separation table of
 one BFS per removed vertex, instead of the table it builds now from one
-depth-first search. The reference_* triple
-checks at the end are the library's former scalar loops, kept to pin the
-vectorized checks to the exact reports those loops gave,
-reference_embedding_csv is the library's former CSV writer, kept to pin
-export_embedding's bytes, reference_invert is the library's former
-Gauss-Jordan loop, kept to pin invert's bytes, reference_matrices is
-the library's former build_matrices, kept to pin the bytes of the
-matrices a graph caches, and reference_relative_excess is the library's
-former relative excess of the transitional check, which formed its mask
-of out-of-range products on every block.
+depth-first search. The reference_* triple checks at the end are the
+library's former scalar loops, kept to pin the vectorized checks to the
+exact reports those loops give. Their witnesses follow the rounding-floor
+rule, from a constant of their own: the witness is the first candidate
+in C order within 8 n eps times the operands' size of the extreme, and
+the slack is the extreme. reference_embedding_csv is the library's
+former CSV writer, kept to pin export_embedding's bytes;
+reference_invert is the library's former Gauss-Jordan loop, kept as an
+elimination of its own to compare the LAPACK inverse with;
+reference_matrices is the library's former build_matrices, kept to pin
+the bytes of the matrices a graph caches; and reference_relative_excess
+is the library's former relative excess of the transitional check,
+which formed its mask of out-of-range products on every block.
 """
 
 from __future__ import annotations
@@ -32,7 +35,13 @@ from graphprox import (
     WeightedGraph,
     is_symmetric,
 )
-from graphprox.linalg import _SINGULAR_PIVOT, SingularMatrixError, _as_square
+from graphprox.linalg import _as_square
+
+# the absolute pivot test of reference_invert
+REFERENCE_PIVOT = 1e-12
+# c of the witness rounding floor c n eps |operands|
+FLOOR_ULPS = 8
+EPS = float(np.finfo(float).eps)
 
 
 def neumann_series(n_matrix: np.ndarray, tol: float = 1e-14, max_terms: int = 200_000) -> np.ndarray:
@@ -193,6 +202,30 @@ def pairwise_sq_dists(x: np.ndarray) -> np.ndarray:
 # the matching check_* function must equal exactly.
 
 
+def first_near_max(scan, floor: float):
+    """The largest value of scan, a list of (value, witness) in C order,
+    as a strict `>` loop finds it (NaN never wins), and the first witness
+    whose value lies within floor of it."""
+    worst, witness = -np.inf, None
+    for v, w in scan:
+        if v > worst:
+            worst, witness = v, w
+    cut = worst - floor
+    if not cut <= worst:  # inf - inf
+        cut = worst
+    return worst, next((w for v, w in scan if v >= cut), witness)
+
+
+def first_near_min(scan, floor: float):
+    """first_near_max for the smallest value."""
+    worst, witness = first_near_max([(-v, w) for v, w in scan], floor)
+    return -worst, witness
+
+
+def floor_of(n: int, scale: float) -> float:
+    return FLOOR_ULPS * n * EPS * scale
+
+
 def _distinct_triples(n: int):
     for x in range(n):
         for y in range(n):
@@ -212,21 +245,23 @@ def reference_proximity(k: np.ndarray, tol: float = DEFAULT_TOL) -> PropertyRepo
     if not is_symmetric(a):
         raise ValueError("check_proximity requires a symmetric matrix")
     n = a.shape[0]
-    worst_weak = -np.inf
-    weak_witness = None
-    for x, y, z in _distinct_triples(n):
-        v = a[x, y] + a[x, z] - a[y, z] - a[x, x]
-        if v > worst_weak:
-            worst_weak, weak_witness = v, (x, y, z)
-    worst_strict = np.inf
-    strict_witness = None
-    for x in range(n):
-        for y in range(n):
-            if y == x:
-                continue
-            slack = a[x, x] + a[y, y] - 2.0 * a[x, y]
-            if slack < worst_strict:
-                worst_strict, strict_witness = slack, (x, y, y)
+    floor = floor_of(n, np.abs(a).max())
+    worst_weak, weak_witness = first_near_max(
+        [
+            (a[x, y] + a[x, z] - a[y, z] - a[x, x], (x, y, z))
+            for x, y, z in _distinct_triples(n)
+        ],
+        floor,
+    )
+    worst_strict, strict_witness = first_near_min(
+        [
+            (a[x, x] + a[y, y] - 2.0 * a[x, y], (x, y, y))
+            for x in range(n)
+            for y in range(n)
+            if y != x
+        ],
+        floor,
+    )
     weak_fail = worst_weak > tol
     strict_fail = worst_strict < tol
     indeterminate = (0.5 * tol <= worst_weak <= 2.0 * tol) or (
@@ -259,15 +294,10 @@ def reference_egocentrism(k: np.ndarray, tol: float = DEFAULT_TOL) -> PropertyRe
     """Strict entrywise diagonal dominance: k(x,x) > k(x,y) for x != y."""
     a = np.asarray(k, dtype=float)
     n = a.shape[0]
-    worst = np.inf
-    witness = None
-    for x in range(n):
-        for y in range(n):
-            if y == x:
-                continue
-            margin = a[x, x] - a[x, y]
-            if margin < worst:
-                worst, witness = margin, (x, y)
+    worst, witness = first_near_min(
+        [(a[x, x] - a[x, y], (x, y)) for x in range(n) for y in range(n) if y != x],
+        floor_of(n, np.abs(a).max()),
+    )
     if witness is None:  # 1x1 matrix
         return PropertyReport("egocentrism", holds=True, tolerance=tol)
     x, y = witness
@@ -316,12 +346,10 @@ def _reference_metric_axioms(
                         witness=(x + 1, y + 1), slack=float(d[x, y]),
                         note="distinct vertices at zero distance",
                     )
-    worst = -np.inf
-    witness = None
-    for x, y, z in _distinct_triples(n):
-        v = d[x, z] - d[x, y] - d[y, z]
-        if v > worst:
-            worst, witness = v, (x, y, z)
+    worst, witness = first_near_max(
+        [(d[x, z] - d[x, y] - d[y, z], (x, y, z)) for x, y, z in _distinct_triples(n)],
+        floor_of(n, np.abs(d).max()),
+    )
     if witness is None:  # n < 3: nothing to check
         return PropertyReport(prop, holds=True, tolerance=tol)
     x, y, z = witness
@@ -358,14 +386,15 @@ def reference_transitional(
             f"entry ({int(i) + 1},{int(j) + 1}) = {a[i, j]:.6g}"
         )
     n = a.shape[0]
-    worst = -np.inf
-    witness = None
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                rel = (a[i, j] * a[j, k] - a[i, k] * a[j, j]) / (a[i, k] * a[j, j])
-                if rel > worst:
-                    worst, witness = rel, (i, j, k)
+    scan = [
+        ((a[i, j] * a[j, k] - a[i, k] * a[j, j]) / (a[i, k] * a[j, j]), (i, j, k))
+        for i in range(n)
+        for j in range(n)
+        for k in range(n)
+    ]
+    worst = first_near_max(scan, 0.0)[0]
+    # the excess is relative: its operands are 1 and 1 + worst
+    worst, witness = first_near_max(scan, floor_of(n, 1.0 + max(worst, 0.0)))
     if worst > tol:
         i, j, k = witness
         return PropertyReport(
@@ -469,15 +498,17 @@ def reference_embedding_csv(coords: np.ndarray, path: str) -> None:
 
 
 def reference_invert(m: np.ndarray) -> np.ndarray:
-    """linalg.invert's former Gauss-Jordan loop, kept verbatim."""
+    """linalg.invert's former Gauss-Jordan loop with partial pivoting;
+    raises ZeroDivisionError where the best pivot is at most
+    REFERENCE_PIVOT in magnitude."""
     a = _as_square(m)
     n = a.shape[0]
     sym = is_symmetric(a)
     aug = np.hstack([a, np.eye(n)])
     for col in range(n):
         p = col + int(np.argmax(np.abs(aug[col:, col])))
-        if abs(aug[p, col]) <= _SINGULAR_PIVOT:
-            raise SingularMatrixError(col, abs(aug[p, col]))
+        if abs(aug[p, col]) <= REFERENCE_PIVOT:
+            raise ZeroDivisionError(f"pivot {aug[p, col]:.3e} at elimination column {col}")
         if p != col:
             aug[[col, p]] = aug[[p, col]]
         aug[col] /= aug[col, col]

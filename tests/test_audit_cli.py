@@ -413,6 +413,24 @@ class TestCli:
         code = main(["audit", str(path), "--measure", "regL:1.0", "--check", "psd"])
         assert code == 0
 
+    @pytest.mark.parametrize("weight", ["1e-12", "1e-13"])
+    def test_tiny_weights_get_verdicts(self, tmp_path, capsys, weight):
+        # D - alpha W is well conditioned whatever the weights' scale; the
+        # kernel's entries are about 1/weight, so sq_euclidean decides
+        # against the rounding floor of its centered Gram matrix, not 1e-9
+        path = tmp_path / "tiny.edges"
+        path.write_text(f"1 2 {weight}\n2 3 {weight}\n3 4 {weight}\n")
+        code = main(["audit", str(path), "--measure", "modifppr:0.5", "--check", "all"])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (1, "")
+        results = {
+            line.split()[2]: line.split()[3]
+            for line in captured.out.splitlines()
+            if line.startswith("modifppr")
+        }
+        assert results["sq_euclidean"] == "pass"
+        assert [c for c, r in results.items() if r == "FAIL"] == ["sigma_proximity"]
+
     def test_param_outside_domain_is_usage_error(self, capsys):
         code = main(["audit", "paper:path4", "--measure", "katz:0.5"])
         assert code == 2

@@ -14,11 +14,13 @@ from graphprox import (
     invert,
     is_symmetric,
     matrix_exp,
+    param_domain,
     spectral_radius,
     sym_eigen,
+    sym_eigenvalues,
 )
 
-from oracles import neumann_series, reference_invert, taylor_exp
+from oracles import EPS, neumann_series, random_connected_graph, reference_invert, taylor_exp
 
 RHO_PATH4 = (1 + math.sqrt(17)) / 2  # spectral radius of the path4 weights
 
@@ -62,57 +64,66 @@ class TestInvert:
         r = invert(np.eye(4) + 1.0 * path4.laplacian)
         npt.assert_array_equal(r, r.T)
 
-    def test_singular_reports_pivot(self):
-        with pytest.raises(SingularMatrixError) as err:
-            invert(np.array([[1.0, 2.0], [2.0, 4.0]]))
-        assert err.value.pivot_index == 1
-
     def test_zero_matrix_singular(self):
-        with pytest.raises(SingularMatrixError):
+        with pytest.raises(SingularMatrixError, match="matrix is singular"):
             invert(np.zeros((3, 3)))
+
+    def test_exactly_singular_has_infinite_condition(self):
+        with pytest.raises(SingularMatrixError, match="condition number inf"):
+            invert(np.array([[1.0, 2.0], [2.0, 4.0]]))
+
+    def test_condition_number_at_one_over_eps_is_singular(self):
+        # det = eps: no zero pivot, but ||A|| ||A^-1|| is about 4 / eps
+        with pytest.raises(SingularMatrixError, match="condition number") as err:
+            invert(np.array([[1.0, 1.0], [1.0, 1.0 + EPS]]))
+        assert 1.0 / EPS <= err.value.condition < math.inf
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e-12, 1.0, 1e12, 1e200])
+    def test_scaled_well_conditioned_matrix_inverts(self, scale):
+        # the singularity test is relative: a tiny pivot alone is no reason
+        a = scale * (np.eye(3) + 0.25 * np.ones((3, 3)))
+        npt.assert_allclose(invert(a) * scale, np.linalg.inv(a / scale), rtol=1e-14)
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError, match="square"):
             invert(np.ones((2, 3)))
 
 
-def drawn_matrix(n, seed, kind, scale):
-    """An n x n matrix of the given kind with entries of order 10^scale:
-    general (row swaps needed), symmetric, an M-matrix resolvent like the
-    kernels invert, or singular (a row repeated up to a tiny multiple)."""
-    rng = np.random.default_rng(seed)
-    a = rng.standard_normal((n, n))
-    if kind == "symmetric":
-        a = a + a.T
-    elif kind == "m_matrix":
-        w = np.abs(a + a.T)
-        np.fill_diagonal(w, 0.0)
-        a = np.diag(w.sum(axis=1) + rng.uniform(0.01, 1.0, n)) - w
-    elif kind == "singular" and n > 1:
-        a[rng.integers(1, n)] = a[0] * rng.choice([1.0, -2.0, 1e-13])
-    return a * 10.0**scale
+def resolvent_matrix(g, measure: str, frac: float) -> np.ndarray:
+    """The matrix the kernel of measure inverts on g, at fraction frac of
+    the measure's open domain (of (0, 4) where it is unbounded)."""
+    lo, hi = param_domain(measure, g)
+    p = lo + frac * (hi - lo) if np.isfinite(hi) else 4.0 * frac
+    eye = np.eye(g.n)
+    return {
+        "katz": lambda: eye - p * g.weights,
+        "regL": lambda: eye + p * g.laplacian,
+        "absorp": lambda: p * eye + g.laplacian,
+        "ppr": lambda: eye - p * g.markov,
+        "modifppr": lambda: g.degree - p * g.weights,
+    }[measure]()
 
 
-class TestInvertMatchesFormerLoop:
-    @given(
-        n=st.integers(1, 24),
-        seed=st.integers(0, 2**32 - 1),
-        kind=st.sampled_from(["general", "symmetric", "m_matrix", "singular"]),
-        scale=st.integers(-3, 3),
-    )
-    def test_same_bytes_or_same_error(self, n, seed, kind, scale):
-        m = drawn_matrix(n, seed, kind, scale)
-        try:
-            want = reference_invert(m)
-        except SingularMatrixError as exc:
-            with pytest.raises(SingularMatrixError) as got:
-                invert(m)
-            assert str(got.value) == str(exc)
-            assert (got.value.pivot_index, got.value.pivot) == (exc.pivot_index, exc.pivot)
-            return
-        got = invert(m)
-        assert got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
+RESOLVENTS = ["katz", "regL", "absorp", "ppr", "modifppr"]
+
+
+@given(
+    n=st.integers(2, 16),
+    seed=st.integers(0, 2**32 - 1),
+    measure=st.sampled_from(RESOLVENTS),
+    frac=st.floats(0.02, 0.98),
+)
+def test_invert_matches_elimination_oracle(n, seed, measure, frac):
+    # both are backward stable; on these M-matrix resolvents each entry of
+    # either inverse lies within n eps cond of the other, relatively
+    g = random_connected_graph(np.random.default_rng(seed), n, name="g")
+    m = resolvent_matrix(g, measure, frac)
+    want = reference_invert(m)
+    got = invert(m)
+    cond = np.abs(m).sum(axis=0).max() * np.abs(want).sum(axis=0).max()
+    assert (np.abs(got - want) <= n * EPS * cond * np.abs(want)).all()
+    if is_symmetric(m):
+        npt.assert_array_equal(got, got.T)
 
 
 class TestSymEigen:
@@ -171,6 +182,26 @@ class TestSymEigen:
         monkeypatch.setattr(np.linalg, "eigh", fail)
         with pytest.raises(NonConvergenceError, match="eigensolver failed"):
             sym_eigen(np.eye(3))
+
+
+class TestSymEigenvalues:
+    def test_equal_eigh_eigenvalues(self):
+        rng = np.random.default_rng(31)
+        for n in (1, 4, 9):
+            a = random_symmetric(rng, n, scale=2.0)
+            npt.assert_allclose(sym_eigenvalues(a), sym_eigen(a).eigenvalues, atol=1e-12)
+
+    def test_rejects_asymmetric(self):
+        with pytest.raises(ValueError, match="sym_eigenvalues requires a symmetric"):
+            sym_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    def test_lapack_failure_is_non_convergence(self, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        with pytest.raises(NonConvergenceError, match="eigensolver failed"):
+            sym_eigenvalues(np.eye(3))
 
 
 class TestSpectralRadius:

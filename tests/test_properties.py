@@ -29,6 +29,7 @@ from graphprox import (
     pair_to_dist,
     ppr,
     regularized_laplacian,
+    WeightedGraph,
 )
 
 from oracles import reference_relative_excess
@@ -61,6 +62,41 @@ class TestCheckPsd:
         # a structurally singular but PSD matrix is a robust pass
         rep = check_psd(np.ones((3, 3)), tol=1e-9)
         assert rep.holds and not rep.indeterminate
+
+
+class TestEigenvalueChecksRoundingFloor:
+    """psd, sym_psd, sq_euclidean and log_psd decide against max(tol,
+    floor), the floor being 8 n eps times the largest entry of the matrix
+    whose eigenvalues they read."""
+
+    @pytest.mark.parametrize("k", range(-40, 41, 8))
+    def test_verdicts_survive_exact_rescaling(self, path4, k):
+        kern = modified_ppr(path4, 0.9).matrix * 2.0**k
+        for rep in (check_psd(kern), check_sq_euclidean(kernel_to_sq_dist(kern))):
+            assert rep.holds and not rep.indeterminate, (k, rep)
+        # the floor does not hide a real negative eigenvalue at any scale
+        # where it exceeds tol; shrunk far enough, tol does
+        indefinite = np.diag([1.0, -1e-3, 2.0]) * 2.0**k
+        assert check_psd(indefinite).holds == (1e-3 * 2.0**k <= 1e-9), k
+
+    def test_bound_is_the_larger_of_tol_and_floor(self):
+        n, big = 4, 2.0**40
+        floor = 8 * n * np.finfo(float).eps * big
+        for frac, holds, indeterminate in [
+            (0.4, True, False), (0.6, True, True), (0.99, True, True),
+            (1.01, False, True), (2.5, False, False),
+        ]:
+            rep = check_psd(np.diag([big, 1.0, 1.0, -frac * floor]), tol=1e-9)
+            assert (rep.holds, rep.indeterminate) == (holds, indeterminate), frac
+            assert rep.tolerance == 1e-9 and rep.slack == -frac * floor
+        # where tol is the larger, it alone decides
+        assert not check_psd(np.diag([1.0, 1.0, 1.0, -2e-9]), tol=1e-9).holds
+
+    def test_sq_euclidean_of_a_tiny_weight_path(self):
+        w = np.diag(np.full(3, 1e-13), 1)
+        kern = modified_ppr(WeightedGraph(w + w.T), 0.5).matrix
+        rep = check_sq_euclidean(kernel_to_sq_dist(kern))
+        assert rep.holds and rep.slack < -1e-9  # rounding, below the floor
 
 
 class TestCheckProximity:

@@ -143,6 +143,20 @@ def test_multi_block_scans_match_reference_loops(monkeypatch, n, per_block):
             assert_all_checks_match(kernel(g, measure, u), g, h)
 
 
+@pytest.mark.parametrize("per_block", [1, 2, 4, 7])
+def test_witness_is_the_first_within_the_floor_whatever_the_blocks(monkeypatch, per_block):
+    n = 7
+    set_block_size(monkeypatch, n, per_block)
+    d = np.ones((n, n)) - np.eye(n)
+    # d(5,6) and d(6,5) differ by one ulp, below 8 n eps max|d|: the
+    # triples (6, y, 5) hold the largest excess, and (5, 1, 6) ties with it
+    d[4, 5], d[5, 4] = 2.5, np.nextafter(2.5, 3.0)
+    got = check_metric(d)
+    assert got == reference_metric(d)
+    assert got.witness == (5, 1, 6)
+    assert got.slack == (d[5, 4] - 1.0) - 1.0 > (d[4, 5] - 1.0) - 1.0
+
+
 @pytest.mark.parametrize("per_block", [1, 3])
 def test_transitional_excess_in_a_later_block_beats_an_earlier_mismatch(
     monkeypatch, per_block

@@ -6,8 +6,10 @@ triangle once, for `proximity` and `sigma` together, whether an audit
 or repeated run_check calls read them; an audit's reports still equal
 those of one run_check per check on a fresh kernel result. A threshold
 evaluation builds one kernel result. A graph computes its spectral
-radius once, however many commands read it. A process builds its parser once,
-and the help text still wraps to the terminal.
+radius once, however many commands read it. The eigenvalue checks and
+the spectral radius compute no eigenvectors; an embedding computes them
+once. A process builds its parser once, and the help text still wraps to
+the terminal.
 """
 
 import textwrap
@@ -25,6 +27,7 @@ from graphprox import (
     check_sigma_proximity,
     cli,
     compute_kernel,
+    export_embedding,
     find_threshold,
     graphs,
     kernels,
@@ -151,6 +154,19 @@ def test_audit_and_threshold_on_one_graph_compute_rho_once(monkeypatch):
     run_audit(g, [("katz", 0.1)])
     find_threshold(g, "katz", "order:13<14", 0.1, 0.39, resolution=1e-4)
     assert calls == {"spectral_radius": 1}
+
+
+def test_only_the_embedding_computes_eigenvectors(monkeypatch, capsys, tmp_path):
+    calls = count_calls(monkeypatch, np.linalg, ("eigh",))
+    code = main([
+        "audit", "paper:path4", "--measure", "katz:0.1,ppr:0.9,absorp:0.7", "--check", "all",
+    ])
+    run_audit(builtin_graph("paper:path5"), [("heatppr", 1.0)], checks=LOG_CHECKS[:-1])
+    capsys.readouterr()
+    assert code in (0, 1)
+    assert calls == {}
+    export_embedding(builtin_graph("paper:path4"), "heat", 1.0, str(tmp_path / "x.csv"))
+    assert calls == {"eigh": 1}
 
 
 def test_two_main_calls_build_one_parser(monkeypatch, capsys):
