@@ -54,7 +54,6 @@ from .linalg import (
     matrix_exp,
     spectral_radius,
     sym_eigen,
-    sym_eigenvalues,
 )
 from .properties import (
     DEFAULT_TOL,

@@ -28,6 +28,8 @@ from .properties import (
     PropertyReport,
     _asymmetry_report,
     _check_tol,
+    _eigen_bound,
+    _max_abs,
     _sigma_proximity,
     check_cutpoint_additive,
     check_distance_order,
@@ -58,8 +60,14 @@ SCHEMA_VERSION = 2
 
 _ORDER_RE = re.compile(r"^order:(\d)(\d)<(\d)(\d)$")
 _TRIANGLE_RE = re.compile(r"^triangle:(\d+),(\d+),(\d+)$")
-# Threshold properties whose report slack is a smallest eigenvalue.
-_EIGEN_CHECKS = frozenset({"psd", "sym_psd", "sq_euclidean"})
+# Threshold properties whose report slack is a smallest eigenvalue, each
+# with the size of the operands its rounding floor reads, as its check in
+# _CHECKS passes them.
+_EIGEN_SCALES: dict[str, Callable[[KernelResult], float]] = {
+    "psd": lambda kr: _max_abs(kr.matrix),
+    "sym_psd": lambda kr: _max_abs(0.5 * (kr.matrix + kr.matrix.T)),
+    "sq_euclidean": lambda kr: max(_max_abs(kr.dist), _max_abs(kr.matrix)),
+}
 _EPS = float(np.finfo(float).eps)
 # PropertyReport's fields in declaration order: the keys of a check's JSON
 _REPORT_FIELDS = tuple(f.name for f in dataclasses.fields(PropertyReport))
@@ -227,7 +235,7 @@ _CHECKS: dict[str, Callable[[KernelResult, float], PropertyReport]] = {
     ),
     "egocentrism": lambda kr, tol: check_egocentrism(kr.matrix, tol),
     "metric": lambda kr, tol: check_metric(kr.dist, tol),
-    "sq_euclidean": lambda kr, tol: check_sq_euclidean(kr.dist, tol),
+    "sq_euclidean": lambda kr, tol: check_sq_euclidean(kr.dist, tol, _max_abs(kr.matrix)),
     "sqrt_distance": lambda kr, tol: check_sqrt_distance(kr.dist, tol),
     "distance_order": lambda kr, tol: check_distance_order(kr.dist),
     "transitional": lambda kr, tol: check_transitional(kr.matrix, kr.graph, tol),
@@ -333,14 +341,12 @@ def _threshold_predicate(prop: str, n: int):
 
     The margin is a continuous signed value, positive where the property
     holds: d(K,L) - d(I,J) for order, d(I,J) + d(J,K) - d(I,K) for
-    triangle, and the smallest eigenvalue plus tol for sym_psd,
-    sq_euclidean and, where the kernel's matrix is symmetric, psd; psd of
-    an asymmetric matrix reports the asymmetry instead. Every other
+    triangle, and for sym_psd, sq_euclidean and, where the kernel's
+    matrix is symmetric, psd the smallest eigenvalue plus the bound the
+    check decides it against, max(tol, rounding floor); psd of an
+    asymmetric matrix reports the asymmetry instead. Every other
     property has none (None). find_threshold only interpolates margins
-    to pick its next parameter; the verdict is always holds. (An
-    eigenvalue check whose rounding floor exceeds tol decides against
-    the floor, so its margin can disagree in sign with its verdict; ITP
-    then takes the midpoint.)
+    to pick its next parameter; the verdict is always holds.
     """
     m = _ORDER_RE.match(prop)
     if m:
@@ -361,12 +367,12 @@ def _threshold_predicate(prop: str, n: int):
 
         return triangle_holds
     if prop in CHECKS:
-        eigen = prop in _EIGEN_CHECKS
+        scale = _EIGEN_SCALES.get(prop)
 
         def check_holds(kres, tol):
             report = run_check(prop, kres, tol)
-            if eigen and (kres.symmetric or prop != "psd"):
-                return report.holds, report.slack + tol
+            if scale is not None and (kres.symmetric or prop != "psd"):
+                return report.holds, report.slack + _eigen_bound(kres.graph.n, scale(kres), tol)
             return report.holds, None
 
         return check_holds

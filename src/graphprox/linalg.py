@@ -43,8 +43,8 @@ PSD_CLAMP_TOL = 1e-9
 
 
 class SingularMatrixError(ValueError):
-    """LAPACK found the matrix singular (condition inf), or its 1-norm
-    condition number reaches 1/eps."""
+    """LAPACK found the matrix singular (condition inf), or n eps times
+    its 1-norm condition number reaches 1."""
 
     def __init__(self, condition: float):
         self.condition = condition
@@ -92,19 +92,28 @@ def _norm1(a: np.ndarray) -> float:
 def invert(m: np.ndarray) -> np.ndarray:
     """Inverse by LAPACK's LU solve (numpy.linalg.solve against I).
 
-    Raises SingularMatrixError when LAPACK meets an exactly zero pivot or
-    the 1-norm condition number ||A|| ||A^-1|| reaches 1/eps, a test
-    that does not change when A is scaled. A symmetric input yields an
-    exactly symmetric result.
+    Each entry of the result lies within n eps cond max|A^-1| of the
+    exact inverse of m, cond being the 1-norm condition number
+    ||A|| ||A^-1||; on the resolvents within 1e-10 of their domain
+    ends, the largest error measured is 1/30 of that bound. The property
+    checks' rounding floors assume about n eps max|A^-1|, so where cond
+    is large a verdict whose slack lies within the larger bound is
+    decided by rounding, for this inverse as for any other: there, even
+    the exact inverse rounded to float64 moves such verdicts. Raises
+    SingularMatrixError when LAPACK meets an exactly zero pivot or
+    n eps cond reaches 1, where the bound leaves no entry a correct
+    digit; the test does not change when A is scaled. A symmetric input
+    yields an exactly symmetric result.
     """
     a = _as_square(m)
+    n = a.shape[0]
     try:
-        inv = np.linalg.solve(a, np.eye(a.shape[0]))
+        inv = np.linalg.solve(a, np.eye(n))
     except np.linalg.LinAlgError:
         raise SingularMatrixError(math.inf) from None
     with np.errstate(over="ignore"):
         condition = _norm1(a) * _norm1(inv)
-    if not condition < 1.0 / _EPS:  # also true for NaN
+    if not n * _EPS * condition < 1.0:  # also true for NaN
         raise SingularMatrixError(condition)
     if is_symmetric(a):
         inv = 0.5 * (inv + inv.T)

@@ -25,7 +25,9 @@ value lies within the rounding floor of that extreme (_rounding_floor:
 keep each block's extreme and search only the first block that reaches
 the band, so the witness does not depend on the block size. The
 eigenvalue checks decide against max(tol, floor), the floor of the
-matrix whose eigenvalues they read.
+operands of the matrix whose eigenvalues they read; where that floor
+exceeds tol, a negative smallest eigenvalue within twice the floor is
+indeterminate, as rounding cannot resolve its sign.
 """
 
 from __future__ import annotations
@@ -239,18 +241,34 @@ def _asymmetry_report(
     )
 
 
-def _eigen_report(prop: str, a: np.ndarray, tol: float, note: str) -> PropertyReport:
+def _eigen_bound(n: int, scale: float, tol: float) -> float:
+    """max(tol, floor): what an eigenvalue check on an n-vertex matrix,
+    whose rounding floor reads operands of size scale, decides its
+    smallest eigenvalue against."""
+    return max(tol, _rounding_floor(n, scale))
+
+
+def _eigen_report(
+    prop: str, a: np.ndarray, tol: float, note: str, scale: float
+) -> PropertyReport:
     """prop holds when the smallest eigenvalue of the symmetric float
-    array a is at least -max(tol, floor), where floor is the rounding
-    floor of a's entries; the slack is that eigenvalue."""
+    array a is at least -_eigen_bound(n, scale, tol), with scale the
+    size of the operands a was formed from; the slack is that eigenvalue.
+    Where the floor exceeds tol, rounding cannot resolve the sign of an
+    eigenvalue within it, so every negative one within twice the floor
+    is indeterminate."""
     min_eig = float(sym_eigenvalues(a)[0])
-    bound = max(tol, _rounding_floor(a.shape[0], _max_abs(a)))
+    bound = _eigen_bound(a.shape[0], scale, tol)
+    if bound > tol:
+        indeterminate = -2.0 * bound <= min_eig < 0.0
+    else:
+        indeterminate = -2.0 * bound <= min_eig <= -0.5 * bound
     return PropertyReport(
         prop,
         holds=min_eig >= -bound,
         tolerance=tol,
         slack=min_eig,
-        indeterminate=-2.0 * bound <= min_eig <= -0.5 * bound,
+        indeterminate=indeterminate,
         note=note,
     )
 
@@ -264,7 +282,7 @@ def check_psd(k: np.ndarray, tol: float = DEFAULT_TOL) -> PropertyReport:
         return _asymmetry_report(
             "psd", a, tol, "matrix is not symmetric, hence not positive semidefinite"
         )
-    return _eigen_report("psd", a, tol, "smallest eigenvalue")
+    return _eigen_report("psd", a, tol, "smallest eigenvalue", _max_abs(a))
 
 
 def check_proximity(k: np.ndarray, tol: float = DEFAULT_TOL) -> PropertyReport:
@@ -434,9 +452,13 @@ def check_metric(d: np.ndarray, tol: float = DEFAULT_TOL) -> PropertyReport:
     return _metric_axioms(a, tol, "metric")
 
 
-def check_sq_euclidean(d: np.ndarray, tol: float = DEFAULT_TOL) -> PropertyReport:
+def check_sq_euclidean(
+    d: np.ndarray, tol: float = DEFAULT_TOL, scale: float = 0.0
+) -> PropertyReport:
     """Realizability of d as squared Euclidean distances: the doubly
-    centered matrix -H d H must be PSD."""
+    centered matrix -H d H must be PSD. Its rounding floor reads the
+    entries of d, or scale if larger: the size of the values d was
+    computed from, whose rounding it inherits."""
     _check_tol(tol)
     a = np.asarray(d, dtype=float)
     if not is_symmetric(a):
@@ -448,7 +470,8 @@ def check_sq_euclidean(d: np.ndarray, tol: float = DEFAULT_TOL) -> PropertyRepor
     h = np.eye(n) - j
     b = -h @ a @ h
     return _eigen_report(
-        "sq_euclidean", 0.5 * (b + b.T), tol, "smallest eigenvalue of the centered Gram matrix"
+        "sq_euclidean", 0.5 * (b + b.T), tol, "smallest eigenvalue of the centered Gram matrix",
+        max(_max_abs(a), scale),
     )
 
 

@@ -15,7 +15,8 @@ in C order within 8 n eps times the operands' size of the extreme, and
 the slack is the extreme. reference_embedding_csv is the library's
 former CSV writer, kept to pin export_embedding's bytes;
 reference_invert is the library's former Gauss-Jordan loop, kept as an
-elimination of its own to compare the LAPACK inverse with;
+elimination of its own to compare the LAPACK inverse with, and
+exact_invert inverts in rational arithmetic;
 reference_matrices is the library's former build_matrices, kept to pin
 the bytes of the matrices a graph caches; and reference_relative_excess
 is the library's former relative excess of the transitional check,
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import csv
 from collections import deque
+from fractions import Fraction
 
 import numpy as np
 
@@ -519,6 +521,24 @@ def reference_invert(m: np.ndarray) -> np.ndarray:
     if sym:
         inv = 0.5 * (inv + inv.T)
     return inv
+
+
+def exact_invert(m: np.ndarray) -> np.ndarray:
+    """The exact inverse of the float matrix m, by Gauss-Jordan over
+    Fractions, each entry rounded once to the nearest float."""
+    n = m.shape[0]
+    aug = [[Fraction(float(v)) for v in row] + [Fraction(int(i == j)) for j in range(n)]
+           for i, row in enumerate(m)]
+    for col in range(n):
+        p = next(r for r in range(col, n) if aug[r][col] != 0)
+        aug[col], aug[p] = aug[p], aug[col]
+        pivot = aug[col][col]
+        aug[col] = [v / pivot for v in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
+    return np.array([[float(v) for v in row[n:]] for row in aug])
 
 
 def reference_matrices(g: WeightedGraph) -> dict[str, np.ndarray]:

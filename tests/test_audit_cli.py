@@ -431,6 +431,20 @@ class TestCli:
         assert results["sq_euclidean"] == "pass"
         assert [c for c, r in results.items() if r == "FAIL"] == ["sigma_proximity"]
 
+    @pytest.mark.parametrize("check", ["psd", "sq_euclidean"])
+    def test_unresolved_eigenvalue_sign_is_flagged(self, tmp_path, capsys, check):
+        # dfact:5 on a unit triangle is indefinite (exact smallest
+        # eigenvalue about -6.8e4), but its entries near 3.9e21 put the
+        # rounding floor near 2e7: float64 cannot resolve the sign, so the
+        # pass carries the flag
+        path = tmp_path / "triangle.edges"
+        path.write_text("1 2 1\n2 3 1\n1 3 1\n")
+        code = main(["audit", str(path), "--measure", "dfact:5", "--check", check])
+        line = capsys.readouterr().out.splitlines()[-2]
+        assert code == 0
+        assert line.split()[2:4] == [check, "pass"]
+        assert "indeterminate-at-tolerance" in line
+
     def test_param_outside_domain_is_usage_error(self, capsys):
         code = main(["audit", "paper:path4", "--measure", "katz:0.5"])
         assert code == 2

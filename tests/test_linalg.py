@@ -17,10 +17,17 @@ from graphprox import (
     param_domain,
     spectral_radius,
     sym_eigen,
-    sym_eigenvalues,
 )
+from graphprox.linalg import sym_eigenvalues
 
-from oracles import EPS, neumann_series, random_connected_graph, reference_invert, taylor_exp
+from oracles import (
+    EPS,
+    exact_invert,
+    neumann_series,
+    random_connected_graph,
+    reference_invert,
+    taylor_exp,
+)
 
 RHO_PATH4 = (1 + math.sqrt(17)) / 2  # spectral radius of the path4 weights
 
@@ -72,6 +79,13 @@ class TestInvert:
         with pytest.raises(SingularMatrixError, match="condition number inf"):
             invert(np.array([[1.0, 2.0], [2.0, 4.0]]))
 
+    def test_condition_test_scales_with_order(self):
+        # 1-norm condition 4 / delta: n eps cond is 4/3 at delta = 6 eps,
+        # rejected, and 1/2 at delta = 16 eps
+        with pytest.raises(SingularMatrixError, match="condition number"):
+            invert(np.array([[1.0, 1.0], [1.0, 1.0 + 6 * EPS]]))
+        invert(np.array([[1.0, 1.0], [1.0, 1.0 + 16 * EPS]]))
+
     def test_condition_number_at_one_over_eps_is_singular(self):
         # det = eps: no zero pivot, but ||A|| ||A^-1|| is about 4 / eps
         with pytest.raises(SingularMatrixError, match="condition number") as err:
@@ -93,7 +107,11 @@ def resolvent_matrix(g, measure: str, frac: float) -> np.ndarray:
     """The matrix the kernel of measure inverts on g, at fraction frac of
     the measure's open domain (of (0, 4) where it is unbounded)."""
     lo, hi = param_domain(measure, g)
-    p = lo + frac * (hi - lo) if np.isfinite(hi) else 4.0 * frac
+    return resolvent_at(g, measure, lo + frac * (hi - lo) if np.isfinite(hi) else 4.0 * frac)
+
+
+def resolvent_at(g, measure: str, p: float) -> np.ndarray:
+    """The matrix the kernel of measure inverts on g at parameter p."""
     eye = np.eye(g.n)
     return {
         "katz": lambda: eye - p * g.weights,
@@ -124,6 +142,47 @@ def test_invert_matches_elimination_oracle(n, seed, measure, frac):
     assert (np.abs(got - want) <= n * EPS * cond * np.abs(want)).all()
     if is_symmetric(m):
         npt.assert_array_equal(got, got.T)
+
+
+def near_edge_resolvents():
+    """Each resolvent at 1.1e-12 (just past the domain's margin) and
+    1e-10 of each finite end of its domain, and regL at large t, on
+    small random graphs."""
+    rng = np.random.default_rng(2024)
+    for i in range(6):
+        g = random_connected_graph(rng, int(rng.integers(3, 8)), name=f"g{i}")
+        for measure in RESOLVENTS:
+            lo, hi = param_domain(measure, g)
+            params = [lo + 1.1e-12, lo + 1e-10]
+            params += [hi - 1.1e-12, hi - 1e-10] if np.isfinite(hi) else [1e10, 1e14, 1e16]
+            for p in params:
+                yield g, measure, p
+
+
+def test_invert_near_domain_edges_keeps_its_error_bound():
+    # each entry of invert's result lies within n eps cond max|K| of the
+    # exact inverse, or invert refuses; the elimination keeps the same
+    # bound, which is the matrix's and not the LU solve's
+    rejected = []
+    for g, measure, p in near_edge_resolvents():
+        m = resolvent_at(g, measure, p)
+        exact = exact_invert(m)
+        if is_symmetric(m):  # to linalg's tolerance: invert symmetrizes
+            exact = 0.5 * (exact + exact.T)
+        try:
+            got = invert(m)
+        except SingularMatrixError:
+            rejected.append((measure, p))
+            continue
+        n, scale = g.n, np.abs(exact).max()
+        cond = np.abs(m).sum(axis=0).max() * np.abs(exact).sum(axis=0).max()
+        assert n * EPS * cond < 1.0, (measure, p)
+        err = np.abs(got - exact).max()
+        assert err <= n * EPS * cond * scale, (measure, p, err / scale, cond)
+        assert np.abs(reference_invert(m) - exact).max() <= n * EPS * cond * scale
+    # only regL at t = 1e14 or 1e16, where n eps cond nears or passes 1
+    assert {m for m, _ in rejected} <= {"regL"}
+    assert all(p >= 1e14 for _, p in rejected)
 
 
 class TestSymEigen:

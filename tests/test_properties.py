@@ -66,14 +66,24 @@ class TestCheckPsd:
 
 class TestEigenvalueChecksRoundingFloor:
     """psd, sym_psd, sq_euclidean and log_psd decide against max(tol,
-    floor), the floor being 8 n eps times the largest entry of the matrix
-    whose eigenvalues they read."""
+    floor), the floor being 8 n eps times the size of the operands of the
+    matrix whose eigenvalues they read. Where the floor exceeds tol, a
+    negative smallest eigenvalue within twice the floor is indeterminate."""
 
     @pytest.mark.parametrize("k", range(-40, 41, 8))
     def test_verdicts_survive_exact_rescaling(self, path4, k):
         kern = modified_ppr(path4, 0.9).matrix * 2.0**k
-        for rep in (check_psd(kern), check_sq_euclidean(kernel_to_sq_dist(kern))):
-            assert rep.holds and not rep.indeterminate, (k, rep)
+        rep = check_psd(kern)
+        assert rep.holds and not rep.indeterminate, (k, rep)
+        # -HDH has the eigenvalue 0 exactly (the centering's null vector
+        # of ones), so rounding alone decides the sign of its computed
+        # smallest eigenvalue; where the floor exceeds tol a negative one
+        # is flagged
+        d = kernel_to_sq_dist(kern)
+        rep = check_sq_euclidean(d)
+        floor = 8 * 4 * np.finfo(float).eps * np.abs(d).max()
+        assert rep.holds, (k, rep)
+        assert rep.indeterminate == (floor > 1e-9 and rep.slack < 0), (k, rep)
         # the floor does not hide a real negative eigenvalue at any scale
         # where it exceeds tol; shrunk far enough, tol does
         indefinite = np.diag([1.0, -1e-3, 2.0]) * 2.0**k
@@ -83,8 +93,8 @@ class TestEigenvalueChecksRoundingFloor:
         n, big = 4, 2.0**40
         floor = 8 * n * np.finfo(float).eps * big
         for frac, holds, indeterminate in [
-            (0.4, True, False), (0.6, True, True), (0.99, True, True),
-            (1.01, False, True), (2.5, False, False),
+            (-0.4, True, False), (0.0, True, False), (0.001, True, True), (0.4, True, True),
+            (0.99, True, True), (1.01, False, True), (2.0, False, True), (2.5, False, False),
         ]:
             rep = check_psd(np.diag([big, 1.0, 1.0, -frac * floor]), tol=1e-9)
             assert (rep.holds, rep.indeterminate) == (holds, indeterminate), frac
@@ -96,7 +106,19 @@ class TestEigenvalueChecksRoundingFloor:
         w = np.diag(np.full(3, 1e-13), 1)
         kern = modified_ppr(WeightedGraph(w + w.T), 0.5).matrix
         rep = check_sq_euclidean(kernel_to_sq_dist(kern))
-        assert rep.holds and rep.slack < -1e-9  # rounding, below the floor
+        # rounding, within the floor: a pass whose sign is unresolved
+        assert rep.holds and rep.indeterminate and rep.slack < -1e-9
+
+    def test_sq_euclidean_floor_reads_the_kernel_scale(self):
+        # D = 0 but for rounding residue left by kernel entries near 1e21:
+        # against D's own entries the residue fails, against the kernel's
+        # it is within the floor and flagged
+        d = np.zeros((3, 3))
+        d[0, 2] = d[2, 0] = -524288.0
+        assert not check_sq_euclidean(d).holds
+        rep = check_sq_euclidean(d, scale=3.9e21)
+        assert rep.holds and rep.indeterminate
+        assert rep.slack == check_sq_euclidean(d).slack
 
 
 class TestCheckProximity:

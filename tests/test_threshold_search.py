@@ -145,6 +145,10 @@ def test_margin_steps_save_evaluations(path5):
     ("dfact", [0.5, 1.0, 2.0]),
     ("ppr", [0.5, 0.95, 0.99]),
     ("heatppr", [0.5, 2.0, 5.0]),
+    # entries near e^(12 rho) put the eigenvalue checks' rounding floor
+    # above tol, and the smallest eigenvalues of comm:8 and comm:12 lie
+    # between the two
+    ("comm", [5.0, 8.0, 12.0]),
 ])
 def test_margin_sign_agrees_with_verdict(path4, prop, measure, params):
     predicate = audit._threshold_predicate(prop, path4.n)
