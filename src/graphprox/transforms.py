@@ -114,9 +114,12 @@ def log_distance(s: np.ndarray) -> np.ndarray:
 
 def symmetrize_geometric(k: np.ndarray) -> np.ndarray:
     """Entrywise geometric mean of k and its transpose; leaves
-    log_distance output unchanged."""
+    log_distance output unchanged. The roots come before the product,
+    which then cannot underflow to zero where both entries are positive
+    floats; the result is exactly symmetric, as float products commute."""
     a = _require_positive(k, "symmetrize_geometric")
-    return np.sqrt(a * a.T)
+    root = np.sqrt(a)
+    return root * root.T
 
 
 def embed(k: np.ndarray) -> np.ndarray:

@@ -2,7 +2,11 @@
 
 Everything here deliberately avoids the library's own code paths:
 resolvents are summed as Neumann series instead of LU-inverted, the
-exponential is a raw Taylor sum, the double-factorial series uses exact
+exponential is a raw Taylor sum (taylor_exp, a normwise oracle that cuts
+off small entries) or, entry by entry, exact_exp's Taylor sum of the
+shifted nonnegative matrix, unscaled and summed in np.longdouble or in
+rationals to a remainder below 2^-60 of the smallest entry, the
+double-factorial series uses exact
 integer double factorials with explicit matrix powers, and cut vertices
 come from brute-force enumeration of simple paths, from one BFS per
 question or from labels_by_bfs, the library's former separation table of
@@ -26,6 +30,7 @@ which formed its mask of out-of-range products on every block.
 from __future__ import annotations
 
 import csv
+import math
 from collections import deque
 from fractions import Fraction
 
@@ -88,7 +93,10 @@ def resolvent_oracle(
 
 
 def taylor_exp(a: np.ndarray, tol: float = 1e-16, max_terms: int = 10_000) -> np.ndarray:
-    """Raw Taylor series sum_k a^k / k!."""
+    """Raw Taylor series sum_k a^k / k!, summed until a term's max-norm
+    drops below the absolute tol. A normwise oracle only: every entry
+    smaller than about tol is cut off, and where signs mix the sum
+    cancels. exact_exp is the entrywise reference."""
     n = a.shape[0]
     term = np.eye(n)
     total = np.eye(n)
@@ -98,6 +106,89 @@ def taylor_exp(a: np.ndarray, tol: float = 1e-16, max_terms: int = 10_000) -> np
         if np.abs(term).max() < tol:
             return total
     raise AssertionError("Taylor oracle did not converge")
+
+
+def exact_exp(a: np.ndarray, exact: bool = False, max_terms: int = 100_000) -> np.ndarray:
+    """Entrywise reference for e^A where A's off-diagonal entries are
+    nonnegative: e^-s times the Taylor sum of B = A + sI, s = -min diag(A),
+    whose every term B^j / j! is nonnegative, so nothing cancels.
+
+    The sum stops after the first K terms for which the remainder bound
+    ||B||^(K+1) e^||B|| / (K+1)! (infinity norm) lies below 2^-60 times
+    the smallest entry of the partial sum, so every entry is truncated by
+    less than 2^-60 of itself. It is summed in np.longdouble (meaningful
+    only where that type is wider than float64), or with exact=True in
+    integers over one common denominator: B is dyadic, so the sum is an
+    exact rational, and e^-s is a rational within 2^-80 of itself. The
+    exact result is an object array of Fractions; multiplying B's powers
+    through its nonzero entries only keeps long sparse paths cheap.
+    """
+    a = np.asarray(a, dtype=float)
+    n = a.shape[0]
+    shift = -float(a.diagonal().min())
+    if exact:
+        return _rational_exp(a, shift, max_terms)
+    b = a.astype(np.longdouble) + np.longdouble(shift) * np.eye(n, dtype=np.longdouble)
+    if b.min() < 0:
+        raise ValueError("exact_exp requires nonnegative off-diagonal entries")
+    norm = b.sum(axis=1).max()
+    term = np.eye(n, dtype=np.longdouble)
+    total = term.copy()
+    remainder = norm * np.exp(norm)  # the bound after term K = 0
+    for j in range(1, max_terms):
+        if remainder < np.ldexp(total.min(), -60):
+            return total * np.exp(-np.longdouble(shift))
+        term = term @ b / j
+        total += term
+        remainder *= norm / (j + 1)
+    raise AssertionError("exact_exp did not converge")
+
+
+def _rational_exp(a: np.ndarray, shift: float, max_terms: int) -> np.ndarray:
+    n = a.shape[0]
+    fb = [[Fraction(float(v)) + (Fraction(shift) if i == j else 0) for j, v in enumerate(row)]
+          for i, row in enumerate(a)]
+    if min(min(row) for row in fb) < 0:
+        raise ValueError("exact_exp requires nonnegative off-diagonal entries")
+    # B = M / 2^e with M integer
+    e = max(v.denominator.bit_length() - 1 for row in fb for v in row)
+    m = [[int(v * 2**e) for v in row] for row in fb]
+    nonzero = [(i, j, v) for i, row in enumerate(m) for j, v in enumerate(row) if v]
+    norm = Fraction(max(sum(row) for row in m), 2**e)
+    e_norm = 3 ** math.ceil(norm)  # e^||B|| < 3^ceil||B||
+    # after term K: total / den is the partial sum, power = M^K
+    power = np.identity(n, dtype=int).astype(object)
+    total, den = power.copy(), 1
+    remainder = norm * e_norm
+    for k in range(1, max_terms):
+        if remainder < Fraction(int(total.min()), den) / 2**60:
+            break
+        step = np.zeros((n, n), dtype=int).astype(object)
+        for i, j, v in nonzero:
+            step[:, j] += power[:, i] * v
+        power = step
+        total = total * (k << e) + power
+        den *= k << e
+        remainder *= norm / (k + 1)
+    else:
+        raise AssertionError("exact_exp did not converge")
+    return total * (_rational_exp_scalar(shift) / den)
+
+
+def _rational_exp_scalar(shift: float) -> Fraction:
+    """A rational within a relative 2^-80 of e^-shift: the Taylor sum of
+    e^|shift|, inverted where shift > 0."""
+    x = Fraction(abs(shift))
+    term, total, k = Fraction(1), Fraction(1), 0
+    while True:
+        k += 1
+        term *= x / k
+        total += term
+        # past k + 1 = x the terms shrink geometrically, and the remainder
+        # after term k is below term * x / (k + 1 - x)
+        if k + 1 > x and term * x / (k + 1 - x) < total / 2**80:
+            break
+    return 1 / total if shift >= 0 else total
 
 
 def double_factorial_direct(w: np.ndarray, t: float, max_terms: int = 500) -> np.ndarray:

@@ -6,6 +6,7 @@ import pytest
 from graphprox import (
     AuditReport,
     ThresholdBracketError,
+    check_transitional,
     compute_kernel,
     default_checks,
     export_embedding,
@@ -18,7 +19,14 @@ from graphprox import (
 )
 from graphprox.cli import main
 
-from oracles import pairwise_sq_dists, random_connected_graph, reference_embedding_csv
+from oracles import exact_exp, pairwise_sq_dists, random_connected_graph, reference_embedding_csv
+
+
+def unit_path(tmp_path, n: int):
+    """An edge-list file of the unit-weight path on n vertices."""
+    edges = tmp_path / "path.txt"
+    edges.write_text("".join(f"{i} {i + 1} 1\n" for i in range(1, n)), encoding="utf-8")
+    return edges
 
 
 class TestRunAudit:
@@ -560,12 +568,47 @@ class TestCli:
     ):
         # every kernel entry is a normal float, but s_ii s_jj or s_ij s_ji
         # under- or overflows on these long unit paths
-        edges = tmp_path / "path.txt"
-        edges.write_text("".join(f"{i} {i + 1} 1\n" for i in range(1, n)), encoding="utf-8")
+        edges = unit_path(tmp_path, n)
         code = main(["audit", str(edges), "--measure", measure, "--check", check])
         captured = capsys.readouterr()
         assert (code, captured.err) == (0, "")
         assert "FAIL" not in captured.out
+
+    def test_exponential_entries_far_below_one_get_a_verdict(self, tmp_path, capsys):
+        # entry (1,20) of heat:0.1 on a unit 20-path is 6.8e-37; heat is not
+        # transitional, and its relative excess at (1,10,20) is to leading
+        # order 19!/(9! 10!) - 1 = 92377
+        edges = unit_path(tmp_path, 20)
+        out_file = tmp_path / "report.json"
+        code = main(["audit", str(edges), "--measure", "heat:0.1", "--check", "transitional",
+                     "--json", str(out_file)])
+        assert (code, capsys.readouterr().err) == (1, "")
+        (rep,) = json.loads(out_file.read_text())["results"][0]["checks"]
+        assert (rep["holds"], rep["witness"]) == (False, [1, 10, 20])
+        assert rep["slack"] == pytest.approx(9.24e4, rel=1e-3)
+        g = load_graph(edges.read_text(encoding="utf-8"))
+        exact = exact_exp(-0.1 * g.laplacian, exact=True).astype(float)
+        want = check_transitional(exact, g)
+        assert rep["slack"] == pytest.approx(want.slack, rel=1e-9)
+        assert list(want.witness) == rep["witness"]
+
+    def test_every_exponential_kernel_on_a_long_path_gets_verdicts(self, tmp_path, capsys):
+        edges = unit_path(tmp_path, 20)
+        code = main(["audit", str(edges), "--measure", "comm:0.1,nheat:0.1,heatppr:0.1",
+                     "--check", "all"])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (1, "")
+        assert captured.out.count(" transitional ") == 3
+
+    def test_geometric_symmetrization_of_tiny_entries_gets_a_verdict(self, tmp_path, capsys):
+        # heatppr:0.001 on a unit 40-path has entries near 1e-165, whose
+        # product with their transposes underflows
+        edges = unit_path(tmp_path, 40)
+        code = main(["audit", str(edges), "--measure", "heatppr:0.001",
+                     "--check", "log_metric,log_proximity,log_psd"])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (1, "")
+        assert captured.out.endswith("3 check(s): 0 passed, 3 failed\n")
 
     def test_products_of_normal_entries_get_a_verdict(self, capsys):
         # every entry of comm:150 on path4 lies between 1.4e166 and 2.3e166,
