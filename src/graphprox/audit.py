@@ -23,13 +23,11 @@ import numpy as np
 from ._version import __version__
 from .graphs import WeightedGraph
 from .kernels import SYMMETRIC_MEASURES, KernelResult, compute_kernel
+from .linalg import DEFAULT_TOL, _eigen_bound, _max_abs
 from .properties import (
-    DEFAULT_TOL,
     PropertyReport,
     _asymmetry_report,
     _check_tol,
-    _eigen_bound,
-    _max_abs,
     _sigma_proximity,
     check_cutpoint_additive,
     check_distance_order,
@@ -499,8 +497,9 @@ def export_embedding(
     """Embed the kernel's vertices in R^n and write them as CSV, one
     point per row under a header x1..xn. Returns the coordinate array.
 
-    Raises NotPositiveSemidefiniteError for indefinite kernels and
-    ValueError for asymmetric ones (no embedding exists either way).
+    Raises ValueError for an asymmetric kernel and
+    NotPositiveSemidefiniteError for one that fails run_check("psd"),
+    whose bound gram_factor shares: no embedding exists either way.
     """
     kres = compute_kernel(g, measure, param, rates=rates)
     if not kres.symmetric:

@@ -23,7 +23,7 @@ from ._version import __version__
 from .audit import CHECKS, AuditReport, export_embedding, find_threshold, run_audit
 from .graphs import BUILTIN_GRAPHS, WeightedGraph, builtin_graph, load_graph
 from .kernels import MEASURES
-from .linalg import NonConvergenceError
+from .linalg import DEFAULT_TOL, NonConvergenceError
 
 _USAGE_ERRORS = (
     NonConvergenceError,
@@ -204,7 +204,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help=f"measure and parameter; names: {', '.join(MEASURES)}")
     p_audit.add_argument("--check", default="all",
                          help=f"comma list or 'all'; checks: {', '.join(CHECKS)}")
-    p_audit.add_argument("--tol", type=float, default=1e-9, help="inequality tolerance (default 1e-9)")
+    p_audit.add_argument("--tol", type=float, default=DEFAULT_TOL,
+                         help=f"inequality tolerance (default {DEFAULT_TOL:g})")
     p_audit.add_argument("--rates", help="absorption rates a1,a2,... (default all ones)")
     p_audit.add_argument("--json", metavar="PATH", help="also write the report as JSON")
     p_audit.set_defaults(func=_cmd_audit)
@@ -216,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="audit check name, order:IJ<KL, or triangle:I,J,K")
     p_thr.add_argument("--range", nargs=2, type=float, required=True, metavar=("LO", "HI"))
     p_thr.add_argument("--resolution", type=float, default=1e-4)
-    p_thr.add_argument("--tol", type=float, default=1e-9)
+    p_thr.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p_thr.add_argument("--rates", help="absorption rates a1,a2,...")
     p_thr.add_argument("--json", metavar="PATH", help="also write the bracket as JSON")
     p_thr.set_defaults(func=_cmd_threshold)

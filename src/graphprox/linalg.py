@@ -21,6 +21,10 @@ to 7e-48. Neither the inverse nor the exponential is assembled from an
 eigendecomposition: V f(Lambda) V^T leaves absolute errors of about
 machine epsilon times the largest eigenvalue, enough to flip the sign
 or the last digits of small entries.
+
+The rules the layers above share live here too: DEFAULT_TOL, the
+guard against asymmetric input, the rounding floor 8 n eps max|operands|
+and the PSD bound max(tol, floor) that check_psd and gram_factor decide by.
 """
 
 from __future__ import annotations
@@ -44,9 +48,11 @@ __all__ = [
     "gram_factor",
 ]
 
+DEFAULT_TOL = 1e-9
 SYMMETRY_TOL = 1e-10
 _EPS = float(np.finfo(float).eps)
-PSD_CLAMP_TOL = 1e-9
+# c of the rounding floor c n eps |operands| (see _rounding_floor)
+_FLOOR_ULPS = 8
 
 # matrix_exp: the Taylor degree, -log2 of the coefficient share allowed to
 # go astray, log2 of (degree + 1)!, and the 1/i! in rows of four, row j
@@ -104,6 +110,33 @@ def is_symmetric(m: np.ndarray, tol: float = SYMMETRY_TOL) -> bool:
     return a.ndim == 2 and a.shape[0] == a.shape[1] and np.abs(a - a.T).max() <= tol
 
 
+def _require_symmetric(m: np.ndarray, what: str) -> np.ndarray:
+    a = np.asarray(m, dtype=float)
+    if not is_symmetric(a):
+        raise ValueError(f"{what} requires a symmetric matrix")
+    return a
+
+
+def _max_abs(a: np.ndarray) -> float:
+    return float(np.abs(a).max(initial=0.0))
+
+
+def _rounding_floor(n: int, scale: float) -> float:
+    """c n eps scale with c = 8: how far apart two values of a check's
+    inequality on an n-vertex matrix may lie by rounding alone, when the
+    inequality's operands are at most scale in magnitude. Witness scans
+    treat values within it of the extreme as tied with it, and the
+    eigenvalue checks and gram_factor decide against max(tol, floor)."""
+    return _FLOOR_ULPS * n * _EPS * scale
+
+
+def _eigen_bound(n: int, scale: float, tol: float) -> float:
+    """max(tol, floor): what a PSD decision on an n-vertex matrix, whose
+    rounding floor reads operands of size scale, holds its smallest
+    eigenvalue against."""
+    return max(tol, _rounding_floor(n, scale))
+
+
 def _norm1(a: np.ndarray) -> float:
     return float(np.abs(a).sum(axis=0).max(initial=0.0))
 
@@ -143,9 +176,7 @@ def _lapack_symmetric(solver, m: np.ndarray, caller: str):
     """solver (numpy.linalg.eigh or eigvalsh) on the exactly symmetrized
     m, which must be symmetric; a LAPACK failure raises
     NonConvergenceError."""
-    a = _as_square(m)
-    if not is_symmetric(a):
-        raise ValueError(f"{caller} requires a symmetric matrix")
+    a = _require_symmetric(_as_square(m), caller)
     try:
         return solver(0.5 * (a + a.T))
     except np.linalg.LinAlgError as exc:
@@ -235,14 +266,15 @@ def matrix_exp(m: np.ndarray) -> np.ndarray:
     return total
 
 
-def gram_factor(k: np.ndarray, tol: float = PSD_CLAMP_TOL) -> np.ndarray:
+def gram_factor(k: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Unique PSD square root B of a symmetric PSD matrix (B @ B = k).
 
-    Eigenvalues in [-tol, 0) are treated as roundoff and clamped to zero;
-    anything below -tol raises NotPositiveSemidefiniteError.
+    Eigenvalues down to -max(tol, 8 n eps max|k|), the bound check_psd
+    decides by, are treated as roundoff and clamped to zero; one below
+    it raises NotPositiveSemidefiniteError.
     """
     vals, vecs = sym_eigen(k)
-    if vals[0] < -tol:
+    if vals[0] < -_eigen_bound(len(vals), _max_abs(k), tol):
         raise NotPositiveSemidefiniteError(float(vals[0]))
     root = np.sqrt(np.clip(vals, 0.0, None))
     b = (vecs * root) @ vecs.T

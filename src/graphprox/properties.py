@@ -21,13 +21,15 @@ and which one rounding favours depends on operation order and on the
 BLAS kernel. So the slack is the extreme of the inequality, and the
 witness is the first candidate in C order, (x, y, z) or (x, y), whose
 value lies within the rounding floor of that extreme (_rounding_floor:
-8 n eps times the size of the inequality's operands). The triple scans
-keep each block's extreme and search only the first block that reaches
-the band, so the witness does not depend on the block size. The
+8 n eps times the size of the inequality's operands), the metric axioms'
+negative-entry, asymmetric and self-distance witnesses too. The triple
+scans keep each block's extreme and search only the first block that
+reaches the band, so the witness does not depend on the block size. The
 eigenvalue checks decide against max(tol, floor), the floor of the
 operands of the matrix whose eigenvalues they read; where that floor
 exceeds tol, a negative smallest eigenvalue within twice the floor is
-indeterminate, as rounding cannot resolve its sign.
+indeterminate, as rounding cannot resolve its sign. The floor, that
+bound and DEFAULT_TOL live in linalg, whose gram_factor shares them.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import WeightedGraph, separation_labels
+from .linalg import DEFAULT_TOL, _eigen_bound, _max_abs, _require_symmetric, _rounding_floor
 from .linalg import is_symmetric, sym_eigenvalues
 from .transforms import _HUGE, _TINY, _normal, _require_positive
 
@@ -55,12 +58,6 @@ __all__ = [
     "check_distance_order",
     "check_sqrt_distance",
 ]
-
-DEFAULT_TOL = 1e-9
-
-_EPS = float(np.finfo(float).eps)
-# c of the rounding floor c n eps |operands| (see _rounding_floor)
-_FLOOR_ULPS = 8
 
 # Entries per block of first indices: large enough that n <= 32 is one
 # block, small enough that each temporary stays cache-sized. On a 2-vCPU
@@ -115,10 +112,10 @@ def _check_tol(tol: float) -> None:
 def _require_finite(a: np.ndarray, check: str) -> None:
     bad = ~np.isfinite(a)
     if bad.any():
-        i, j = np.unravel_index(int(np.argmax(bad)), a.shape)
+        i, j = divmod(int(np.argmax(bad)), a.shape[1])
         raise ValueError(
             f"{check} requires finite entries; "
-            f"entry ({int(i) + 1},{int(j) + 1}) = {a[i, j]}"
+            f"entry ({i + 1},{j + 1}) = {a[i, j]}"
         )
 
 
@@ -147,15 +144,6 @@ def _triple(xs: slice, idx: int, n: int) -> tuple[int, int, int]:
     """0-based (x, y, z) of the C-order flat index idx in block xs."""
     x, yz = divmod(idx, n * n)
     return (xs.start + x, *divmod(yz, n))
-
-
-def _rounding_floor(n: int, scale: float) -> float:
-    """c n eps scale with c = 8: how far apart two values of a check's
-    inequality on an n-vertex matrix may lie by rounding alone, when the
-    inequality's operands are at most scale in magnitude. Witness scans
-    treat values within it of the extreme as tied with it, and the
-    eigenvalue checks decide against max(tol, floor)."""
-    return _FLOOR_ULPS * n * _EPS * scale
 
 
 def _band(extreme: float, floor: float) -> float:
@@ -227,10 +215,6 @@ def _first_min(
     return -val, idx
 
 
-def _max_abs(a: np.ndarray) -> float:
-    return float(np.abs(a).max(initial=0.0))
-
-
 def _asymmetry_report(
     prop: str, a: np.ndarray, tol: float, note: str = "matrix is not symmetric"
 ) -> PropertyReport:
@@ -239,13 +223,6 @@ def _asymmetry_report(
     return PropertyReport(
         prop, holds=False, tolerance=tol, slack=float(np.abs(a - a.T).max()), note=note
     )
-
-
-def _eigen_bound(n: int, scale: float, tol: float) -> float:
-    """max(tol, floor): what an eigenvalue check on an n-vertex matrix,
-    whose rounding floor reads operands of size scale, decides its
-    smallest eigenvalue against."""
-    return max(tol, _rounding_floor(n, scale))
 
 
 def _eigen_report(
@@ -292,8 +269,7 @@ def check_proximity(k: np.ndarray, tol: float = DEFAULT_TOL) -> PropertyReport:
     _check_tol(tol)
     a = np.asarray(k, dtype=float)
     _require_finite(a, "check_proximity")
-    if not is_symmetric(a):
-        raise ValueError("check_proximity requires a symmetric matrix")
+    _require_symmetric(a, "check_proximity")
     n = a.shape[0]
     diag = np.diag(a)
     floor = _rounding_floor(n, _max_abs(a))
@@ -390,27 +366,36 @@ def check_egocentrism(k: np.ndarray, tol: float = DEFAULT_TOL) -> PropertyReport
     )
 
 
+def _negative_entry(d: np.ndarray, tol: float, prop: str, note: str) -> PropertyReport | None:
+    """prop failing at the smallest entry of d if it is below -tol, else None."""
+    neg = float(d.min())
+    if neg < -tol:
+        n = d.shape[0]
+        i, j = divmod(_first_min(d, _rounding_floor(n, _max_abs(d)))[1], n)
+        return PropertyReport(
+            prop, holds=False, tolerance=tol, witness=(i + 1, j + 1), slack=neg, note=note
+        )
+    return None
+
+
 def _metric_axioms(
     d: np.ndarray, tol: float, prop: str, require_separation: bool = True
 ) -> PropertyReport:
+    """The metric axioms of d but nonnegativity, which _negative_entry checks."""
     n = d.shape[0]
-    neg = float(d.min())
-    if neg < -tol:
-        i, j = np.unravel_index(int(np.argmin(d)), d.shape)
-        return PropertyReport(
-            prop, holds=False, tolerance=tol,
-            witness=(int(i) + 1, int(j) + 1), slack=neg, note="negative entry",
-        )
-    asym = float(np.abs(d - d.T).max())
+    floor = _rounding_floor(n, _max_abs(d))
+    gap = np.abs(d - d.T)
+    asym = float(gap.max())
     if asym > tol:
-        i, j = np.unravel_index(int(np.argmax(np.abs(d - d.T))), d.shape)
+        i, j = divmod(_first_max(gap, floor)[1], n)
         return PropertyReport(
             prop, holds=False, tolerance=tol,
-            witness=(int(i) + 1, int(j) + 1), slack=asym, note="asymmetric",
+            witness=(i + 1, j + 1), slack=asym, note="asymmetric",
         )
-    diag = float(np.abs(np.diag(d)).max())
+    self_dist = np.abs(np.diag(d))
+    diag = float(self_dist.max())
     if diag > tol:
-        i = int(np.argmax(np.abs(np.diag(d))))
+        i = _first_max(self_dist, floor)[1]
         return PropertyReport(
             prop, holds=False, tolerance=tol,
             witness=(i + 1, i + 1), slack=diag, note="nonzero self-distance",
@@ -425,9 +410,7 @@ def _metric_axioms(
                 note="distinct vertices at zero distance",
             )
     # v[x, y, z] = d(x,z) - d(x,y) - d(y,z), left to right
-    worst, witness = _worst_triple(
-        n, lambda xs: (d[xs, None, :] - d[xs, :, None]) - d, _rounding_floor(n, _max_abs(d))
-    )
+    worst, witness = _worst_triple(n, lambda xs: (d[xs, None, :] - d[xs, :, None]) - d, floor)
     if witness is None:  # n < 3: nothing to check
         return PropertyReport(prop, holds=True, tolerance=tol)
     x, y, z = witness
@@ -449,7 +432,7 @@ def check_metric(d: np.ndarray, tol: float = DEFAULT_TOL) -> PropertyReport:
     _check_tol(tol)
     a = np.asarray(d, dtype=float)
     _require_finite(a, "check_metric")
-    return _metric_axioms(a, tol, "metric")
+    return _negative_entry(a, tol, "metric", "negative entry") or _metric_axioms(a, tol, "metric")
 
 
 def check_sq_euclidean(
@@ -460,9 +443,7 @@ def check_sq_euclidean(
     entries of d, or scale if larger: the size of the values d was
     computed from, whose rounding it inherits."""
     _check_tol(tol)
-    a = np.asarray(d, dtype=float)
-    if not is_symmetric(a):
-        raise ValueError("check_sq_euclidean requires a symmetric matrix")
+    a = _require_symmetric(d, "check_sq_euclidean")
     if a.shape[0] and np.abs(np.diag(a)).max() > tol:
         raise ValueError("check_sq_euclidean requires a zero diagonal")
     n = a.shape[0]
@@ -634,12 +615,6 @@ def check_sqrt_distance(d: np.ndarray, tol: float = DEFAULT_TOL) -> PropertyRepo
     _check_tol(tol)
     a = np.asarray(d, dtype=float)
     _require_finite(a, "check_sqrt_distance")
-    if a.min() < -tol:
-        i, j = np.unravel_index(int(np.argmin(a)), a.shape)
-        return PropertyReport(
-            "sqrt_distance", holds=False, tolerance=tol,
-            witness=(int(i) + 1, int(j) + 1), slack=float(a.min()),
-            note="negative entry, no square-root distance exists",
-        )
-    root = np.sqrt(np.clip(a, 0.0, None))
-    return _metric_axioms(root, tol, "sqrt_distance", require_separation=False)
+    return _negative_entry(
+        a, tol, "sqrt_distance", "negative entry, no square-root distance exists"
+    ) or _metric_axioms(np.sqrt(np.clip(a, 0.0, None)), tol, "sqrt_distance", False)

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .linalg import gram_factor, is_symmetric
+from .linalg import DEFAULT_TOL, _require_symmetric, gram_factor
 
 _TINY = float(np.finfo(float).tiny)
 _HUGE = float(np.finfo(float).max)
@@ -25,13 +25,6 @@ __all__ = [
     "symmetrize_geometric",
     "embed",
 ]
-
-
-def _require_symmetric(m: np.ndarray, what: str) -> np.ndarray:
-    a = np.asarray(m, dtype=float)
-    if not is_symmetric(a):
-        raise ValueError(f"{what} requires a symmetric matrix")
-    return a
 
 
 def _require_positive(m: np.ndarray, what: str) -> np.ndarray:
@@ -73,7 +66,7 @@ def dist_to_sigma_prox(d: np.ndarray, sigma: float) -> np.ndarray:
     matrix): every row of the result sums to sigma, and composing with
     kernel_to_sq_dist in either order is the identity."""
     a = _require_symmetric(d, "dist_to_sigma_prox")
-    if np.abs(np.diag(a)).max() > 1e-9:
+    if np.abs(np.diag(a)).max() > DEFAULT_TOL:
         raise ValueError("dist_to_sigma_prox requires a zero diagonal")
     n = a.shape[0]
     j = np.full((n, n), 1.0 / n)
@@ -129,7 +122,7 @@ def embed(k: np.ndarray) -> np.ndarray:
     distances of the rows reproduce kernel_to_sq_dist(k). The result is
     exactly symmetric, bit for bit: gram_factor returns (B + B^T)/2, and
     the transpose and rescale below act entry by entry. Raises
-    NotPositiveSemidefiniteError when no such embedding exists.
+    NotPositiveSemidefiniteError where check_psd fails k (see gram_factor).
     """
     b = gram_factor(k)
     # Columns of the PSD square root form a Gram representation of k

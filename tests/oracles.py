@@ -13,11 +13,13 @@ question or from labels_by_bfs, the library's former separation table of
 one BFS per removed vertex, instead of the table it builds now from one
 depth-first search. The reference_* triple checks at the end are the
 library's former scalar loops, kept to pin the vectorized checks to the
-exact reports those loops give. Their witnesses follow the rounding-floor
-rule, from a constant of their own: the witness is the first candidate
-in C order within 8 n eps times the operands' size of the extreme, and
-the slack is the extreme. reference_embedding_csv is the library's
-former CSV writer, kept to pin export_embedding's bytes;
+exact reports those loops give. Their witnesses, the metric axioms'
+negative-entry, asymmetric and self-distance witnesses among them,
+follow the rounding-floor rule, from a constant of their own: the
+witness is the first candidate in C order within 8 n eps times the
+operands' size of the extreme, and the slack is the extreme.
+reference_embedding_csv is the library's former CSV writer, kept to pin
+export_embedding's bytes;
 reference_invert is the library's former Gauss-Jordan loop, kept as an
 elimination of its own to compare the LAPACK inverse with, and
 exact_invert inverts in rational arithmetic;
@@ -409,26 +411,25 @@ def _reference_metric_axioms(
     d: np.ndarray, tol: float, prop: str, require_separation: bool = True
 ) -> PropertyReport:
     n = d.shape[0]
-    neg = float(d.min())
+    floor = floor_of(n, np.abs(d).max())
+    pairs = [(x, y) for x in range(n) for y in range(n)]
+    neg, (i, j) = first_near_min([(d[x, y], (x, y)) for x, y in pairs], floor)
     if neg < -tol:
-        i, j = np.unravel_index(int(np.argmin(d)), d.shape)
         return PropertyReport(
             prop, holds=False, tolerance=tol,
-            witness=(int(i) + 1, int(j) + 1), slack=neg, note="negative entry",
+            witness=(i + 1, j + 1), slack=float(neg), note="negative entry",
         )
-    asym = float(np.abs(d - d.T).max())
+    asym, (i, j) = first_near_max([(abs(d[x, y] - d[y, x]), (x, y)) for x, y in pairs], floor)
     if asym > tol:
-        i, j = np.unravel_index(int(np.argmax(np.abs(d - d.T))), d.shape)
         return PropertyReport(
             prop, holds=False, tolerance=tol,
-            witness=(int(i) + 1, int(j) + 1), slack=asym, note="asymmetric",
+            witness=(i + 1, j + 1), slack=float(asym), note="asymmetric",
         )
-    diag = float(np.abs(np.diag(d)).max())
+    diag, i = first_near_max([(abs(d[x, x]), x) for x in range(n)], floor)
     if diag > tol:
-        i = int(np.argmax(np.abs(np.diag(d))))
         return PropertyReport(
             prop, holds=False, tolerance=tol,
-            witness=(i + 1, i + 1), slack=diag, note="nonzero self-distance",
+            witness=(i + 1, i + 1), slack=float(diag), note="nonzero self-distance",
         )
     if require_separation:
         for x in range(n):
@@ -441,7 +442,7 @@ def _reference_metric_axioms(
                     )
     worst, witness = first_near_max(
         [(d[x, z] - d[x, y] - d[y, z], (x, y, z)) for x, y, z in _distinct_triples(n)],
-        floor_of(n, np.abs(d).max()),
+        floor,
     )
     if witness is None:  # n < 3: nothing to check
         return PropertyReport(prop, holds=True, tolerance=tol)
@@ -554,11 +555,14 @@ def reference_sqrt_distance(d: np.ndarray, tol: float = DEFAULT_TOL) -> Property
     nonnegative and its entrywise square root must satisfy the triangle
     inequality. Coinciding points are allowed (an all-zero d passes)."""
     a = np.asarray(d, dtype=float)
-    if a.min() < -tol:
-        i, j = np.unravel_index(int(np.argmin(a)), a.shape)
+    n = a.shape[0]
+    neg, (i, j) = first_near_min(
+        [(a[x, y], (x, y)) for x in range(n) for y in range(n)], floor_of(n, np.abs(a).max())
+    )
+    if neg < -tol:
         return PropertyReport(
             "sqrt_distance", holds=False, tolerance=tol,
-            witness=(int(i) + 1, int(j) + 1), slack=float(a.min()),
+            witness=(i + 1, j + 1), slack=float(neg),
             note="negative entry, no square-root distance exists",
         )
     root = np.sqrt(np.clip(a, 0.0, None))

@@ -346,3 +346,12 @@ class TestGramFactor:
         with pytest.raises(NotPositiveSemidefiniteError) as err:
             gram_factor(np.diag([1.0, -0.5]))
         assert err.value.min_eigenvalue == pytest.approx(-0.5)
+
+    def test_bound_grows_with_the_largest_entry(self):
+        # the rounding floor 8 n eps max|k| = 3.55e-3 exceeds tol here: an
+        # eigenvalue of -1e-3 is within it and clamped, -1e-2 is beyond it
+        big = 1e12
+        root = gram_factor(np.diag([big, -1e-3]))
+        npt.assert_allclose(root, np.diag([math.sqrt(big), 0.0]), atol=1e-9)
+        with pytest.raises(NotPositiveSemidefiniteError):
+            gram_factor(np.diag([big, -1e-2]))

@@ -177,6 +177,16 @@ def test_transitional_excess_in_a_later_block_beats_an_earlier_mismatch(
     assert got.witness[0] == n
 
 
+def test_mirror_ties_on_a_unit_path_match_reference_loops():
+    # heatppr:5 on a unit path: its most negative distances, at the two
+    # end edges, are mirror images that rounding splits
+    n = 20
+    w = np.eye(n, k=1) + np.eye(n, k=-1)
+    g = WeightedGraph(w, name=f"unit_path{n}")
+    reports = assert_all_checks_match(compute_kernel(g, "heatppr", 5.0).matrix, g, complete_graph(n))
+    assert reports[3].note == "negative entry" and reports[3].witness == (1, 2)
+
+
 @pytest.mark.parametrize("n", [1, 2])
 def test_small_matrices_match_reference(n):
     a = np.eye(n) + 1.0
