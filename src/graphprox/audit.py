@@ -23,7 +23,7 @@ import numpy as np
 from ._version import __version__
 from .graphs import WeightedGraph
 from .kernels import SYMMETRIC_MEASURES, KernelResult, compute_kernel
-from .linalg import DEFAULT_TOL, _eigen_bound, _max_abs
+from .linalg import DEFAULT_TOL, _EPS, _eigen_bound, _max_abs
 from .properties import (
     PropertyReport,
     _asymmetry_report,
@@ -66,7 +66,6 @@ _EIGEN_SCALES: dict[str, Callable[[KernelResult], float]] = {
     "sym_psd": lambda kr: _max_abs(0.5 * (kr.matrix + kr.matrix.T)),
     "sq_euclidean": lambda kr: max(_max_abs(kr.dist), _max_abs(kr.matrix)),
 }
-_EPS = float(np.finfo(float).eps)
 # PropertyReport's fields in declaration order: the keys of a check's JSON
 _REPORT_FIELDS = tuple(f.name for f in dataclasses.fields(PropertyReport))
 
@@ -498,8 +497,9 @@ def export_embedding(
     point per row under a header x1..xn. Returns the coordinate array.
 
     Raises ValueError for an asymmetric kernel and
-    NotPositiveSemidefiniteError for one that fails run_check("psd"),
-    whose bound gram_factor shares: no embedding exists either way.
+    NotPositiveSemidefiniteError for one that fails run_check("psd") at
+    the default tolerance 1e-9, whose bound gram_factor shares, whatever
+    tolerance an audit of the kernel used: no embedding exists either way.
     """
     kres = compute_kernel(g, measure, param, rates=rates)
     if not kres.symmetric:

@@ -192,7 +192,6 @@ def load_graph(source: str, name: str = "graph") -> WeightedGraph:
     indices, positive weights, '#' starting a comment line."""
     edges: dict[tuple[int, int], float] = {}
     vertices: set[int] = set()
-    max_vertex = 0
     for lineno, raw in enumerate(source.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -218,9 +217,9 @@ def load_graph(source: str, name: str = "graph") -> WeightedGraph:
             raise GraphValidationError(f"line {lineno}: duplicate edge {key[0]}-{key[1]}")
         edges[key] = w
         vertices.update(key)
-        max_vertex = max(max_vertex, i, j)
     if not edges:
         raise GraphValidationError("no edges found")
+    max_vertex = max(vertices)
     # An unused label is an isolated vertex; rejecting it here also keeps
     # a huge label from sizing the weight matrix.
     if len(vertices) < max_vertex:

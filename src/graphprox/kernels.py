@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .graphs import WeightedGraph, _read_only
-from .linalg import NonConvergenceError, invert, is_symmetric, matrix_exp
+from .linalg import _double_factorial_series, invert, is_symmetric, matrix_exp
 from .properties import PropertyReport, check_proximity
 from .transforms import log_distance, pair_to_dist, symmetrize_geometric
 
@@ -49,8 +49,6 @@ __all__ = [
 ]
 
 _BOUNDARY_MARGIN = 1e-12
-_DFACT_TERM_TOL = 1e-16
-_DFACT_MAX_TERMS = 10_000
 
 
 @dataclass(frozen=True)
@@ -194,42 +192,10 @@ def communicability(g: WeightedGraph, t: float) -> KernelResult:
 
 
 def double_factorial(g: WeightedGraph, t: float) -> KernelResult:
-    """Series sum_k t^k / k!! W^k with 0!! = 1!! = 1, k!! = k (k-2)!!.
-
-    The series converges for every t since k!! outgrows any geometric
-    factor; summation stops once the additive term drops below 1e-16 in
-    max-norm and the last three term norms are decreasing (so growth from
-    t^k cannot masquerade as convergence). Raises OverflowError as soon
-    as a term or the running sum leaves float64 range. The sum is
-    symmetrized, since rounding in the matrix products leaves W's
-    symmetry only approximately intact on large entries.
-    """
+    """Series sum_k t^k / k!! W^k with 0!! = 1!! = 1, k!! = k (k-2)!!, summed
+    to a relative 2^-60 of each entry (linalg._double_factorial_series).
+    Raises OverflowError once the sum leaves the float64 range."""
     return _kernel("dfact", g, t, lambda: _double_factorial_series(t * g.weights))
-
-
-def _double_factorial_series(tw: np.ndarray) -> np.ndarray:
-    tw2 = tw @ tw
-    prev2 = np.eye(tw.shape[0])  # k = 0
-    prev1 = tw.copy()  # k = 1
-    total = prev2 + prev1
-    norms = [1.0, float(np.abs(prev1).max())]
-    # entered once, not per term; the isfinite test turns what it hides
-    # into OverflowError
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(2, _DFACT_MAX_TERMS):
-            cur = prev2 @ tw2 / k  # t^k/k!! W^k from the k-2 term
-            total += cur
-            norms.append(float(np.abs(cur).max()))
-            if not (math.isfinite(norms[-1]) and np.isfinite(total).all()):
-                raise OverflowError(f"double-factorial series overflowed float64 at term {k}")
-            if norms[-1] < _DFACT_TERM_TOL and norms[-3] > norms[-2] > norms[-1]:
-                break
-            prev2, prev1 = prev1, cur
-        else:
-            raise NonConvergenceError(
-                f"double-factorial series did not converge within {_DFACT_MAX_TERMS} terms"
-            )
-    return 0.5 * (total + total.T)
 
 
 def heat(g: WeightedGraph, t: float) -> KernelResult:

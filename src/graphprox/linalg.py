@@ -1,5 +1,5 @@
-"""Dense matrix primitives: inverse, symmetric eigendecomposition and
-eigenvalues, matrix exponential, spectral radius, and PSD square root.
+"""Dense matrix primitives: inverse, symmetric eigensolvers, matrix
+exponential, double-factorial series, spectral radius, PSD square root.
 
 Everything works on plain float64 numpy arrays sized for the small dense
 matrices this package deals in (a few hundred rows at most). The
@@ -9,18 +9,18 @@ M-matrix resolvents the property checks read entry by entry, the LU
 inverse is accurate entrywise: on regL:1 of a unit 40-path its largest
 relative entry error against a 60-digit reference is 6.9e-16 (5.9e-16
 once symmetrized), where the former in-package Gauss-Jordan loop gave
-8.2e-16. The exponential stays in this module: it shifts the matrix
-to B = A + sI with s = -min diag(A), which is entrywise nonnegative for
-the exponential kernels, and squares a degree-18 Taylor polynomial of
-B / 2^k, with k chosen so that every series term up to the largest
-graph distance and the norm of B keeps its coefficient to 2^-60 (see
-matrix_exp). With no cancellation in the sums, every entry is accurate
-relative to itself: on heat:1 of a unit 40-path the largest relative
-entry error against a 60-digit reference is 6.5e-15, at entries down
-to 7e-48. Neither the inverse nor the exponential is assembled from an
-eigendecomposition: V f(Lambda) V^T leaves absolute errors of about
-machine epsilon times the largest eigenvalue, enough to flip the sign
-or the last digits of small entries.
+8.2e-16. Both series stay here, and one relative bound, 2^-60,
+truncates them. The exponential squares a degree-18 Taylor polynomial
+of B / 2^k, B = A + sI >= 0, with k set so that every term up to the
+largest graph distance keeps its coefficient to 2^-60 (matrix_exp); the
+double-factorial series stops once its last two terms are at most
+2^-60 of the partial sum, entry by entry (_double_factorial_series).
+Nothing cancels, so every entry is accurate relative to itself: on
+heat:1 of a unit 40-path the largest relative entry error against a
+60-digit reference is 6.5e-15, at entries down to 7e-48. No kernel is
+assembled from an eigendecomposition: V f(Lambda) V^T leaves absolute
+errors of about eps times the largest eigenvalue, enough to flip the
+sign or the last digits of small entries.
 
 The rules the layers above share live here too: DEFAULT_TOL, the
 guard against asymmetric input, the rounding floor 8 n eps max|operands|
@@ -54,17 +54,18 @@ _EPS = float(np.finfo(float).eps)
 # c of the rounding floor c n eps |operands| (see _rounding_floor)
 _FLOOR_ULPS = 8
 
-# matrix_exp: the Taylor degree, -log2 of the coefficient share allowed to
-# go astray, log2 of (degree + 1)!, and the 1/i! in rows of four, row j
-# holding the coefficients of I, X, X^2, X^3 in the chunk multiplied by
-# X^(4j)
+# -log2 of the relative share of an entry that either series leaves out
+_SERIES_BOUND_BITS = 60
+# matrix_exp: the Taylor degree, log2 of (degree + 1)!, and the 1/i! in
+# rows of four, row j holding the coefficients of I, X, X^2, X^3 in the
+# chunk multiplied by X^(4j)
 _EXP_DEGREE = 18
-_EXP_BOUND_BITS = 60
 _EXP_LOG2_FACT = math.log2(math.factorial(_EXP_DEGREE + 1))
 _EXP_CHUNKS = np.array(
     [1.0 / math.factorial(i) if i <= _EXP_DEGREE else 0.0
      for i in range(4 * (_EXP_DEGREE // 4 + 1))]
 ).reshape(-1, 4)
+_DFACT_MAX_TERMS = 10_000
 
 
 class SingularMatrixError(ValueError):
@@ -243,7 +244,7 @@ def matrix_exp(m: np.ndarray) -> np.ndarray:
     d = max(float(np.abs(b).sum(axis=1).max()), n - 1.0)
     k = 0
     if d > 0:
-        excess = (_EXP_DEGREE + 1) * math.log2(d) - _EXP_LOG2_FACT + _EXP_BOUND_BITS
+        excess = (_EXP_DEGREE + 1) * math.log2(d) - _EXP_LOG2_FACT + _SERIES_BOUND_BITS
         k = max(0, math.ceil(excess / _EXP_DEGREE))
     powers = np.empty((4, n, n))  # I, X, X^2, X^3
     powers[0] = np.eye(n)
@@ -264,6 +265,45 @@ def matrix_exp(m: np.ndarray) -> np.ndarray:
     if is_symmetric(b):
         total = 0.5 * (total + total.T)
     return total
+
+
+def _double_factorial_series(tw: np.ndarray) -> np.ndarray:
+    """sum_j (tW)^j / j!! (0!! = 1!! = 1, j!! = j (j-2)!!) for t > 0 and
+    W >= 0, exactly symmetrized; term j is term j-2 times T / j, T = (tW)^2.
+
+    The sum runs through term n - 1, so that every entry holds its first
+    nonzero term, and stops at the first later k where terms k-1 and k
+    are both at most 2^-60 of the partial sum S, entry by entry. It is
+    never early: term k+2p = term k T^p / ((k+2)...(k+2p)) is at most
+    2^-60 S T^p / ((k+2)...(k+2p)), and S T^p sums the terms i+2p, i <= k,
+    times (i+2)...(i+2p), no more than that denominator; so is term
+    k-1+2p, with 2^-60 / (1 - 2^-60). Each term is counted at most k+1
+    times, so the tail is at most (k+1) 2^-60 / (1 - 2^-60) of each entry.
+    Nothing cancels; term j errs by about j (n+2) eps relatively, so each
+    normal entry lies within about a relative (n+3) k eps of the exact
+    sum. Raises OverflowError once the sum leaves the float64 range.
+    """
+    n = tw.shape[0]
+    tw2 = tw @ tw
+    prev2, prev1 = np.eye(n), tw  # terms k - 2 and k - 1
+    total = prev2 + prev1
+    # entered once; the finiteness test turns what it hides into OverflowError
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(2, _DFACT_MAX_TERMS):
+            cur = prev2 @ tw2 / k
+            total += cur
+            if not total.max() < math.inf:  # also true for NaN
+                raise OverflowError(f"double-factorial series overflowed float64 at term {k}")
+            if k >= n - 1:
+                cut = total * 2.0**-_SERIES_BOUND_BITS
+                if (prev1 <= cut).all() and (cur <= cut).all():
+                    break
+            prev2, prev1 = prev1, cur
+        else:
+            raise NonConvergenceError(
+                f"double-factorial series did not converge within {_DFACT_MAX_TERMS} terms"
+            )
+    return 0.5 * (total + total.T)
 
 
 def gram_factor(k: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:

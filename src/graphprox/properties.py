@@ -42,7 +42,7 @@ import numpy as np
 from .graphs import WeightedGraph, separation_labels
 from .linalg import DEFAULT_TOL, _eigen_bound, _max_abs, _require_symmetric, _rounding_floor
 from .linalg import is_symmetric, sym_eigenvalues
-from .transforms import _HUGE, _TINY, _normal, _require_positive
+from .transforms import _HUGE, _TINY, _centered_gram, _normal, _require_positive
 
 __all__ = [
     "PropertyReport",
@@ -443,16 +443,9 @@ def check_sq_euclidean(
     entries of d, or scale if larger: the size of the values d was
     computed from, whose rounding it inherits."""
     _check_tol(tol)
-    a = _require_symmetric(d, "check_sq_euclidean")
-    if a.shape[0] and np.abs(np.diag(a)).max() > tol:
-        raise ValueError("check_sq_euclidean requires a zero diagonal")
-    n = a.shape[0]
-    j = np.full((n, n), 1.0 / n)
-    h = np.eye(n) - j
-    b = -h @ a @ h
     return _eigen_report(
-        "sq_euclidean", 0.5 * (b + b.T), tol, "smallest eigenvalue of the centered Gram matrix",
-        max(_max_abs(a), scale),
+        "sq_euclidean", _centered_gram(d, tol, "check_sq_euclidean"), tol,
+        "smallest eigenvalue of the centered Gram matrix", max(_max_abs(d), scale),
     )
 
 
@@ -593,18 +586,13 @@ def check_distance_order(d: np.ndarray) -> PropertyReport:
     a = np.asarray(d, dtype=float)
     if a.shape != (4, 4):
         raise ValueError("check_distance_order expects a 4x4 distance matrix")
-    if not a[0, 1] < a[0, 2]:
-        return PropertyReport(
-            "distance_order", holds=False, tolerance=0.0,
-            witness=(1, 2, 1, 3), slack=float(a[0, 1] - a[0, 2]),
-            note="d(1,2) >= d(1,3)",
-        )
-    if not a[0, 2] < a[0, 3]:
-        return PropertyReport(
-            "distance_order", holds=False, tolerance=0.0,
-            witness=(1, 3, 1, 4), slack=float(a[0, 2] - a[0, 3]),
-            note="d(1,3) >= d(1,4)",
-        )
+    for y in (1, 2):  # 0-based: d(1,2) < d(1,3), then d(1,3) < d(1,4)
+        if not a[0, y] < a[0, y + 1]:
+            return PropertyReport(
+                "distance_order", holds=False, tolerance=0.0,
+                witness=(1, y + 1, 1, y + 2), slack=float(a[0, y] - a[0, y + 1]),
+                note=f"d(1,{y + 1}) >= d(1,{y + 2})",
+            )
     return PropertyReport("distance_order", holds=True, tolerance=0.0)
 
 

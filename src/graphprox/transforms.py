@@ -61,18 +61,24 @@ def pair_to_dist(k: np.ndarray) -> np.ndarray:
     return d
 
 
+def _centered_gram(d: np.ndarray, tol: float, caller: str) -> np.ndarray:
+    """-H d H (H = I - J, J = 11^T / n), exactly symmetrized, of a symmetric
+    d with zero diagonal to tol; caller names the function in its errors."""
+    a = _require_symmetric(d, caller)
+    if np.abs(np.diag(a)).max() > tol:
+        raise ValueError(f"{caller} requires a zero diagonal")
+    n = a.shape[0]
+    h = np.eye(n) - np.full((n, n), 1.0 / n)
+    b = -h @ a @ h
+    return 0.5 * (b + b.T)
+
+
 def dist_to_sigma_prox(d: np.ndarray, sigma: float) -> np.ndarray:
     """Inverse transform -H d H + sigma J (H = I - J the centering
     matrix): every row of the result sums to sigma, and composing with
     kernel_to_sq_dist in either order is the identity."""
-    a = _require_symmetric(d, "dist_to_sigma_prox")
-    if np.abs(np.diag(a)).max() > DEFAULT_TOL:
-        raise ValueError("dist_to_sigma_prox requires a zero diagonal")
-    n = a.shape[0]
-    j = np.full((n, n), 1.0 / n)
-    h = np.eye(n) - j
-    k = -h @ a @ h + sigma * j
-    return 0.5 * (k + k.T)
+    b = _centered_gram(d, DEFAULT_TOL, "dist_to_sigma_prox")
+    return b + sigma * (1.0 / b.shape[0])
 
 
 def _normal(x: np.ndarray) -> np.ndarray:
@@ -122,7 +128,8 @@ def embed(k: np.ndarray) -> np.ndarray:
     distances of the rows reproduce kernel_to_sq_dist(k). The result is
     exactly symmetric, bit for bit: gram_factor returns (B + B^T)/2, and
     the transpose and rescale below act entry by entry. Raises
-    NotPositiveSemidefiniteError where check_psd fails k (see gram_factor).
+    NotPositiveSemidefiniteError where check_psd at the default tolerance
+    1e-9 fails k, whatever tolerance an audit used (see gram_factor).
     """
     b = gram_factor(k)
     # Columns of the PSD square root form a Gram representation of k

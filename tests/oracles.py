@@ -6,8 +6,10 @@ exponential is a raw Taylor sum (taylor_exp, a normwise oracle that cuts
 off small entries) or, entry by entry, exact_exp's Taylor sum of the
 shifted nonnegative matrix, unscaled and summed in np.longdouble or in
 rationals to a remainder below 2^-60 of the smallest entry, the
-double-factorial series uses exact
-integer double factorials with explicit matrix powers, and cut vertices
+double-factorial series uses exact integer double factorials with
+explicit matrix powers (double_factorial_direct) or, entry by entry, is
+exact_dfact's sum in np.longdouble or in rationals to the same
+remainder bound, and cut vertices
 come from brute-force enumeration of simple paths, from one BFS per
 question or from labels_by_bfs, the library's former separation table of
 one BFS per removed vertex, instead of the table it builds now from one
@@ -191,6 +193,75 @@ def _rational_exp_scalar(shift: float) -> Fraction:
         if k + 1 > x and term * x / (k + 1 - x) < total / 2**80:
             break
     return 1 / total if shift >= 0 else total
+
+
+def exact_dfact(w: np.ndarray, t: float, exact: bool = False,
+                max_terms: int = 100_000) -> np.ndarray:
+    """Entrywise reference for the double-factorial series
+    sum_j (tW)^j / j!! where t > 0 and W >= 0: every term is
+    nonnegative, so nothing cancels.
+
+    With x = ||tW|| (infinity norm), no entry of term j exceeds
+    a_j = x^j / j!!, and a_(j+2) = a_j x^2 / (j + 2). Once K + 3 > x^2
+    the remainder after term K is thus at most
+    (a_(K+1) + a_(K+2)) / (1 - x^2 / (K + 3)); the sum stops after the
+    first K terms for which that bound lies below 2^-60 times the
+    smallest entry of the partial sum, so every entry is truncated by
+    less than 2^-60 of itself. It is summed in np.longdouble (meaningful
+    only where that type is wider than float64), or with exact=True in
+    integers over the common denominator 2^(eK) K!, tW being M / 2^e
+    with M integer. The exact result is an object array of Fractions.
+    """
+    if exact:
+        return _rational_dfact(w, t, max_terms)
+    tw = np.longdouble(t) * np.asarray(w, dtype=np.longdouble)
+    if t <= 0 or tw.min() < 0:
+        raise ValueError("exact_dfact requires t > 0 and nonnegative entries")
+    n = tw.shape[0]
+    x = tw.sum(axis=1).max()
+    x2 = x * x
+    tw2 = tw @ tw
+    prev, last = np.eye(n, dtype=np.longdouble), tw  # terms K - 1 and K
+    a_prev, a_last = np.longdouble(1), x  # a_(K-1) and a_K
+    total = prev + last
+    for k in range(1, max_terms):  # k = K
+        a_next = a_prev * x2 / (k + 1)
+        q = x2 / (k + 3)
+        if q < 1 and (a_next + a_last * x2 / (k + 2)) / (1 - q) < np.ldexp(total.min(), -60):
+            return total
+        prev, last = last, prev @ tw2 / (k + 1)
+        a_prev, a_last = a_last, a_next
+        total += last
+    raise AssertionError("exact_dfact did not converge")
+
+
+def _rational_dfact(w: np.ndarray, t: float, max_terms: int) -> np.ndarray:
+    rows = np.asarray(w, dtype=float)
+    n = rows.shape[0]
+    ftw = [[Fraction(t) * Fraction(float(v)) for v in row] for row in rows]
+    if t <= 0 or min(min(row) for row in ftw) < 0:
+        raise ValueError("exact_dfact requires t > 0 and nonnegative entries")
+    # tW = M / 2^e with M integer
+    e = max(v.denominator.bit_length() - 1 for row in ftw for v in row)
+    m = [[int(v * 2**e) for v in row] for row in ftw]
+    nonzero = [(i, j, v) for i, row in enumerate(m) for j, v in enumerate(row) if v]
+    x = Fraction(max(sum(row) for row in m), 2**e)
+    # after term K: total / den is the partial sum, den = 2^(eK) K!, and
+    # power = M^K; term K is M^K (K-1)!! / den, as K! = K!! (K-1)!!
+    power = np.identity(n, dtype=int).astype(object)
+    total, den = power.copy(), 1
+    for k in range(1, max_terms):
+        step = np.zeros((n, n), dtype=int).astype(object)
+        for i, j, v in nonzero:
+            step[:, j] += power[:, i] * v
+        power = step
+        total = total * (k << e) + power * math.prod(range(k - 1, 0, -2))
+        den *= k << e
+        q = x * x / (k + 3)
+        tail = sum(x**j / math.prod(range(j, 0, -2)) for j in (k + 1, k + 2))  # a_(K+1) + a_(K+2)
+        if q < 1 and tail / (1 - q) < Fraction(int(total.min()), den) / 2**60:
+            return total * Fraction(1, den)
+    raise AssertionError("exact_dfact did not converge")
 
 
 def double_factorial_direct(w: np.ndarray, t: float, max_terms: int = 500) -> np.ndarray:

@@ -19,7 +19,13 @@ from graphprox import (
 )
 from graphprox.cli import main
 
-from oracles import exact_exp, pairwise_sq_dists, random_connected_graph, reference_embedding_csv
+from oracles import (
+    exact_dfact,
+    exact_exp,
+    pairwise_sq_dists,
+    random_connected_graph,
+    reference_embedding_csv,
+)
 
 
 def unit_path(tmp_path, n: int):
@@ -589,6 +595,24 @@ class TestCli:
         g = load_graph(edges.read_text(encoding="utf-8"))
         exact = exact_exp(-0.1 * g.laplacian, exact=True).astype(float)
         want = check_transitional(exact, g)
+        assert rep["slack"] == pytest.approx(want.slack, rel=1e-9)
+        assert list(want.witness) == rep["witness"]
+
+    def test_double_factorial_entries_far_below_one_get_a_verdict(self, tmp_path, capsys):
+        # entry (1,20) of dfact:0.1 on a unit 20-path is 1.5e-28, which a
+        # series stopped at an absolute term norm of 1e-16 left 0; dfact is
+        # not transitional, and its relative excess at (1,10,19) is to
+        # leading order 18!!/(9!!)^2 - 1 = 207
+        edges = unit_path(tmp_path, 20)
+        out_file = tmp_path / "report.json"
+        code = main(["audit", str(edges), "--measure", "dfact:0.1", "--check", "transitional",
+                     "--json", str(out_file)])
+        assert (code, capsys.readouterr().err) == (1, "")
+        (rep,) = json.loads(out_file.read_text())["results"][0]["checks"]
+        assert (rep["holds"], rep["witness"]) == (False, [1, 10, 19])
+        assert rep["slack"] == pytest.approx(207.0, rel=1e-2)
+        g = load_graph(edges.read_text(encoding="utf-8"))
+        want = check_transitional(exact_dfact(g.weights, 0.1, exact=True).astype(float), g)
         assert rep["slack"] == pytest.approx(want.slack, rel=1e-9)
         assert list(want.witness) == rep["witness"]
 
