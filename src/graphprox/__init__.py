@@ -12,6 +12,7 @@ from .audit import (
     default_checks,
     export_embedding,
     find_threshold,
+    report_json,
     run_audit,
     run_check,
 )

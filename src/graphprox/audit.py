@@ -13,9 +13,12 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import json
 import math
+import operator
 import re
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import Callable
 
 import numpy as np
@@ -47,6 +50,7 @@ __all__ = [
     "MeasureAudit",
     "AuditReport",
     "ThresholdResult",
+    "report_json",
     "default_checks",
     "run_check",
     "run_audit",
@@ -199,6 +203,106 @@ class ThresholdResult:
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
+
+
+def _json_template(keys, pad: str, named: bool = False) -> str:
+    """An object as json.dumps(indent=2, sort_keys=True) writes it at
+    indent pad, its keys sorted, with a %s for each value, or a %(key)s
+    where named."""
+    inner = pad + "  "
+    slot = "%({})s" if named else "%s"
+    items = ",\n".join(f'{inner}"{k}": ' + slot.format(k) for k in sorted(keys))
+    return "{\n" + items + "\n" + pad + "}"
+
+
+# Each schema level of report_json: a template and what fills it. A check
+# and a threshold result list every dataclass field, so a new one reaches
+# both to_dict and report_json.
+_CHECK_KEYS = sorted(_REPORT_FIELDS)
+_CHECK_FIELDS = operator.attrgetter(*_CHECK_KEYS)
+_CHECK_JSON = _json_template(_CHECK_KEYS, " " * 8)
+_THRESHOLD_KEYS = sorted(f.name for f in dataclasses.fields(ThresholdResult))
+_THRESHOLD_FIELDS = operator.attrgetter(*_THRESHOLD_KEYS)
+_THRESHOLD_JSON = _json_template(_THRESHOLD_KEYS, "")
+_RESULT_JSON = _json_template(
+    ("measure", "param", "param_domain", "symmetric", "checks"), " " * 4, named=True
+)
+_REPORT_JSON = _json_template(
+    ("schema_version", "tool", "tool_version", "graph", "n", "tolerance", "results"),
+    "",
+    named=True,
+)
+
+
+def _json_value(value, pad: str, null_inf: bool) -> str:
+    """value as json.dumps(value, indent=2, sort_keys=True) writes it at
+    indent pad. Where null_inf, +-inf, in value or in the tuples it nests,
+    is null, as AuditReport.to_dict makes it."""
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, float):
+        if math.isfinite(value):
+            return float.__repr__(value)  # repr() of a numpy float names its type
+        if value != value:
+            return "NaN"
+        return "null" if null_inf else ("Infinity" if value > 0 else "-Infinity")
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, (list, tuple)):
+        # to_dict converts a tuple and what it holds, never a list
+        inner, keep = pad + "  ", null_inf and isinstance(value, tuple)
+        return _json_array([_json_value(v, inner, keep) for v in value], pad)
+    # a dict, or a type json.dumps rejects with TypeError
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + pad)
+
+
+def _json_array(texts: list[str], pad: str) -> str:
+    if not texts:
+        return "[]"
+    inner = pad + "  "
+    return "[\n" + inner + (",\n" + inner).join(texts) + "\n" + pad + "]"
+
+
+def report_json(report: AuditReport | ThresholdResult) -> str:
+    """The text of json.dumps(report.to_dict(), indent=2, sort_keys=True),
+    which the CLI's --json writes, formed from the dataclass fields
+    without building that dict: json.dumps never takes its C encoder
+    while an indent is set. A value json.dumps rejects raises TypeError
+    here too."""
+    if isinstance(report, ThresholdResult):
+        return _THRESHOLD_JSON % tuple(
+            [_json_value(v, "  ", False) for v in _THRESHOLD_FIELDS(report)]
+        )
+    p6, p8, p10 = " " * 6, " " * 8, " " * 10
+    results = []
+    for r in report.results:
+        checks = [
+            _CHECK_JSON % tuple([_json_value(v, p10, True) for v in _CHECK_FIELDS(c)])
+            for c in r.checks
+        ]
+        domain = [_json_value(r.param_domain[i], p8, True) for i in (0, 1)]
+        results.append(_RESULT_JSON % {
+            "measure": _json_value(r.measure, p6, False),
+            "param": _json_value(r.param, p6, False),
+            "param_domain": _json_array(domain, p6),
+            "symmetric": _json_value(r.symmetric, p6, False),
+            "checks": _json_array(checks, p6),
+        })
+    return _REPORT_JSON % {
+        "schema_version": _json_value(SCHEMA_VERSION, "  ", False),
+        "tool": '"graphprox"',
+        "tool_version": _json_value(report.tool_version, "  ", False),
+        "graph": _json_value(report.graph, "  ", False),
+        "n": _json_value(report.n, "  ", False),
+        "tolerance": _json_value(report.tolerance, "  ", False),
+        "results": _json_array(results, "  "),
+    }
 
 
 def _renamed(prop: str, report: PropertyReport) -> PropertyReport:

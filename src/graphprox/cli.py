@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import re
 import sys
 from pathlib import Path
@@ -20,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from ._version import __version__
-from .audit import CHECKS, AuditReport, export_embedding, find_threshold, run_audit
+from .audit import CHECKS, AuditReport, export_embedding, find_threshold, report_json, run_audit
 from .graphs import BUILTIN_GRAPHS, WeightedGraph, builtin_graph, load_graph
 from .kernels import MEASURES
 from .linalg import DEFAULT_TOL, NonConvergenceError
@@ -129,8 +128,8 @@ def _format_report(report: AuditReport) -> str:
     return "\n".join(lines)
 
 
-def _write_json(path: str, doc: dict) -> None:
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+def _write_json(path: str, text: str) -> None:
+    Path(path).write_text(text + "\n", encoding="utf-8")
     print(f"wrote {path}")
 
 
@@ -147,7 +146,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     )
     print(_format_report(report))
     if args.json:
-        _write_json(args.json, report.to_dict())
+        _write_json(args.json, report_json(report))
     return 0 if report.all_hold else 1
 
 
@@ -171,7 +170,7 @@ def _cmd_threshold(args: argparse.Namespace) -> int:
         "transition assumed monotone in bracket)"
     )
     if args.json:
-        _write_json(args.json, result.to_dict())
+        _write_json(args.json, report_json(result))
     return 0
 
 

@@ -106,13 +106,21 @@ def _as_square(m: np.ndarray) -> np.ndarray:
     return a
 
 
+def _require_nonempty(a: np.ndarray, caller: str) -> None:
+    """Reject an array without entries, whose extremes do not exist."""
+    if a.size == 0:
+        raise ValueError(f"{caller} requires a nonempty matrix, got shape {a.shape}")
+
+
 def is_symmetric(m: np.ndarray, tol: float = SYMMETRY_TOL) -> bool:
     a = np.asarray(m, dtype=float)
-    return a.ndim == 2 and a.shape[0] == a.shape[1] and np.abs(a - a.T).max() <= tol
+    square = a.ndim == 2 and a.shape[0] == a.shape[1]
+    return square and bool(np.abs(a - a.T).max(initial=0.0) <= tol)
 
 
 def _require_symmetric(m: np.ndarray, what: str) -> np.ndarray:
     a = np.asarray(m, dtype=float)
+    _require_nonempty(a, what)
     if not is_symmetric(a):
         raise ValueError(f"{what} requires a symmetric matrix")
     return a
@@ -159,6 +167,7 @@ def invert(m: np.ndarray) -> np.ndarray:
     yields an exactly symmetric result.
     """
     a = _as_square(m)
+    _require_nonempty(a, "invert")
     n = a.shape[0]
     try:
         inv = np.linalg.solve(a, np.eye(n))
@@ -201,6 +210,7 @@ def sym_eigenvalues(m: np.ndarray) -> np.ndarray:
 def spectral_radius(m: np.ndarray) -> float:
     """Largest eigenvalue magnitude of a symmetric matrix; asymmetric
     input raises ValueError, as in sym_eigenvalues."""
+    _require_nonempty(np.asarray(m), "spectral_radius")
     return float(np.abs(sym_eigenvalues(m)).max())
 
 
@@ -238,6 +248,7 @@ def matrix_exp(m: np.ndarray) -> np.ndarray:
     OverflowError when the result leaves the float64 range.
     """
     b = _as_square(m)  # a copy of its own
+    _require_nonempty(b, "matrix_exp")
     n = b.shape[0]
     shift = -float(b.diagonal().min())
     b.flat[:: n + 1] += shift  # B = A + sI; as symmetric as A
@@ -313,6 +324,7 @@ def gram_factor(k: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     decides by, are treated as roundoff and clamped to zero; one below
     it raises NotPositiveSemidefiniteError.
     """
+    _require_nonempty(np.asarray(k), "gram_factor")
     vals, vecs = sym_eigen(k)
     if vals[0] < -_eigen_bound(len(vals), _max_abs(k), tol):
         raise NotPositiveSemidefiniteError(float(vals[0]))

@@ -40,8 +40,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import WeightedGraph, separation_labels
-from .linalg import DEFAULT_TOL, _eigen_bound, _max_abs, _require_symmetric, _rounding_floor
-from .linalg import is_symmetric, sym_eigenvalues
+from .linalg import DEFAULT_TOL, _eigen_bound, _max_abs, _require_nonempty, _require_symmetric
+from .linalg import _rounding_floor, is_symmetric, sym_eigenvalues
 from .transforms import _HUGE, _TINY, _centered_gram, _normal, _require_positive
 
 __all__ = [
@@ -110,6 +110,7 @@ def _check_tol(tol: float) -> None:
 
 
 def _require_finite(a: np.ndarray, check: str) -> None:
+    _require_nonempty(a, check)
     bad = ~np.isfinite(a)
     if bad.any():
         i, j = divmod(int(np.argmax(bad)), a.shape[1])
@@ -255,6 +256,7 @@ def check_psd(k: np.ndarray, tol: float = DEFAULT_TOL) -> PropertyReport:
     outright; it is never silently symmetrized."""
     _check_tol(tol)
     a = np.asarray(k, dtype=float)
+    _require_nonempty(a, "check_psd")
     if not is_symmetric(a):
         return _asymmetry_report(
             "psd", a, tol, "matrix is not symmetric, hence not positive semidefinite"
@@ -313,6 +315,7 @@ def check_sigma_proximity(k: np.ndarray, tol: float = DEFAULT_TOL) -> PropertyRe
     Reports the common row sum as sigma when they do."""
     _check_tol(tol)
     a = np.asarray(k, dtype=float)
+    _require_nonempty(a, "check_sigma_proximity")
     return _sigma_proximity(a, check_proximity(a, tol), tol)
 
 

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, _require_symmetric, gram_factor
+from .linalg import DEFAULT_TOL, _require_nonempty, _require_symmetric, gram_factor
 
 _TINY = float(np.finfo(float).tiny)
 _HUGE = float(np.finfo(float).max)
@@ -29,6 +29,7 @@ __all__ = [
 
 def _require_positive(m: np.ndarray, what: str) -> np.ndarray:
     a = np.asarray(m, dtype=float)
+    _require_nonempty(a, what)
     if a.min() <= 0:
         i, j = np.unravel_index(int(np.argmin(a)), a.shape)
         raise ValueError(
@@ -131,6 +132,7 @@ def embed(k: np.ndarray) -> np.ndarray:
     NotPositiveSemidefiniteError where check_psd at the default tolerance
     1e-9 fails k, whatever tolerance an audit used (see gram_factor).
     """
+    _require_nonempty(np.asarray(k), "embed")
     b = gram_factor(k)
     # Columns of the PSD square root form a Gram representation of k
     # itself; the half in the distance transform calls for a 1/sqrt(2)

@@ -670,3 +670,47 @@ class TestCli:
         assert err.startswith("error:")
         assert "domain" in err or "tolerance" in err or "--check all" in err
         assert "unknown" not in err
+
+
+# Every output written to a path that already exists, by --json or by
+# embed --out: a symlink keeps pointing at its target, which gets the new
+# bytes, and every hard link to the file shows them.
+OUTPUT_COMMANDS = {
+    "audit": ["audit", "paper:path4", "--measure", "regL:1.0", "--check", "psd", "--json"],
+    "threshold": ["threshold", "paper:path4", "--measure", "heat", "--property", "proximity",
+                  "--range", "0.1", "1.0", "--json"],
+    "embed": ["embed", "paper:path4", "--measure", "heat:1.0", "--out"],
+}
+
+
+def written(tmp_path, capsys, argv) -> bytes:
+    """The bytes argv writes to a fresh file."""
+    fresh = tmp_path / "fresh.out"
+    assert main(argv + [str(fresh)]) == 0
+    capsys.readouterr()
+    return fresh.read_bytes()
+
+
+@pytest.mark.parametrize("command", OUTPUT_COMMANDS)
+def test_output_through_a_symlink_rewrites_its_target(tmp_path, capsys, command):
+    argv = OUTPUT_COMMANDS[command]
+    target = tmp_path / "target.out"
+    target.write_bytes(b"old contents, longer than nothing" * 1000)
+    link = tmp_path / "link.out"
+    link.symlink_to(target)
+    assert main(argv + [str(link)]) == 0
+    assert link.is_symlink() and link.resolve() == target.resolve()
+    assert target.read_bytes() == written(tmp_path, capsys, argv)
+
+
+@pytest.mark.parametrize("command", OUTPUT_COMMANDS)
+def test_output_over_a_hard_link_shows_under_both_names(tmp_path, capsys, command):
+    argv = OUTPUT_COMMANDS[command]
+    first = tmp_path / "first.out"
+    first.write_bytes(b"old contents" * 1000)
+    second = tmp_path / "second.out"
+    second.hardlink_to(first)
+    assert main(argv + [str(first)]) == 0
+    new = written(tmp_path, capsys, argv)
+    assert first.read_bytes() == second.read_bytes() == new
+    assert first.stat().st_ino == second.stat().st_ino

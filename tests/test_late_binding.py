@@ -7,7 +7,8 @@ reach each kernel through graphprox.kernels, the audit checks must reach
 each property check and transform through graphprox.audit, and a kernel
 result must reach what it derives its distances and proximity scan with
 through graphprox.kernels. A table that held the functions themselves
-would bypass the wrapper.
+would bypass the wrapper. The CLI writes every JSON document through
+graphprox.cli.report_json, the span the tracer times as audit.report_json.
 """
 
 import importlib
@@ -17,7 +18,7 @@ import types
 import pytest
 
 import graphprox
-from graphprox import audit, kernels
+from graphprox import audit, cli, kernels
 from graphprox.audit import CHECKS, export_embedding, run_check
 from graphprox.kernels import MEASURES, compute_kernel
 
@@ -100,6 +101,18 @@ def test_audit_sees_a_wrapped_check_or_transform(
             for check in CHECKS:
                 run_check(check, kres)
     assert calls
+
+
+@pytest.mark.parametrize("argv", [
+    ["audit", "paper:path4", "--measure", "regL:1.0,ppr:0.9", "--check", "all"],
+    ["threshold", "paper:path4", "--measure", "heat", "--property", "proximity",
+     "--range", "0.1", "1.0"],
+], ids=["audit", "threshold"])
+def test_cli_writes_json_through_report_json_once(monkeypatch, tmp_path, capsys, argv):
+    calls = wrap_counting(monkeypatch, cli, "report_json")
+    cli.main(argv + ["--json", str(tmp_path / "out.json")])
+    assert calls == ["report_json"]
+    assert (tmp_path / "out.json").exists()
 
 
 def public_modules():

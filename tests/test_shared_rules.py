@@ -9,6 +9,8 @@ graphprox.linalg.
   rounding floor of the extreme, so rounding cannot split a mirror pair.
 - The symmetric-input guard: every rejection of an asymmetric matrix
   keeps its text.
+- The empty-input guard: a public function given a 0x0 matrix answers,
+  or raises one ValueError that names the function and the shape.
 - The default tolerance.
 """
 
@@ -177,6 +179,31 @@ def test_asymmetric_input_rejected_with_exact_text(reject, what):
     with pytest.raises(ValueError) as err:
         reject(ASYMMETRIC)
     assert str(err.value) == f"{what} requires a symmetric matrix"
+
+
+EMPTY = np.zeros((0, 0))
+# Every public function of one matrix that reduces over its entries
+EMPTY_REJECTED = [
+    "invert", "matrix_exp", "sym_eigen", "gram_factor", "spectral_radius",
+    "kernel_to_sq_dist", "dist_to_sigma_prox", "log_distance", "symmetrize_geometric", "embed",
+    "check_psd", "check_proximity", "check_sigma_proximity", "check_egocentrism",
+    "check_metric", "check_sq_euclidean", "check_sqrt_distance",
+]
+
+
+@pytest.mark.parametrize("name", EMPTY_REJECTED + ["is_symmetric", "pair_to_dist"])
+def test_empty_matrix_answered_or_rejected_by_name(name):
+    fn = getattr(graphprox, name)
+    args = (EMPTY, 1.0) if name == "dist_to_sigma_prox" else (EMPTY,)
+    if name == "is_symmetric":
+        assert fn(*args) is True
+    elif name == "pair_to_dist":
+        assert fn(*args).shape == (0, 0)
+    else:
+        with pytest.raises(ValueError) as err:
+            fn(*args)
+        assert str(err.value) == f"{name} requires a nonempty matrix, got shape (0, 0)"
+        assert "zero-size array" not in str(err.value)
 
 
 def test_default_tolerance_has_one_owner():
