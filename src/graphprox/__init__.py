@@ -22,7 +22,6 @@ from .graphs import (
     GraphValidationError,
     WeightedGraph,
     builtin_graph,
-    is_cut_between,
     load_graph,
     separation_labels,
 )

@@ -26,7 +26,7 @@ import numpy as np
 from ._version import __version__
 from .graphs import WeightedGraph
 from .kernels import SYMMETRIC_MEASURES, KernelResult, compute_kernel
-from .linalg import DEFAULT_TOL, _EPS, _eigen_bound, _max_abs
+from .linalg import DEFAULT_TOL, _EPS, _max_abs
 from .properties import (
     PropertyReport,
     _asymmetry_report,
@@ -62,16 +62,9 @@ SCHEMA_VERSION = 2
 
 _ORDER_RE = re.compile(r"^order:(\d)(\d)<(\d)(\d)$")
 _TRIANGLE_RE = re.compile(r"^triangle:(\d+),(\d+),(\d+)$")
-# Threshold properties whose report slack is a smallest eigenvalue, each
-# with the size of the operands its rounding floor reads, as its check in
-# _CHECKS passes them.
-_EIGEN_SCALES: dict[str, Callable[[KernelResult], float]] = {
-    "psd": lambda kr: _max_abs(kr.matrix),
-    "sym_psd": lambda kr: _max_abs(0.5 * (kr.matrix + kr.matrix.T)),
-    "sq_euclidean": lambda kr: max(_max_abs(kr.dist), _max_abs(kr.matrix)),
-}
-# PropertyReport's fields in declaration order: the keys of a check's JSON
-_REPORT_FIELDS = tuple(f.name for f in dataclasses.fields(PropertyReport))
+# PropertyReport's compared fields in declaration order: the keys of a
+# check's JSON
+_REPORT_FIELDS = tuple(f.name for f in dataclasses.fields(PropertyReport) if f.compare)
 
 
 class ThresholdBracketError(ValueError):
@@ -442,12 +435,10 @@ def _threshold_predicate(prop: str, n: int):
 
     The margin is a continuous signed value, positive where the property
     holds: d(K,L) - d(I,J) for order, d(I,J) + d(J,K) - d(I,K) for
-    triangle, and for sym_psd, sq_euclidean and, where the kernel's
-    matrix is symmetric, psd the smallest eigenvalue plus the bound the
-    check decides it against, max(tol, rounding floor); psd of an
-    asymmetric matrix reports the asymmetry instead. Every other
-    property has none (None). find_threshold only interpolates margins
-    to pick its next parameter; the verdict is always holds.
+    triangle, and for an audit check its report's margin, which the
+    eigenvalue checks set and every other check leaves None.
+    find_threshold only interpolates margins to pick its next parameter;
+    the verdict is always holds.
     """
     m = _ORDER_RE.match(prop)
     if m:
@@ -468,13 +459,9 @@ def _threshold_predicate(prop: str, n: int):
 
         return triangle_holds
     if prop in CHECKS:
-        scale = _EIGEN_SCALES.get(prop)
-
         def check_holds(kres, tol):
             report = run_check(prop, kres, tol)
-            if scale is not None and (kres.symmetric or prop != "psd"):
-                return report.holds, report.slack + _eigen_bound(kres.graph.n, scale(kres), tol)
-            return report.holds, None
+            return report.holds, report.margin
 
         return check_holds
     raise ValueError(

@@ -12,7 +12,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import is_symmetric, spectral_radius
+from .linalg import spectral_radius
 
 __all__ = [
     "GraphFormatError",
@@ -22,10 +22,7 @@ __all__ = [
     "builtin_graph",
     "BUILTIN_GRAPHS",
     "separation_labels",
-    "is_cut_between",
 ]
-
-_SYMMETRY_TOL = 1e-12
 
 
 class GraphFormatError(ValueError):
@@ -54,9 +51,11 @@ def _neighbours(weights: np.ndarray) -> list[list[int]]:
 
 @dataclass(frozen=True, eq=False)
 class WeightedGraph:
-    """Connected undirected graph given by a symmetric nonnegative weight
-    matrix with zero diagonal. Immutable after construction; graphs
-    compare by identity.
+    """Connected undirected graph given by an exactly symmetric
+    nonnegative weight matrix with zero diagonal. Immutable after
+    construction; graphs compare by identity. A matrix formed in floats,
+    such as X @ X.T, may round its two triangles differently: average it
+    with its transpose first.
 
     Its fundamental matrices are computed on first use and then kept,
     each read-only:
@@ -80,10 +79,7 @@ class WeightedGraph:
             raise GraphValidationError("graph must have at least 2 vertices")
         if not np.isfinite(w).all():
             raise GraphValidationError("weights must be finite")
-        # the zero patterns must agree exactly: the tolerance would pass an
-        # edge seen from one end only
-        edges = w > 0
-        if not is_symmetric(w, _SYMMETRY_TOL) or (edges != edges.T).any():
+        if (w != w.T).any():
             raise GraphValidationError("weight matrix must be symmetric")
         if w.min() < 0:
             raise GraphValidationError("weights must be nonnegative")
@@ -252,15 +248,3 @@ def separation_labels(g: WeightedGraph) -> np.ndarray:
     """
     return g._separation
 
-
-def is_cut_between(g: WeightedGraph, j: int, i: int, k: int) -> bool:
-    """True iff removing vertex j disconnects i from k, i.e. every path
-    from i to k visits j. Vertices are 0-based and must be distinct. Reads
-    the graph's separation table (separation_labels)."""
-    for v in (j, i, k):
-        if not 0 <= v < g.n:
-            raise IndexError(f"vertex {v} out of range for graph of order {g.n}")
-    if len({i, j, k}) != 3:
-        raise ValueError("vertices i, j, k must be distinct")
-    comp = separation_labels(g)
-    return bool(comp[j, i] != comp[j, k])

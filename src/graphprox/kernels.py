@@ -27,7 +27,7 @@ import numpy as np
 from .graphs import WeightedGraph, _read_only
 from .linalg import _double_factorial_series, invert, is_symmetric, matrix_exp
 from .properties import PropertyReport, check_proximity
-from .transforms import log_distance, pair_to_dist, symmetrize_geometric
+from .transforms import _require_positive, log_distance, pair_to_dist, symmetrize_geometric
 
 __all__ = [
     "ParameterDomainError",
@@ -136,9 +136,12 @@ class KernelResult:
 
     @cached_property
     def log_similarity(self) -> np.ndarray:
-        """ln of the matrix, geometrically symmetrized first if asymmetric."""
+        """ln of the matrix, geometrically symmetrized first if asymmetric;
+        either way every entry must be strictly positive."""
         k = self.matrix
-        return _read_only(np.log(k if self.symmetric else symmetrize_geometric(k)))
+        if self.symmetric:
+            return _read_only(np.log(_require_positive(k, "log_similarity")))
+        return _read_only(np.log(symmetrize_geometric(k)))
 
     @cached_property
     def _proximity(self) -> dict[float, PropertyReport]:

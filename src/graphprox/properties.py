@@ -35,7 +35,7 @@ bound and DEFAULT_TOL live in linalg, whose gram_factor shares them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -77,6 +77,11 @@ class PropertyReport:
                    pass/fail boundary, so the verdict is a coin toss at
                    this precision
     note           short human-readable qualifier
+    margin         signed distance of the deciding value from the bound
+                   the verdict was decided against, >= 0 where the
+                   property holds; set by the eigenvalue checks, None
+                   elsewhere. find_threshold steps on it. It is in neither
+                   the JSON form nor equality.
     """
 
     property: str
@@ -87,6 +92,7 @@ class PropertyReport:
     sigma: float | None = None
     indeterminate: bool = False
     note: str | None = None
+    margin: float | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         # numpy scalars serialize badly and break equality after a JSON
@@ -231,7 +237,8 @@ def _eigen_report(
 ) -> PropertyReport:
     """prop holds when the smallest eigenvalue of the symmetric float
     array a is at least -_eigen_bound(n, scale, tol), with scale the
-    size of the operands a was formed from; the slack is that eigenvalue.
+    size of the operands a was formed from; the slack is that eigenvalue,
+    and the margin that eigenvalue plus the bound.
     Where the floor exceeds tol, rounding cannot resolve the sign of an
     eigenvalue within it, so every negative one within twice the floor
     is indeterminate."""
@@ -248,6 +255,7 @@ def _eigen_report(
         slack=min_eig,
         indeterminate=indeterminate,
         note=note,
+        margin=min_eig + bound,
     )
 
 

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -150,6 +151,30 @@ class TestRunAudit:
         again = AuditReport.from_dict(json.loads(wire))
         assert again == report
         assert json.dumps(again.to_dict(), sort_keys=True) == wire
+
+    def test_margin_is_outside_the_json_form_and_equality(self, path4):
+        report = run_audit(path4, [("regL", 1.0)], checks=["psd", "proximity"])
+        psd, proximity = report.results[0].checks
+        assert psd.margin is not None and proximity.margin is None
+        assert "margin" not in report.to_dict()["results"][0]["checks"][0]
+        again = AuditReport.from_dict(json.loads(json.dumps(report.to_dict())))
+        assert again.results[0].checks[0].margin is None
+        assert again == report
+
+    @pytest.mark.parametrize("measure", ["heat", "nheat"])
+    @pytest.mark.parametrize("check", ["log_psd", "log_proximity"])
+    def test_log_similarity_of_underflowed_kernel_raises(self, measure, check):
+        # entries of heat:0.001 and nheat:0.001 on a unit 80-path underflow
+        # to 0, whose logarithm would be -inf
+        g = load_graph("".join(f"{i} {i + 1} 1\n" for i in range(1, 80)))
+        kres = compute_kernel(g, measure, 0.001)
+        assert kres.symmetric
+        with pytest.raises(ValueError) as raised:
+            run_check(check, kres)
+        message = str(raised.value)
+        assert message.startswith("log_similarity requires strictly positive entries; entry (1,")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run_audit(g, [(measure, 0.001)], checks=[check])
 
     def test_schema_version_1_document_loads(self, path4):
         report = run_audit(path4, [("regL", 1.0), ("ppr", 0.95)], checks=["all"])
@@ -369,6 +394,37 @@ class TestExportEmbedding:
     def test_asymmetric_measure_rejected(self, tmp_path, path4):
         with pytest.raises(ValueError, match="not symmetric"):
             export_embedding(path4, "ppr", 0.5, str(tmp_path / "x.csv"))
+
+
+_THRESHOLD = ["threshold", "paper:path4", "--measure", "heat", "--property", "proximity",
+              "--range", "0.1", "1.0"]
+# (argv, a fragment of its one-line error), run in an empty directory that
+# must stay empty
+MEANINGLESS = [
+    (["audit", "paper:path4", "--measure", "heat:nan", "--check", "psd"], "outside open domain"),
+    (["audit", "paper:path4", "--measure", "heat:inf", "--check", "psd"], "outside open domain"),
+    (["audit", "paper:path4", "--measure", "regL:1.0", "--check", "psd", "--tol", "-1"],
+     "tolerance must be finite and nonnegative"),
+    (["audit", "paper:path4", "--measure", "regL:1.0", "--check", "psd", "--tol", "nan"],
+     "tolerance must be finite and nonnegative"),
+    ([*_THRESHOLD, "--tol", "-1"], "tolerance must be finite and nonnegative"),
+    # minus-led numbers with an exponent, or infinite, are values too
+    ([*_THRESHOLD, "--tol", "-1e-9"], "tolerance must be finite and nonnegative"),
+    ([*_THRESHOLD[:-2], "-1e-300", "1"], "outside open domain"),
+    ([*_THRESHOLD[:-2], "-inf", "1"], "outside open domain"),
+    (["audit", "paper:path4", "--measure", "regL:1.0", "--check", "psd", "--tol", "-1E-9"],
+     "tolerance must be finite and nonnegative"),
+    (["audit", "paper:path4", "--measure", "regL:1.0", "--check", "all,psd"],
+     "--check all takes no other check names"),
+    (["audit", "paper:path4", "--measure", ","], "at least one --measure is required"),
+    (["audit", "paper:path4", "--measure", "heat"], "measure 'heat' must be name:param"),
+    (["audit", "paper:path4", "--measure", "heat:1", "--check", ","], "empty --check list"),
+    (["embed", "paper:path4", "--measure", "heat:1,regL:1", "--out", "never.csv"],
+     "embed takes exactly one --measure name:param"),
+    ([*_THRESHOLD, "--resolution", "0"], "resolution must be positive"),
+    ([*_THRESHOLD, "--resolution", "nan"], "resolution must be positive"),
+]
+MEANINGLESS_IDS = [f"argv{i}" for i in range(len(MEANINGLESS))]
 
 
 class TestCli:
@@ -634,6 +690,15 @@ class TestCli:
         assert (code, captured.err) == (1, "")
         assert captured.out.endswith("3 check(s): 0 passed, 3 failed\n")
 
+    def test_logarithm_of_an_underflowed_entry_is_usage_error(self, tmp_path, capsys):
+        code = main(["audit", str(unit_path(tmp_path, 80)), "--measure", "heat:0.001",
+                     "--check", "log_psd"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == (
+            "error: log_similarity requires strictly positive entries; entry (1,74) = 0\n"
+        )
+
     def test_products_of_normal_entries_get_a_verdict(self, capsys):
         # every entry of comm:150 on path4 lies between 1.4e166 and 2.3e166,
         # so s_ij s_jk and s_ik s_jj overflow; the kernel is numerically
@@ -645,31 +710,18 @@ class TestCli:
         assert " FAIL " in line
         assert line.endswith("product equality although j does not separate i from k")
 
-    @pytest.mark.parametrize("argv", [
-        ["audit", "paper:path4", "--measure", "heat:nan", "--check", "psd"],
-        ["audit", "paper:path4", "--measure", "heat:inf", "--check", "psd"],
-        ["audit", "paper:path4", "--measure", "regL:1.0", "--check", "psd", "--tol", "-1"],
-        ["audit", "paper:path4", "--measure", "regL:1.0", "--check", "psd", "--tol", "nan"],
-        ["threshold", "paper:path4", "--measure", "heat", "--property", "proximity",
-         "--range", "0.1", "1.0", "--tol", "-1"],
-        # minus-led numbers with an exponent, or infinite, are values too
-        ["threshold", "paper:path4", "--measure", "heat", "--property", "proximity",
-         "--range", "0.1", "1.0", "--tol", "-1e-9"],
-        ["threshold", "paper:path4", "--measure", "heat", "--property", "proximity",
-         "--range", "-1e-300", "1"],
-        ["threshold", "paper:path4", "--measure", "heat", "--property", "proximity",
-         "--range", "-inf", "1"],
-        ["audit", "paper:path4", "--measure", "regL:1.0", "--check", "psd", "--tol", "-1E-9"],
-        ["audit", "paper:path4", "--measure", "regL:1.0", "--check", "all,psd"],
-    ])
-    def test_meaningless_input_is_usage_error(self, capsys, argv):
+    @pytest.mark.parametrize("argv, fragment", MEANINGLESS, ids=MEANINGLESS_IDS)
+    def test_meaningless_input_is_usage_error(self, capsys, monkeypatch, tmp_path, argv,
+                                              fragment):
+        monkeypatch.chdir(tmp_path)
         code = main(argv)
         err = capsys.readouterr().err
         assert code == 2
         assert len(err.strip().splitlines()) == 1
         assert err.startswith("error:")
-        assert "domain" in err or "tolerance" in err or "--check all" in err
+        assert fragment in err
         assert "unknown" not in err
+        assert not any(tmp_path.iterdir())
 
 
 # Every output written to a path that already exists, by --json or by

@@ -10,7 +10,6 @@ from graphprox import (
     GraphValidationError,
     WeightedGraph,
     builtin_graph,
-    is_cut_between,
     load_graph,
     separation_labels,
     spectral_radius,
@@ -139,8 +138,29 @@ class TestWeightedGraphValidation:
         [[0, 1, 1e-13], [1, 0, 1], [0, 1, 0]],
     ])
     def test_edge_seen_from_one_end_rejected(self, w):
-        # within the symmetry tolerance, but the zero patterns differ
         with pytest.raises(GraphValidationError, match="symmetric"):
+            WeightedGraph(np.array(w, dtype=float))
+
+    @pytest.mark.parametrize("scale", [1.0, 1e13])
+    def test_symmetry_is_exact_at_every_scale(self, scale):
+        # an absolute tolerance of 1e-12 would pass the unscaled matrix,
+        # whose regL:1e12 kernel then fails psd as "not symmetric"
+        w = scale * np.array([[0, 1e-13, 0], [5e-13, 0, 1e-13], [0, 1e-13, 0]])
+        with pytest.raises(GraphValidationError, match="^weight matrix must be symmetric$"):
+            WeightedGraph(w)
+
+    @pytest.mark.parametrize("w, message", [
+        (np.zeros((2, 3)), "weight matrix must be square"),
+        (np.zeros(4), "weight matrix must be square"),
+        # finiteness is tested before symmetry
+        ([[0, np.nan], [1, 0]], "weights must be finite"),
+        ([[0, np.nan], [np.nan, 0]], "weights must be finite"),
+        ([[0, np.inf], [np.inf, 0]], "weights must be finite"),
+        ([[0, -1], [-1, 0]], "weights must be nonnegative"),
+        ([[1, 1], [1, 0]], "self-loops are not allowed"),
+    ])
+    def test_constructor_guards(self, w, message):
+        with pytest.raises(GraphValidationError, match=f"^{message}$"):
             WeightedGraph(np.array(w, dtype=float))
 
 
@@ -212,35 +232,34 @@ def test_cached_matrices_equal_former_build_matrices_on_corpus(corpus):
 
 
 class TestIsCutBetween:
+    """Vertex j separates i from k exactly when comp[j, i] != comp[j, k]
+    in the separation table, the library's one cut-vertex query."""
+
     def test_interior_vertex_separates_path(self, path4):
-        assert is_cut_between(path4, 1, 0, 2)  # vertex 2 between 1 and 3
+        comp = separation_labels(path4)
+        assert comp[1, 0] != comp[1, 2]  # vertex 2 between 1 and 3
 
     def test_endpoint_cannot_separate(self, path4):
-        assert not is_cut_between(path4, 3, 0, 1)
+        comp = separation_labels(path4)
+        assert comp[3, 0] == comp[3, 1]
 
     def test_triangle_has_no_cut_vertex(self, triangle):
+        comp = separation_labels(triangle)
         for j in range(3):
-            others = [v for v in range(3) if v != j]
-            assert not is_cut_between(triangle, j, others[0], others[1])
-
-    def test_rejects_repeated_vertices(self, path4):
-        with pytest.raises(ValueError, match="distinct"):
-            is_cut_between(path4, 1, 1, 2)
-
-    def test_rejects_out_of_range(self, path4):
-        with pytest.raises(IndexError):
-            is_cut_between(path4, 4, 0, 1)
+            i, k = [v for v in range(3) if v != j]
+            assert comp[j, i] == comp[j, k]
 
     def test_agrees_with_path_enumeration_oracle(self, corpus):
         for g in corpus:
             if g.n > 7:
                 continue
+            comp = separation_labels(g)
             for j in range(g.n):
                 for i in range(g.n):
                     for k in range(g.n):
                         if len({i, j, k}) != 3:
                             continue
-                        assert is_cut_between(g, j, i, k) == every_path_visits(
+                        assert (comp[j, i] != comp[j, k]) == every_path_visits(
                             g.weights, j, i, k
                         ), (g.name, j, i, k)
 

@@ -139,7 +139,8 @@ def test_margin_steps_save_evaluations(path5):
 
 
 @pytest.mark.parametrize("prop", ["order:12<34", "order:13<24", "triangle:1,2,4",
-                                  "triangle:2,1,3", "psd", "sym_psd", "sq_euclidean"])
+                                  "triangle:2,1,3", "psd", "sym_psd", "sq_euclidean",
+                                  "log_psd"])
 @pytest.mark.parametrize("measure,params", [
     ("katz", [0.1, 0.3, 0.38]),
     ("dfact", [0.5, 1.0, 2.0]),
@@ -171,7 +172,18 @@ def test_psd_margin_of_symmetric_asymmetric_measure(triangle, measure, param):
     assert (holds, margin) == (report.holds, report.slack + 1e-9)
 
 
-@pytest.mark.parametrize("prop", ["proximity", "metric", "transitional", "log_psd"])
+@pytest.mark.parametrize("prop", ["proximity", "metric", "transitional"])
 def test_properties_without_margin_bisect(path4, prop):
     kres = compute_kernel(path4, "regL", 1.0)
     assert audit._threshold_predicate(prop, path4.n)(kres, 1e-9)[1] is None
+
+
+@pytest.mark.parametrize("graph,measure,lo,hi", [
+    ("path5", "absorp", 0.1474, 0.1945),
+    ("path4", "modifppr", 0.8369, 0.999),
+])
+def test_log_psd_margin_steps_save_evaluations(request, graph, measure, lo, hi):
+    g = request.getfixturevalue(graph)
+    res = find_threshold(g, measure, "log_psd", lo, hi, resolution=1e-6)
+    assert_sound(res, g, lo, hi, 1e-6)
+    assert res.evaluations < bisection_evaluations(lo, hi, 1e-6)

@@ -210,7 +210,7 @@ def assert_labels_match_cuts(g: WeightedGraph) -> None:
 
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 12))
-def test_separation_labels_match_is_cut_between(seed, n):
+def test_separation_labels_match_cut_by_bfs(seed, n):
     assert_labels_match_cuts(random_connected_graph(np.random.default_rng(seed), n, "g"))
 
 
