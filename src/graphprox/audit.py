@@ -523,8 +523,8 @@ def find_threshold(
     2 to the number of steps bisection would still have to take. The
     constants are the paper's k1 = 0.2 / (hi - lo), k2 = 2 and n0 = 0.
     """
-    if not (resolution > 0):
-        raise ValueError("resolution must be positive")
+    if not 0 < resolution < math.inf:
+        raise ValueError(f"resolution must be positive and finite, got {resolution}")
     if not lo < hi:
         raise ValueError("bracket must satisfy lo < hi")
     _check_tol(tol)

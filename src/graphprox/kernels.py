@@ -97,11 +97,15 @@ class KernelResult:
     """A computed similarity matrix tagged with the graph it was computed
     on, its measure and its parameter; kernel results compare by identity.
 
-    symmetric tells whether this matrix is symmetric, to linalg's
-    tolerance; it is decided once, from the matrix, and is not a
-    constructor argument. It may differ from the measure's flag in
-    SYMMETRIC_MEASURES: on a regular graph P = W / deg is symmetric, and
-    so are the matrices of the asymmetric measures ppr and heatppr.
+    symmetric tells whether this matrix is symmetric to its rounding
+    floor (linalg.is_symmetric); it is decided once, from the matrix, and
+    is not a constructor argument. It may differ from the measure's flag
+    in SYMMETRIC_MEASURES: on a regular graph P = W / deg is symmetric to
+    its floor, and so are the matrices of the asymmetric measures ppr and
+    heatppr. A matrix of the ten measures that it flags is exactly
+    symmetric: invert and matrix_exp average their result with its
+    transpose where they find their input symmetric, and the dfact
+    series always does.
 
     What the audit checks derive from the matrix, its pair distance,
     logarithmic distance and logarithmic similarity, and its proximity

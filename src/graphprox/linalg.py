@@ -23,8 +23,12 @@ errors of about eps times the largest eigenvalue, enough to flip the
 sign or the last digits of small entries.
 
 The rules the layers above share live here too: DEFAULT_TOL, the
-guard against asymmetric input, the rounding floor 8 n eps max|operands|
-and the PSD bound max(tol, floor) that check_psd and gram_factor decide by.
+rounding floor 8 n eps max|operands|, the symmetry test and the guard
+against asymmetric input that read it, and the PSD bound max(tol, floor)
+that check_psd and gram_factor decide by. Tolerances judge properties
+only; whether a matrix is symmetric, or a distance's diagonal zero, is
+decided against the floor, so the answer does not change when the matrix
+is scaled by a power of 2.
 """
 
 from __future__ import annotations
@@ -49,7 +53,6 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-9
-SYMMETRY_TOL = 1e-10
 _EPS = float(np.finfo(float).eps)
 # c of the rounding floor c n eps |operands| (see _rounding_floor)
 _FLOOR_ULPS = 8
@@ -112,10 +115,17 @@ def _require_nonempty(a: np.ndarray, caller: str) -> None:
         raise ValueError(f"{caller} requires a nonempty matrix, got shape {a.shape}")
 
 
-def is_symmetric(m: np.ndarray, tol: float = SYMMETRY_TOL) -> bool:
+def is_symmetric(m: np.ndarray) -> bool:
+    """Whether m is square and max|m - m^T| is at most its rounding floor
+    8 n eps max|m| (_rounding_floor): a gap that rounding alone can leave,
+    as on a regular graph, where P = W / deg is asymmetric in its last
+    bits. A non-finite entry makes m asymmetric."""
     a = np.asarray(m, dtype=float)
-    square = a.ndim == 2 and a.shape[0] == a.shape[1]
-    return square and bool(np.abs(a - a.T).max(initial=0.0) <= tol)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        return False
+    gap = float(np.abs(a - a.T).max(initial=0.0))
+    # max|m| only for a nonzero gap: exact symmetry costs one pass
+    return gap == 0.0 or gap <= _rounding_floor(a.shape[0], _max_abs(a))
 
 
 def _require_symmetric(m: np.ndarray, what: str) -> np.ndarray:
@@ -134,8 +144,10 @@ def _rounding_floor(n: int, scale: float) -> float:
     """c n eps scale with c = 8: how far apart two values of a check's
     inequality on an n-vertex matrix may lie by rounding alone, when the
     inequality's operands are at most scale in magnitude. Witness scans
-    treat values within it of the extreme as tied with it, and the
-    eigenvalue checks and gram_factor decide against max(tol, floor)."""
+    treat values within it of the extreme as tied with it, the eigenvalue
+    checks and gram_factor decide against max(tol, floor), and is_symmetric
+    and the zero-diagonal guard of transforms._centered_gram hold a
+    matrix's asymmetry and diagonal against it."""
     return _FLOOR_ULPS * n * _EPS * scale
 
 
@@ -244,8 +256,11 @@ def matrix_exp(m: np.ndarray) -> np.ndarray:
     the relative error it is handed, so the entries err by about
     2^k n eps relatively; 2^k grows like d.
 
-    A symmetric input yields an exactly symmetric result. Raises
-    OverflowError when the result leaves the float64 range.
+    Raises ValueError where 2^k n eps reaches 1, as invert refuses where
+    n eps cond does: there the bound leaves no entry a correct digit. It
+    is decided from k, before 2^k is formed. Raises OverflowError when
+    the result leaves the float64 range. A symmetric input yields an
+    exactly symmetric result.
     """
     b = _as_square(m)  # a copy of its own
     _require_nonempty(b, "matrix_exp")
@@ -257,6 +272,12 @@ def matrix_exp(m: np.ndarray) -> np.ndarray:
     if d > 0:
         excess = (_EXP_DEGREE + 1) * math.log2(d) - _EXP_LOG2_FACT + _SERIES_BOUND_BITS
         k = max(0, math.ceil(excess / _EXP_DEGREE))
+    bound_bits = k + math.log2(n * _EPS)  # log2 of 2^k n eps
+    if bound_bits >= 0:
+        raise ValueError(
+            f"matrix_exp: relative error bound 2^k n eps = 2^{bound_bits:.2f} >= 1 "
+            f"after k = {k} squarings leaves no entry a correct digit"
+        )
     powers = np.empty((4, n, n))  # I, X, X^2, X^3
     powers[0] = np.eye(n)
     x = np.divide(b, 2.0**k, out=powers[1])
@@ -317,17 +338,22 @@ def _double_factorial_series(tw: np.ndarray) -> np.ndarray:
     return 0.5 * (total + total.T)
 
 
-def gram_factor(k: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+def gram_factor(k: np.ndarray) -> np.ndarray:
     """Unique PSD square root B of a symmetric PSD matrix (B @ B = k).
 
-    Eigenvalues down to -max(tol, 8 n eps max|k|), the bound check_psd
-    decides by, are treated as roundoff and clamped to zero; one below
-    it raises NotPositiveSemidefiniteError.
+    It decides as check_psd does at DEFAULT_TOL, from the same number:
+    where the smallest eigenvalue sym_eigenvalues gives lies below
+    -max(DEFAULT_TOL, 8 n eps max|k|), it raises
+    NotPositiveSemidefiniteError carrying that eigenvalue. Otherwise the
+    root is formed from sym_eigen, whose eigenvalues below zero are
+    treated as roundoff and clamped to zero.
     """
-    _require_nonempty(np.asarray(k), "gram_factor")
-    vals, vecs = sym_eigen(k)
-    if vals[0] < -_eigen_bound(len(vals), _max_abs(k), tol):
-        raise NotPositiveSemidefiniteError(float(vals[0]))
+    a = np.asarray(k, dtype=float)
+    _require_nonempty(a, "gram_factor")
+    min_eig = float(sym_eigenvalues(a)[0])
+    if min_eig < -_eigen_bound(a.shape[0], _max_abs(a), DEFAULT_TOL):
+        raise NotPositiveSemidefiniteError(min_eig)
+    vals, vecs = sym_eigen(a)
     root = np.sqrt(np.clip(vals, 0.0, None))
     b = (vecs * root) @ vecs.T
     return 0.5 * (b + b.T)

@@ -450,12 +450,14 @@ def check_sq_euclidean(
     d: np.ndarray, tol: float = DEFAULT_TOL, scale: float = 0.0
 ) -> PropertyReport:
     """Realizability of d as squared Euclidean distances: the doubly
-    centered matrix -H d H must be PSD. Its rounding floor reads the
-    entries of d, or scale if larger: the size of the values d was
-    computed from, whose rounding it inherits."""
+    centered matrix -H d H must be PSD. d must be symmetric with a zero
+    diagonal, both to its own rounding floor 8 n eps max|d|, whatever tol
+    is. The eigenvalue's floor reads the entries of d, or scale if
+    larger: the size of the values d was computed from, whose rounding
+    it inherits."""
     _check_tol(tol)
     return _eigen_report(
-        "sq_euclidean", _centered_gram(d, tol, "check_sq_euclidean"), tol,
+        "sq_euclidean", _centered_gram(d, "check_sq_euclidean"), tol,
         "smallest eigenvalue of the centered Gram matrix", max(_max_abs(d), scale),
     )
 

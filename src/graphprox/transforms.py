@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, _require_nonempty, _require_symmetric, gram_factor
+from .linalg import _max_abs, _require_nonempty, _require_symmetric, _rounding_floor, gram_factor
 
 _TINY = float(np.finfo(float).tiny)
 _HUGE = float(np.finfo(float).max)
@@ -62,13 +62,14 @@ def pair_to_dist(k: np.ndarray) -> np.ndarray:
     return d
 
 
-def _centered_gram(d: np.ndarray, tol: float, caller: str) -> np.ndarray:
+def _centered_gram(d: np.ndarray, caller: str) -> np.ndarray:
     """-H d H (H = I - J, J = 11^T / n), exactly symmetrized, of a symmetric
-    d with zero diagonal to tol; caller names the function in its errors."""
+    d whose diagonal is zero to its rounding floor 8 n eps max|d|, the
+    floor is_symmetric reads; caller names the function in its errors."""
     a = _require_symmetric(d, caller)
-    if np.abs(np.diag(a)).max() > tol:
-        raise ValueError(f"{caller} requires a zero diagonal")
     n = a.shape[0]
+    if np.abs(np.diag(a)).max() > _rounding_floor(n, _max_abs(a)):
+        raise ValueError(f"{caller} requires a zero diagonal")
     h = np.eye(n) - np.full((n, n), 1.0 / n)
     b = -h @ a @ h
     return 0.5 * (b + b.T)
@@ -77,8 +78,10 @@ def _centered_gram(d: np.ndarray, tol: float, caller: str) -> np.ndarray:
 def dist_to_sigma_prox(d: np.ndarray, sigma: float) -> np.ndarray:
     """Inverse transform -H d H + sigma J (H = I - J the centering
     matrix): every row of the result sums to sigma, and composing with
-    kernel_to_sq_dist in either order is the identity."""
-    b = _centered_gram(d, DEFAULT_TOL, "dist_to_sigma_prox")
+    kernel_to_sq_dist in either order is the identity. d must be
+    symmetric with a zero diagonal, both to its rounding floor
+    8 n eps max|d|."""
+    b = _centered_gram(d, "dist_to_sigma_prox")
     return b + sigma * (1.0 / b.shape[0])
 
 

@@ -24,7 +24,8 @@ reference_embedding_csv is the library's former CSV writer, kept to pin
 export_embedding's bytes;
 reference_invert is the library's former Gauss-Jordan loop, kept as an
 elimination of its own to compare the LAPACK inverse with, and
-exact_invert inverts in rational arithmetic;
+exact_invert inverts in rational arithmetic, rounding the result or,
+like exact_exp and exact_dfact, returning it as Fractions;
 reference_matrices is the library's former build_matrices, kept to pin
 the bytes of the matrices a graph caches; and reference_relative_excess
 is the library's former relative excess of the transitional check,
@@ -689,11 +690,13 @@ def reference_invert(m: np.ndarray) -> np.ndarray:
     return inv
 
 
-def exact_invert(m: np.ndarray) -> np.ndarray:
-    """The exact inverse of the float matrix m, by Gauss-Jordan over
-    Fractions, each entry rounded once to the nearest float."""
+def exact_invert(m: np.ndarray, exact: bool = False) -> np.ndarray:
+    """The exact inverse of m, a float matrix or an object array of
+    Fractions, by Gauss-Jordan over Fractions: each entry rounded once to
+    the nearest float, or with exact=True the object array of Fractions
+    itself."""
     n = m.shape[0]
-    aug = [[Fraction(float(v)) for v in row] + [Fraction(int(i == j)) for j in range(n)]
+    aug = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)]
            for i, row in enumerate(m)]
     for col in range(n):
         p = next(r for r in range(col, n) if aug[r][col] != 0)
@@ -704,6 +707,8 @@ def exact_invert(m: np.ndarray) -> np.ndarray:
             if r != col and aug[r][col] != 0:
                 f = aug[r][col]
                 aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
+    if exact:
+        return np.array([row[n:] for row in aug], dtype=object)
     return np.array([[float(v) for v in row[n:]] for row in aug])
 
 

@@ -7,6 +7,7 @@ decimals, so the slop absorbs their rounding).
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from graphprox import (
     sym_eigen,
 )
 
-from oracles import every_path_visits, pairwise_sq_dists, resolvent_oracle
+from oracles import every_path_visits, exact_invert, pairwise_sq_dists, resolvent_oracle
 
 TRANSITIONAL_MEASURES = ("katz", "regL", "absorp", "ppr", "modifppr")
 RESOLVENTS = ("katz", "regL", "absorp", "ppr", "modifppr")
@@ -120,6 +121,46 @@ class TestThresholdReproduction:
             _bracket_contains(res, 1.45, 0.01),
             f"bracket [{res.bracket_low:.5f}, {res.bracket_high:.5f}]",
         )
+
+
+def exact_resolvent(g, measure: str, param) -> np.ndarray:
+    """The kernel of katz, (I - a W)^-1, or of ppr, (I - a P)^-1 with
+    P = W / deg, at the rational value of param, as Fractions."""
+    w = [[Fraction(v) for v in row] for row in g.weights]
+    if measure == "ppr":
+        w = [[v / sum(row) for v in row] for row in w]
+    a = Fraction(param)
+    m = np.array([[int(i == j) - a * v for j, v in enumerate(row)] for i, row in enumerate(w)],
+                 dtype=object)
+    return exact_invert(m, exact=True)
+
+
+def exact_dist(k: np.ndarray, i: int, j: int) -> Fraction:
+    return (k[i, i] + k[j, j] - k[i, j] - k[j, i]) / 2
+
+
+class TestExactThresholdCertificates:
+    """The exact predicate, in rationals, differs at the two float ends
+    of the bracket find_threshold returns, and agrees with its direction."""
+
+    def test_katz_d13_d14_onset_is_three_eighths(self, path4):
+        def margin(alpha):  # order:13<14 holds where it is positive
+            k = exact_resolvent(path4, "katz", alpha)
+            return exact_dist(k, 0, 3) - exact_dist(k, 0, 2)
+
+        assert margin(Fraction(3, 8)) == 0
+        res = find_threshold(path4, "katz", "order:13<14", 0.1, 0.39, resolution=1e-4)
+        assert (margin(res.bracket_low) > 0) == (res.direction == "holds_below")
+        assert (margin(res.bracket_high) > 0) != (margin(res.bracket_low) > 0)
+
+    def test_ppr_triangle_134_bracket(self, path5):
+        def margin(alpha):  # triangle:1,3,4 holds where it is nonnegative
+            k = exact_resolvent(path5, "ppr", alpha)
+            return exact_dist(k, 0, 2) + exact_dist(k, 2, 3) - exact_dist(k, 0, 3)
+
+        res = find_threshold(path5, "ppr", "triangle:1,3,4", 0.5, 0.999, resolution=1e-4)
+        assert (margin(res.bracket_low) >= 0) == (res.direction == "holds_below")
+        assert (margin(res.bracket_high) >= 0) != (margin(res.bracket_low) >= 0)
 
 
 # ---------------------------------------------------------------- criterion 2

@@ -423,6 +423,9 @@ MEANINGLESS = [
      "embed takes exactly one --measure name:param"),
     ([*_THRESHOLD, "--resolution", "0"], "resolution must be positive"),
     ([*_THRESHOLD, "--resolution", "nan"], "resolution must be positive"),
+    # an infinite resolution would be written as "resolution": Infinity,
+    # which is not JSON
+    ([*_THRESHOLD, "--resolution", "inf", "--json", "t.json"], "resolution must be positive"),
 ]
 MEANINGLESS_IDS = [f"argv{i}" for i in range(len(MEANINGLESS))]
 
@@ -618,6 +621,19 @@ class TestCli:
         assert err.startswith("error:") and "overflow" in err
         assert "Traceback" not in err
         assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("measure", ["heat", "nheat", "heatppr"])
+    @pytest.mark.parametrize("t", ["1e14", "1e21", "1e300"])
+    def test_exponential_without_a_correct_digit_is_usage_error(self, capsys, measure, t):
+        # these kernels are bounded, but where 2^k n eps >= 1 the squarings
+        # leave no entry a correct digit; at t = 1e300 the float 2^k itself
+        # would overflow
+        code = main(["audit", "paper:path4", "--measure", f"{measure}:{t}", "--check", "psd"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("error: matrix_exp: relative error bound 2^k n eps")
+        assert "leaves no entry a correct digit" in err
 
     @pytest.mark.parametrize("n,measure,check", [
         (80, "regL:0.001", "cutpoint_additive"),

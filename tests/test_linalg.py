@@ -312,6 +312,17 @@ class TestMatrixExp:
         with pytest.raises(OverflowError):
             matrix_exp(2000.0 * np.ones((3, 3)))
 
+    def test_heat_keeps_its_relative_bound_below_the_cut(self, path4):
+        # B = t (3I - L) has ||B||_inf = 3t = 3e12, so k = 44 squarings and
+        # 2^k n eps = 1.6e-2; heat tends to J / 4 on the connected path4
+        got = matrix_exp(-1e12 * path4.laplacian)
+        assert np.abs(got - 0.25).max() / 0.25 <= 2.0**44 * 4 * EPS
+
+    @pytest.mark.parametrize("scale", [1e14, 1e21, 1e300])
+    def test_refuses_where_the_bound_leaves_no_correct_digit(self, path4, scale):
+        with pytest.raises(ValueError, match=r"^matrix_exp: relative error bound 2\^k n eps"):
+            matrix_exp(-scale * path4.laplacian)
+
 
 class TestGramFactor:
     def test_identity(self):

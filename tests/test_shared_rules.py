@@ -12,8 +12,14 @@ graphprox.linalg.
 - The empty-input guard: a public function given a 0x0 matrix answers,
   or raises one ValueError that names the function and the shape.
 - The default tolerance.
+- The structure rule: whether a matrix is symmetric, and whether a
+  distance's diagonal is zero, is decided against the rounding floor
+  8 n eps max|a|, never against a tolerance, so neither answer changes
+  when the matrix is scaled by a power of 2.
 """
 
+import dataclasses
+import inspect
 import json
 
 import numpy as np
@@ -23,23 +29,28 @@ from hypothesis import strategies as st
 
 import graphprox
 from graphprox import (
+    MEASURES,
     SYMMETRIC_MEASURES,
     NotPositiveSemidefiniteError,
     ParameterDomainError,
     WeightedGraph,
     check_metric,
     check_proximity,
+    check_psd,
     check_sq_euclidean,
     check_sqrt_distance,
     compute_kernel,
+    default_checks,
     dist_to_sigma_prox,
     export_embedding,
+    gram_factor,
+    is_symmetric,
     kernel_to_sq_dist,
     param_domain,
     run_check,
     sym_eigen,
 )
-from graphprox import cli, linalg, properties
+from graphprox import cli, linalg, properties, transforms
 from graphprox.linalg import sym_eigenvalues
 
 from oracles import random_connected_graph, reference_metric, reference_sqrt_distance
@@ -215,3 +226,117 @@ def test_default_tolerance_has_one_owner():
         ["threshold", "paper:path4", "--measure", "heat", "--property", "psd", "--range", "0.1", "1"]
     )
     assert audit.tol is threshold.tol is linalg.DEFAULT_TOL
+
+
+def test_embed_refusal_quotes_the_psd_slack():
+    # comm:5 on the unit K8, shifted by -10 I: indefinite, and eigh and
+    # eigvalsh round its smallest eigenvalue differently; the refusal
+    # quotes the eigvalsh value --check psd reports
+    k = compute_kernel(complete(8), "comm", 5.0).matrix - 10.0 * np.eye(8)
+    report = check_psd(k)
+    assert not report.holds
+    with pytest.raises(NotPositiveSemidefiniteError) as err:
+        gram_factor(k)
+    assert err.value.min_eigenvalue == report.slack
+
+
+def test_structure_takes_no_tolerance():
+    assert not hasattr(linalg, "SYMMETRY_TOL")
+    assert list(inspect.signature(is_symmetric).parameters) == ["m"]
+    assert list(inspect.signature(gram_factor).parameters) == ["k"]
+    assert list(inspect.signature(transforms._centered_gram).parameters) == ["d", "caller"]
+
+
+POSITIVE_DEFINITE = np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 2.0]])
+
+
+def with_entry(a: np.ndarray, i: int, j: int, value: float) -> np.ndarray:
+    b = a.copy()
+    b[i, j] = value
+    return b
+
+
+@pytest.mark.parametrize("m, symmetric", [
+    (with_entry(POSITIVE_DEFINITE, 0, 1, np.nextafter(1.0, 2.0)), True),  # one ulp
+    (with_entry(POSITIVE_DEFINITE, 0, 1, 1.1), False),  # 10 %
+], ids=["one-ulp", "ten-percent"])
+def test_symmetry_does_not_change_under_scaling(m, symmetric):
+    # the eigenvalues of the positive definite matrix clear tol at every
+    # scale, so the psd report's slack is all that scales
+    base = check_psd(m)
+    assert base.note.startswith("smallest eigenvalue" if symmetric else "matrix is not")
+    for k in range(-40, 41):
+        scaled = m * 2.0**k
+        assert is_symmetric(scaled) is symmetric, k
+        report = check_psd(scaled)
+        assert dataclasses.replace(report, slack=report.slack / 2.0**k) == base, k
+
+
+SQUARED_PATH3 = np.array([[0.0, 1.0, 4.0], [1.0, 0.0, 1.0], [4.0, 1.0, 0.0]])
+
+
+@pytest.mark.parametrize("diagonal, accepted", [
+    (4.0 * np.finfo(float).eps, True),  # below the floor 8 n eps max|d| = 96 eps
+    (4e-3, False),
+], ids=["rounding", "nonzero"])
+def test_zero_diagonal_guard_does_not_change_under_scaling(diagonal, accepted):
+    d = with_entry(SQUARED_PATH3, 1, 1, diagonal)
+    for k in range(-40, 41):
+        scaled = d * 2.0**k
+        for call in (check_sq_euclidean, lambda x: dist_to_sigma_prox(x, 1.0)):
+            if accepted:
+                call(scaled)
+            else:
+                with pytest.raises(ValueError, match="requires a zero diagonal"):
+                    call(scaled)
+
+
+def unit_degree_k4() -> WeightedGraph:
+    """K4 with weights 0.1, 0.2 and 0.7 on its three perfect matchings:
+    every weighted degree is 1, and P = W / deg is asymmetric in its
+    last bit."""
+    w = np.zeros((4, 4))
+    for (i, j), x in {(0, 1): 0.1, (2, 3): 0.1, (0, 2): 0.2, (1, 3): 0.2,
+                      (0, 3): 0.7, (1, 2): 0.7}.items():
+        w[i, j] = w[j, i] = x
+    return WeightedGraph(w, name="k4")
+
+
+@pytest.mark.parametrize("measure, param", [("ppr", 0.5), ("heatppr", 1.0)])
+def test_rounding_asymmetry_of_a_regular_graph_is_symmetry(measure, param):
+    # an exact rule would fail psd, proximity and sigma here on an
+    # asymmetry of 1e-16, and add a sym_psd row to --check all
+    g = unit_degree_k4()
+    assert (g.markov != g.markov.T).any()
+    kres = compute_kernel(g, measure, param)
+    assert kres.symmetric
+    assert "sym_psd" not in default_checks(kres.symmetric, g.n)
+    for check in ("psd", "proximity", "sigma"):
+        assert run_check(check, kres).holds, check
+
+
+@settings(deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 12),
+    measure=st.sampled_from(MEASURES),
+    u=st.floats(0.01, 0.99),
+    below_end=st.sampled_from([None, 1e-9, 1e-6]),
+)
+def test_a_kernel_flagged_symmetric_is_exactly_symmetric(seed, n, measure, u, below_end):
+    # a bounded domain's parameter lies inside it or below_end below its
+    # upper end, where invert is least accurate; t runs up to 5
+    g = random_connected_graph(np.random.default_rng(seed), n, name="g")
+    lo, hi = param_domain(measure, g)
+    if not np.isfinite(hi):
+        param = 5.0 * u
+    elif below_end is None:
+        param = lo + u * (hi - lo)
+    else:
+        param = hi - below_end
+    try:
+        kres = compute_kernel(g, measure, param)
+    except (ValueError, OverflowError):  # outside the domain, singular or overflowed
+        assume(False)
+    if kres.symmetric:
+        assert (kres.matrix == kres.matrix.T).all()
