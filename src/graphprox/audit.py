@@ -19,13 +19,13 @@ import operator
 import re
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
 from ._version import __version__
 from .graphs import WeightedGraph
-from .kernels import SYMMETRIC_MEASURES, KernelResult, compute_kernel
+from .kernels import SYMMETRIC_MEASURES, KernelResult, _proximities, _stack, compute_kernel
 from .linalg import DEFAULT_TOL, _EPS, _max_abs
 from .properties import (
     PropertyReport,
@@ -298,60 +298,101 @@ def report_json(report: AuditReport | ThresholdResult) -> str:
     }
 
 
-def _renamed(prop: str, report: PropertyReport) -> PropertyReport:
-    return dataclasses.replace(report, property=prop)
+def _renamed(prop: str, reports: tuple[PropertyReport, ...]) -> tuple[PropertyReport, ...]:
+    return tuple([dataclasses.replace(r, property=prop) for r in reports])
 
 
-# Requestable audit checks, each a function of (kernel result,
-# tolerance); transitional and cutpoint_additive read the graph the kernel
-# result carries. The log_* family evaluates the logarithmic similarity
-# ln(s) and its induced distance; sym_psd tests the symmetrized kernel
-# (K + K^T)/2, the PSD question that remains once an asymmetric measure
-# has failed plain psd by definition; sigma adds the row-sum condition
-# to the proximity report. proximity and sigma read kr.symmetric, which
-# the matrix decides, not the measure: on a regular graph ppr's is. The
-# distances, the logarithmic similarity and the proximity scan are the
-# kernel result's, derived once however many checks read them. The lambdas
-# look up the property checks by their module-level names at call time,
-# so a caller may wrap those names.
-_CHECKS: dict[str, Callable[[KernelResult, float], PropertyReport]] = {
-    "psd": lambda kr, tol: check_psd(kr.matrix, tol),
-    "sym_psd": lambda kr, tol: _renamed(
-        "sym_psd", check_psd(0.5 * (kr.matrix + kr.matrix.T), tol)
+def _symmetrized(a: np.ndarray) -> np.ndarray:
+    """(K + K^T) / 2 of each matrix K of the stack a."""
+    return 0.5 * (a + a.transpose(0, 2, 1))
+
+
+def _if_symmetric(kres, prop: str, tol: float, check) -> tuple[PropertyReport, ...]:
+    """check of the kernel results among kres whose matrix is symmetric,
+    in one call, and prop's asymmetry report of every other one."""
+    symmetric = [kr for kr in kres if kr.symmetric]
+    if len(symmetric) == len(kres):
+        return tuple(check(kres))
+    reports = iter(check(symmetric) if symmetric else ())
+    return tuple(
+        next(reports) if kr.symmetric else _asymmetry_report(prop, kr.matrix, tol) for kr in kres
+    )
+
+
+# Requestable audit checks, each a function of (kernel results on one
+# graph, tolerance) that runs its property check once over the stack of
+# their matrices and returns one report per kernel result; transitional
+# and cutpoint_additive read the graph the kernel results carry. The
+# log_* family evaluates the logarithmic similarity ln(s) and its induced
+# distance; sym_psd tests the symmetrized kernel (K + K^T)/2, the PSD
+# question that remains once an asymmetric measure has failed plain psd
+# by definition; sigma adds the row-sum condition to the proximity
+# report. proximity and sigma read kr.symmetric, which the matrix
+# decides, not the measure: on a regular graph ppr's is. The distances,
+# the logarithmic similarity and the proximity scan are the kernel
+# result's, derived once however many checks read them. The lambdas look
+# up the property checks by their module-level names at call time, so a
+# caller may wrap those names.
+_CHECKS: dict[str, Callable[[tuple[KernelResult, ...], float], tuple[PropertyReport, ...]]] = {
+    "psd": lambda ks, tol: check_psd(_stack(ks), tol),
+    "sym_psd": lambda ks, tol: _renamed("sym_psd", check_psd(_symmetrized(_stack(ks)), tol)),
+    "proximity": lambda ks, tol: _if_symmetric(
+        ks, "proximity", tol, lambda sym: _proximities(sym, tol)
     ),
-    "proximity": lambda kr, tol: (
-        kr.proximity(tol) if kr.symmetric
-        else _asymmetry_report("proximity", kr.matrix, tol)
+    "sigma": lambda ks, tol: _if_symmetric(
+        ks, "sigma_proximity", tol,
+        lambda sym: _sigma_proximity(_stack(sym), _proximities(sym, tol), tol),
     ),
-    "sigma": lambda kr, tol: (
-        _sigma_proximity(kr.matrix, kr.proximity(tol), tol) if kr.symmetric
-        else _asymmetry_report("sigma_proximity", kr.matrix, tol)
+    "egocentrism": lambda ks, tol: check_egocentrism(_stack(ks), tol),
+    "metric": lambda ks, tol: check_metric(_stack(ks, "dist"), tol),
+    "sq_euclidean": lambda ks, tol: check_sq_euclidean(
+        _stack(ks, "dist"), tol, [_max_abs(kr.matrix) for kr in ks]
     ),
-    "egocentrism": lambda kr, tol: check_egocentrism(kr.matrix, tol),
-    "metric": lambda kr, tol: check_metric(kr.dist, tol),
-    "sq_euclidean": lambda kr, tol: check_sq_euclidean(kr.dist, tol, _max_abs(kr.matrix)),
-    "sqrt_distance": lambda kr, tol: check_sqrt_distance(kr.dist, tol),
-    "distance_order": lambda kr, tol: check_distance_order(kr.dist),
-    "transitional": lambda kr, tol: check_transitional(kr.matrix, kr.graph, tol),
-    "cutpoint_additive": lambda kr, tol: check_cutpoint_additive(kr.log_dist, kr.graph, tol),
-    "log_metric": lambda kr, tol: _renamed("log_metric", check_metric(kr.log_dist, tol)),
-    "log_proximity": lambda kr, tol: _renamed(
-        "log_proximity", check_proximity(kr.log_similarity, tol)
+    "sqrt_distance": lambda ks, tol: check_sqrt_distance(_stack(ks, "dist"), tol),
+    "distance_order": lambda ks, tol: check_distance_order(_stack(ks, "dist")),
+    "transitional": lambda ks, tol: check_transitional(_stack(ks), ks[0].graph, tol),
+    "cutpoint_additive": lambda ks, tol: check_cutpoint_additive(
+        _stack(ks, "log_dist"), ks[0].graph, tol
     ),
-    "log_psd": lambda kr, tol: _renamed("log_psd", check_psd(kr.log_similarity, tol)),
-    "log_order": lambda kr, tol: _renamed("log_order", check_distance_order(kr.log_dist)),
+    "log_metric": lambda ks, tol: _renamed(
+        "log_metric", check_metric(_stack(ks, "log_dist"), tol)
+    ),
+    "log_proximity": lambda ks, tol: _renamed(
+        "log_proximity", check_proximity(_stack(ks, "log_similarity"), tol)
+    ),
+    "log_psd": lambda ks, tol: _renamed(
+        "log_psd", check_psd(_stack(ks, "log_similarity"), tol)
+    ),
+    "log_order": lambda ks, tol: _renamed(
+        "log_order", check_distance_order(_stack(ks, "log_dist"))
+    ),
 }
 
 CHECKS: tuple[str, ...] = tuple(_CHECKS)
 
 
-def run_check(check: str, kres: KernelResult, tol: float = DEFAULT_TOL) -> PropertyReport:
+def run_check(
+    check: str,
+    kres: KernelResult | Sequence[KernelResult],
+    tol: float = DEFAULT_TOL,
+) -> PropertyReport | tuple[PropertyReport, ...]:
     """Run one named audit check against a computed kernel and the graph
     it carries. Checks run on one KernelResult share what they derive
-    from its matrix."""
+    from its matrix.
+
+    Given a sequence of kernel results on one graph, it runs the check
+    once over the stack of their matrices and returns a tuple of reports,
+    each the one that kernel result gets on its own."""
     if check not in _CHECKS:
         raise ValueError(f"unknown check {check!r} (known: {', '.join(CHECKS)})")
     _check_tol(tol)
+    if isinstance(kres, KernelResult):
+        return _CHECKS[check]((kres,), tol)[0]
+    kres = tuple(kres)
+    if not kres:
+        return ()
+    if len(kres) > 1 and any(kr.graph is not kres[0].graph for kr in kres):
+        raise ValueError(f"run_check {check!r}: kernel results of different graphs")
     return _CHECKS[check](kres, tol)
 
 
@@ -387,26 +428,20 @@ def run_audit(
 ) -> AuditReport:
     """Compute each (measure, param) on g and run the requested checks.
 
-    checks=None or ["all"] expands per measure via default_checks.
+    checks=None or ["all"] expands per measure via default_checks. The
+    kernels are computed in order, then each check runs once over the
+    stack of the matrices of every measure that requests it; the reports
+    equal those of one audit per measure. Where that raises, the audit is
+    redone measure by measure, so the error is the one the first failing
+    measure raises on its own.
     """
     _check_tol(tol)
-    results = []
-    for measure, param in measures:
-        kres = compute_kernel(g, measure, param, rates=rates)
-        if checks is None or checks == ["all"]:
-            wanted = default_checks(kres.symmetric, g.n)
-        else:
-            wanted = list(checks)
-        reports = tuple(run_check(c, kres, tol) for c in wanted)
-        results.append(
-            MeasureAudit(
-                measure=measure,
-                param=param,
-                param_domain=kres.param_domain,
-                symmetric=measure in SYMMETRIC_MEASURES,
-                checks=reports,
-            )
-        )
+    try:
+        results = _audit(g, measures, checks, tol, rates)
+    except Exception:
+        if len(measures) < 2:
+            raise
+        results = [r for m in measures for r in _audit(g, [m], checks, tol, rates)]
     return AuditReport(
         graph=g.name,
         n=g.n,
@@ -414,6 +449,42 @@ def run_audit(
         tool_version=__version__,
         results=tuple(results),
     )
+
+
+def _audit(g, measures, checks, tol, rates) -> list[MeasureAudit]:
+    """run_audit's results: the kernels in order, then each check once
+    over the kernel results that request it, in the order first
+    requested."""
+    kernels, wanted = [], []
+    requests: dict[str, list[int]] = {}  # check -> the kernels requesting it
+    for i, (measure, param) in enumerate(measures):
+        kres = compute_kernel(g, measure, param, rates=rates)
+        kernels.append(kres)
+        wanted.append(
+            default_checks(kres.symmetric, g.n) if checks is None or checks == ["all"]
+            else list(checks)
+        )
+        for check in wanted[-1]:
+            rows = requests.setdefault(check, [])
+            if not rows or rows[-1] != i:  # a check named twice runs once
+                rows.append(i)
+    reports: list[dict[str, PropertyReport]] = [{} for _ in kernels]
+    for check, rows in requests.items():
+        if len(rows) == 1:
+            reports[rows[0]][check] = run_check(check, kernels[rows[0]], tol)
+            continue
+        for i, report in zip(rows, run_check(check, [kernels[i] for i in rows], tol)):
+            reports[i][check] = report
+    return [
+        MeasureAudit(
+            measure=measure,
+            param=param,
+            param_domain=kres.param_domain,
+            symmetric=measure in SYMMETRIC_MEASURES,
+            checks=tuple([reports[i][c] for c in wanted[i]]),
+        )
+        for i, ((measure, param), kres) in enumerate(zip(measures, kernels))
+    ]
 
 
 def _vertex_indices(prop: str, m: re.Match, n: int) -> list[int]:

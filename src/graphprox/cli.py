@@ -53,7 +53,8 @@ def _resolve_graph(positional: str | None, flag: str | None) -> WeightedGraph:
     spec = positional if positional is not None else flag
     if spec in BUILTIN_GRAPHS:
         return builtin_graph(spec)
-    return load_graph(Path(spec).read_text(encoding="utf-8"), name=spec)
+    # utf-8-sig drops the byte-order mark some editors write first
+    return load_graph(Path(spec).read_text(encoding="utf-8-sig"), name=spec)
 
 
 def _parse_measures(values: list[str]) -> list[tuple[str, float]]:

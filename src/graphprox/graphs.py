@@ -185,7 +185,7 @@ BUILTIN_GRAPHS: dict[str, str] = {
 
 def load_graph(source: str, name: str = "graph") -> WeightedGraph:
     """Parse edge-list text: one "i j w" edge per line, 1-based vertex
-    indices, positive weights, '#' starting a comment line."""
+    indices, positive finite weights, '#' starting a comment line."""
     edges: dict[tuple[int, int], float] = {}
     vertices: set[int] = set()
     for lineno, raw in enumerate(source.splitlines(), start=1):
@@ -207,7 +207,9 @@ def load_graph(source: str, name: str = "graph") -> WeightedGraph:
         if i == j:
             raise GraphValidationError(f"line {lineno}: self-loop at vertex {i}")
         if not math.isfinite(w) or w <= 0:
-            raise GraphValidationError(f"line {lineno}: edge weight must be positive, got {fields[2]}")
+            raise GraphValidationError(
+                f"line {lineno}: edge weight must be positive and finite, got {fields[2]}"
+            )
         key = (min(i, j), max(i, j))
         if key in edges:
             raise GraphValidationError(f"line {lineno}: duplicate edge {key[0]}-{key[1]}")

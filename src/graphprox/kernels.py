@@ -153,9 +153,32 @@ class KernelResult:
 
     def proximity(self, tol: float) -> PropertyReport:
         """check_proximity of the matrix at tol."""
-        if tol not in self._proximity:
-            self._proximity[tol] = check_proximity(self.matrix, tol)
-        return self._proximity[tol]
+        return _proximities((self,), tol)[0]
+
+
+def _proximities(results, tol: float) -> tuple[PropertyReport, ...]:
+    """KernelResult.proximity(tol) of each of results; the matrices not
+    yet checked at tol are checked in one call over their stack."""
+    todo = [r for r in results if tol not in r._proximity]
+    if todo:
+        for r, report in zip(todo, check_proximity(_stack(todo), tol)):
+            r._proximity[tol] = report
+    return tuple(r._proximity[tol] for r in results)
+
+
+def _stack(results, attr: str = "matrix") -> np.ndarray:
+    """The stack (B, n, n) of what results on one graph derive under attr,
+    in order: a view where B is 1. Their distances not yet derived are
+    derived in one call over the stack of their matrices, and kept."""
+    if len(results) == 1:
+        return getattr(results[0], attr)[None]
+    todo = [r for r in results if attr in ("dist", "log_dist") and attr not in r.__dict__]
+    if len(todo) > 1:
+        matrices = np.stack([r.matrix for r in todo])
+        derived = pair_to_dist(matrices) if attr == "dist" else log_distance(matrices)
+        for i, r in enumerate(todo):
+            r.__dict__[attr] = _read_only(derived[i])  # where the cached property keeps it
+    return np.stack([getattr(r, attr) for r in results])
 
 
 def param_domain(measure: str, g: WeightedGraph) -> tuple[float, float]:

@@ -128,16 +128,40 @@ def is_symmetric(m: np.ndarray) -> bool:
     return gap == 0.0 or gap <= _rounding_floor(a.shape[0], _max_abs(a))
 
 
+def _symmetric_each(a: np.ndarray) -> list[bool]:
+    """is_symmetric of each matrix of the stack a, by the same rule."""
+    gaps = np.abs(a - a.transpose(0, 2, 1)).max(axis=(1, 2), initial=0.0).tolist()
+    if not any(gaps):  # max|m| only for a nonzero gap: exact symmetry costs one pass
+        return [True] * len(gaps)
+    n = a.shape[1]
+    return [
+        gap == 0.0 or gap <= _rounding_floor(n, size)
+        for gap, size in zip(gaps, _max_abs_each(a))
+    ]
+
+
 def _require_symmetric(m: np.ndarray, what: str) -> np.ndarray:
+    """m as a float array, which must be a nonempty symmetric matrix or a
+    stack of them."""
     a = np.asarray(m, dtype=float)
-    _require_nonempty(a, what)
-    if not is_symmetric(a):
+    if a.ndim == 3 and a.shape[1] == a.shape[2]:
+        _require_nonempty(a[0] if len(a) else a, what)
+        symmetric = all(_symmetric_each(a))
+    else:
+        _require_nonempty(a, what)
+        symmetric = is_symmetric(a)
+    if not symmetric:
         raise ValueError(f"{what} requires a symmetric matrix")
     return a
 
 
 def _max_abs(a: np.ndarray) -> float:
     return float(np.abs(a).max(initial=0.0))
+
+
+def _max_abs_each(a: np.ndarray) -> list[float]:
+    """_max_abs of each matrix of the stack a."""
+    return np.abs(a).max(axis=(1, 2), initial=0.0).tolist()
 
 
 def _rounding_floor(n: int, scale: float) -> float:
@@ -199,10 +223,25 @@ def _lapack_symmetric(solver, m: np.ndarray, caller: str):
     m, which must be symmetric; a LAPACK failure raises
     NonConvergenceError."""
     a = _require_symmetric(_as_square(m), caller)
+    return _lapack(solver, 0.5 * (a + a.T))
+
+
+def _lapack(solver, a: np.ndarray):
+    """solver (numpy.linalg.eigh or eigvalsh) on a; a LAPACK failure
+    raises NonConvergenceError."""
     try:
-        return solver(0.5 * (a + a.T))
+        return solver(a)
     except np.linalg.LinAlgError as exc:
         raise NonConvergenceError(f"symmetric eigensolver failed: {exc}") from exc
+
+
+def _min_eigenvalues(a: np.ndarray) -> list[float]:
+    """The smallest eigenvalue of each matrix of the stack a, which is
+    symmetric to its rounding floor: what sym_eigenvalues gives, without
+    testing that symmetry once more."""
+    if not np.isfinite(a).all():
+        raise ValueError("matrix has non-finite entries")
+    return _lapack(np.linalg.eigvalsh, 0.5 * (a + a.transpose(0, 2, 1)))[:, 0].tolist()
 
 
 def sym_eigen(m: np.ndarray) -> EigenDecomposition:

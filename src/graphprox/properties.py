@@ -5,16 +5,29 @@ to match file and report conventions; the numeric slack is the value of
 the defining inequality at the witness, so a reported violation can be
 reproduced by re-evaluating it there.
 
-The triple checks scan consecutive blocks of first indices, each one
-(b, n, n) numpy array of at most 2^15 entries (256 KB of float64), so
-n <= 32 is a single block and larger n takes O(n^3) work in bounded
-memory. Each term is formed with the operands and operation order of the
-defining inequality, so a report equals the one a scalar loop over all
-triples would give. The transitional check forms each block of relative
-excesses once and feeds it to both its worst-excess scan and its
-cut-vertex scan. It forms the mask of products that are not normal
-floats only on a block whose extreme products, bounded by the extremes
-of its rows and of the whole matrix, leave the normal range.
+Every check takes one matrix, or a stack (B, n, n) or sequence of
+matrices of one size, for which it returns a tuple of reports. Each
+numpy operation then runs once over the stack, and validation, rounding
+floors, extremes and witnesses are taken matrix by matrix with the
+operands and operation order of one matrix, so each report is the one
+that matrix gets on its own; a stack raises an error that one of its
+matrices raises on its own. One matrix is checked as a stack of one.
+Loops over the matrices index the stack rather than iterate it: numpy
+ends an iteration by raising and formatting an IndexError, which costs
+more than a small check does.
+
+The triple checks scan blocks of (matrix, first index) pairs, each one
+(k, b, n, n) numpy array of at most 2^15 entries (256 KB of float64). A
+block holds as many whole matrices as fit, which they do for n <= 32;
+larger n takes each matrix in consecutive blocks of first indices, O(n^3)
+work in bounded memory. Each term is formed with the operands and
+operation order of the defining inequality, so a report equals the one a
+scalar loop over all triples would give. The transitional check forms
+each block of relative excesses once and feeds it to both its
+worst-excess scan and its cut-vertex scan. It forms the mask of products
+that are not normal floats only on a block whose extreme products,
+bounded by the extremes of its rows and of its matrices, leave the
+normal range, and then matrix by matrix.
 
 Candidates that tie in exact arithmetic can differ in their last bits,
 and which one rounding favours depends on operation order and on the
@@ -23,25 +36,26 @@ witness is the first candidate in C order, (x, y, z) or (x, y), whose
 value lies within the rounding floor of that extreme (_rounding_floor:
 8 n eps times the size of the inequality's operands), the metric axioms'
 negative-entry, asymmetric and self-distance witnesses too. The triple
-scans keep each block's extreme and search only the first block that
-reaches the band, so the witness does not depend on the block size. The
-eigenvalue checks decide against max(tol, floor), the floor of the
-operands of the matrix whose eigenvalues they read; where that floor
-exceeds tol, a negative smallest eigenvalue within twice the floor is
-indeterminate, as rounding cannot resolve its sign. The floor, that
-bound and DEFAULT_TOL live in linalg, whose gram_factor shares them.
+scans keep each block's extreme and search only the first block of a
+matrix that reaches the band, so the witness does not depend on the
+block size. The eigenvalue checks decide against max(tol, floor), the
+floor of the operands of the matrix whose eigenvalues they read; where
+that floor exceeds tol, a negative smallest eigenvalue within twice the
+floor is indeterminate, as rounding cannot resolve its sign. The floor,
+that bound and DEFAULT_TOL live in linalg, whose gram_factor shares them.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .graphs import WeightedGraph, separation_labels
-from .linalg import DEFAULT_TOL, _eigen_bound, _max_abs, _require_nonempty, _require_symmetric
-from .linalg import _rounding_floor, is_symmetric, sym_eigenvalues
+from .linalg import DEFAULT_TOL, _eigen_bound, _max_abs, _max_abs_each, _min_eigenvalues
+from .linalg import _require_nonempty, _require_symmetric, _rounding_floor, _symmetric_each
 from .transforms import _HUGE, _TINY, _centered_gram, _normal, _require_positive
 
 __all__ = [
@@ -59,9 +73,10 @@ __all__ = [
     "check_sqrt_distance",
 ]
 
-# Entries per block of first indices: large enough that n <= 32 is one
-# block, small enough that each temporary stays cache-sized. On a 2-vCPU
-# Xeon a budget of 2^18 made the checks 1.2-3x slower at n = 80 and 160.
+# Entries per block of (matrix, first index) pairs: large enough that a
+# matrix with n <= 32 is one block, small enough that each temporary stays
+# cache-sized. On a 2-vCPU Xeon a budget of 2^18 made the checks 1.2-3x
+# slower at n = 80 and 160.
 _BLOCK_ENTRIES = 1 << 15
 
 
@@ -108,6 +123,26 @@ class PropertyReport:
             object.__setattr__(self, "sigma", float(self.sigma))
 
 
+def _per_matrix(check):
+    """The public form of check, which takes a stack (B, n, n), B >= 1, of
+    square matrices and returns one report per matrix: given one matrix,
+    it returns its report; given a stack or a sequence of matrices, a
+    tuple of their reports, empty for an empty stack."""
+
+    @functools.wraps(check)
+    def public(k, *args, **kwargs):
+        a = np.asarray(k, dtype=float)
+        if a.ndim == 2 and a.shape[0] == a.shape[1]:
+            return check(a[None], *args, **kwargs)[0]
+        if a.ndim == 3 and a.shape[1] == a.shape[2]:
+            return tuple(check(a, *args, **kwargs)) if len(a) else ()
+        raise ValueError(
+            f"{check.__name__} expects a square matrix or a stack of them, got shape {a.shape}"
+        )
+
+    return public
+
+
 def _check_tol(tol: float) -> None:
     """Reject a tolerance that is negative, NaN or infinite; every public
     check that takes one calls this first."""
@@ -116,14 +151,28 @@ def _check_tol(tol: float) -> None:
 
 
 def _require_finite(a: np.ndarray, check: str) -> None:
-    _require_nonempty(a, check)
+    """Reject the stack a if one of its matrices is empty or has an entry
+    that is not finite; the error names the first such entry."""
+    _require_nonempty(a[0], check)
     bad = ~np.isfinite(a)
     if bad.any():
-        i, j = divmod(int(np.argmax(bad)), a.shape[1])
+        idx = int(bad.argmax())
+        _, i, j = np.unravel_index(idx, a.shape)
         raise ValueError(
             f"{check} requires finite entries; "
-            f"entry ({i + 1},{j + 1}) = {a[i, j]}"
+            f"entry ({i + 1},{j + 1}) = {a.flat[idx]}"
         )
+
+
+def _take(a: np.ndarray, rows: list[int]) -> np.ndarray:
+    """The matrices rows of the stack a, without a copy where that is all."""
+    return a if len(rows) == len(a) else a[rows]
+
+
+def _floors(a: np.ndarray) -> list[float]:
+    """The rounding floor of each matrix of the stack a, from its entries."""
+    n = a.shape[1]
+    return [_rounding_floor(n, size) for size in _max_abs_each(a)]
 
 
 def _blocks(n: int):
@@ -134,17 +183,67 @@ def _blocks(n: int):
         yield slice(x, min(x + b, n))
 
 
+def _stack_blocks(count: int, n: int):
+    """Blocks (ms, xs) of a stack of count n x n matrices: the matrices ms
+    and first indices xs whose (k, b, n, n) array holds at most
+    _BLOCK_ENTRIES entries. Where a matrix's n^3 entries fit, a block is
+    as many whole matrices as fit; else it is one matrix, taken in turn by
+    the first indices of _blocks(n)."""
+    per = _BLOCK_ENTRIES // max(1, n**3)
+    if per:
+        for m in range(0, count, per):
+            yield slice(m, min(m + per, count)), slice(0, n)
+    else:
+        for m in range(count):
+            for xs in _blocks(n):
+                yield slice(m, m + 1), xs
+
+
 def _fill_repeats(v: np.ndarray, xs: slice, value) -> np.ndarray:
-    """Write value to each entry of block v (first indices xs) whose x, y,
-    z are not all distinct, through basic-slice views, and return v. The
-    reshaped views need C order, so any other v is copied to it first."""
+    """Write value to each entry of block v (first indices xs, and any
+    leading matrix axes) whose x, y, z are not all distinct, and return
+    v: through the masks of _repeats where the block holds whole
+    matrices, else through basic-slice views. Both need C order, so any
+    other v is copied to it first."""
     v = np.ascontiguousarray(v)
-    b, n, _ = v.shape
+    b, n = v.shape[-3], v.shape[-1]
+    w = v.reshape(-1, b, n, n)  # one leading matrix axis
+    if b == n:
+        repeated, distinct = _repeats(n)
+        if v.dtype == bool and not value:
+            w &= distinct
+        else:
+            for i in range(len(w)):
+                np.putmask(w[i], repeated, value)
+        return v
     s = xs.start
-    v.reshape(b * n, n)[s::n + 1][:b] = value  # v[x, x, :]
-    np.einsum("iji->ij", v[:, :, s:s + b])[...] = value  # v[x, :, x]
-    v.reshape(b, n * n)[:, ::n + 1] = value  # v[:, y, y]
+    w.reshape(-1, b * n, n)[:, s::n + 1][:, :b] = value  # v[x, x, :]
+    np.einsum("kiji->kij", w[:, :, :, s:s + b])[...] = value  # v[x, :, x]
+    w.reshape(-1, b, n * n)[:, :, ::n + 1] = value  # v[:, y, y]
     return v
+
+
+@functools.lru_cache(maxsize=None)
+def _repeats(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only n x n x n masks of the triples (x, y, z) that repeat an
+    index and of those that do not, for blocks of whole matrices, which
+    hold at least as many entries. Clearing a boolean block by the
+    second, or filling a float one through the first, is the cheapest
+    fill at the sizes such blocks have."""
+    x, y, z = np.ogrid[:n, :n, :n]
+    repeated = (x == y) | (x == z) | (y == z)
+    distinct = ~repeated
+    repeated.setflags(write=False)
+    distinct.setflags(write=False)
+    return repeated, distinct
+
+
+@functools.lru_cache(maxsize=None)
+def _upper(n: int) -> np.ndarray:
+    """The read-only n x n mask of the entries above the diagonal."""
+    upper = np.triu(np.ones((n, n), dtype=bool), 1)
+    upper.setflags(write=False)
+    return upper
 
 
 def _triple(xs: slice, idx: int, n: int) -> tuple[int, int, int]:
@@ -167,129 +266,168 @@ def _top(v: np.ndarray) -> float:
     return -np.inf if top != top else top
 
 
-def _worst_triple(
-    n: int, block, floor: float
-) -> tuple[float, tuple[int, int, int] | None]:
-    """Largest block(xs)[x, y, z] over distinct triples, and the first
-    (x, y, z) in C order whose value lies within floor of it; (-inf,
-    None) when n < 3."""
+def _worst_triples(
+    a: np.ndarray, form, floors: list[float]
+) -> list[tuple[float, tuple[int, int, int] | None]]:
+    """For each matrix m of the stack a, the largest value form gives over
+    its distinct triples, and the first (x, y, z) in C order whose value
+    lies within floors[m] of it; (-inf, None) when n < 3. form(a[ms], xs)
+    is the (k, b, n, n) block of the matrices ms and first indices xs."""
+    count, n = a.shape[:2]
     if n < 3:
-        return -np.inf, None
+        return [(-np.inf, None)] * count
 
-    def form(xs):
-        return _fill_repeats(block(xs), xs, -np.inf)
+    def filled(ms, xs):
+        return _fill_repeats(form(a[ms], xs), xs, -np.inf)
 
-    tops = []
-    for xs in _blocks(n):
-        v = form(xs)
-        tops.append(_top(v))
-    return _band_witness(n, tops, floor, v, form)
+    found, tops = [None] * count, [[] for _ in range(count)]
+    for ms, xs in _stack_blocks(count, n):
+        v = filled(ms, xs)
+        if xs.stop - xs.start == n:  # whole matrices, one block each
+            for i, (top, idx) in enumerate(_first_max_each(v, floors[ms])):
+                found[ms.start + i] = top, _triple(xs, idx, n)
+            continue
+        m = ms.start
+        tops[m].append(_top(v[0]))
+        if xs.stop == n:
+            found[m] = _band_witness(
+                n, tops[m], floors[m], v[0], lambda xs: filled(slice(m, m + 1), xs)[0]
+            )
+    return found
 
 
 def _band_witness(n: int, tops: list[float], floor: float, last: np.ndarray, form):
-    """The largest of the block maxima tops (one per _blocks(n) slice, in
-    order) and the first (x, y, z) in C order whose entry lies within
-    floor of it. Only the first block whose maximum reaches that band is
-    searched: last, the final block, or else the block form(xs) forms
-    again; so the witness does not depend on the block size. A NaN entry
-    is never within the band."""
+    """The largest of one matrix's block maxima tops (one per _blocks(n)
+    slice, in order) and the first (x, y, z) in C order whose entry lies
+    within floor of it. Only the first block whose maximum reaches that
+    band is searched: last, the final block, or else the block form(xs)
+    forms again; so the witness does not depend on the block size. A NaN
+    entry is never within the band."""
     worst = max(tops)
     cut = _band(worst, floor)
     for i, (xs, top) in enumerate(zip(_blocks(n), tops)):
         if top >= cut:
             v = last if i == len(tops) - 1 else form(xs)
-            return worst, _triple(xs, int(np.argmax(v >= cut)), n)
+            return worst, _triple(xs, int((v >= cut).argmax()), n)
 
 
-def _first_max(
-    v: np.ndarray, floor: float, keep: np.ndarray | None = None
-) -> tuple[float, int]:
-    """Largest entry of v, where keep holds if given, and the first
-    C-order flat index whose entry lies within floor of it. NaN never
-    wins; a result of -inf means nothing was found."""
-    if keep is not None:
-        v = np.where(keep, v, -np.inf)
-    val = _top(v)
-    return val, int(np.argmax(v >= _band(val, floor)))
-
-
-def _first_min(
-    v: np.ndarray, floor: float, keep: np.ndarray | None = None
-) -> tuple[float, int]:
-    """Smallest entry of v where keep holds, as _first_max; +inf means
+def _first_max(v: np.ndarray, floor: float) -> tuple[float, int]:
+    """Largest entry of v and the first C-order flat index whose entry
+    lies within floor of it. NaN never wins; a result of -inf means
     nothing was found."""
-    val, idx = _first_max(-v, floor, keep)
+    val = _top(v)
+    return val, int((v >= _band(val, floor)).argmax())
+
+
+def _first_max_each(v: np.ndarray, floors: list[float]) -> list[tuple[float, int]]:
+    """_first_max of each v[i], with floor floors[i]: in one pass over the
+    stack where it holds several."""
+    if len(v) == 1:
+        return [_first_max(v[0], floors[0])]
+    flat = v.reshape(len(v), -1)
+    tops = [-np.inf if top != top else top for top in np.fmax.reduce(flat, axis=1).tolist()]
+    cuts = np.array([_band(top, floor) for top, floor in zip(tops, floors)])
+    return list(zip(tops, (flat >= cuts[:, None]).argmax(axis=1).tolist()))
+
+
+def _first_min(v: np.ndarray, floor: float) -> tuple[float, int]:
+    """Smallest entry of v, as _first_max; +inf means nothing was found."""
+    val, idx = _first_max(-v, floor)
     return -val, idx
+
+
+def _off_diagonal_minima(v: np.ndarray, floors: list[float]) -> list[tuple[float, int]]:
+    """_first_min of each matrix v[i] of the stack v over its entries off
+    the diagonal, with floor floors[i]; (+inf, 0) for a 1 x 1 matrix."""
+    neg = -v
+    neg.reshape(len(v), -1)[:, ::v.shape[1] + 1] = -np.inf  # the diagonal
+    return [(-val, idx) for val, idx in _first_max_each(neg, floors)]
 
 
 def _asymmetry_report(
     prop: str, a: np.ndarray, tol: float, note: str = "matrix is not symmetric"
 ) -> PropertyReport:
-    """prop fails on the asymmetric float array a; the slack is the
+    """prop fails on the asymmetric float matrix a; the slack is the
     largest |a - a^T| entry."""
     return PropertyReport(
         prop, holds=False, tolerance=tol, slack=float(np.abs(a - a.T).max()), note=note
     )
 
 
-def _eigen_report(
-    prop: str, a: np.ndarray, tol: float, note: str, scale: float
-) -> PropertyReport:
-    """prop holds when the smallest eigenvalue of the symmetric float
-    array a is at least -_eigen_bound(n, scale, tol), with scale the
-    size of the operands a was formed from; the slack is that eigenvalue,
-    and the margin that eigenvalue plus the bound.
+def _eigen_reports(
+    prop: str, a: np.ndarray, tol: float, note: str, scales: list[float]
+) -> list[PropertyReport]:
+    """prop of each matrix of the symmetric stack a: it holds when the
+    smallest eigenvalue is at least -_eigen_bound(n, scale, tol), with
+    scale the size of the operands that matrix was formed from; the slack
+    is that eigenvalue, and the margin that eigenvalue plus the bound.
     Where the floor exceeds tol, rounding cannot resolve the sign of an
     eigenvalue within it, so every negative one within twice the floor
     is indeterminate."""
-    min_eig = float(sym_eigenvalues(a)[0])
-    bound = _eigen_bound(a.shape[0], scale, tol)
-    if bound > tol:
-        indeterminate = -2.0 * bound <= min_eig < 0.0
-    else:
-        indeterminate = -2.0 * bound <= min_eig <= -0.5 * bound
-    return PropertyReport(
-        prop,
-        holds=min_eig >= -bound,
-        tolerance=tol,
-        slack=min_eig,
-        indeterminate=indeterminate,
-        note=note,
-        margin=min_eig + bound,
-    )
+    reports = []
+    for min_eig, scale in zip(_min_eigenvalues(a), scales):
+        bound = _eigen_bound(a.shape[1], scale, tol)
+        if bound > tol:
+            indeterminate = -2.0 * bound <= min_eig < 0.0
+        else:
+            indeterminate = -2.0 * bound <= min_eig <= -0.5 * bound
+        reports.append(PropertyReport(
+            prop,
+            holds=min_eig >= -bound,
+            tolerance=tol,
+            slack=min_eig,
+            indeterminate=indeterminate,
+            note=note,
+            margin=min_eig + bound,
+        ))
+    return reports
 
 
+@_per_matrix
 def check_psd(k: np.ndarray, tol: float = DEFAULT_TOL) -> PropertyReport:
     """Positive semidefiniteness. Asymmetric input is reported as not PSD
-    outright; it is never silently symmetrized."""
+    outright; it is never silently symmetrized. Of a stack or sequence
+    of matrices, a tuple of reports, one per matrix."""
     _check_tol(tol)
-    a = np.asarray(k, dtype=float)
-    _require_nonempty(a, "check_psd")
-    if not is_symmetric(a):
-        return _asymmetry_report(
-            "psd", a, tol, "matrix is not symmetric, hence not positive semidefinite"
+    _require_nonempty(k[0], "check_psd")
+    symmetric = _symmetric_each(k)
+    rows = [m for m, sym in enumerate(symmetric) if sym]
+    sym = _take(k, rows)
+    reports = iter(_eigen_reports("psd", sym, tol, "smallest eigenvalue", _max_abs_each(sym))
+                   if rows else ())
+    return [
+        next(reports) if symmetric[m] else _asymmetry_report(
+            "psd", k[m], tol, "matrix is not symmetric, hence not positive semidefinite"
         )
-    return _eigen_report("psd", a, tol, "smallest eigenvalue", _max_abs(a))
+        for m in range(len(k))
+    ]
 
 
+@_per_matrix
 def check_proximity(k: np.ndarray, tol: float = DEFAULT_TOL) -> PropertyReport:
     """Triangle inequality for proximities:
     k(x,y) + k(x,z) - k(y,z) <= k(x,x) over all ordered triples, strict
-    when z = y != x."""
+    when z = y != x. Of a stack or sequence of matrices, a tuple of
+    reports, one per matrix."""
     _check_tol(tol)
-    a = np.asarray(k, dtype=float)
-    _require_finite(a, "check_proximity")
-    _require_symmetric(a, "check_proximity")
-    n = a.shape[0]
-    diag = np.diag(a)
-    floor = _rounding_floor(n, _max_abs(a))
+    _require_finite(k, "check_proximity")
+    _require_symmetric(k, "check_proximity")
+    n = k.shape[1]
+    diag = k.diagonal(0, 1, 2)
+    floors = _floors(k)
     # v[x, y, z] = k(x,y) + k(x,z) - k(y,z) - k(x,x), left to right
-    worst_weak, weak_witness = _worst_triple(
-        n, lambda xs: ((a[xs, :, None] + a[xs, None, :]) - a) - diag[xs, None, None], floor
-    )
-    worst_strict, strict_idx = _first_min(
-        (diag[:, None] + diag[None, :]) - 2.0 * a, floor, ~np.eye(n, dtype=bool)
-    )
+    weak = _worst_triples(k, lambda a, xs: (
+        ((a[:, xs, :, None] + a[:, xs, None, :]) - a[:, None])
+        - a.diagonal(0, 1, 2)[:, xs, None, None]
+    ), floors)
+    strict = _off_diagonal_minima((diag[:, :, None] + diag[:, None, :]) - 2.0 * k, floors)
+    return [_proximity_report(n, tol, *w, *s) for w, s in zip(weak, strict)]
+
+
+def _proximity_report(
+    n: int, tol: float, worst_weak: float, weak_witness, worst_strict: float, strict_idx: int
+) -> PropertyReport:
+    """check_proximity's report of one matrix from its weak and strict scans."""
     weak_fail = worst_weak > tol
     strict_fail = worst_strict < tol
     indeterminate = (0.5 * tol <= worst_weak <= 2.0 * tol) or (
@@ -318,134 +456,176 @@ def check_proximity(k: np.ndarray, tol: float = DEFAULT_TOL) -> PropertyReport:
     )
 
 
+@_per_matrix
 def check_sigma_proximity(k: np.ndarray, tol: float = DEFAULT_TOL) -> PropertyReport:
     """Proximity plus the normalization condition: all row sums equal.
-    Reports the common row sum as sigma when they do."""
+    Reports the common row sum as sigma when they do. Of a stack or
+    sequence of matrices, a tuple of reports, one per matrix."""
     _check_tol(tol)
-    a = np.asarray(k, dtype=float)
-    _require_nonempty(a, "check_sigma_proximity")
-    return _sigma_proximity(a, check_proximity(a, tol), tol)
+    _require_nonempty(k[0], "check_sigma_proximity")
+    return _sigma_proximity(k, check_proximity(k, tol), tol)
 
 
-def _sigma_proximity(a: np.ndarray, prox: PropertyReport, tol: float) -> PropertyReport:
-    """check_sigma_proximity of the float array a, given prox, the
-    check_proximity report of a at tol."""
-    rows = a.sum(axis=1)
-    spread = float(rows.max() - rows.min())
-    normalized = spread <= tol
-    sigma = float(rows.mean()) if normalized else None
-    if not prox.holds:
-        return PropertyReport(
-            "sigma_proximity", holds=False, tolerance=tol,
-            witness=prox.witness, slack=prox.slack, sigma=sigma,
-            indeterminate=prox.indeterminate, note="not a proximity",
-        )
-    if not normalized:
-        floor = _rounding_floor(a.shape[0], _max_abs(rows))
-        hi, lo = _first_max(rows, floor)[1], _first_min(rows, floor)[1]
-        return PropertyReport(
-            "sigma_proximity", holds=False, tolerance=tol,
-            witness=(hi + 1, lo + 1), slack=spread,
-            note="row-sum spread between witness rows",
-        )
-    return PropertyReport(
-        "sigma_proximity", holds=True, tolerance=tol, sigma=sigma,
-        indeterminate=prox.indeterminate,
-    )
+def _sigma_proximity(
+    a: np.ndarray, proxs: tuple[PropertyReport, ...], tol: float
+) -> list[PropertyReport]:
+    """check_sigma_proximity of each matrix of the float stack a, given
+    proxs, their check_proximity reports at tol."""
+    n = a.shape[1]
+    rows = a.sum(axis=2)
+    spreads = (rows.max(axis=1) - rows.min(axis=1)).tolist()
+    means = (rows.sum(axis=1) / n).tolist()  # each as rows[m].mean() forms it
+    reports = []
+    for m, prox in enumerate(proxs):
+        spread = spreads[m]
+        normalized = spread <= tol
+        sigma = means[m] if normalized else None
+        if not prox.holds:
+            reports.append(PropertyReport(
+                "sigma_proximity", holds=False, tolerance=tol,
+                witness=prox.witness, slack=prox.slack, sigma=sigma,
+                indeterminate=prox.indeterminate, note="not a proximity",
+            ))
+        elif not normalized:
+            floor = _rounding_floor(n, _max_abs(rows[m]))
+            hi, lo = _first_max(rows[m], floor)[1], _first_min(rows[m], floor)[1]
+            reports.append(PropertyReport(
+                "sigma_proximity", holds=False, tolerance=tol,
+                witness=(hi + 1, lo + 1), slack=spread,
+                note="row-sum spread between witness rows",
+            ))
+        else:
+            reports.append(PropertyReport(
+                "sigma_proximity", holds=True, tolerance=tol, sigma=sigma,
+                indeterminate=prox.indeterminate,
+            ))
+    return reports
 
 
+@_per_matrix
 def check_egocentrism(k: np.ndarray, tol: float = DEFAULT_TOL) -> PropertyReport:
-    """Strict entrywise diagonal dominance: k(x,x) > k(x,y) for x != y."""
+    """Strict entrywise diagonal dominance: k(x,x) > k(x,y) for x != y. Of
+    a stack or sequence of matrices, a tuple of reports, one per matrix."""
     _check_tol(tol)
-    a = np.asarray(k, dtype=float)
-    _require_finite(a, "check_egocentrism")
-    n = a.shape[0]
-    worst, idx = _first_min(
-        np.diag(a)[:, None] - a, _rounding_floor(n, _max_abs(a)), ~np.eye(n, dtype=bool)
-    )
-    if worst == np.inf:  # 1x1 matrix
-        return PropertyReport("egocentrism", holds=True, tolerance=tol)
-    x, y = divmod(idx, n)
-    return PropertyReport(
-        "egocentrism",
-        holds=worst > tol,
-        tolerance=tol,
-        witness=None if worst > tol else (x + 1, y + 1),
-        slack=float(worst),
-        indeterminate=0.0 <= worst <= 2.0 * tol,
-        note="diagonal dominance margin k(x,x)-k(x,y)",
-    )
+    _require_finite(k, "check_egocentrism")
+    n = k.shape[1]
+    found = _off_diagonal_minima(k.diagonal(0, 1, 2)[:, :, None] - k, _floors(k))
+    reports = []
+    for worst, idx in found:
+        if worst == np.inf:  # 1x1 matrix
+            reports.append(PropertyReport("egocentrism", holds=True, tolerance=tol))
+            continue
+        x, y = divmod(idx, n)
+        reports.append(PropertyReport(
+            "egocentrism",
+            holds=worst > tol,
+            tolerance=tol,
+            witness=None if worst > tol else (x + 1, y + 1),
+            slack=float(worst),
+            indeterminate=0.0 <= worst <= 2.0 * tol,
+            note="diagonal dominance margin k(x,x)-k(x,y)",
+        ))
+    return reports
 
 
-def _negative_entry(d: np.ndarray, tol: float, prop: str, note: str) -> PropertyReport | None:
-    """prop failing at the smallest entry of d if it is below -tol, else None."""
-    neg = float(d.min())
-    if neg < -tol:
-        n = d.shape[0]
-        i, j = divmod(_first_min(d, _rounding_floor(n, _max_abs(d)))[1], n)
-        return PropertyReport(
-            prop, holds=False, tolerance=tol, witness=(i + 1, j + 1), slack=neg, note=note
-        )
-    return None
+def _distance_axioms(
+    d: np.ndarray, tol: float, prop: str, note: str, transform, require_separation: bool
+) -> list[PropertyReport]:
+    """prop of each matrix of the stack d: it fails at a negative entry of
+    d below -tol (note names it), else the metric axioms decide it on
+    transform of d."""
+    n = d.shape[1]
+    reports = []
+    for m, neg in enumerate(d.min(axis=(1, 2)).tolist()):
+        if neg < -tol:
+            i, j = divmod(_first_min(d[m], _rounding_floor(n, _max_abs(d[m])))[1], n)
+            reports.append(PropertyReport(
+                prop, holds=False, tolerance=tol, witness=(i + 1, j + 1), slack=neg, note=note
+            ))
+        else:
+            reports.append(None)
+    rest = [m for m, r in enumerate(reports) if r is None]
+    if rest:
+        axioms = _metric_axioms(transform(_take(d, rest)), tol, prop, require_separation)
+        for m, report in zip(rest, axioms):
+            reports[m] = report
+    return reports
 
 
 def _metric_axioms(
-    d: np.ndarray, tol: float, prop: str, require_separation: bool = True
-) -> PropertyReport:
-    """The metric axioms of d but nonnegativity, which _negative_entry checks."""
-    n = d.shape[0]
-    floor = _rounding_floor(n, _max_abs(d))
-    gap = np.abs(d - d.T)
-    asym = float(gap.max())
-    if asym > tol:
-        i, j = divmod(_first_max(gap, floor)[1], n)
-        return PropertyReport(
-            prop, holds=False, tolerance=tol,
-            witness=(i + 1, j + 1), slack=asym, note="asymmetric",
-        )
-    self_dist = np.abs(np.diag(d))
-    diag = float(self_dist.max())
-    if diag > tol:
-        i = _first_max(self_dist, floor)[1]
-        return PropertyReport(
-            prop, holds=False, tolerance=tol,
-            witness=(i + 1, i + 1), slack=diag, note="nonzero self-distance",
-        )
-    if require_separation:
-        close = np.triu(d <= tol, 1)
-        if close.any():
-            x, y = divmod(int(np.argmax(close)), n)
-            return PropertyReport(
+    d: np.ndarray, tol: float, prop: str, require_separation: bool
+) -> list[PropertyReport]:
+    """The metric axioms of each matrix of the stack d but nonnegativity,
+    which _distance_axioms checks."""
+    n = d.shape[1]
+    floors = _floors(d)
+    gap = np.abs(d - d.transpose(0, 2, 1))
+    self_dist = np.abs(d.diagonal(0, 1, 2))
+    close = (d <= tol) & _upper(n) if require_separation else None
+    reports: list[PropertyReport | None] = []
+    asyms, diags = gap.max(axis=(1, 2)).tolist(), self_dist.max(axis=1).tolist()
+    for m in range(len(d)):
+        asym, diag = asyms[m], diags[m]
+        if asym > tol:
+            i, j = divmod(_first_max(gap[m], floors[m])[1], n)
+            reports.append(PropertyReport(
                 prop, holds=False, tolerance=tol,
-                witness=(x + 1, y + 1), slack=float(d[x, y]),
+                witness=(i + 1, j + 1), slack=asym, note="asymmetric",
+            ))
+        elif diag > tol:
+            i = _first_max(self_dist[m], floors[m])[1]
+            reports.append(PropertyReport(
+                prop, holds=False, tolerance=tol,
+                witness=(i + 1, i + 1), slack=diag, note="nonzero self-distance",
+            ))
+        elif close is not None and close[m].any():
+            x, y = divmod(int(close[m].argmax()), n)
+            reports.append(PropertyReport(
+                prop, holds=False, tolerance=tol,
+                witness=(x + 1, y + 1), slack=float(d[m, x, y]),
                 note="distinct vertices at zero distance",
-            )
+            ))
+        else:
+            reports.append(None)
+    rest = [m for m, r in enumerate(reports) if r is None]
+    if not rest:
+        return reports
     # v[x, y, z] = d(x,z) - d(x,y) - d(y,z), left to right
-    worst, witness = _worst_triple(n, lambda xs: (d[xs, None, :] - d[xs, :, None]) - d, floor)
-    if witness is None:  # n < 3: nothing to check
-        return PropertyReport(prop, holds=True, tolerance=tol)
-    x, y, z = witness
-    holds = worst <= tol
-    return PropertyReport(
-        prop,
-        holds=holds,
-        tolerance=tol,
-        witness=None if holds else (x + 1, y + 1, z + 1),
-        slack=float(worst),
-        indeterminate=0.5 * tol <= worst <= 2.0 * tol,
-        note="triangle excess d(x,z)-d(x,y)-d(y,z) at worst (x,y,z)",
+    triples = _worst_triples(
+        _take(d, rest),
+        lambda a, xs: (a[:, xs, None, :] - a[:, xs, :, None]) - a[:, None],
+        [floors[m] for m in rest],
     )
+    for m, (worst, witness) in zip(rest, triples):
+        if witness is None:  # n < 3: nothing to check
+            reports[m] = PropertyReport(prop, holds=True, tolerance=tol)
+            continue
+        x, y, z = witness
+        holds = worst <= tol
+        reports[m] = PropertyReport(
+            prop,
+            holds=holds,
+            tolerance=tol,
+            witness=None if holds else (x + 1, y + 1, z + 1),
+            slack=float(worst),
+            indeterminate=0.5 * tol <= worst <= 2.0 * tol,
+            note="triangle excess d(x,z)-d(x,y)-d(y,z) at worst (x,y,z)",
+        )
+    return reports
 
 
+@_per_matrix
 def check_metric(d: np.ndarray, tol: float = DEFAULT_TOL) -> PropertyReport:
     """The four metric axioms: nonnegativity, symmetry, identity of
-    indiscernibles, and the triangle inequality over all ordered triples."""
+    indiscernibles, and the triangle inequality over all ordered triples.
+    Of a stack or sequence of matrices, a tuple of reports, one per
+    matrix."""
     _check_tol(tol)
-    a = np.asarray(d, dtype=float)
-    _require_finite(a, "check_metric")
-    return _negative_entry(a, tol, "metric", "negative entry") or _metric_axioms(a, tol, "metric")
+    _require_finite(d, "check_metric")
+    return _distance_axioms(d, tol, "metric", "negative entry", lambda a: a, True)
 
 
+@_per_matrix
 def check_sq_euclidean(
     d: np.ndarray, tol: float = DEFAULT_TOL, scale: float = 0.0
 ) -> PropertyReport:
@@ -454,35 +634,48 @@ def check_sq_euclidean(
     diagonal, both to its own rounding floor 8 n eps max|d|, whatever tol
     is. The eigenvalue's floor reads the entries of d, or scale if
     larger: the size of the values d was computed from, whose rounding
-    it inherits."""
+    it inherits. Of a stack or sequence of matrices, a tuple of reports,
+    one per matrix; scale is then one value for all or one per matrix."""
     _check_tol(tol)
-    return _eigen_report(
-        "sq_euclidean", _centered_gram(d, "check_sq_euclidean"), tol,
-        "smallest eigenvalue of the centered Gram matrix", max(_max_abs(d), scale),
+    grams = _centered_gram(d, "check_sq_euclidean")
+    scales = [scale] * len(d) if np.isscalar(scale) else list(scale)
+    return _eigen_reports(
+        "sq_euclidean", grams, tol, "smallest eigenvalue of the centered Gram matrix",
+        [max(size, s) for size, s in zip(_max_abs_each(d), scales)],
     )
 
 
 def _require_order(a: np.ndarray, g: WeightedGraph, check: str) -> None:
-    if a.shape != (g.n, g.n):
-        raise ValueError(f"{check}: matrix of shape {a.shape} for a graph of order {g.n}")
+    if a.shape[1:] != (g.n, g.n):
+        raise ValueError(
+            f"{check}: matrix of shape {a.shape[1:]} for a graph of order {g.n}"
+        )
 
 
 def _relative_excess(a: np.ndarray, xs: slice) -> np.ndarray:
     """rel[i, j, k] = (s_ij s_jk - s_ik s_jj) / (s_ik s_jj) for first
-    indices xs of the positive array a.
+    indices xs of the positive matrix a, or of each matrix of a stack a.
 
     Where s_ij s_jk or s_ik s_jj is not a normal float, that entry is
     expm1((ln s_ij + ln s_jk) - (ln s_ik + ln s_jj)), which takes the logs
     before the products; every other entry keeps the products' rounding.
     Each product has one factor from rows xs and one from a, and rounding
-    is monotone, so when fl(min a[xs] min a) and fl(max a[xs] max a) are
-    normal every product is, and no mask is formed."""
+    is monotone, so when fl(min a[..., xs, :] min a) and
+    fl(max a[..., xs, :] max a) are normal every product is, and no mask
+    is formed. Otherwise a stack is taken matrix by matrix."""
     with np.errstate(over="ignore", under="ignore"):
-        num = a[xs, :, None] * a
-        den = a[xs, None, :] * np.diag(a)[:, None]
-        lo, hi = a[xs].min() * a.min(), a[xs].max() * a.max()
+        num = a[..., xs, :, None] * a[..., None, :, :]
+        den = a[..., xs, None, :] * a.diagonal(0, -2, -1)[..., None, :, None]
+        low, high = a.min(), a.max()
+        if xs.stop - xs.start < a.shape[-1]:
+            rows = a[..., xs, :]
+            lo, hi = rows.min() * low, rows.max() * high
+        else:
+            lo, hi = low * low, high * high
     if _TINY <= lo and hi <= _HUGE:
         return (num - den) / den
+    if a.ndim == 3:
+        return np.stack([_relative_excess(a[i], xs) for i in range(len(a))])
     x, j, k = np.nonzero(~(_normal(num) & _normal(den)))
     num[x, j, k] = den[x, j, k] = 1.0  # keeps the division finite; replaced after it
     rel = (num - den) / den
@@ -493,112 +686,152 @@ def _relative_excess(a: np.ndarray, xs: slice) -> np.ndarray:
 
 
 def _separation_scan(v: np.ndarray, xs: slice, comp: np.ndarray, tol: float):
-    """Find the first distinct triple (i, j, k) of block v, first indices
-    xs, in C order, where |v[i, j, k]| <= tol disagrees with "j separates
-    i from k" as the separation table comp tells it.
+    """For each matrix v[i] of the block v, first indices xs, find the
+    first distinct triple (i, j, k) in C order where |v[i, j, k]| <= tol
+    disagrees with "j separates i from k" as the separation table comp
+    tells it.
 
-    Returns (mismatch, near_boundary). mismatch is None, or the 0-based
-    triple, the value of v there and whether it was within tol.
-    near_boundary, reported only when there is no mismatch, says whether
-    some |v| over the block's distinct triples lies within a factor two
-    of tol.
+    Returns one (mismatch, near_boundary) per matrix. mismatch is None, or
+    the 0-based triple, the value of v there and whether it was within
+    tol. near_boundary, reported only when there is no mismatch, says
+    whether some |v| over the block's distinct triples lies within a
+    factor two of tol.
     """
     n = comp.shape[0]
     m = np.abs(v)
     small = m <= tol
     mismatch = _fill_repeats(small != (comp[:, xs].T[:, :, None] != comp), xs, False)
-    if mismatch.any():
-        idx = int(np.argmax(mismatch))
-        return (_triple(xs, idx, n), v.flat[idx], bool(small.flat[idx])), False
-    near = _fill_repeats((0.5 * tol <= m) & (m <= 2.0 * tol), xs, False)
-    return None, bool(near.any())
+    near, found = None, []
+    for i in range(len(v)):
+        row = mismatch[i]
+        if row.any():
+            idx = int(row.argmax())
+            found.append(((_triple(xs, idx, n), v[i].flat[idx], bool(small[i].flat[idx])), False))
+            continue
+        if near is None:
+            near = _fill_repeats((0.5 * tol <= m) & (m <= 2.0 * tol), xs, False)
+        found.append((None, bool(near[i].any())))
+    return found
 
 
+@_per_matrix
 def check_transitional(
     s: np.ndarray, g: WeightedGraph, tol: float = DEFAULT_TOL
 ) -> PropertyReport:
     """Transitional-measure test: s_ij s_jk <= s_ik s_jj for all triples
     (relative slack), with equality exactly when j separates i from k.
     Equality detection at relative tolerance is cross-checked against the
-    cut-vertex predicate in both directions."""
+    cut-vertex predicate in both directions. Of a stack or sequence of
+    matrices on g, a tuple of reports, one per matrix."""
     _check_tol(tol)
-    a = np.asarray(s, dtype=float)
-    _require_finite(a, "check_transitional")
-    _require_order(a, g, "check_transitional")
-    _require_positive(a, "check_transitional")
-    n = a.shape[0]
-    tops, worst = [], -np.inf
-    mismatch, boundary_cases, comp = None, False, None
-    for xs in _blocks(n):
-        rel = _relative_excess(a, xs)
-        tops.append(_top(rel))
-        worst = max(worst, tops[-1])
+    _require_finite(s, "check_transitional")
+    _require_order(s, g, "check_transitional")
+    _require_positive(s, "check_transitional")
+    count, n = s.shape[:2]
+    tops, worst = [[] for _ in range(count)], [-math.inf] * count
+    mismatch, boundary_cases, witness = [None] * count, [False] * count, [None] * count
+    comp = None
+    for ms, xs in _stack_blocks(count, n):
+        rel = _relative_excess(s[ms], xs)
+        block = range(ms.start, ms.stop)
+        for i, m in enumerate(block):
+            top = _top(rel[i])
+            tops[m].append(top)
+            worst[m] = max(worst[m], top)
         # the cut-vertex test decides only when no excess beyond tol exists
-        if worst <= tol and mismatch is None:
+        scan = [i for i, m in enumerate(block) if worst[m] <= tol and mismatch[m] is None]
+        if scan:
             if comp is None:
                 comp = separation_labels(g)
-            mismatch, near = _separation_scan(rel, xs, comp, tol)
-            boundary_cases = boundary_cases or near
-    if worst > tol:
-        # the excess is relative: its operands are 1 and 1 + worst
-        floor = _rounding_floor(n, 1.0 + worst)
-        _, (i, j, k) = _band_witness(n, tops, floor, rel, lambda xs: _relative_excess(a, xs))
-        return PropertyReport(
-            "transitional", holds=False, tolerance=tol,
-            witness=(i + 1, j + 1, k + 1), slack=float(worst),
-            indeterminate=worst <= 2.0 * tol,
-            note="relative excess of s(i,j)s(j,k) over s(i,k)s(j,j)",
-        )
-    if mismatch is not None:
-        (i, j, k), value, equal = mismatch
-        return PropertyReport(
-            "transitional", holds=False, tolerance=tol,
-            witness=(i + 1, j + 1, k + 1), slack=float(value),
-            note="product equality although j does not separate i from k"
-            if equal
-            else "j separates i from k but products differ",
-        )
-    return PropertyReport(
-        "transitional", holds=True, tolerance=tol, slack=float(worst),
-        indeterminate=boundary_cases,
-    )
+            for i, (found, near) in zip(scan, _separation_scan(_take(rel, scan), xs, comp, tol)):
+                mismatch[ms.start + i] = found
+                boundary_cases[ms.start + i] = boundary_cases[ms.start + i] or near
+        if xs.stop < n:
+            continue
+        for i, m in enumerate(block):
+            if worst[m] > tol:
+                # the excess is relative: its operands are 1 and 1 + worst
+                floor = _rounding_floor(n, 1.0 + worst[m])
+                witness[m] = _band_witness(
+                    n, tops[m], floor, rel[i], lambda xs, m=m: _relative_excess(s[m], xs)
+                )[1]
+    reports = []
+    for m in range(count):
+        if witness[m] is not None:
+            i, j, k = witness[m]
+            reports.append(PropertyReport(
+                "transitional", holds=False, tolerance=tol,
+                witness=(i + 1, j + 1, k + 1), slack=float(worst[m]),
+                indeterminate=worst[m] <= 2.0 * tol,
+                note="relative excess of s(i,j)s(j,k) over s(i,k)s(j,j)",
+            ))
+        elif mismatch[m] is not None:
+            (i, j, k), value, equal = mismatch[m]
+            reports.append(PropertyReport(
+                "transitional", holds=False, tolerance=tol,
+                witness=(i + 1, j + 1, k + 1), slack=float(value),
+                note="product equality although j does not separate i from k"
+                if equal
+                else "j separates i from k but products differ",
+            ))
+        else:
+            reports.append(PropertyReport(
+                "transitional", holds=True, tolerance=tol, slack=float(worst[m]),
+                indeterminate=boundary_cases[m],
+            ))
+    return reports
 
 
+@_per_matrix
 def check_cutpoint_additive(
     d: np.ndarray, g: WeightedGraph, tol: float = DEFAULT_TOL
 ) -> PropertyReport:
     """d(i,j) + d(j,k) = d(i,k) exactly when j separates i from k, both
-    directions checked on every ordered triple."""
+    directions checked on every ordered triple. Of a stack or sequence of
+    matrices on g, a tuple of reports, one per matrix."""
     _check_tol(tol)
-    a = np.asarray(d, dtype=float)
-    _require_finite(a, "check_cutpoint_additive")
-    _require_order(a, g, "check_cutpoint_additive")
+    _require_finite(d, "check_cutpoint_additive")
+    _require_order(d, g, "check_cutpoint_additive")
     comp = separation_labels(g)
-    boundary_cases = False
-    for xs in _blocks(g.n):
+    count = len(d)
+    mismatch, boundary_cases = [None] * count, [False] * count
+    for ms, xs in _stack_blocks(count, g.n):
+        if mismatch[ms.start] is not None:  # a later block of a decided matrix
+            continue
+        a = d[ms]
         # gap[i, j, k] = d(i,j) + d(j,k) - d(i,k), left to right
-        gap = (a[xs, :, None] + a) - a[xs, None, :]
-        mismatch, near = _separation_scan(gap, xs, comp, tol)
-        if mismatch is not None:
-            (i, j, k), value, additive = mismatch
-            return PropertyReport(
-                "cutpoint_additive", holds=False, tolerance=tol,
-                witness=(i + 1, j + 1, k + 1), slack=float(value),
-                note="additive although j does not separate i from k"
-                if additive
-                else "j separates i from k but d(i,j)+d(j,k) != d(i,k)",
-            )
-        boundary_cases = boundary_cases or near
-    return PropertyReport(
-        "cutpoint_additive", holds=True, tolerance=tol, indeterminate=boundary_cases
-    )
+        gap = (a[:, xs, :, None] + a[:, None]) - a[:, xs, None, :]
+        for m, (found, near) in zip(range(ms.start, ms.stop), _separation_scan(gap, xs, comp, tol)):
+            mismatch[m] = found
+            boundary_cases[m] = boundary_cases[m] or near
+    reports = []
+    for found, near in zip(mismatch, boundary_cases):
+        if found is None:
+            reports.append(PropertyReport(
+                "cutpoint_additive", holds=True, tolerance=tol, indeterminate=near
+            ))
+            continue
+        (i, j, k), value, additive = found
+        reports.append(PropertyReport(
+            "cutpoint_additive", holds=False, tolerance=tol,
+            witness=(i + 1, j + 1, k + 1), slack=float(value),
+            note="additive although j does not separate i from k"
+            if additive
+            else "j separates i from k but d(i,j)+d(j,k) != d(i,k)",
+        ))
+    return reports
 
 
+@_per_matrix
 def check_distance_order(d: np.ndarray) -> PropertyReport:
-    """For the 4-vertex path: d(1,2) < d(1,3) < d(1,4)."""
-    a = np.asarray(d, dtype=float)
-    if a.shape != (4, 4):
+    """For the 4-vertex path: d(1,2) < d(1,3) < d(1,4). Of a stack or
+    sequence of matrices, a tuple of reports, one per matrix."""
+    if d.shape[1:] != (4, 4):
         raise ValueError("check_distance_order expects a 4x4 distance matrix")
+    return [_distance_order(d[i]) for i in range(len(d))]
+
+
+def _distance_order(a: np.ndarray) -> PropertyReport:
     for y in (1, 2):  # 0-based: d(1,2) < d(1,3), then d(1,3) < d(1,4)
         if not a[0, y] < a[0, y + 1]:
             return PropertyReport(
@@ -609,13 +842,15 @@ def check_distance_order(d: np.ndarray) -> PropertyReport:
     return PropertyReport("distance_order", holds=True, tolerance=0.0)
 
 
+@_per_matrix
 def check_sqrt_distance(d: np.ndarray, tol: float = DEFAULT_TOL) -> PropertyReport:
     """Necessary-condition filter for proximities: d must be entrywise
     nonnegative and its entrywise square root must satisfy the triangle
-    inequality. Coinciding points are allowed (an all-zero d passes)."""
+    inequality. Coinciding points are allowed (an all-zero d passes). Of
+    a stack or sequence of matrices, a tuple of reports, one per matrix."""
     _check_tol(tol)
-    a = np.asarray(d, dtype=float)
-    _require_finite(a, "check_sqrt_distance")
-    return _negative_entry(
-        a, tol, "sqrt_distance", "negative entry, no square-root distance exists"
-    ) or _metric_axioms(np.sqrt(np.clip(a, 0.0, None)), tol, "sqrt_distance", False)
+    _require_finite(d, "check_sqrt_distance")
+    return _distance_axioms(
+        d, tol, "sqrt_distance", "negative entry, no square-root distance exists",
+        lambda a: np.sqrt(np.clip(a, 0.0, None)), False,
+    )

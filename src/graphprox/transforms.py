@@ -12,7 +12,13 @@ import math
 
 import numpy as np
 
-from .linalg import _max_abs, _require_nonempty, _require_symmetric, _rounding_floor, gram_factor
+from .linalg import (
+    _max_abs_each,
+    _require_nonempty,
+    _require_symmetric,
+    _rounding_floor,
+    gram_factor,
+)
 
 _TINY = float(np.finfo(float).tiny)
 _HUGE = float(np.finfo(float).max)
@@ -28,13 +34,16 @@ __all__ = [
 
 
 def _require_positive(m: np.ndarray, what: str) -> np.ndarray:
+    """m as a float array, a matrix or a stack of them, whose entries must
+    all be positive; the error names the first smallest one."""
     a = np.asarray(m, dtype=float)
     _require_nonempty(a, what)
     if a.min() <= 0:
-        i, j = np.unravel_index(int(np.argmin(a)), a.shape)
+        idx = int(np.argmin(a))
+        *_, i, j = np.unravel_index(idx, a.shape)
         raise ValueError(
             f"{what} requires strictly positive entries; "
-            f"entry ({i + 1},{j + 1}) = {a[i, j]:.6g}"
+            f"entry ({i + 1},{j + 1}) = {a.flat[idx]:.6g}"
         )
     return a
 
@@ -52,27 +61,38 @@ def kernel_to_sq_dist(k: np.ndarray) -> np.ndarray:
 
 def pair_to_dist(k: np.ndarray) -> np.ndarray:
     """d_ij = (k_ii + k_jj - k_ij - k_ji)/2, defined for asymmetric
-    matrices too; coincides with kernel_to_sq_dist on symmetric input."""
+    matrices too; coincides with kernel_to_sq_dist on symmetric input.
+    Of a stack (B, n, n), that of each matrix."""
     a = np.asarray(k, dtype=float)
-    dg = np.diag(a)
+    dg = a.diagonal(0, -2, -1)
     # averaging a with its transpose first keeps the output exactly
     # symmetric (subtracting a then a.T rounds asymmetrically)
-    d = 0.5 * (dg[:, None] + dg[None, :]) - 0.5 * (a + a.T)
-    np.fill_diagonal(d, 0.0)
+    d = 0.5 * (dg[..., :, None] + dg[..., None, :]) - 0.5 * (a + a.swapaxes(-1, -2))
+    _zero_diagonal(d)
     return d
+
+
+def _zero_diagonal(d: np.ndarray) -> None:
+    """Set the diagonal of the C-ordered matrix d, or of each matrix of a
+    C-ordered stack d, to 0 in place, through a reshaped view."""
+    n = d.shape[-1]
+    d.reshape(d.shape[:-2] + (n * n,))[..., ::n + 1] = 0.0
 
 
 def _centered_gram(d: np.ndarray, caller: str) -> np.ndarray:
     """-H d H (H = I - J, J = 11^T / n), exactly symmetrized, of a symmetric
     d whose diagonal is zero to its rounding floor 8 n eps max|d|, the
-    floor is_symmetric reads; caller names the function in its errors."""
+    floor is_symmetric reads, or of each matrix of a stack d (B, n, n);
+    caller names the function in its errors."""
     a = _require_symmetric(d, caller)
-    n = a.shape[0]
-    if np.abs(np.diag(a)).max() > _rounding_floor(n, _max_abs(a)):
+    n = a.shape[-1]
+    stack = a if a.ndim == 3 else a[None]
+    self_dist = np.abs(stack.diagonal(0, 1, 2)).max(axis=1).tolist()
+    if any(s > _rounding_floor(n, size) for s, size in zip(self_dist, _max_abs_each(stack))):
         raise ValueError(f"{caller} requires a zero diagonal")
     h = np.eye(n) - np.full((n, n), 1.0 / n)
     b = -h @ a @ h
-    return 0.5 * (b + b.T)
+    return 0.5 * (b + b.swapaxes(-1, -2))
 
 
 def dist_to_sigma_prox(d: np.ndarray, sigma: float) -> np.ndarray:
@@ -98,20 +118,20 @@ def log_distance(s: np.ndarray) -> np.ndarray:
     Where s_ii s_jj, s_ij s_ji or their ratio leaves the normal float
     range, that entry is 0.5 ((ln s_ii + ln s_jj) - (ln s_ij + ln s_ji)),
     which takes the logs before the products; every other entry keeps the
-    products' rounding."""
+    products' rounding. Of a stack (B, n, n), that of each matrix."""
     a = _require_positive(s, "log_distance")
-    dg = np.diag(a)
+    dg = a.diagonal(0, -2, -1)
     with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
-        num = np.outer(dg, dg)
-        den = a * a.T
+        num = dg[..., :, None] * dg[..., None, :]
+        den = a * a.swapaxes(-1, -2)
         ratio = num / den
-    i, j = np.nonzero(~(_normal(num) & _normal(den) & _normal(ratio)))
-    ratio[i, j] = 1.0  # keeps the log below finite; replaced after it
+    *m, i, j = np.nonzero(~(_normal(num) & _normal(den) & _normal(ratio)))
+    ratio[(*m, i, j)] = 1.0  # keeps the log below finite; replaced after it
     d = 0.5 * np.log(ratio)
     if i.size:
-        ln_dg = np.log(dg)
-        d[i, j] = 0.5 * ((ln_dg[i] + ln_dg[j]) - (np.log(a[i, j]) + np.log(a[j, i])))
-    np.fill_diagonal(d, 0.0)
+        ln_dg, ln_ij, ln_ji = np.log(dg), np.log(a[(*m, i, j)]), np.log(a[(*m, j, i)])
+        d[(*m, i, j)] = 0.5 * ((ln_dg[(*m, i)] + ln_dg[(*m, j)]) - (ln_ij + ln_ji))
+    _zero_diagonal(d)
     return d
 
 

@@ -454,6 +454,20 @@ class TestCli:
         assert code == 0
         assert "sym_psd" not in out and "9 check(s): 9 passed, 0 failed" in out
 
+    def test_byte_order_mark_reads_as_the_plain_file(self, tmp_path, capsys):
+        # an editor may write a UTF-8 byte-order mark first; the same path,
+        # so that the reports name the same graph
+        edges = tmp_path / "graph.txt"
+        text = "1 2 2\n2 3 1\n3 4 2\n"
+        outcomes = []
+        for mark in ("", "\ufeff"):
+            edges.write_text(mark + text, encoding="utf-8")
+            code = main(["audit", str(edges), "--measure", "comm:1.0,regL:1.0", "--check", "all"])
+            outcomes.append((code, capsys.readouterr()))
+        assert edges.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert outcomes[1] == outcomes[0]
+        assert outcomes[0][0] == 1 and outcomes[0][1].err == ""
+
     def test_audit_writes_json(self, tmp_path, capsys):
         out_file = tmp_path / "report.json"
         code = main([

@@ -104,6 +104,14 @@ class TestLoadGraph:
         with pytest.raises(GraphValidationError, match=message):
             load_graph(text)
 
+    @pytest.mark.parametrize("weight", ["1e400", "nan"])
+    def test_non_finite_weight_is_named_as_such(self, weight):
+        with pytest.raises(
+            GraphValidationError,
+            match=f"line 1: edge weight must be positive and finite, got {weight}$",
+        ):
+            load_graph(f"1 2 {weight}")
+
     def test_reports_offending_line_number(self):
         with pytest.raises(GraphValidationError, match="line 2"):
             load_graph("1 2 1\n2 3 -5")
