@@ -26,11 +26,12 @@ import numpy as np
 from ._version import __version__
 from .graphs import WeightedGraph
 from .kernels import SYMMETRIC_MEASURES, KernelResult, _proximities, _stack, compute_kernel
-from .linalg import DEFAULT_TOL, _EPS, _max_abs
+from .linalg import DEFAULT_TOL, _EPS, _max_abs, _symmetrized
 from .properties import (
     PropertyReport,
     _asymmetry_report,
     _check_tol,
+    _psd_reports,
     _sigma_proximity,
     check_cutpoint_additive,
     check_distance_order,
@@ -302,11 +303,6 @@ def _renamed(prop: str, reports: tuple[PropertyReport, ...]) -> tuple[PropertyRe
     return tuple([dataclasses.replace(r, property=prop) for r in reports])
 
 
-def _symmetrized(a: np.ndarray) -> np.ndarray:
-    """(K + K^T) / 2 of each matrix K of the stack a."""
-    return 0.5 * (a + a.transpose(0, 2, 1))
-
-
 def _if_symmetric(kres, prop: str, tol: float, check) -> tuple[PropertyReport, ...]:
     """check of the kernel results among kres whose matrix is symmetric,
     in one call, and prop's asymmetry report of every other one."""
@@ -330,12 +326,15 @@ def _if_symmetric(kres, prop: str, tol: float, check) -> tuple[PropertyReport, .
 # report. proximity and sigma read kr.symmetric, which the matrix
 # decides, not the measure: on a regular graph ppr's is. The distances,
 # the logarithmic similarity and the proximity scan are the kernel
-# result's, derived once however many checks read them. The lambdas look
-# up the property checks by their module-level names at call time, so a
-# caller may wrap those names.
+# result's, derived once however many checks read them. A matrix is
+# symmetrized at most once before the eigensolver reads it: sym_psd forms
+# (K + K^T)/2, which is exactly symmetric, and decides it through
+# check_psd's eigenvalue core without testing its symmetry again. The
+# other lambdas look up the property checks by their module-level names
+# at call time, so a caller may wrap those names.
 _CHECKS: dict[str, Callable[[tuple[KernelResult, ...], float], tuple[PropertyReport, ...]]] = {
     "psd": lambda ks, tol: check_psd(_stack(ks), tol),
-    "sym_psd": lambda ks, tol: _renamed("sym_psd", check_psd(_symmetrized(_stack(ks)), tol)),
+    "sym_psd": lambda ks, tol: tuple(_psd_reports("sym_psd", _symmetrized(_stack(ks)), tol)),
     "proximity": lambda ks, tol: _if_symmetric(
         ks, "proximity", tol, lambda sym: _proximities(sym, tol)
     ),

@@ -189,10 +189,9 @@ def load_graph(source: str, name: str = "graph") -> WeightedGraph:
     edges: dict[tuple[int, int], float] = {}
     vertices: set[int] = set()
     for lineno, raw in enumerate(source.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        fields = raw.split()
+        if not fields or fields[0].startswith("#"):
             continue
-        fields = line.split()
         if len(fields) != 3:
             raise GraphFormatError(
                 f"line {lineno}: expected 'i j w', got {len(fields)} field(s)"
@@ -210,7 +209,7 @@ def load_graph(source: str, name: str = "graph") -> WeightedGraph:
             raise GraphValidationError(
                 f"line {lineno}: edge weight must be positive and finite, got {fields[2]}"
             )
-        key = (min(i, j), max(i, j))
+        key = (i, j) if i < j else (j, i)
         if key in edges:
             raise GraphValidationError(f"line {lineno}: duplicate edge {key[0]}-{key[1]}")
         edges[key] = w

@@ -142,10 +142,7 @@ class KernelResult:
     def log_similarity(self) -> np.ndarray:
         """ln of the matrix, geometrically symmetrized first if asymmetric;
         either way every entry must be strictly positive."""
-        k = self.matrix
-        if self.symmetric:
-            return _read_only(np.log(_require_positive(k, "log_similarity")))
-        return _read_only(np.log(symmetrize_geometric(k)))
+        return _read_only(_log_similarity((self,))[0])
 
     @cached_property
     def _proximity(self) -> dict[float, PropertyReport]:
@@ -166,16 +163,34 @@ def _proximities(results, tol: float) -> tuple[PropertyReport, ...]:
     return tuple(r._proximity[tol] for r in results)
 
 
+def _log_similarity(results) -> np.ndarray:
+    """The stack of KernelResult.log_similarity of each of results, taken
+    in one log: of the matrix, or of an asymmetric one's
+    symmetrize_geometric, whose own error reports an entry that is not
+    positive."""
+    positive = np.stack([r.matrix if r.symmetric else symmetrize_geometric(r.matrix)
+                         for r in results])
+    return np.log(_require_positive(positive, "log_similarity"))
+
+
+# What _stack derives over a stack of kernel results at once.
+_DERIVED = {
+    "dist": lambda results: pair_to_dist(np.stack([r.matrix for r in results])),
+    "log_dist": lambda results: log_distance(np.stack([r.matrix for r in results])),
+    "log_similarity": _log_similarity,
+}
+
+
 def _stack(results, attr: str = "matrix") -> np.ndarray:
     """The stack (B, n, n) of what results on one graph derive under attr,
-    in order: a view where B is 1. Their distances not yet derived are
-    derived in one call over the stack of their matrices, and kept."""
+    in order: a view where B is 1. Their distances and logarithmic
+    similarities not yet derived are derived in one call over the stack,
+    and kept."""
     if len(results) == 1:
         return getattr(results[0], attr)[None]
-    todo = [r for r in results if attr in ("dist", "log_dist") and attr not in r.__dict__]
+    todo = [r for r in results if attr in _DERIVED and attr not in r.__dict__]
     if len(todo) > 1:
-        matrices = np.stack([r.matrix for r in todo])
-        derived = pair_to_dist(matrices) if attr == "dist" else log_distance(matrices)
+        derived = _DERIVED[attr](todo)
         for i, r in enumerate(todo):
             r.__dict__[attr] = _read_only(derived[i])  # where the cached property keeps it
     return np.stack([getattr(r, attr) for r in results])

@@ -128,16 +128,23 @@ def is_symmetric(m: np.ndarray) -> bool:
     return gap == 0.0 or gap <= _rounding_floor(a.shape[0], _max_abs(a))
 
 
-def _symmetric_each(a: np.ndarray) -> list[bool]:
-    """is_symmetric of each matrix of the stack a, by the same rule."""
+def _symmetry_gaps(a: np.ndarray) -> list[float | None]:
+    """max|m - m^T| of each matrix m of the stack a that is_symmetric,
+    by the same rule, holds symmetric, and None for every other one; a
+    gap of 0.0 marks an exactly symmetric matrix."""
     gaps = np.abs(a - a.transpose(0, 2, 1)).max(axis=(1, 2), initial=0.0).tolist()
     if not any(gaps):  # max|m| only for a nonzero gap: exact symmetry costs one pass
-        return [True] * len(gaps)
+        return gaps
     n = a.shape[1]
     return [
-        gap == 0.0 or gap <= _rounding_floor(n, size)
+        gap if gap == 0.0 or gap <= _rounding_floor(n, size) else None
         for gap, size in zip(gaps, _max_abs_each(a))
     ]
+
+
+def _symmetrized(a: np.ndarray) -> np.ndarray:
+    """(m + m^T) / 2 of each matrix m of the stack a: exactly symmetric."""
+    return 0.5 * (a + a.transpose(0, 2, 1))
 
 
 def _require_symmetric(m: np.ndarray, what: str) -> np.ndarray:
@@ -146,7 +153,7 @@ def _require_symmetric(m: np.ndarray, what: str) -> np.ndarray:
     a = np.asarray(m, dtype=float)
     if a.ndim == 3 and a.shape[1] == a.shape[2]:
         _require_nonempty(a[0] if len(a) else a, what)
-        symmetric = all(_symmetric_each(a))
+        symmetric = None not in _symmetry_gaps(a)
     else:
         _require_nonempty(a, what)
         symmetric = is_symmetric(a)
@@ -236,12 +243,15 @@ def _lapack(solver, a: np.ndarray):
 
 
 def _min_eigenvalues(a: np.ndarray) -> list[float]:
-    """The smallest eigenvalue of each matrix of the stack a, which is
-    symmetric to its rounding floor: what sym_eigenvalues gives, without
-    testing that symmetry once more."""
+    """The smallest eigenvalue of each matrix of the stack a, which must
+    be exactly symmetric: what sym_eigenvalues gives, without testing or
+    forming that symmetry once more. A matrix is symmetrized once, by
+    whoever finds it symmetric only to its rounding floor (check_psd);
+    the stacks formed symmetric, such as sym_psd's (K + K^T) / 2 and the
+    centered Gram matrices of sq_euclidean, come here as they are."""
     if not np.isfinite(a).all():
         raise ValueError("matrix has non-finite entries")
-    return _lapack(np.linalg.eigvalsh, 0.5 * (a + a.transpose(0, 2, 1)))[:, 0].tolist()
+    return _lapack(np.linalg.eigvalsh, a)[:, 0].tolist()
 
 
 def sym_eigen(m: np.ndarray) -> EigenDecomposition:
@@ -325,8 +335,9 @@ def matrix_exp(m: np.ndarray) -> np.ndarray:
     chunks = (_EXP_CHUNKS @ powers.reshape(4, n * n)).reshape(-1, n, n)
     x4 = x2 @ x2
     total = chunks[-1]
-    for chunk in chunks[-2::-1]:
-        total = chunk + total @ x4
+    # indexed: numpy ends an iteration over an array by raising an IndexError
+    for i in range(len(chunks) - 2, -1, -1):
+        total = chunks[i] + total @ x4
     with np.errstate(over="ignore", invalid="ignore"):
         total *= np.exp(-shift / 2.0**k)
         for _ in range(k):

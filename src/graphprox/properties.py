@@ -43,6 +43,13 @@ floor of the operands of the matrix whose eigenvalues they read; where
 that floor exceeds tol, a negative smallest eigenvalue within twice the
 floor is indeterminate, as rounding cannot resolve its sign. The floor,
 that bound and DEFAULT_TOL live in linalg, whose gram_factor shares them.
+
+The eigensolver reads exactly symmetric matrices, and each matrix is
+symmetrized once at most: check_psd symmetrizes the matrices it finds
+symmetric only to their rounding floor, reading their floor before it
+does, and passes exactly symmetric ones as they are, while the centered
+Gram matrices of sq_euclidean and the audit's sym_psd matrix
+(K + K^T) / 2 are formed exactly symmetric.
 """
 
 from __future__ import annotations
@@ -55,7 +62,8 @@ import numpy as np
 
 from .graphs import WeightedGraph, separation_labels
 from .linalg import DEFAULT_TOL, _eigen_bound, _max_abs, _max_abs_each, _min_eigenvalues
-from .linalg import _require_nonempty, _require_symmetric, _rounding_floor, _symmetric_each
+from .linalg import _require_nonempty, _require_symmetric, _rounding_floor, _symmetrized
+from .linalg import _symmetry_gaps
 from .transforms import _HUGE, _TINY, _centered_gram, _normal, _require_positive
 
 __all__ = [
@@ -390,17 +398,27 @@ def check_psd(k: np.ndarray, tol: float = DEFAULT_TOL) -> PropertyReport:
     of matrices, a tuple of reports, one per matrix."""
     _check_tol(tol)
     _require_nonempty(k[0], "check_psd")
-    symmetric = _symmetric_each(k)
-    rows = [m for m, sym in enumerate(symmetric) if sym]
-    sym = _take(k, rows)
-    reports = iter(_eigen_reports("psd", sym, tol, "smallest eigenvalue", _max_abs_each(sym))
+    gaps = _symmetry_gaps(k)
+    rows = [m for m, gap in enumerate(gaps) if gap is not None]
+    reports = iter(_psd_reports("psd", _take(k, rows), tol, not any(gaps[m] for m in rows))
                    if rows else ())
     return [
-        next(reports) if symmetric[m] else _asymmetry_report(
+        next(reports) if gaps[m] is not None else _asymmetry_report(
             "psd", k[m], tol, "matrix is not symmetric, hence not positive semidefinite"
         )
         for m in range(len(k))
     ]
+
+
+def _psd_reports(prop: str, a: np.ndarray, tol: float, exact: bool = True) -> list[PropertyReport]:
+    """prop, the PSD verdict, of each matrix of the stack a, which is
+    symmetric to its rounding floor, and exactly so where exact. The floor
+    is read from a as given; a stack that is not exact is symmetrized
+    here, once, as the eigensolver needs it exactly symmetric."""
+    scales = _max_abs_each(a)
+    return _eigen_reports(
+        prop, a if exact else _symmetrized(a), tol, "smallest eigenvalue", scales
+    )
 
 
 @_per_matrix

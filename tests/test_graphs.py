@@ -112,6 +112,52 @@ class TestLoadGraph:
         ):
             load_graph(f"1 2 {weight}")
 
+    # Each text with the weight matrix it gives or its exact error, as the
+    # parser gave them when it stripped each line before splitting it.
+    # Python's str.strip and str.split read the same characters as
+    # whitespace, the no-break space U+00A0 among them.
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("   # comment after leading spaces\n1 2 1\n", [[0, 1], [1, 0]]),
+            ("\t# comment after a tab\n1\t2\t1\n2 3\t0.5\n",
+             [[0, 1, 0], [1, 0, 0.5], [0, 0.5, 0]]),
+            ("1 2 1\r\n2 3 2\r\n", [[0, 1, 0], [1, 0, 2], [0, 2, 0]]),
+            ("#1 2 5\n1 2 1\n", [[0, 1], [1, 0]]),
+            ("1 2 1\n   \n\t\n2 3 1\n", [[0, 1, 0], [1, 0, 1], [0, 1, 0]]),
+            ("1\xa02\xa01", [[0, 1], [1, 0]]),
+            ("\xa0# comment after a no-break space\n1 2 1", [[0, 1], [1, 0]]),
+            ("1 2 1_0", [[0, 10], [10, 0]]),
+            ("2 1 3\n3 2 4\n", [[0, 3, 0], [3, 0, 4], [0, 4, 0]]),
+            ("1 2 1.5\n2 1 1.5\n", (GraphValidationError, "line 2: duplicate edge 1-2")),
+            ("0 3 1", (GraphFormatError, "line 1: vertex indices are 1-based")),
+            ("3 0 1", (GraphFormatError, "line 1: vertex indices are 1-based")),
+            ("2 2 1", (GraphValidationError, "line 1: self-loop at vertex 2")),
+            *[
+                (f"1 2 {w}", (
+                    GraphValidationError,
+                    f"line 1: edge weight must be positive and finite, got {w}",
+                ))
+                for w in ("nan", "-0.0", "inf", "1e400")
+            ],
+            ("1 2 1 4", (GraphFormatError, "line 1: expected 'i j w', got 4 field(s)")),
+            ("1 2 1 # trailing comment",
+             (GraphFormatError, "line 1: expected 'i j w', got 6 field(s)")),
+            ("1.0 2 1",
+             (GraphFormatError, "line 1: invalid literal for int() with base 10: '1.0'")),
+            ("1 2 0x1", (GraphFormatError, "line 1: could not convert string to float: '0x1'")),
+        ],
+    )
+    def test_parse_outcome_table(self, text, expected):
+        if isinstance(expected, tuple):
+            error, message = expected
+            with pytest.raises(Exception) as got:
+                load_graph(text)
+            assert type(got.value) is error
+            assert str(got.value) == message
+        else:
+            npt.assert_array_equal(load_graph(text).weights, expected)
+
     def test_reports_offending_line_number(self):
         with pytest.raises(GraphValidationError, match="line 2"):
             load_graph("1 2 1\n2 3 -5")
