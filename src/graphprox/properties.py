@@ -16,18 +16,22 @@ Loops over the matrices index the stack rather than iterate it: numpy
 ends an iteration by raising and formatting an IndexError, which costs
 more than a small check does.
 
-The triple checks scan blocks of (matrix, first index) pairs, each one
-(k, b, n, n) numpy array of at most 2^15 entries (256 KB of float64). A
-block holds as many whole matrices as fit, which they do for n <= 32;
-larger n takes each matrix in consecutive blocks of first indices, O(n^3)
-work in bounded memory. Each term is formed with the operands and
-operation order of the defining inequality, so a report equals the one a
-scalar loop over all triples would give. The transitional check forms
-each block of relative excesses once and feeds it to both its
-worst-excess scan and its cut-vertex scan. It forms the mask of products
-that are not normal floats only on a block whose extreme products,
-bounded by the extremes of its rows and of its matrices, leave the
-normal range, and then matrix by matrix.
+The triple checks (proximity, the metric and square-root triangles,
+transitional and cutpoint_additive) share one walker, _walk_triples. It
+forms a check's values over blocks of (matrix, first index) pairs, each
+one (k, b, n, n) numpy array of at most 2^15 entries (256 KB of
+float64). A block holds as many whole matrices as fit, which they do for
+n <= 32; larger n takes each matrix in consecutive blocks of first
+indices, O(n^3) work in bounded memory. Each term is formed with the
+operands and operation order of the defining inequality, so a report
+equals the one a scalar loop over all triples would give. The walker
+runs the cut-vertex test on the blocks it forms, so transitional forms
+each block of relative excesses once for both its largest excess and its
+cut-vertex test, and skips that test for a matrix once an excess beyond
+tol is known. Transitional forms the mask of products that are not
+normal floats only on a block whose extreme products, bounded by the
+extremes of its rows and of its matrices, leave the normal range, and
+then matrix by matrix.
 
 Candidates that tie in exact arithmetic can differ in their last bits,
 and which one rounding favours depends on operation order and on the
@@ -35,14 +39,15 @@ BLAS kernel. So the slack is the extreme of the inequality, and the
 witness is the first candidate in C order, (x, y, z) or (x, y), whose
 value lies within the rounding floor of that extreme (_rounding_floor:
 8 n eps times the size of the inequality's operands), the metric axioms'
-negative-entry, asymmetric and self-distance witnesses too. The triple
-scans keep each block's extreme and search only the first block of a
-matrix that reaches the band, so the witness does not depend on the
-block size. The eigenvalue checks decide against max(tol, floor), the
-floor of the operands of the matrix whose eigenvalues they read; where
-that floor exceeds tol, a negative smallest eigenvalue within twice the
-floor is indeterminate, as rounding cannot resolve its sign. The floor,
-that bound and DEFAULT_TOL live in linalg, whose gram_factor shares them.
+negative-entry, asymmetric and self-distance witnesses too. The walker
+keeps each block's extreme and searches only the first block of a matrix
+that reaches the band, so the witness does not depend on the block size;
+it searches only where the report reads the witness. The eigenvalue
+checks decide against max(tol, floor), the floor of the operands of the
+matrix whose eigenvalues they read; where that floor exceeds tol, a
+negative smallest eigenvalue within twice the floor is indeterminate, as
+rounding cannot resolve its sign. The floor, that bound and DEFAULT_TOL
+live in linalg, whose gram_factor shares them.
 
 The eigensolver reads exactly symmetric matrices, and each matrix is
 symmetrized once at most: check_psd symmetrizes the matrices it finds
@@ -274,49 +279,56 @@ def _top(v: np.ndarray) -> float:
     return -np.inf if top != top else top
 
 
-def _worst_triples(
-    a: np.ndarray, form, floors: list[float]
-) -> list[tuple[float, tuple[int, int, int] | None]]:
-    """For each matrix m of the stack a, the largest value form gives over
-    its distinct triples, and the first (x, y, z) in C order whose value
-    lies within floors[m] of it; (-inf, None) when n < 3. form(a[ms], xs)
-    is the (k, b, n, n) block of the matrices ms and first indices xs."""
+def _walk_triples(a: np.ndarray, form, floor=None, g: WeightedGraph | None = None, tol=0.0):
+    """Walk every triple of each matrix of the stack a, one block of
+    _stack_blocks at a time; form(a[ms], xs) is the (k, b, n, n) block of
+    values of the matrices ms and first indices xs. Returns, per matrix,
+    (top, witness, mismatch, near).
+
+    Given floor, top is the largest value, NaN aside (-inf if there is
+    none), and witness the first (x, y, z) in C order whose value lies
+    within floor(m, top) of it, or None where that gives None. Only the
+    first block of the matrix whose top reaches the band is searched,
+    formed again unless it is the last, so the witness does not depend on
+    the block size; a NaN value is never in the band. Given the graph g,
+    mismatch and near are those of _separation_scan at tol, over the
+    blocks of a matrix until it has a mismatch or a top beyond tol. A
+    matrix with a mismatch and no floor is formed no further.
+    """
     count, n = a.shape[:2]
-    if n < 3:
-        return [(-np.inf, None)] * count
-
-    def filled(ms, xs):
-        return _fill_repeats(form(a[ms], xs), xs, -np.inf)
-
-    found, tops = [None] * count, [[] for _ in range(count)]
+    tops, witness = [-math.inf] * count, [None] * count
+    mismatch, near = [None] * count, [False] * count
+    seen = [[] for _ in range(count)]  # (top, xs) of each block of each matrix
+    comp = None
     for ms, xs in _stack_blocks(count, n):
-        v = filled(ms, xs)
-        if xs.stop - xs.start == n:  # whole matrices, one block each
-            for i, (top, idx) in enumerate(_first_max_each(v, floors[ms])):
-                found[ms.start + i] = top, _triple(xs, idx, n)
+        if floor is None and mismatch[ms.start] is not None:  # a later block of a decided matrix
             continue
-        m = ms.start
-        tops[m].append(_top(v[0]))
-        if xs.stop == n:
-            found[m] = _band_witness(
-                n, tops[m], floors[m], v[0], lambda xs: filled(slice(m, m + 1), xs)[0]
-            )
-    return found
-
-
-def _band_witness(n: int, tops: list[float], floor: float, last: np.ndarray, form):
-    """The largest of one matrix's block maxima tops (one per _blocks(n)
-    slice, in order) and the first (x, y, z) in C order whose entry lies
-    within floor of it. Only the first block whose maximum reaches that
-    band is searched: last, the final block, or else the block form(xs)
-    forms again; so the witness does not depend on the block size. A NaN
-    entry is never within the band."""
-    worst = max(tops)
-    cut = _band(worst, floor)
-    for i, (xs, top) in enumerate(zip(_blocks(n), tops)):
-        if top >= cut:
-            v = last if i == len(tops) - 1 else form(xs)
-            return worst, _triple(xs, int((v >= cut).argmax()), n)
+        block = range(ms.start, ms.stop)
+        v = form(a[ms], xs)
+        if floor is not None:
+            for m, top in zip(block, np.fmax.reduce(v.reshape(len(v), -1), axis=1).tolist()):
+                top = -math.inf if top != top else top
+                seen[m].append((top, xs))
+                tops[m] = max(tops[m], top)
+        scan = [] if g is None else [
+            i for i, m in enumerate(block) if mismatch[m] is None and tops[m] <= tol
+        ]
+        if scan:
+            if comp is None:
+                comp = separation_labels(g)
+            for i, (found, close) in zip(scan, _separation_scan(_take(v, scan), xs, comp, tol)):
+                mismatch[ms.start + i] = found
+                near[ms.start + i] = near[ms.start + i] or close
+        if floor is None or xs.stop < n:
+            continue
+        for i, m in enumerate(block):
+            width = floor(m, tops[m])
+            if width is not None:
+                cut = _band(tops[m], width)
+                first = next(s for top, s in seen[m] if top >= cut)
+                w = v[i] if first == xs else form(a[m:m + 1], first)[0]
+                witness[m] = _triple(first, int((w >= cut).argmax()), n)
+    return list(zip(tops, witness, mismatch, near))
 
 
 def _first_max(v: np.ndarray, floor: float) -> tuple[float, int]:
@@ -434,12 +446,15 @@ def check_proximity(k: np.ndarray, tol: float = DEFAULT_TOL) -> PropertyReport:
     diag = k.diagonal(0, 1, 2)
     floors = _floors(k)
     # v[x, y, z] = k(x,y) + k(x,z) - k(y,z) - k(x,x), left to right
-    weak = _worst_triples(k, lambda a, xs: (
+    weak = _walk_triples(k, lambda a, xs: _fill_repeats(
         ((a[:, xs, :, None] + a[:, xs, None, :]) - a[:, None])
-        - a.diagonal(0, 1, 2)[:, xs, None, None]
-    ), floors)
+        - a.diagonal(0, 1, 2)[:, xs, None, None], xs, -np.inf
+    ), lambda m, top: floors[m])
     strict = _off_diagonal_minima((diag[:, :, None] + diag[:, None, :]) - 2.0 * k, floors)
-    return [_proximity_report(n, tol, *w, *s) for w, s in zip(weak, strict)]
+    return [
+        _proximity_report(n, tol, top, witness, *s)
+        for (top, witness, _, _), s in zip(weak, strict)
+    ]
 
 
 def _proximity_report(
@@ -469,7 +484,7 @@ def _proximity_report(
         )
     return PropertyReport(
         "proximity", holds=True, tolerance=tol,
-        slack=None if weak_witness is None else float(worst_weak),
+        slack=None if n < 3 else float(worst_weak),
         indeterminate=indeterminate,
     )
 
@@ -609,13 +624,11 @@ def _metric_axioms(
     if not rest:
         return reports
     # v[x, y, z] = d(x,z) - d(x,y) - d(y,z), left to right
-    triples = _worst_triples(
-        _take(d, rest),
-        lambda a, xs: (a[:, xs, None, :] - a[:, xs, :, None]) - a[:, None],
-        [floors[m] for m in rest],
-    )
-    for m, (worst, witness) in zip(rest, triples):
-        if witness is None:  # n < 3: nothing to check
+    triples = _walk_triples(_take(d, rest), lambda a, xs: _fill_repeats(
+        (a[:, xs, None, :] - a[:, xs, :, None]) - a[:, None], xs, -np.inf
+    ), lambda i, top: floors[rest[i]])
+    for m, (worst, witness, _, _) in zip(rest, triples):
+        if n < 3:  # no distinct triples: nothing to check
             reports[m] = PropertyReport(prop, holds=True, tolerance=tol)
             continue
         x, y, z = witness
@@ -745,46 +758,25 @@ def check_transitional(
     _require_finite(s, "check_transitional")
     _require_order(s, g, "check_transitional")
     _require_positive(s, "check_transitional")
-    count, n = s.shape[:2]
-    tops, worst = [[] for _ in range(count)], [-math.inf] * count
-    mismatch, boundary_cases, witness = [None] * count, [False] * count, [None] * count
-    comp = None
-    for ms, xs in _stack_blocks(count, n):
-        rel = _relative_excess(s[ms], xs)
-        block = range(ms.start, ms.stop)
-        for i, m in enumerate(block):
-            top = _top(rel[i])
-            tops[m].append(top)
-            worst[m] = max(worst[m], top)
-        # the cut-vertex test decides only when no excess beyond tol exists
-        scan = [i for i, m in enumerate(block) if worst[m] <= tol and mismatch[m] is None]
-        if scan:
-            if comp is None:
-                comp = separation_labels(g)
-            for i, (found, near) in zip(scan, _separation_scan(_take(rel, scan), xs, comp, tol)):
-                mismatch[ms.start + i] = found
-                boundary_cases[ms.start + i] = boundary_cases[ms.start + i] or near
-        if xs.stop < n:
-            continue
-        for i, m in enumerate(block):
-            if worst[m] > tol:
-                # the excess is relative: its operands are 1 and 1 + worst
-                floor = _rounding_floor(n, 1.0 + worst[m])
-                witness[m] = _band_witness(
-                    n, tops[m], floor, rel[i], lambda xs, m=m: _relative_excess(s[m], xs)
-                )[1]
+    n = s.shape[1]
+    # a witness only for an excess beyond tol, whose operands, the excess
+    # being relative, are 1 and 1 + top
+    found = _walk_triples(
+        s, _relative_excess,
+        lambda m, top: _rounding_floor(n, 1.0 + top) if top > tol else None, g, tol,
+    )
     reports = []
-    for m in range(count):
-        if witness[m] is not None:
-            i, j, k = witness[m]
+    for worst, witness, mismatch, near in found:
+        if witness is not None:
+            i, j, k = witness
             reports.append(PropertyReport(
                 "transitional", holds=False, tolerance=tol,
-                witness=(i + 1, j + 1, k + 1), slack=float(worst[m]),
-                indeterminate=worst[m] <= 2.0 * tol,
+                witness=(i + 1, j + 1, k + 1), slack=float(worst),
+                indeterminate=worst <= 2.0 * tol,
                 note="relative excess of s(i,j)s(j,k) over s(i,k)s(j,j)",
             ))
-        elif mismatch[m] is not None:
-            (i, j, k), value, equal = mismatch[m]
+        elif mismatch is not None:
+            (i, j, k), value, equal = mismatch
             reports.append(PropertyReport(
                 "transitional", holds=False, tolerance=tol,
                 witness=(i + 1, j + 1, k + 1), slack=float(value),
@@ -794,8 +786,8 @@ def check_transitional(
             ))
         else:
             reports.append(PropertyReport(
-                "transitional", holds=True, tolerance=tol, slack=float(worst[m]),
-                indeterminate=boundary_cases[m],
+                "transitional", holds=True, tolerance=tol, slack=float(worst),
+                indeterminate=near,
             ))
     return reports
 
@@ -810,20 +802,12 @@ def check_cutpoint_additive(
     _check_tol(tol)
     _require_finite(d, "check_cutpoint_additive")
     _require_order(d, g, "check_cutpoint_additive")
-    comp = separation_labels(g)
-    count = len(d)
-    mismatch, boundary_cases = [None] * count, [False] * count
-    for ms, xs in _stack_blocks(count, g.n):
-        if mismatch[ms.start] is not None:  # a later block of a decided matrix
-            continue
-        a = d[ms]
-        # gap[i, j, k] = d(i,j) + d(j,k) - d(i,k), left to right
-        gap = (a[:, xs, :, None] + a[:, None]) - a[:, xs, None, :]
-        for m, (found, near) in zip(range(ms.start, ms.stop), _separation_scan(gap, xs, comp, tol)):
-            mismatch[m] = found
-            boundary_cases[m] = boundary_cases[m] or near
+    # gap[i, j, k] = d(i,j) + d(j,k) - d(i,k), left to right
+    gaps = _walk_triples(
+        d, lambda a, xs: (a[:, xs, :, None] + a[:, None]) - a[:, xs, None, :], g=g, tol=tol
+    )
     reports = []
-    for found, near in zip(mismatch, boundary_cases):
+    for _, _, found, near in gaps:
         if found is None:
             reports.append(PropertyReport(
                 "cutpoint_additive", holds=True, tolerance=tol, indeterminate=near

@@ -116,8 +116,9 @@ def test_order_checks_on_path4(path4, tol):
 
 
 # one and three first vertices per block: each matrix is cut into
-# blocks of its own, as it is for n > 32
-@pytest.mark.parametrize("per_block", [1, 3])
+# blocks of its own, as it is for n > 32; seven and fourteen: one and two
+# whole matrices per block, so a stack spans several blocks
+@pytest.mark.parametrize("per_block", [1, 3, 7, 14])
 def test_matrices_cut_into_blocks(monkeypatch, per_block):
     n = 7
     monkeypatch.setattr(properties, "_BLOCK_ENTRIES", per_block * n * n)

@@ -195,6 +195,15 @@ def test_small_matrices_match_reference(n):
     assert check_egocentrism(a) == reference_egocentrism(a)
     assert check_metric(d) == reference_metric(d)
     assert check_sqrt_distance(d) == reference_sqrt_distance(d)
+    if n == 2:
+        # no distinct triples, but transitional also reads (i, j, i)
+        g = WeightedGraph(np.ones((2, 2)) - np.eye(2), name="edge")
+        wide = np.array([[1.0, 2.0], [2.0, 1.0]])
+        for s in (a, wide):
+            ld = log_distance(s)
+            assert check_transitional(s, g) == reference_transitional(s, g)
+            assert check_cutpoint_additive(ld, g) == reference_cutpoint_additive(ld, g)
+        assert check_transitional(wide, g).witness == (1, 2, 1)
 
 
 def assert_labels_match_cuts(g: WeightedGraph) -> None:

@@ -5,11 +5,13 @@ logarithmic similarity once, and scans its matrix for the proximity
 triangle once, for `proximity` and `sigma` together, whether an audit
 or repeated run_check calls read them; an audit's reports still equal
 those of one run_check per check on a fresh kernel result. A threshold
-evaluation builds one kernel result. A graph computes its spectral
-radius once, however many commands read it. The eigenvalue checks and
-the spectral radius compute no eigenvectors; an embedding computes them
-once. A process builds its parser once, and the help text still wraps to
-the terminal.
+evaluation builds one kernel result. The transitional check forms each
+block of relative excesses once, and forms one again only to locate the
+witness of a failing matrix. A graph computes its spectral radius once,
+however many commands read it. The eigenvalue checks and the spectral
+radius compute no eigenvectors; an embedding computes them once. A
+process builds its parser once, and the help text still wraps to the
+terminal.
 """
 
 import textwrap
@@ -25,6 +27,7 @@ from graphprox import (
     WeightedGraph,
     builtin_graph,
     check_sigma_proximity,
+    check_transitional,
     cli,
     compute_kernel,
     export_embedding,
@@ -32,6 +35,7 @@ from graphprox import (
     graphs,
     kernels,
     param_domain,
+    properties,
     run_audit,
     run_check,
 )
@@ -125,6 +129,22 @@ def test_symmetric_kernel_derives_and_scans_once(monkeypatch, capsys):
     capsys.readouterr()
     assert code in (0, 1)
     assert calls == {"check_proximity": 1, "pair_to_dist": 1, "log_distance": 1}
+
+
+@pytest.mark.parametrize("per_block, blocks", [(1, 7), (3, 3)])
+def test_transitional_forms_each_block_once(monkeypatch, per_block, blocks):
+    # a passing scan locates no witness, so it forms no block again; a
+    # failing one forms again the first block that reaches the band, here
+    # one before the last
+    n = 7
+    g = random_connected_graph(np.random.default_rng(1), n, name="g")
+    monkeypatch.setattr(properties, "_BLOCK_ENTRIES", per_block * n * n)
+    calls = count_calls(monkeypatch, properties, ("_relative_excess",))
+    for measure, fails in (("regL", False), ("comm", True), ("heat", True)):
+        s = compute_kernel(g, measure, 1.0).matrix
+        calls.clear()
+        assert check_transitional(s, g).holds is not fails
+        assert calls == {"_relative_excess": blocks + fails}
 
 
 def test_run_check_calls_share_the_kernel_results_distance(monkeypatch, path4):
