@@ -26,7 +26,7 @@ import numpy as np
 from ._version import __version__
 from .graphs import WeightedGraph
 from .kernels import SYMMETRIC_MEASURES, KernelResult, _proximities, _stack, compute_kernel
-from .linalg import DEFAULT_TOL, _EPS, _max_abs, _symmetrized
+from .linalg import DEFAULT_TOL, _EPS, _max_abs_each, _symmetrized
 from .properties import (
     PropertyReport,
     _asymmetry_report,
@@ -307,8 +307,6 @@ def _if_symmetric(kres, prop: str, tol: float, check) -> tuple[PropertyReport, .
     """check of the kernel results among kres whose matrix is symmetric,
     in one call, and prop's asymmetry report of every other one."""
     symmetric = [kr for kr in kres if kr.symmetric]
-    if len(symmetric) == len(kres):
-        return tuple(check(kres))
     reports = iter(check(symmetric) if symmetric else ())
     return tuple(
         next(reports) if kr.symmetric else _asymmetry_report(prop, kr.matrix, tol) for kr in kres
@@ -345,7 +343,7 @@ _CHECKS: dict[str, Callable[[tuple[KernelResult, ...], float], tuple[PropertyRep
     "egocentrism": lambda ks, tol: check_egocentrism(_stack(ks), tol),
     "metric": lambda ks, tol: check_metric(_stack(ks, "dist"), tol),
     "sq_euclidean": lambda ks, tol: check_sq_euclidean(
-        _stack(ks, "dist"), tol, [_max_abs(kr.matrix) for kr in ks]
+        _stack(ks, "dist"), tol, _max_abs_each(_stack(ks))
     ),
     "sqrt_distance": lambda ks, tol: check_sqrt_distance(_stack(ks, "dist"), tol),
     "distance_order": lambda ks, tol: check_distance_order(_stack(ks, "dist")),
@@ -469,9 +467,6 @@ def _audit(g, measures, checks, tol, rates) -> list[MeasureAudit]:
                 rows.append(i)
     reports: list[dict[str, PropertyReport]] = [{} for _ in kernels]
     for check, rows in requests.items():
-        if len(rows) == 1:
-            reports[rows[0]][check] = run_check(check, kernels[rows[0]], tol)
-            continue
         for i, report in zip(rows, run_check(check, [kernels[i] for i in rows], tol)):
             reports[i][check] = report
     return [

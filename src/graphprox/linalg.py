@@ -117,21 +117,18 @@ def _require_nonempty(a: np.ndarray, caller: str) -> None:
 
 def is_symmetric(m: np.ndarray) -> bool:
     """Whether m is square and max|m - m^T| is at most its rounding floor
-    8 n eps max|m| (_rounding_floor): a gap that rounding alone can leave,
-    as on a regular graph, where P = W / deg is asymmetric in its last
-    bits. A non-finite entry makes m asymmetric."""
+    8 n eps max|m|, as _symmetry_gaps decides: a gap that rounding alone
+    can leave, as on a regular graph, where P = W / deg is asymmetric in
+    its last bits. A non-finite entry makes m asymmetric."""
     a = np.asarray(m, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        return False
-    gap = float(np.abs(a - a.T).max(initial=0.0))
-    # max|m| only for a nonzero gap: exact symmetry costs one pass
-    return gap == 0.0 or gap <= _rounding_floor(a.shape[0], _max_abs(a))
+    return a.ndim == 2 and a.shape[0] == a.shape[1] and _symmetry_gaps(a[None])[0] is not None
 
 
 def _symmetry_gaps(a: np.ndarray) -> list[float | None]:
-    """max|m - m^T| of each matrix m of the stack a that is_symmetric,
-    by the same rule, holds symmetric, and None for every other one; a
-    gap of 0.0 marks an exactly symmetric matrix."""
+    """max|m - m^T| of each matrix m of the stack a that is symmetric, and
+    None for every other one: m is symmetric where the gap is 0.0, which
+    marks an exactly symmetric matrix, or at most its rounding floor
+    (_rounding_floor(n, max|m|))."""
     gaps = np.abs(a - a.transpose(0, 2, 1)).max(axis=(1, 2), initial=0.0).tolist()
     if not any(gaps):  # max|m| only for a nonzero gap: exact symmetry costs one pass
         return gaps
@@ -149,26 +146,20 @@ def _symmetrized(a: np.ndarray) -> np.ndarray:
 
 def _require_symmetric(m: np.ndarray, what: str) -> np.ndarray:
     """m as a float array, which must be a nonempty symmetric matrix or a
-    stack of them."""
+    stack (B, n, n) of them, each tested by _symmetry_gaps; one matrix is
+    tested as a stack of one, and an empty stack is rejected as empty."""
     a = np.asarray(m, dtype=float)
-    if a.ndim == 3 and a.shape[1] == a.shape[2]:
-        _require_nonempty(a[0] if len(a) else a, what)
-        symmetric = None not in _symmetry_gaps(a)
-    else:
-        _require_nonempty(a, what)
-        symmetric = is_symmetric(a)
-    if not symmetric:
+    square = a.ndim in (2, 3) and a.shape[-2] == a.shape[-1]
+    stack = a.reshape((math.prod(a.shape[:-2]), *a.shape[-2:])) if square else None
+    _require_nonempty(a if stack is None or not len(stack) else stack[0], what)
+    if stack is None or None in _symmetry_gaps(stack):
         raise ValueError(f"{what} requires a symmetric matrix")
     return a
 
 
-def _max_abs(a: np.ndarray) -> float:
-    return float(np.abs(a).max(initial=0.0))
-
-
 def _max_abs_each(a: np.ndarray) -> list[float]:
-    """_max_abs of each matrix of the stack a."""
-    return np.abs(a).max(axis=(1, 2), initial=0.0).tolist()
+    """max|m| of each matrix, or row, m of the stack a (0.0 if m is empty)."""
+    return np.abs(a).max(axis=tuple(range(1, a.ndim)), initial=0.0).tolist()
 
 
 def _rounding_floor(n: int, scale: float) -> float:
@@ -401,7 +392,7 @@ def gram_factor(k: np.ndarray) -> np.ndarray:
     a = np.asarray(k, dtype=float)
     _require_nonempty(a, "gram_factor")
     min_eig = float(sym_eigenvalues(a)[0])
-    if min_eig < -_eigen_bound(a.shape[0], _max_abs(a), DEFAULT_TOL):
+    if min_eig < -_eigen_bound(a.shape[0], _max_abs_each(a[None])[0], DEFAULT_TOL):
         raise NotPositiveSemidefiniteError(min_eig)
     vals, vecs = sym_eigen(a)
     root = np.sqrt(np.clip(vals, 0.0, None))

@@ -31,7 +31,8 @@ cut-vertex test, and skips that test for a matrix once an excess beyond
 tol is known. Transitional forms the mask of products that are not
 normal floats only on a block whose extreme products, bounded by the
 extremes of its rows and of its matrices, leave the normal range, and
-then matrix by matrix.
+then over the whole block at once: a matrix whose products are all
+normal keeps the linear form there, as it does alone.
 
 Candidates that tie in exact arithmetic can differ in their last bits,
 and which one rounding favours depends on operation order and on the
@@ -66,7 +67,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graphs import WeightedGraph, separation_labels
-from .linalg import DEFAULT_TOL, _eigen_bound, _max_abs, _max_abs_each, _min_eigenvalues
+from .linalg import DEFAULT_TOL, _eigen_bound, _max_abs_each, _min_eigenvalues
 from .linalg import _require_nonempty, _require_symmetric, _rounding_floor, _symmetrized
 from .linalg import _symmetry_gaps
 from .transforms import _HUGE, _TINY, _centered_gram, _normal, _require_positive
@@ -183,7 +184,8 @@ def _take(a: np.ndarray, rows: list[int]) -> np.ndarray:
 
 
 def _floors(a: np.ndarray) -> list[float]:
-    """The rounding floor of each matrix of the stack a, from its entries."""
+    """The rounding floor of each matrix, or row, of the stack a, from its
+    entries."""
     n = a.shape[1]
     return [_rounding_floor(n, size) for size in _max_abs_each(a)]
 
@@ -215,40 +217,19 @@ def _stack_blocks(count: int, n: int):
 def _fill_repeats(v: np.ndarray, xs: slice, value) -> np.ndarray:
     """Write value to each entry of block v (first indices xs, and any
     leading matrix axes) whose x, y, z are not all distinct, and return
-    v: through the masks of _repeats where the block holds whole
-    matrices, else through basic-slice views. Both need C order, so any
-    other v is copied to it first."""
+    v. In C order, entry (x, y, z) of matrix m lies
+    ((m b + x - s) n + y) n + z items into the block, s = xs.start, so
+    each of v[x, x, :], v[x, :, x] and v[:, y, y] is one strided view of
+    it, written at once. Any other v is copied to C order first."""
     v = np.ascontiguousarray(v)
     b, n = v.shape[-3], v.shape[-1]
-    w = v.reshape(-1, b, n, n)  # one leading matrix axis
-    if b == n:
-        repeated, distinct = _repeats(n)
-        if v.dtype == bool and not value:
-            w &= distinct
-        else:
-            for i in range(len(w)):
-                np.putmask(w[i], repeated, value)
-        return v
-    s = xs.start
-    w.reshape(-1, b * n, n)[:, s::n + 1][:, :b] = value  # v[x, x, :]
-    np.einsum("kiji->kij", w[:, :, :, s:s + b])[...] = value  # v[x, :, x]
-    w.reshape(-1, b, n * n)[:, :, ::n + 1] = value  # v[:, y, y]
+    item, s = v.itemsize, xs.start
+    shape = (v.size // (b * n * n), b, n)  # matrix, first index, free index
+    # start, first-index step and free-index step, in items
+    for start, x_step, step in ((s * n, n * n + n, 1), (s, n * n + 1, n), (0, n * n, n + 1)):
+        strides = (b * n * n * item, x_step * item, step * item)
+        np.ndarray(shape, v.dtype, v, start * item, strides).fill(value)
     return v
-
-
-@functools.lru_cache(maxsize=None)
-def _repeats(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only n x n x n masks of the triples (x, y, z) that repeat an
-    index and of those that do not, for blocks of whole matrices, which
-    hold at least as many entries. Clearing a boolean block by the
-    second, or filling a float one through the first, is the cheapest
-    fill at the sizes such blocks have."""
-    x, y, z = np.ogrid[:n, :n, :n]
-    repeated = (x == y) | (x == z) | (y == z)
-    distinct = ~repeated
-    repeated.setflags(write=False)
-    distinct.setflags(write=False)
-    return repeated, distinct
 
 
 @functools.lru_cache(maxsize=None)
@@ -271,12 +252,6 @@ def _band(extreme: float, floor: float) -> float:
     infinite extreme with an infinite floor)."""
     cut = extreme - floor
     return cut if cut <= extreme else extreme
-
-
-def _top(v: np.ndarray) -> float:
-    """Largest entry of v, NaN entries aside; -inf if there is none."""
-    top = float(np.fmax.reduce(v, axis=None))
-    return -np.inf if top != top else top
 
 
 def _walk_triples(a: np.ndarray, form, floor=None, g: WeightedGraph | None = None, tol=0.0):
@@ -335,15 +310,12 @@ def _first_max(v: np.ndarray, floor: float) -> tuple[float, int]:
     """Largest entry of v and the first C-order flat index whose entry
     lies within floor of it. NaN never wins; a result of -inf means
     nothing was found."""
-    val = _top(v)
-    return val, int((v >= _band(val, floor)).argmax())
+    return _first_max_each(v[None], [floor])[0]
 
 
 def _first_max_each(v: np.ndarray, floors: list[float]) -> list[tuple[float, int]]:
-    """_first_max of each v[i], with floor floors[i]: in one pass over the
-    stack where it holds several."""
-    if len(v) == 1:
-        return [_first_max(v[0], floors[0])]
+    """_first_max of each v[i], with floor floors[i], in one pass over the
+    stack."""
     flat = v.reshape(len(v), -1)
     tops = [-np.inf if top != top else top for top in np.fmax.reduce(flat, axis=1).tolist()]
     cuts = np.array([_band(top, floor) for top, floor in zip(tops, floors)])
@@ -520,7 +492,7 @@ def _sigma_proximity(
                 indeterminate=prox.indeterminate, note="not a proximity",
             ))
         elif not normalized:
-            floor = _rounding_floor(n, _max_abs(rows[m]))
+            floor = _floors(rows[m:m + 1])[0]
             hi, lo = _first_max(rows[m], floor)[1], _first_min(rows[m], floor)[1]
             reports.append(PropertyReport(
                 "sigma_proximity", holds=False, tolerance=tol,
@@ -571,7 +543,7 @@ def _distance_axioms(
     reports = []
     for m, neg in enumerate(d.min(axis=(1, 2)).tolist()):
         if neg < -tol:
-            i, j = divmod(_first_min(d[m], _rounding_floor(n, _max_abs(d[m])))[1], n)
+            i, j = divmod(_first_min(d[m], _floors(d[m:m + 1])[0])[1], n)
             reports.append(PropertyReport(
                 prop, holds=False, tolerance=tol, witness=(i + 1, j + 1), slack=neg, note=note
             ))
@@ -666,10 +638,13 @@ def check_sq_euclidean(
     is. The eigenvalue's floor reads the entries of d, or scale if
     larger: the size of the values d was computed from, whose rounding
     it inherits. Of a stack or sequence of matrices, a tuple of reports,
-    one per matrix; scale is then one value for all or one per matrix."""
+    one per matrix; scale is then one value for all or one per matrix.
+    Every scale must be finite and nonnegative."""
     _check_tol(tol)
-    grams = _centered_gram(d, "check_sq_euclidean")
     scales = [scale] * len(d) if np.isscalar(scale) else list(scale)
+    if len(scales) != len(d) or not all(0 <= s < math.inf for s in scales):
+        raise ValueError(f"scale must be finite and nonnegative, one or {len(d)}, got {scale}")
+    grams = _centered_gram(d, "check_sq_euclidean")
     return _eigen_reports(
         "sq_euclidean", grams, tol, "smallest eigenvalue of the centered Gram matrix",
         [max(size, s) for size, s in zip(_max_abs_each(d), scales)],
@@ -693,7 +668,8 @@ def _relative_excess(a: np.ndarray, xs: slice) -> np.ndarray:
     Each product has one factor from rows xs and one from a, and rounding
     is monotone, so when fl(min a[..., xs, :] min a) and
     fl(max a[..., xs, :] max a) are normal every product is, and no mask
-    is formed. Otherwise a stack is taken matrix by matrix."""
+    is formed. Otherwise the mask is formed over the whole block, of one
+    matrix or of a stack."""
     with np.errstate(over="ignore", under="ignore"):
         num = a[..., xs, :, None] * a[..., None, :, :]
         den = a[..., xs, None, :] * a.diagonal(0, -2, -1)[..., None, :, None]
@@ -705,14 +681,13 @@ def _relative_excess(a: np.ndarray, xs: slice) -> np.ndarray:
             lo, hi = low * low, high * high
     if _TINY <= lo and hi <= _HUGE:
         return (num - den) / den
-    if a.ndim == 3:
-        return np.stack([_relative_excess(a[i], xs) for i in range(len(a))])
-    x, j, k = np.nonzero(~(_normal(num) & _normal(den)))
-    num[x, j, k] = den[x, j, k] = 1.0  # keeps the division finite; replaced after it
+    bad = np.nonzero(~(_normal(num) & _normal(den)))  # (*m, x, j, k)
+    num[bad] = den[bad] = 1.0  # keeps the division finite; replaced after it
     rel = (num - den) / den
+    *m, x, j, k = bad
     if x.size:
         ln, i = np.log(a), x + xs.start
-        rel[x, j, k] = np.expm1((ln[i, j] + ln[j, k]) - (ln[i, k] + ln[j, j]))
+        rel[bad] = np.expm1((ln[(*m, i, j)] + ln[(*m, j, k)]) - (ln[(*m, i, k)] + ln[(*m, j, j)]))
     return rel
 
 

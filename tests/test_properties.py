@@ -120,6 +120,25 @@ class TestEigenvalueChecksRoundingFloor:
         assert rep.holds and rep.indeterminate
         assert rep.slack == check_sq_euclidean(d).slack
 
+    @pytest.mark.parametrize("stack,scale", [
+        (3, [1.0]),  # fewer scales than matrices
+        (None, [1.0, 2.0]),  # more
+        (None, np.inf),  # a floor every eigenvalue passes
+        (None, np.nan),
+        (None, -1.0),
+        (2, [1.0, np.nan]),
+    ])
+    def test_sq_euclidean_rejects_a_bad_scale(self, path4, stack, scale):
+        d = pair_to_dist(regularized_laplacian(path4, 1.0).matrix)
+        with pytest.raises(ValueError, match=r"^scale must be finite and nonnegative, one or "):
+            check_sq_euclidean(d if stack is None else np.stack([d] * stack), 1e-9, scale)
+
+    def test_sq_euclidean_takes_one_scale_per_matrix(self, path4):
+        ds = np.stack([pair_to_dist(compute_kernel(path4, m, 0.5).matrix) for m in ("regL", "comm")])
+        got = check_sq_euclidean(ds, 1e-9, [3.9e21, 0.0])
+        assert got == (check_sq_euclidean(ds[0], 1e-9, 3.9e21), check_sq_euclidean(ds[1], 1e-9))
+        assert check_sq_euclidean(ds[0], 1e-9, [3.9e21]) == got[0]
+
 
 class TestCheckProximity:
     def test_communicability_violation_witness(self, path4):
@@ -338,16 +357,40 @@ class TestCheckTransitional:
             got = properties._relative_excess(a, xs)
             assert got.tobytes() == reference_relative_excess(a, xs).tobytes()
 
+    @pytest.mark.parametrize("scaled", [0, 1, 2])
+    @pytest.mark.parametrize("exponent", [-600, 600])
+    def test_stack_with_one_matrix_out_of_range(self, path5, scaled, exponent):
+        # only the scaled matrix's products leave the normal range; the
+        # stack is masked as a whole, and each matrix keeps the bytes it
+        # gets alone
+        n = path5.n
+        a = np.stack([compute_kernel(path5, m, p).matrix
+                      for m, p in [("regL", 1.0), ("ppr", 0.5), ("heat", 1.0)]])
+        a[scaled] = np.ldexp(a[scaled], exponent)
+        for xs in [*properties._blocks(n), slice(1, 3), slice(0, n)]:
+            got = properties._relative_excess(a, xs)
+            assert got.shape == (3, xs.stop - xs.start, n, n)
+            for i in range(3):
+                alone = properties._relative_excess(a[i], xs)
+                assert got[i].tobytes() == alone.tobytes(), (i, xs)
+                assert alone.tobytes() == reference_relative_excess(a[i], xs).tobytes(), (i, xs)
+
 
 def test_fill_repeats_marks_exactly_the_repeated_triples():
+    # blocks of one matrix, (b, n, n), and with a leading matrix axis,
+    # (k, b, n, n), of float and of boolean values
     rng = np.random.default_rng(0)
     for n in [*range(1, 41), 80]:
         x, y, z = np.indices((n, n, n))
         repeated = (x == y) | (x == z) | (y == z)
         for xs in properties._blocks(n):
-            block = rng.random((xs.stop - xs.start, n, n))
-            got = properties._fill_repeats(block.copy(), xs, -np.inf)
-            assert np.array_equal(got, np.where(repeated[xs], -np.inf, block)), (n, xs)
+            for lead in [(), (2,), (3,)]:
+                block = rng.random((*lead, xs.stop - xs.start, n, n))
+                got = properties._fill_repeats(block.copy(), xs, -np.inf)
+                assert np.array_equal(got, np.where(repeated[xs], -np.inf, block)), (n, xs, lead)
+                flags = block < 0.5
+                got = properties._fill_repeats(flags.copy(), xs, False)
+                assert np.array_equal(got, flags & ~repeated[xs]), (n, xs, lead)
 
 
 def test_fortran_order_matrices_get_the_same_reports(path5):

@@ -29,6 +29,7 @@ from hypothesis import strategies as st
 
 import graphprox
 from graphprox import (
+    KernelResult,
     MEASURES,
     SYMMETRIC_MEASURES,
     NotPositiveSemidefiniteError,
@@ -340,3 +341,35 @@ def test_a_kernel_flagged_symmetric_is_exactly_symmetric(seed, n, measure, u, be
         assume(False)
     if kres.symmetric:
         assert (kres.matrix == kres.matrix.T).all()
+
+
+def test_a_hand_built_kernel_symmetric_to_its_floor_is_averaged(path4):
+    # one ulp off in one entry: symmetric to the floor, not exactly, so
+    # the log checks read an asymmetric matrix unless it is averaged
+    base = compute_kernel(path4, "regL", 1.0)
+    m = 1 + 1e-3 * base.matrix
+    m[0, 1] = np.nextafter(m[0, 1], 2.0)
+    kres = KernelResult(path4, "regL", 1.0, m, base.param_domain)
+    assert kres.symmetric
+    assert np.array_equal(kres.matrix, kres.matrix.T)
+    assert np.array_equal(kres.matrix, 0.5 * (m + m.T))
+    assert run_check("log_proximity", kres).holds
+    psd = run_check("log_psd", kres)
+    assert psd.holds and psd.note == "smallest eigenvalue"
+    # an exactly symmetric matrix is kept as given, an asymmetric one too
+    exact = KernelResult(path4, "regL", 1.0, base.matrix, base.param_domain)
+    assert np.array_equal(exact.matrix, base.matrix)
+    skew = base.matrix.copy()
+    skew[0, 1] *= 1.5
+    asym = KernelResult(path4, "regL", 1.0, skew, base.param_domain)
+    assert not asym.symmetric and np.array_equal(asym.matrix, skew)
+
+
+def test_averaging_near_the_largest_float_stays_finite(path4):
+    # m + m^T overflows; the average of the halves does not
+    m = np.full((4, 4), 1.5e308)
+    m[0, 1] = np.nextafter(m[0, 1], 0.0)
+    kres = KernelResult(path4, "regL", 1.0, m, (0.0, np.inf))
+    assert kres.symmetric and np.isfinite(kres.matrix).all()
+    assert np.array_equal(kres.matrix, kres.matrix.T)
+    assert kres.matrix[0, 1] == 1.5e308  # the tie rounds to even
