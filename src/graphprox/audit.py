@@ -33,6 +33,7 @@ from .properties import (
     _check_tol,
     _psd_reports,
     _sigma_proximity,
+    _transitional,
     check_cutpoint_additive,
     check_distance_order,
     check_egocentrism,
@@ -41,7 +42,6 @@ from .properties import (
     check_psd,
     check_sq_euclidean,
     check_sqrt_distance,
-    check_transitional,
 )
 from .transforms import embed, kernel_to_sq_dist
 
@@ -303,13 +303,40 @@ def _renamed(prop: str, reports: tuple[PropertyReport, ...]) -> tuple[PropertyRe
     return tuple([dataclasses.replace(r, property=prop) for r in reports])
 
 
+def _split(kres, chosen, check, other) -> tuple[PropertyReport, ...]:
+    """check of the kernel results among kres for which chosen holds, in
+    one call, and other of every other one."""
+    picked = [kr for kr in kres if chosen(kr)]
+    reports = iter(check(picked) if picked else ())
+    return tuple(next(reports) if chosen(kr) else other(kr) for kr in kres)
+
+
 def _if_symmetric(kres, prop: str, tol: float, check) -> tuple[PropertyReport, ...]:
     """check of the kernel results among kres whose matrix is symmetric,
     in one call, and prop's asymmetry report of every other one."""
-    symmetric = [kr for kr in kres if kr.symmetric]
-    reports = iter(check(symmetric) if symmetric else ())
-    return tuple(
-        next(reports) if kr.symmetric else _asymmetry_report(prop, kr.matrix, tol) for kr in kres
+    return _split(
+        kres, lambda kr: kr.symmetric, check, lambda kr: _asymmetry_report(prop, kr.matrix, tol)
+    )
+
+
+def _transitional_reports(kres, tol: float) -> tuple[PropertyReport, ...]:
+    """check_transitional of each kernel result, in one call; each keeps
+    whether its report certifies cutpoint_additive at tol."""
+    reports, certified = _transitional(_stack(kres), kres[0].graph, tol)
+    for kr, c in zip(kres, certified):
+        kr._cutpoint_certified[tol] = c
+    return tuple(reports)
+
+
+def _cutpoint_reports(kres, tol: float) -> tuple[PropertyReport, ...]:
+    """check_cutpoint_additive of the logarithmic distance of each kernel
+    result, in one call, but for those whose transitional check at tol
+    certified it: each of them gets the passing report, not indeterminate,
+    that the check gives it, without deriving that distance."""
+    return _split(
+        kres, lambda kr: not kr._cutpoint_certified.get(tol),
+        lambda rest: check_cutpoint_additive(_stack(rest, "log_dist"), kres[0].graph, tol),
+        lambda kr: PropertyReport("cutpoint_additive", holds=True, tolerance=tol),
     )
 
 
@@ -327,9 +354,18 @@ def _if_symmetric(kres, prop: str, tol: float, check) -> tuple[PropertyReport, .
 # result's, derived once however many checks read them. A matrix is
 # symmetrized at most once before the eigensolver reads it: sym_psd forms
 # (K + K^T)/2, which is exactly symmetric, and decides it through
-# check_psd's eigenvalue core without testing its symmetry again. The
-# other lambdas look up the property checks by their module-level names
-# at call time, so a caller may wrap those names.
+# check_psd's eigenvalue core without testing its symmetry again.
+# transitional runs check_transitional's core, which also tells whether
+# its pass certifies cutpoint_additive: by d_ij + d_jk - d_ik =
+# -(ln(1 + rel_ijk) + ln(1 + rel_kji)) / 2 for the logarithmic distance d
+# and the relative excess rel, it does where no distinct triple has |rel|
+# in [tol/2 - w, 2 tol + w], w = tol^2 + the rounding floor of operands of
+# size 2 + 2 max|ln s| (see properties). The kernel result keeps that
+# certificate per tolerance, and cutpoint_additive gives each certified
+# one the passing report the logarithmic distance would get, deriving that
+# distance only for the others. The other checks look up the property
+# checks by their module-level names at call time, so a caller may wrap
+# those names.
 _CHECKS: dict[str, Callable[[tuple[KernelResult, ...], float], tuple[PropertyReport, ...]]] = {
     "psd": lambda ks, tol: check_psd(_stack(ks), tol),
     "sym_psd": lambda ks, tol: tuple(_psd_reports("sym_psd", _symmetrized(_stack(ks)), tol)),
@@ -347,10 +383,8 @@ _CHECKS: dict[str, Callable[[tuple[KernelResult, ...], float], tuple[PropertyRep
     ),
     "sqrt_distance": lambda ks, tol: check_sqrt_distance(_stack(ks, "dist"), tol),
     "distance_order": lambda ks, tol: check_distance_order(_stack(ks, "dist")),
-    "transitional": lambda ks, tol: check_transitional(_stack(ks), ks[0].graph, tol),
-    "cutpoint_additive": lambda ks, tol: check_cutpoint_additive(
-        _stack(ks, "log_dist"), ks[0].graph, tol
-    ),
+    "transitional": _transitional_reports,
+    "cutpoint_additive": _cutpoint_reports,
     "log_metric": lambda ks, tol: _renamed(
         "log_metric", check_metric(_stack(ks, "log_dist"), tol)
     ),

@@ -112,6 +112,8 @@ class KernelResult:
     logarithmic distance and logarithmic similarity, and its proximity
     report at each tolerance, is computed on first use and then kept, so
     that every check run on one kernel result derives each of them once.
+    So is whether its transitional check at a tolerance certifies
+    cutpoint_additive there, which then needs no logarithmic distance.
     Each derivation looks up its transform or check by module-level name
     at call time, so a caller may wrap those names.
     """
@@ -154,6 +156,12 @@ class KernelResult:
 
     @cached_property
     def _proximity(self) -> dict[float, PropertyReport]:
+        return {}
+
+    @cached_property
+    def _cutpoint_certified(self) -> dict[float, bool]:
+        """Whether the audit's transitional check at each tolerance found
+        that it certifies cutpoint_additive (properties._transitional)."""
         return {}
 
     def proximity(self, tol: float) -> PropertyReport:

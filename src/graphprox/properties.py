@@ -34,6 +34,17 @@ extremes of its rows and of its matrices, leave the normal range, and
 then over the whole block at once: a matrix whose products are all
 normal keeps the linear form there, as it does alone.
 
+The same scan certifies cutpoint_additive, by Chebotarev's graph
+bottleneck identity: for a positive s, d = log_distance(s) has
+d_ij + d_jk - d_ik = -(ln(1 + rel_ijk) + ln(1 + rel_kji)) / 2, with rel
+transitional's relative excess. Where transitional passes at tol and no
+distinct triple has |rel| in [tol/2 - w, 2 tol + w], with
+w = tol^2 + _rounding_floor(n, 2 + 2 max|ln s|), check_cutpoint_additive
+passes d with no triple near its boundary; _transitional returns that
+certificate beside the reports, for the audit. Its cut-vertex scan forms
+the mask of that widened band in place of [tol/2, 2 tol], and the
+narrower one only for a matrix with a value in the wider.
+
 Candidates that tie in exact arithmetic can differ in their last bits,
 and which one rounding favours depends on operation order and on the
 BLAS kernel. So the slack is the extreme of the inequality, and the
@@ -254,11 +265,13 @@ def _band(extreme: float, floor: float) -> float:
     return cut if cut <= extreme else extreme
 
 
-def _walk_triples(a: np.ndarray, form, floor=None, g: WeightedGraph | None = None, tol=0.0):
+def _walk_triples(
+    a: np.ndarray, form, floor=None, g: WeightedGraph | None = None, tol=0.0, widths=None
+):
     """Walk every triple of each matrix of the stack a, one block of
     _stack_blocks at a time; form(a[ms], xs) is the (k, b, n, n) block of
     values of the matrices ms and first indices xs. Returns, per matrix,
-    (top, witness, mismatch, near).
+    (top, witness, mismatch, near, wide).
 
     Given floor, top is the largest value, NaN aside (-inf if there is
     none), and witness the first (x, y, z) in C order whose value lies
@@ -266,13 +279,14 @@ def _walk_triples(a: np.ndarray, form, floor=None, g: WeightedGraph | None = Non
     first block of the matrix whose top reaches the band is searched,
     formed again unless it is the last, so the witness does not depend on
     the block size; a NaN value is never in the band. Given the graph g,
-    mismatch and near are those of _separation_scan at tol, over the
-    blocks of a matrix until it has a mismatch or a top beyond tol. A
-    matrix with a mismatch and no floor is formed no further.
+    mismatch, near and wide are those of _separation_scan at tol, with
+    each matrix's widening widths[m] (0 without widths), over the blocks
+    of a matrix until it has a mismatch or a top beyond tol. A matrix with
+    a mismatch and no floor is formed no further.
     """
     count, n = a.shape[:2]
     tops, witness = [-math.inf] * count, [None] * count
-    mismatch, near = [None] * count, [False] * count
+    mismatch, near, wide = [None] * count, [False] * count, [False] * count
     seen = [[] for _ in range(count)]  # (top, xs) of each block of each matrix
     comp = None
     for ms, xs in _stack_blocks(count, n):
@@ -291,9 +305,11 @@ def _walk_triples(a: np.ndarray, form, floor=None, g: WeightedGraph | None = Non
         if scan:
             if comp is None:
                 comp = separation_labels(g)
-            for i, (found, close) in zip(scan, _separation_scan(_take(v, scan), xs, comp, tol)):
-                mismatch[ms.start + i] = found
-                near[ms.start + i] = near[ms.start + i] or close
+            ws = None if widths is None else [widths[ms.start + i] for i in scan]
+            for i, found in zip(scan, _separation_scan(_take(v, scan), xs, comp, tol, ws)):
+                m = ms.start + i
+                mismatch[m] = found[0]
+                near[m], wide[m] = near[m] or found[1], wide[m] or found[2]
         if floor is None or xs.stop < n:
             continue
         for i, m in enumerate(block):
@@ -303,7 +319,7 @@ def _walk_triples(a: np.ndarray, form, floor=None, g: WeightedGraph | None = Non
                 first = next(s for top, s in seen[m] if top >= cut)
                 w = v[i] if first == xs else form(a[m:m + 1], first)[0]
                 witness[m] = _triple(first, int((w >= cut).argmax()), n)
-    return list(zip(tops, witness, mismatch, near))
+    return list(zip(tops, witness, mismatch, near, wide))
 
 
 def _first_max(v: np.ndarray, floor: float) -> tuple[float, int]:
@@ -425,7 +441,7 @@ def check_proximity(k: np.ndarray, tol: float = DEFAULT_TOL) -> PropertyReport:
     strict = _off_diagonal_minima((diag[:, :, None] + diag[:, None, :]) - 2.0 * k, floors)
     return [
         _proximity_report(n, tol, top, witness, *s)
-        for (top, witness, _, _), s in zip(weak, strict)
+        for (top, witness, *_), s in zip(weak, strict)
     ]
 
 
@@ -599,7 +615,7 @@ def _metric_axioms(
     triples = _walk_triples(_take(d, rest), lambda a, xs: _fill_repeats(
         (a[:, xs, None, :] - a[:, xs, :, None]) - a[:, None], xs, -np.inf
     ), lambda i, top: floors[rest[i]])
-    for m, (worst, witness, _, _) in zip(rest, triples):
+    for m, (worst, witness, *_) in zip(rest, triples):
         if n < 3:  # no distinct triples: nothing to check
             reports[m] = PropertyReport(prop, holds=True, tolerance=tol)
             continue
@@ -691,32 +707,42 @@ def _relative_excess(a: np.ndarray, xs: slice) -> np.ndarray:
     return rel
 
 
-def _separation_scan(v: np.ndarray, xs: slice, comp: np.ndarray, tol: float):
+def _separation_scan(v: np.ndarray, xs: slice, comp: np.ndarray, tol: float, widths=None):
     """For each matrix v[i] of the block v, first indices xs, find the
     first distinct triple (i, j, k) in C order where |v[i, j, k]| <= tol
     disagrees with "j separates i from k" as the separation table comp
     tells it.
 
-    Returns one (mismatch, near_boundary) per matrix. mismatch is None, or
-    the 0-based triple, the value of v there and whether it was within
-    tol. near_boundary, reported only when there is no mismatch, says
-    whether some |v| over the block's distinct triples lies within a
-    factor two of tol.
+    Returns one (mismatch, near_boundary, wide) per matrix. mismatch is
+    None, or the 0-based triple, the value of v there and whether it was
+    within tol. near_boundary and wide, reported only when there is no
+    mismatch, say whether some |v| over the block's distinct triples lies
+    in [tol/2, 2 tol], and in [tol/2 - w, 2 tol + w] for the matrix's
+    widening w = widths[i], or w = 0 without widths. Given widths, the
+    mask of [tol/2, 2 tol] is formed only for a matrix whose widened band
+    holds a value.
     """
     n = comp.shape[0]
     m = np.abs(v)
     small = m <= tol
     mismatch = _fill_repeats(small != (comp[:, xs].T[:, :, None] != comp), xs, False)
-    near, found = None, []
+    lo, hi = 0.5 * tol, 2.0 * tol
+    wide, found = None, []
     for i in range(len(v)):
         row = mismatch[i]
         if row.any():
             idx = int(row.argmax())
-            found.append(((_triple(xs, idx, n), v[i].flat[idx], bool(small[i].flat[idx])), False))
+            triple = (_triple(xs, idx, n), v[i].flat[idx], bool(small[i].flat[idx]))
+            found.append((triple, False, False))
             continue
-        if near is None:
-            near = _fill_repeats((0.5 * tol <= m) & (m <= 2.0 * tol), xs, False)
-        found.append((None, bool(near[i].any())))
+        if wide is None:
+            w = 0.0 if widths is None else np.array(widths)[:, None, None, None]
+            wide = _fill_repeats(((lo - w) <= m) & (m <= (hi + w)), xs, False)
+        hit = bool(wide[i].any())
+        near = hit if widths is None or not hit else bool(
+            _fill_repeats((lo <= m[i]) & (m[i] <= hi), xs, False).any()
+        )
+        found.append((None, near, hit))
     return found
 
 
@@ -729,19 +755,46 @@ def check_transitional(
     Equality detection at relative tolerance is cross-checked against the
     cut-vertex predicate in both directions. Of a stack or sequence of
     matrices on g, a tuple of reports, one per matrix."""
+    return _transitional(s, g, tol)[0]
+
+
+def _transitional(
+    s: np.ndarray, g: WeightedGraph, tol: float
+) -> tuple[list[PropertyReport], list[bool]]:
+    """check_transitional's reports of each matrix of the stack s, and
+    whether each certifies check_cutpoint_additive(log_distance(s), g, tol):
+    it passes, and no distinct triple has a relative excess rel with |rel|
+    in [tol/2 - w, 2 tol + w].
+
+    Then the log distance passes cutpoint_additive with no triple near
+    its boundary, since its gap d_ij + d_jk - d_ik is
+    -(ln(1 + rel_ijk) + ln(1 + rel_kji)) / 2 and j separates i from k
+    exactly when it separates k from i: on those triples both |rel| are
+    below tol/2 - w, so |gap| is below tol/2; on every other distinct
+    triple both rel are below -2 tol - w, so the gap exceeds 2 tol. The
+    widening w = tol^2 + _rounding_floor(n, 2 + 2 max|ln s|) bounds the
+    rounding of both sides, as every log that the excess and the log
+    distance are formed from, ln(s_ab s_cd) or ln s_ab + ln s_cd, is at
+    most 2 max|ln s| in size, and |ln(1 + rel)| - |rel| <= rel^2, which
+    holds for |rel| <= 1/2, tol/2 - w being at most 1/16."""
     _check_tol(tol)
     _require_finite(s, "check_transitional")
     _require_order(s, g, "check_transitional")
     _require_positive(s, "check_transitional")
     n = s.shape[1]
+    widths = [
+        tol * tol + _rounding_floor(n, 2.0 + 2.0 * max(-math.log(lo), math.log(hi)))
+        for lo, hi in zip(s.min(axis=(1, 2)).tolist(), s.max(axis=(1, 2)).tolist())
+    ]
     # a witness only for an excess beyond tol, whose operands, the excess
     # being relative, are 1 and 1 + top
     found = _walk_triples(
         s, _relative_excess,
-        lambda m, top: _rounding_floor(n, 1.0 + top) if top > tol else None, g, tol,
+        lambda m, top: _rounding_floor(n, 1.0 + top) if top > tol else None, g, tol, widths,
     )
-    reports = []
-    for worst, witness, mismatch, near in found:
+    reports, certified = [], []
+    for worst, witness, mismatch, near, wide in found:
+        certified.append(witness is None and mismatch is None and not wide)
         if witness is not None:
             i, j, k = witness
             reports.append(PropertyReport(
@@ -764,7 +817,7 @@ def check_transitional(
                 "transitional", holds=True, tolerance=tol, slack=float(worst),
                 indeterminate=near,
             ))
-    return reports
+    return reports, certified
 
 
 @_per_matrix
@@ -782,7 +835,7 @@ def check_cutpoint_additive(
         d, lambda a, xs: (a[:, xs, :, None] + a[:, None]) - a[:, xs, None, :], g=g, tol=tol
     )
     reports = []
-    for _, _, found, near in gaps:
+    for _, _, found, near, _ in gaps:
         if found is None:
             reports.append(PropertyReport(
                 "cutpoint_additive", holds=True, tolerance=tol, indeterminate=near

@@ -13,7 +13,6 @@ import math
 import numpy as np
 
 from .linalg import (
-    _max_abs_each,
     _require_nonempty,
     _require_symmetric,
     _rounding_floor,
@@ -51,11 +50,12 @@ def _require_positive(m: np.ndarray, what: str) -> np.ndarray:
 def kernel_to_sq_dist(k: np.ndarray) -> np.ndarray:
     """Candidate squared-distance matrix of a symmetric kernel:
     d_ij = (k_ii + k_jj)/2 - k_ij. Squared-Euclidean realizability is a
-    separate check (it holds exactly when the kernel is PSD)."""
+    separate check (it holds exactly when the kernel is PSD). Of a stack
+    (B, n, n), that of each matrix."""
     a = _require_symmetric(k, "kernel_to_sq_dist")
-    dg = np.diag(a)
-    d = 0.5 * (dg[:, None] + dg[None, :]) - a
-    np.fill_diagonal(d, 0.0)
+    dg = a.diagonal(0, -2, -1)
+    d = 0.5 * (dg[..., :, None] + dg[..., None, :]) - a
+    _zero_diagonal(d)
     return d
 
 
@@ -86,9 +86,8 @@ def _centered_gram(d: np.ndarray, caller: str) -> np.ndarray:
     caller names the function in its errors."""
     a = _require_symmetric(d, caller)
     n = a.shape[-1]
-    stack = a if a.ndim == 3 else a[None]
-    self_dist = np.abs(stack.diagonal(0, 1, 2)).max(axis=1).tolist()
-    if any(s > _rounding_floor(n, size) for s, size in zip(self_dist, _max_abs_each(stack))):
+    self_dist = np.abs(a.diagonal(0, -2, -1)).max(axis=-1)
+    if (self_dist > _rounding_floor(n, np.abs(a).max(axis=(-2, -1)))).any():
         raise ValueError(f"{caller} requires a zero diagonal")
     h = np.eye(n) - np.full((n, n), 1.0 / n)
     b = -h @ a @ h
@@ -100,9 +99,9 @@ def dist_to_sigma_prox(d: np.ndarray, sigma: float) -> np.ndarray:
     matrix): every row of the result sums to sigma, and composing with
     kernel_to_sq_dist in either order is the identity. d must be
     symmetric with a zero diagonal, both to its rounding floor
-    8 n eps max|d|."""
+    8 n eps max|d|. Of a stack (B, n, n), that of each matrix."""
     b = _centered_gram(d, "dist_to_sigma_prox")
-    return b + sigma * (1.0 / b.shape[0])
+    return b + sigma * (1.0 / b.shape[-1])
 
 
 def _normal(x: np.ndarray) -> np.ndarray:

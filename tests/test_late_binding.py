@@ -75,7 +75,8 @@ def test_audit_names_cover_checks_and_transforms():
     assert {n for n in AUDIT_NAMES if not n.startswith("check_")} == {
         "embed", "kernel_to_sq_dist", "log_distance", "pair_to_dist", "symmetrize_geometric",
     }
-    assert len([n for n in AUDIT_NAMES if n.startswith("check_")]) == 9
+    # sym_psd, sigma and transitional go through private cores
+    assert len([n for n in AUDIT_NAMES if n.startswith("check_")]) == 8
     # a kernel result derives its distances and proximity scan itself
     assert {n for m, n in AUDIT_BINDINGS if m is kernels} == {
         "check_proximity", "log_distance", "pair_to_dist", "symmetrize_geometric",
@@ -95,8 +96,11 @@ def test_audit_sees_a_wrapped_check_or_transform(
     if name in EMBED_ONLY:
         export_embedding(path4, "heat", 1.0, str(tmp_path / "x.csv"))
     else:
-        # a symmetric and an asymmetric kernel, so that every branch runs
-        for measure in ("regL", "ppr"):
+        # a symmetric and an asymmetric kernel, so that every branch runs,
+        # and heat, which fails transitional, so that cutpoint_additive
+        # derives the logarithmic distance its passing transitional check
+        # spares the others
+        for measure in ("regL", "ppr", "heat"):
             kres = compute_kernel(path4, measure, 0.9)
             for check in CHECKS:
                 run_check(check, kres)

@@ -47,6 +47,15 @@ class TestKernelToSqDist:
         with pytest.raises(ValueError, match="symmetric"):
             kernel_to_sq_dist(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
+    def test_stack_gives_each_matrix_its_own(self, path4):
+        ks = np.stack([compute_kernel(path4, m, 1.0).matrix for m in ("regL", "heat", "dfact")])
+        d = kernel_to_sq_dist(ks)
+        assert d.shape == ks.shape
+        for k, one in zip(ks, d):
+            npt.assert_array_equal(one, kernel_to_sq_dist(k))
+        with pytest.raises(ValueError, match="symmetric"):
+            kernel_to_sq_dist(np.stack([ks[0], np.triu(ks[1])]))
+
 
 class TestPairToDist:
     def test_coincides_with_kernel_transform_on_symmetric(self, path4):
@@ -110,6 +119,19 @@ class TestDistToSigmaProx:
     def test_rejects_nonzero_diagonal(self):
         with pytest.raises(ValueError, match="diagonal"):
             dist_to_sigma_prox(np.eye(3), 1.0)
+        with pytest.raises(ValueError, match="diagonal"):
+            dist_to_sigma_prox(np.stack([np.zeros((3, 3)), np.eye(3)]), 1.0)
+
+    def test_stack_rows_sum_to_sigma_in_each_matrix(self, path4):
+        # sigma is spread over the n columns of each matrix, not over the
+        # B matrices of the stack
+        ds = np.stack([kernel_to_sq_dist(compute_kernel(path4, m, 1.0).matrix)
+                       for m in ("regL", "heat")])
+        ks = dist_to_sigma_prox(ds, 1.0)
+        assert ks.shape == ds.shape
+        npt.assert_allclose(ks.sum(axis=2), 1.0, atol=1e-12)
+        for d, k in zip(ds, ks):
+            npt.assert_array_equal(k, dist_to_sigma_prox(d, 1.0))
 
 
 class TestLogDistance:

@@ -4,10 +4,12 @@ A kernel result derives its pair distance, logarithmic distance and
 logarithmic similarity once, and scans its matrix for the proximity
 triangle once, for `proximity` and `sigma` together, whether an audit
 or repeated run_check calls read them; an audit's reports still equal
-those of one run_check per check on a fresh kernel result. A threshold
-evaluation builds one kernel result. The transitional check forms each
-block of relative excesses once, and forms one again only to locate the
-witness of a failing matrix. A graph computes its spectral radius once,
+those of one run_check per check on a fresh kernel result. Where the
+transitional check certifies cutpoint_additive, the audit derives no
+logarithmic distance for it. A threshold evaluation builds one kernel
+result. The transitional check forms each block of relative excesses
+once, and forms one again only to locate the witness of a failing
+matrix. A graph computes its spectral radius once,
 however many commands read it. The eigenvalue checks and the spectral
 radius compute no eigenvectors; an embedding computes them once. A
 process builds its parser once, and the help text still wraps to the
@@ -125,10 +127,15 @@ def count_calls(monkeypatch, module, names) -> Counter:
 
 def test_symmetric_kernel_derives_and_scans_once(monkeypatch, capsys):
     calls = count_calls(monkeypatch, kernels, ("check_proximity", "pair_to_dist", "log_distance"))
-    code = main(["audit", "paper:path5", "--measure", "regL:1.0", "--check", "all"])
-    capsys.readouterr()
-    assert code in (0, 1)
-    assert calls == {"check_proximity": 1, "pair_to_dist": 1, "log_distance": 1}
+    # regL is transitional, and its check certifies cutpoint_additive
+    # without a logarithmic distance; heat is not, so that check derives one
+    for measure, log_distances in (("regL:1.0", 0), ("heat:1.0", 1)):
+        calls.clear()
+        code = main(["audit", "paper:path5", "--measure", measure, "--check", "all"])
+        capsys.readouterr()
+        assert code in (0, 1)
+        # a Counter reads a missing name as 0
+        assert calls == Counter(check_proximity=1, pair_to_dist=1, log_distance=log_distances)
 
 
 @pytest.mark.parametrize("per_block, blocks", [(1, 7), (3, 3)])
