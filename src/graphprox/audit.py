@@ -117,39 +117,17 @@ class AuditReport:
         return all(r.all_hold for r in self.results)
 
     def to_dict(self) -> dict:
-        def enc(value):
-            if isinstance(value, float) and math.isinf(value):
-                return None
-            if isinstance(value, tuple):
-                return [enc(v) for v in value]
-            return value
-
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "tool": "graphprox",
-            "tool_version": self.tool_version,
-            "graph": self.graph,
-            "n": self.n,
-            "tolerance": self.tolerance,
-            "results": [
-                {
-                    "measure": r.measure,
-                    "param": r.param,
-                    "param_domain": [enc(r.param_domain[0]), enc(r.param_domain[1])],
-                    "symmetric": r.symmetric,
-                    "checks": [
-                        {k: enc(getattr(c, k)) for k in _REPORT_FIELDS} for c in r.checks
-                    ],
-                }
-                for r in self.results
-            ],
-        }
+        """The document report_json writes, parsed: an infinite value is
+        None, a tuple a list and a NaN a new float; a value report_json
+        rejects raises TypeError here too."""
+        return json.loads(report_json(self))
 
     @classmethod
     def from_dict(cls, data: dict) -> "AuditReport":
-        """Read a to_dict document of schema version 1 or 2. Version 1
-        also carried a report-level "sigma" that no check read; it is
-        dropped. Any other version raises ValueError."""
+        """Read a parsed report_json document, as to_dict returns it, of
+        schema version 1 or 2. Version 1 also carried a report-level
+        "sigma" that no check read; it is dropped. Any other version
+        raises ValueError."""
         version = data.get("schema_version")
         if version not in (1, 2):
             raise ValueError(f"AuditReport schema_version {version!r} is not 1 or 2")
@@ -211,7 +189,7 @@ def _json_template(keys, pad: str, named: bool = False) -> str:
 
 # Each schema level of report_json: a template and what fills it. A check
 # and a threshold result list every dataclass field, so a new one reaches
-# both to_dict and report_json.
+# the JSON as it is.
 _CHECK_KEYS = sorted(_REPORT_FIELDS)
 _CHECK_FIELDS = operator.attrgetter(*_CHECK_KEYS)
 _CHECK_JSON = _json_template(_CHECK_KEYS, " " * 8)
@@ -230,8 +208,8 @@ _REPORT_JSON = _json_template(
 
 def _json_value(value, pad: str, null_inf: bool) -> str:
     """value as json.dumps(value, indent=2, sort_keys=True) writes it at
-    indent pad. Where null_inf, +-inf, in value or in the tuples it nests,
-    is null, as AuditReport.to_dict makes it."""
+    indent pad, except that where null_inf an infinite float, value or one
+    in the tuples it nests, is null; in a list it stays Infinity."""
     if value is None:
         return "null"
     if value is True:
@@ -249,7 +227,7 @@ def _json_value(value, pad: str, null_inf: bool) -> str:
     if isinstance(value, int):
         return int.__repr__(value)
     if isinstance(value, (list, tuple)):
-        # to_dict converts a tuple and what it holds, never a list
+        # null reaches into a tuple and what it holds, never into a list
         inner, keep = pad + "  ", null_inf and isinstance(value, tuple)
         return _json_array([_json_value(v, inner, keep) for v in value], pad)
     # a dict, or a type json.dumps rejects with TypeError
@@ -264,11 +242,17 @@ def _json_array(texts: list[str], pad: str) -> str:
 
 
 def report_json(report: AuditReport | ThresholdResult) -> str:
-    """The text of json.dumps(report.to_dict(), indent=2, sort_keys=True),
-    which the CLI's --json writes, formed from the dataclass fields
-    without building that dict: json.dumps never takes its C encoder
-    while an indent is set. A value json.dumps rejects raises TypeError
-    here too."""
+    """The JSON text --json writes, less the file's final newline: what
+    json.dumps(doc, indent=2, sort_keys=True) gives for the report's
+    document doc, formed from the dataclass fields without building doc.
+
+    A ThresholdResult's document keys its fields. An AuditReport's keys
+    schema_version, tool, tool_version, graph, n, tolerance and results:
+    per MeasureAudit its measure, param, param_domain, symmetric and
+    checks, each check keyed by PropertyReport's compared fields. An
+    infinite domain end or check value, also inside a tuple, is null;
+    other infinities are +-Infinity. A value json.dumps rejects raises
+    TypeError."""
     if isinstance(report, ThresholdResult):
         return _THRESHOLD_JSON % tuple(
             [_json_value(v, "  ", False) for v in _THRESHOLD_FIELDS(report)]

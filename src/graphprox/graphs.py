@@ -12,7 +12,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import spectral_radius
+from .linalg import _symmetrized, spectral_radius
 
 __all__ = [
     "GraphFormatError",
@@ -106,7 +106,7 @@ class WeightedGraph:
     def norm_laplacian(self) -> np.ndarray:
         inv_sqrt = np.diag(1.0 / np.sqrt(self.weights.sum(axis=1)))
         norm_laplacian = inv_sqrt @ self.laplacian @ inv_sqrt
-        return _read_only(0.5 * (norm_laplacian + norm_laplacian.T))
+        return _read_only(_symmetrized(norm_laplacian))
 
     @cached_property
     def markov(self) -> np.ndarray:

@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .graphs import WeightedGraph, _read_only
-from .linalg import _double_factorial_series, _symmetry_gaps, invert, matrix_exp
+from .linalg import _double_factorial_series, _symmetrized, _symmetry_gaps, invert, matrix_exp
 from .properties import PropertyReport, check_proximity
 from .transforms import _require_positive, log_distance, pair_to_dist, symmetrize_geometric
 
@@ -106,7 +106,8 @@ class KernelResult:
     measures are so as computed: invert and matrix_exp average their
     result with its transpose where they find their input symmetric, and
     the dfact series always does. A matrix given symmetric only to its
-    floor is replaced by that average, (m + m^T) / 2 rounded once.
+    floor is replaced by that average, linalg._symmetrized, the package's
+    only one.
 
     What the audit checks derive from the matrix, its pair distance,
     logarithmic distance and logarithmic similarity, and its proximity
@@ -130,10 +131,7 @@ class KernelResult:
         square = m.ndim == 2 and m.shape[0] == m.shape[1]
         gap = _symmetry_gaps(m[None])[0] if square else None
         if gap:  # symmetric to its rounding floor, not exactly: keep the average
-            with np.errstate(over="ignore"):
-                mean = 0.5 * (m + m.T)
-            # the halves add up to it where m + m^T overflows
-            m = np.where(np.isinf(mean), 0.5 * m + 0.5 * m.T, mean)
+            m = _symmetrized(m)
         object.__setattr__(self, "matrix", _read_only(m))
         object.__setattr__(self, "param", float(self.param))
         object.__setattr__(self, "symmetric", gap is not None)

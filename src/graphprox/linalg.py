@@ -24,11 +24,12 @@ sign or the last digits of small entries.
 
 The rules the layers above share live here too: DEFAULT_TOL, the
 rounding floor 8 n eps max|operands|, the symmetry test and the guard
-against asymmetric input that read it, and the PSD bound max(tol, floor)
-that check_psd and gram_factor decide by. Tolerances judge properties
-only; whether a matrix is symmetric, or a distance's diagonal zero, is
-decided against the floor, so the answer does not change when the matrix
-is scaled by a power of 2.
+against asymmetric input that read it, the PSD bound max(tol, floor)
+that check_psd and gram_factor decide by, and the one symmetric average
+(_symmetrized) that forms every exactly symmetric result. Tolerances
+judge properties only; whether a matrix is symmetric, or a distance's
+diagonal zero, is decided against the floor, so the answer does not
+change when the matrix is scaled by a power of 2.
 """
 
 from __future__ import annotations
@@ -140,8 +141,15 @@ def _symmetry_gaps(a: np.ndarray) -> list[float | None]:
 
 
 def _symmetrized(a: np.ndarray) -> np.ndarray:
-    """(m + m^T) / 2 of each matrix m of the stack a: exactly symmetric."""
-    return 0.5 * (a + a.transpose(0, 2, 1))
+    """(m + m^T) / 2 of the matrix a, or of each matrix m of the stack a,
+    rounded once: exactly symmetric. Where m + m^T overflows, the halves
+    are added instead, so the average of finite entries is finite."""
+    t = a.swapaxes(-1, -2)
+    with np.errstate(over="ignore"):
+        mean = 0.5 * (a + t)
+    if np.isinf(mean).any():  # np.where only when some sum overflowed
+        mean = np.where(np.isinf(mean), 0.5 * a + 0.5 * t, mean)
+    return mean
 
 
 def _require_symmetric(m: np.ndarray, what: str) -> np.ndarray:
@@ -212,7 +220,7 @@ def invert(m: np.ndarray) -> np.ndarray:
     if not n * _EPS * condition < 1.0:  # also true for NaN
         raise SingularMatrixError(condition)
     if is_symmetric(a):
-        inv = 0.5 * (inv + inv.T)
+        inv = _symmetrized(inv)
     return inv
 
 
@@ -221,7 +229,7 @@ def _lapack_symmetric(solver, m: np.ndarray, caller: str):
     m, which must be symmetric; a LAPACK failure raises
     NonConvergenceError."""
     a = _require_symmetric(_as_square(m), caller)
-    return _lapack(solver, 0.5 * (a + a.T))
+    return _lapack(solver, _symmetrized(a))
 
 
 def _lapack(solver, a: np.ndarray):
@@ -336,7 +344,7 @@ def matrix_exp(m: np.ndarray) -> np.ndarray:
     if not np.isfinite(total).all():
         raise OverflowError("matrix exponential overflowed float64")
     if is_symmetric(b):
-        total = 0.5 * (total + total.T)
+        total = _symmetrized(total)
     return total
 
 
@@ -376,7 +384,7 @@ def _double_factorial_series(tw: np.ndarray) -> np.ndarray:
             raise NonConvergenceError(
                 f"double-factorial series did not converge within {_DFACT_MAX_TERMS} terms"
             )
-    return 0.5 * (total + total.T)
+    return _symmetrized(total)
 
 
 def gram_factor(k: np.ndarray) -> np.ndarray:
@@ -397,4 +405,4 @@ def gram_factor(k: np.ndarray) -> np.ndarray:
     vals, vecs = sym_eigen(a)
     root = np.sqrt(np.clip(vals, 0.0, None))
     b = (vecs * root) @ vecs.T
-    return 0.5 * (b + b.T)
+    return _symmetrized(b)

@@ -654,10 +654,11 @@ def check_sq_euclidean(
     is. The eigenvalue's floor reads the entries of d, or scale if
     larger: the size of the values d was computed from, whose rounding
     it inherits. Of a stack or sequence of matrices, a tuple of reports,
-    one per matrix; scale is then one value for all or one per matrix.
-    Every scale must be finite and nonnegative."""
+    one per matrix; scale is then one value for all (a number, or an
+    array of no dimensions) or one per matrix. Every scale must be finite
+    and nonnegative."""
     _check_tol(tol)
-    scales = [scale] * len(d) if np.isscalar(scale) else list(scale)
+    scales = [scale] * len(d) if np.ndim(scale) == 0 else list(scale)
     if len(scales) != len(d) or not all(0 <= s < math.inf for s in scales):
         raise ValueError(f"scale must be finite and nonnegative, one or {len(d)}, got {scale}")
     grams = _centered_gram(d, "check_sq_euclidean")

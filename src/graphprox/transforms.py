@@ -16,6 +16,7 @@ from .linalg import (
     _require_nonempty,
     _require_symmetric,
     _rounding_floor,
+    _symmetrized,
     gram_factor,
 )
 
@@ -67,7 +68,7 @@ def pair_to_dist(k: np.ndarray) -> np.ndarray:
     dg = a.diagonal(0, -2, -1)
     # averaging a with its transpose first keeps the output exactly
     # symmetric (subtracting a then a.T rounds asymmetrically)
-    d = 0.5 * (dg[..., :, None] + dg[..., None, :]) - 0.5 * (a + a.swapaxes(-1, -2))
+    d = 0.5 * (dg[..., :, None] + dg[..., None, :]) - _symmetrized(a)
     _zero_diagonal(d)
     return d
 
@@ -90,8 +91,7 @@ def _centered_gram(d: np.ndarray, caller: str) -> np.ndarray:
     if (self_dist > _rounding_floor(n, np.abs(a).max(axis=(-2, -1)))).any():
         raise ValueError(f"{caller} requires a zero diagonal")
     h = np.eye(n) - np.full((n, n), 1.0 / n)
-    b = -h @ a @ h
-    return 0.5 * (b + b.swapaxes(-1, -2))
+    return _symmetrized(-h @ a @ h)
 
 
 def dist_to_sigma_prox(d: np.ndarray, sigma: float) -> np.ndarray:

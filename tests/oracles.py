@@ -30,11 +30,14 @@ reference_matrices is the library's former build_matrices, kept to pin
 the bytes of the matrices a graph caches; and reference_relative_excess
 is the library's former relative excess of the transitional check,
 which formed its mask of out-of-range products on every block.
+audit_document is the library's former AuditReport.to_dict, kept as a
+reference for report_json's schema that does not go through its writer.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import math
 from collections import deque
 from fractions import Fraction
@@ -43,6 +46,7 @@ import numpy as np
 
 from graphprox import (
     DEFAULT_TOL,
+    AuditReport,
     PropertyReport,
     WeightedGraph,
     is_symmetric,
@@ -730,4 +734,41 @@ def reference_matrices(g: WeightedGraph) -> dict[str, np.ndarray]:
         "laplacian": laplacian,
         "norm_laplacian": norm_laplacian,
         "markov": markov,
+    }
+
+
+# the keys of a check's object: PropertyReport's compared fields
+_CHECK_KEYS = tuple(f.name for f in dataclasses.fields(PropertyReport) if f.compare)
+
+
+def audit_document(report: AuditReport) -> dict:
+    """The library's former AuditReport.to_dict, kept with its own
+    encoder: the report's schema-2 document, where an infinite end of a
+    parameter domain, and an infinite value of a check or one in the
+    tuples it holds, is None, and each of those tuples is a list."""
+
+    def enc(value):
+        if isinstance(value, float) and math.isinf(value):
+            return None
+        if isinstance(value, tuple):
+            return [enc(v) for v in value]
+        return value
+
+    return {
+        "schema_version": 2,
+        "tool": "graphprox",
+        "tool_version": report.tool_version,
+        "graph": report.graph,
+        "n": report.n,
+        "tolerance": report.tolerance,
+        "results": [
+            {
+                "measure": r.measure,
+                "param": r.param,
+                "param_domain": [enc(r.param_domain[0]), enc(r.param_domain[1])],
+                "symmetric": r.symmetric,
+                "checks": [{k: enc(getattr(c, k)) for k in _CHECK_KEYS} for c in r.checks],
+            }
+            for r in report.results
+        ],
     }

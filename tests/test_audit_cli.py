@@ -636,6 +636,16 @@ class TestCli:
         assert "Traceback" not in err
         assert not (tmp_path / "x.csv").exists()
 
+    def test_kernel_entries_near_the_largest_float_get_a_verdict(self, tmp_path, capsys):
+        # comm:710.2 on the unit K2 has entries near 1.1e308, whose sum with
+        # the transpose overflows although the average fits
+        edges = tmp_path / "k2.txt"
+        edges.write_text("1 2 1\n")
+        code = main(["audit", str(edges), "--measure", "comm:710.2", "--check", "psd"])
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        assert "pass" in captured.out and captured.err == ""
+
     @pytest.mark.parametrize("measure", ["heat", "nheat", "heatppr"])
     @pytest.mark.parametrize("t", ["1e14", "1e21", "1e300"])
     def test_exponential_without_a_correct_digit_is_usage_error(self, capsys, measure, t):

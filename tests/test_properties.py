@@ -126,6 +126,7 @@ class TestEigenvalueChecksRoundingFloor:
         (None, np.inf),  # a floor every eigenvalue passes
         (None, np.nan),
         (None, -1.0),
+        (None, np.array(-1.0)),
         (2, [1.0, np.nan]),
     ])
     def test_sq_euclidean_rejects_a_bad_scale(self, path4, stack, scale):
@@ -138,6 +139,9 @@ class TestEigenvalueChecksRoundingFloor:
         got = check_sq_euclidean(ds, 1e-9, [3.9e21, 0.0])
         assert got == (check_sq_euclidean(ds[0], 1e-9, 3.9e21), check_sq_euclidean(ds[1], 1e-9))
         assert check_sq_euclidean(ds[0], 1e-9, [3.9e21]) == got[0]
+        # a single value may come as an array of no dimensions
+        assert check_sq_euclidean(ds[0], 1e-9, np.array(3.9e21)) == got[0]
+        assert check_sq_euclidean(ds, 1e-9, np.array(0.0)) == check_sq_euclidean(ds, 1e-9)
 
 
 class TestCheckProximity:

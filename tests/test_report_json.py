@@ -1,6 +1,10 @@
-"""report_json writes the bytes of json.dumps(report.to_dict(), indent=2,
-sort_keys=True) for audit reports and threshold results, and raises
-TypeError exactly where json.dumps does.
+"""report_json writes the bytes json.dumps(doc, indent=2, sort_keys=True)
+gives for a report's document, and raises TypeError exactly where
+json.dumps does. The reference documents do not go through report_json:
+an audit report's is oracles.audit_document, with an encoder of its own,
+and a threshold result's is dataclasses.asdict. AuditReport.to_dict,
+the written text parsed, gives the reference document, and from_dict
+reads it back.
 
 The drawn reports reach every corner the schema allows: NaN, +-inf, -0.0,
 subnormal and 17-digit floats; witnesses that are None, empty or 2-4
@@ -27,6 +31,7 @@ from graphprox import (
     report_json,
     run_audit,
 )
+from oracles import audit_document
 
 SPECIAL_FLOATS = [
     math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308,
@@ -42,32 +47,50 @@ texts = st.text(
 witnesses = st.one_of(
     st.none(), st.just(()), st.lists(st.integers(1, 10**6), min_size=2, max_size=4).map(tuple)
 )
-checks = st.builds(
-    PropertyReport,
-    property=texts,
-    holds=st.booleans(),
-    tolerance=floats,
-    witness=witnesses,
-    slack=st.one_of(st.none(), floats),
-    sigma=st.one_of(st.none(), floats),
-    indeterminate=st.booleans(),
-    note=st.one_of(st.none(), texts),
+
+
+def audit_reports(floats, numbers):
+    """Audit reports whose float fields are drawn from floats, and whose
+    params and tolerance from numbers."""
+    checks = st.builds(
+        PropertyReport,
+        property=texts,
+        holds=st.booleans(),
+        tolerance=floats,
+        witness=witnesses,
+        slack=st.one_of(st.none(), floats),
+        sigma=st.one_of(st.none(), floats),
+        indeterminate=st.booleans(),
+        note=st.one_of(st.none(), texts),
+    )
+    measures = st.builds(
+        MeasureAudit,
+        measure=texts,
+        param=numbers,
+        param_domain=st.tuples(floats, st.one_of(st.just(math.inf), floats)),
+        symmetric=st.booleans(),
+        checks=st.lists(checks, max_size=15).map(tuple),
+    )
+    return st.builds(
+        AuditReport,
+        graph=texts,
+        n=st.integers(0, 10**4),
+        tolerance=numbers,
+        tool_version=texts,
+        results=st.lists(measures, max_size=3).map(tuple),
+    )
+
+
+reports = audit_reports(floats, numbers)
+# Reports the JSON holds losslessly: no NaN, which no parse gives back as
+# the same object, and no infinity but a domain's upper end, which from_dict
+# reads back from null.
+finite = st.one_of(
+    st.sampled_from([x for x in SPECIAL_FLOATS if math.isfinite(x)]),
+    st.floats(allow_nan=False, allow_infinity=False),
 )
-measures = st.builds(
-    MeasureAudit,
-    measure=texts,
-    param=numbers,
-    param_domain=st.tuples(floats, st.one_of(st.just(math.inf), floats)),
-    symmetric=st.booleans(),
-    checks=st.lists(checks, max_size=15).map(tuple),
-)
-reports = st.builds(
-    AuditReport,
-    graph=texts,
-    n=st.integers(0, 10**4),
-    tolerance=numbers,
-    tool_version=texts,
-    results=st.lists(measures, max_size=3).map(tuple),
+lossless_reports = audit_reports(
+    finite, st.one_of(st.integers(-(2**70), 2**70), finite, finite.map(np.float64))
 )
 thresholds = st.builds(
     ThresholdResult,
@@ -82,13 +105,33 @@ thresholds = st.builds(
 )
 
 
+def document(report) -> dict:
+    if isinstance(report, AuditReport):
+        return audit_document(report)
+    return dataclasses.asdict(report)
+
+
 def dumped(report) -> str:
-    return json.dumps(report.to_dict(), indent=2, sort_keys=True)
+    return json.dumps(document(report), indent=2, sort_keys=True)
+
+
+def same_document(report: AuditReport) -> bool:
+    """Whether to_dict gives the reference document; compared as text,
+    as a NaN never equals itself."""
+    return json.dumps(report.to_dict(), sort_keys=True) == json.dumps(
+        audit_document(report), sort_keys=True
+    )
 
 
 @given(reports)
 def test_audit_report_bytes_match_json_dumps(report):
     assert report_json(report) == dumped(report)
+    assert same_document(report)
+
+
+@given(lossless_reports)
+def test_audit_report_round_trips(report):
+    assert AuditReport.from_dict(report.to_dict()) == report
 
 
 @given(thresholds)
@@ -99,6 +142,7 @@ def test_threshold_result_bytes_match_json_dumps(result):
 def test_real_reports_match(path4):
     report = run_audit(path4, [("regL", 1.0), ("ppr", 0.9), ("katz", 0.2)], checks=["all"])
     assert report_json(report) == dumped(report)
+    assert AuditReport.from_dict(report.to_dict()) == report
     result = find_threshold(path4, "heat", "proximity", 0.1, 1.0)
     assert report_json(result) == dumped(result)
 
@@ -144,8 +188,12 @@ def outcome(write, report):
 def test_audit_report_raises_where_json_dumps_does():
     for slot, value in itertools.product(AUDIT_SLOTS, ODD_VALUES):
         report = placed(slot, value)
-        assert outcome(report_json, report) == outcome(dumped, report), (slot, value)
+        written = outcome(report_json, report)
+        assert written == outcome(dumped, report), (slot, value)
+        parsed = outcome(AuditReport.to_dict, report)
+        assert (parsed is TypeError) == (written is TypeError), (slot, value)
     assert outcome(report_json, placed("param", np.int64(1))) is TypeError
+    assert outcome(AuditReport.to_dict, placed("param", np.int64(1))) is TypeError
 
 
 def test_threshold_result_raises_where_json_dumps_does():

@@ -373,3 +373,11 @@ def test_averaging_near_the_largest_float_stays_finite(path4):
     assert kres.symmetric and np.isfinite(kres.matrix).all()
     assert np.array_equal(kres.matrix, kres.matrix.T)
     assert kres.matrix[0, 1] == 1.5e308  # the tie rounds to even
+    # the one average serves every symmetrization: check_psd decides m
+    # rather than refusing non-finite entries, and comm:709.9 on the unit
+    # K2, with entries near 1.0e308, is finite (an overflow warning would
+    # fail the test)
+    assert check_psd(m).note == "smallest eigenvalue"
+    k2 = WeightedGraph(np.ones((2, 2)) - np.eye(2), name="K2")
+    k = compute_kernel(k2, "comm", 709.9).matrix
+    assert np.isfinite(k).all() and np.array_equal(k, k.T)
