@@ -107,7 +107,7 @@ class KernelResult:
     result with its transpose where they find their input symmetric, and
     the dfact series always does. A matrix given symmetric only to its
     floor is replaced by that average, linalg._symmetrized, the package's
-    only one.
+    only one: K/2 + K^T/2, which cannot overflow.
 
     What the audit checks derive from the matrix, its pair distance,
     logarithmic distance and logarithmic similarity, and its proximity

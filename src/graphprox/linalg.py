@@ -26,7 +26,10 @@ The rules the layers above share live here too: DEFAULT_TOL, the
 rounding floor 8 n eps max|operands|, the symmetry test and the guard
 against asymmetric input that read it, the PSD bound max(tol, floor)
 that check_psd and gram_factor decide by, and the one symmetric average
-(_symmetrized) that forms every exactly symmetric result. Tolerances
+(_symmetrized) that forms every exactly symmetric result. It adds the
+halves m/2 + m^T/2, which cannot overflow, and equals (m + m^T) / 2
+rounded once, bit for bit, except where an entry below 2^-1021 in
+magnitude has an odd last bit, whose halving rounds. Tolerances
 judge properties only; whether a matrix is symmetric, or a distance's
 diagonal zero, is decided against the floor, so the answer does not
 change when the matrix is scaled by a power of 2.
@@ -141,15 +144,13 @@ def _symmetry_gaps(a: np.ndarray) -> list[float | None]:
 
 
 def _symmetrized(a: np.ndarray) -> np.ndarray:
-    """(m + m^T) / 2 of the matrix a, or of each matrix m of the stack a,
-    rounded once: exactly symmetric. Where m + m^T overflows, the halves
-    are added instead, so the average of finite entries is finite."""
-    t = a.swapaxes(-1, -2)
-    with np.errstate(over="ignore"):
-        mean = 0.5 * (a + t)
-    if np.isinf(mean).any():  # np.where only when some sum overflowed
-        mean = np.where(np.isinf(mean), 0.5 * a + 0.5 * t, mean)
-    return mean
+    """m/2 + m^T/2 of the matrix a, or of each matrix m of the stack a:
+    exactly symmetric, as float sums commute, and finite where m is, as
+    no sum of halves overflows. Halving is exact but where an entry below
+    2^-1021 in magnitude has an odd last bit, so elsewhere this is
+    (m + m^T) / 2 rounded once, bit for bit."""
+    half = 0.5 * a
+    return half + half.swapaxes(-1, -2)
 
 
 def _require_symmetric(m: np.ndarray, what: str) -> np.ndarray:

@@ -45,6 +45,13 @@ certificate beside the reports, for the audit. Its cut-vertex scan forms
 the mask of that widened band in place of [tol/2, 2 tol], and the
 narrower one only for a matrix with a value in the wider.
 
+The metric family, metric and sqrt_distance (and so the audit's
+log_metric), splits a stack once, in _distance_axioms: a negative entry
+of d decides a matrix first; the matrices that pass get d's transform
+(the identity, or the square root), on which asymmetry, a nonzero
+self-distance and, for metric, distinct vertices at zero distance decide
+more; one walk of the triangle inequality decides the rest.
+
 Candidates that tie in exact arithmetic can differ in their last bits,
 and which one rounding favours depends on operation order and on the
 BLAS kernel. So the slack is the extreme of the inequality, and the
@@ -553,75 +560,59 @@ def _distance_axioms(
     d: np.ndarray, tol: float, prop: str, note: str, transform, require_separation: bool
 ) -> list[PropertyReport]:
     """prop of each matrix of the stack d: it fails at a negative entry of
-    d below -tol (note names it), else the metric axioms decide it on
-    transform of d."""
+    d below -tol (note names it); else the other metric axioms decide it
+    on transform of d, which only the matrices left undecided get: the
+    symmetry, a zero self-distance, distinct vertices apart where
+    require_separation, and then, in one walk, the triangle inequality."""
     n = d.shape[1]
-    reports = []
+    reports: list[PropertyReport | None] = [None] * len(d)
     for m, neg in enumerate(d.min(axis=(1, 2)).tolist()):
         if neg < -tol:
             i, j = divmod(_first_min(d[m], _floors(d[m:m + 1])[0])[1], n)
-            reports.append(PropertyReport(
+            reports[m] = PropertyReport(
                 prop, holds=False, tolerance=tol, witness=(i + 1, j + 1), slack=neg, note=note
-            ))
-        else:
-            reports.append(None)
+            )
     rest = [m for m, r in enumerate(reports) if r is None]
-    if rest:
-        axioms = _metric_axioms(transform(_take(d, rest)), tol, prop, require_separation)
-        for m, report in zip(rest, axioms):
-            reports[m] = report
-    return reports
-
-
-def _metric_axioms(
-    d: np.ndarray, tol: float, prop: str, require_separation: bool
-) -> list[PropertyReport]:
-    """The metric axioms of each matrix of the stack d but nonnegativity,
-    which _distance_axioms checks."""
-    n = d.shape[1]
-    floors = _floors(d)
-    gap = np.abs(d - d.transpose(0, 2, 1))
-    self_dist = np.abs(d.diagonal(0, 1, 2))
-    close = (d <= tol) & _upper(n) if require_separation else None
-    reports: list[PropertyReport | None] = []
+    t = transform(_take(d, rest))
+    floors = _floors(t)
+    gap = np.abs(t - t.transpose(0, 2, 1))
+    self_dist = np.abs(t.diagonal(0, 1, 2))
+    close = (t <= tol) & _upper(n) if require_separation else None
     asyms, diags = gap.max(axis=(1, 2)).tolist(), self_dist.max(axis=1).tolist()
-    for m in range(len(d)):
-        asym, diag = asyms[m], diags[m]
-        if asym > tol:
-            i, j = divmod(_first_max(gap[m], floors[m])[1], n)
-            reports.append(PropertyReport(
+    undecided = []
+    for i, m in enumerate(rest):
+        if asyms[i] > tol:
+            x, y = divmod(_first_max(gap[i], floors[i])[1], n)
+            reports[m] = PropertyReport(
                 prop, holds=False, tolerance=tol,
-                witness=(i + 1, j + 1), slack=asym, note="asymmetric",
-            ))
-        elif diag > tol:
-            i = _first_max(self_dist[m], floors[m])[1]
-            reports.append(PropertyReport(
+                witness=(x + 1, y + 1), slack=asyms[i], note="asymmetric",
+            )
+        elif diags[i] > tol:
+            x = _first_max(self_dist[i], floors[i])[1]
+            reports[m] = PropertyReport(
                 prop, holds=False, tolerance=tol,
-                witness=(i + 1, i + 1), slack=diag, note="nonzero self-distance",
-            ))
-        elif close is not None and close[m].any():
-            x, y = divmod(int(close[m].argmax()), n)
-            reports.append(PropertyReport(
+                witness=(x + 1, x + 1), slack=diags[i], note="nonzero self-distance",
+            )
+        elif close is not None and close[i].any():
+            x, y = divmod(int(close[i].argmax()), n)
+            reports[m] = PropertyReport(
                 prop, holds=False, tolerance=tol,
-                witness=(x + 1, y + 1), slack=float(d[m, x, y]),
+                witness=(x + 1, y + 1), slack=float(t[i, x, y]),
                 note="distinct vertices at zero distance",
-            ))
+            )
         else:
-            reports.append(None)
-    rest = [m for m, r in enumerate(reports) if r is None]
-    if not rest:
-        return reports
+            undecided.append(i)
     # v[x, y, z] = d(x,z) - d(x,y) - d(y,z), left to right
-    triples = _walk_triples(_take(d, rest), lambda a, xs: _fill_repeats(
+    triples = _walk_triples(_take(t, undecided), lambda a, xs: _fill_repeats(
         (a[:, xs, None, :] - a[:, xs, :, None]) - a[:, None], xs, -np.inf
-    ), lambda i, top: floors[rest[i]])
-    for m, (worst, witness, *_) in zip(rest, triples):
+    ), lambda k, top: floors[undecided[k]])
+    for i, (worst, witness, *_) in zip(undecided, triples):
         if n < 3:  # no distinct triples: nothing to check
-            reports[m] = PropertyReport(prop, holds=True, tolerance=tol)
+            reports[rest[i]] = PropertyReport(prop, holds=True, tolerance=tol)
             continue
         x, y, z = witness
         holds = worst <= tol
-        reports[m] = PropertyReport(
+        reports[rest[i]] = PropertyReport(
             prop,
             holds=holds,
             tolerance=tol,

@@ -51,23 +51,23 @@ def _require_positive(m: np.ndarray, what: str) -> np.ndarray:
 def kernel_to_sq_dist(k: np.ndarray) -> np.ndarray:
     """Candidate squared-distance matrix of a symmetric kernel:
     d_ij = (k_ii + k_jj)/2 - k_ij. Squared-Euclidean realizability is a
-    separate check (it holds exactly when the kernel is PSD). Of a stack
-    (B, n, n), that of each matrix."""
-    a = _require_symmetric(k, "kernel_to_sq_dist")
-    dg = a.diagonal(0, -2, -1)
-    d = 0.5 * (dg[..., :, None] + dg[..., None, :]) - a
-    _zero_diagonal(d)
-    return d
+    separate check (it holds exactly when the kernel is PSD). d is
+    pair_to_dist's, exactly symmetric also where the kernel is symmetric
+    only to its rounding floor. Of a stack (B, n, n), that of each matrix."""
+    return _pair_dist(_require_symmetric(k, "kernel_to_sq_dist"))
 
 
 def pair_to_dist(k: np.ndarray) -> np.ndarray:
     """d_ij = (k_ii + k_jj - k_ij - k_ji)/2, defined for asymmetric
     matrices too; coincides with kernel_to_sq_dist on symmetric input.
     Of a stack (B, n, n), that of each matrix."""
-    a = np.asarray(k, dtype=float)
+    return _pair_dist(np.asarray(k, dtype=float))
+
+
+def _pair_dist(a: np.ndarray) -> np.ndarray:
+    """pair_to_dist of the float array a. Averaging a with its transpose
+    first keeps d exactly symmetric; subtracting a, then a^T, would not."""
     dg = a.diagonal(0, -2, -1)
-    # averaging a with its transpose first keeps the output exactly
-    # symmetric (subtracting a then a.T rounds asymmetrically)
     d = 0.5 * (dg[..., :, None] + dg[..., None, :]) - _symmetrized(a)
     _zero_diagonal(d)
     return d

@@ -6,12 +6,15 @@ graphprox.linalg.
   against max(tol, 8 n eps max|K|).
 - The witness rule: the metric axioms' negative-entry, asymmetric and
   self-distance witnesses are the first candidate in C order within the
-  rounding floor of the extreme, so rounding cannot split a mirror pair.
+  rounding floor of the extreme, so rounding cannot split a mirror pair;
+  each matrix of a stack is decided within its own floor.
 - The symmetric-input guard: every rejection of an asymmetric matrix
   keeps its text.
 - The empty-input guard: a public function given a 0x0 matrix answers,
   or raises one ValueError that names the function and the shape.
 - The default tolerance.
+- The symmetric average: m/2 + m^T/2, finite and exactly symmetric, and
+  (m + m^T)/2 rounded once wherever no entry lies below 2^-1021.
 - The structure rule: whether a matrix is symmetric, and whether a
   distance's diagonal is zero, is decided against the rounding floor
   8 n eps max|a|, never against a tolerance, so neither answer changes
@@ -24,8 +27,9 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import graphprox
 from graphprox import (
@@ -171,6 +175,36 @@ def test_axiom_witness_is_the_first_within_the_floor(axiom):
         got = check_sqrt_distance(d)
         assert got == reference_sqrt_distance(d)
         assert got.witness == (1, 2)
+
+
+def test_a_mixed_stack_is_decided_matrix_by_matrix():
+    # matrices decided at each step of the metric axioms: a negative
+    # entry, asymmetry, a self-distance, distinct vertices at zero
+    # distance, two triangles, and none. Each is scaled by its own power
+    # of 2, far enough apart that a witness found within another matrix's
+    # floor would differ. In either order, each report is the one the
+    # reference gives that matrix alone, its witness included
+    n = 6
+    unit = np.ones((n, n)) - np.eye(n)
+    zero, tied, triangle = unit.copy(), unit.copy(), unit.copy()
+    zero[2, 4] = zero[4, 2] = 0.0
+    # triangle excesses NEAR at (1,2,3) and, larger by two ulps of 2.0,
+    # at (4,1,6): a tie within this matrix's floor, not another's
+    tied[0, 2] = tied[2, 0] = 2.0 + NEAR
+    tied[3, 5] = tied[5, 3] = 2.0 + NEAR + 2.0**-50
+    triangle[0, 5] = triangle[5, 0] = 5.0  # its root, too, exceeds 1 + 1
+    axioms = ["negative entry", "asymmetric", "nonzero self-distance"]
+    mats = [tied_at_both_ends(axiom) for axiom in axioms] + [zero, tied, triangle, unit]
+    stack = np.stack([m * 2.0 ** (8 * i) for i, m in enumerate(mats)])
+    for check, reference in ((check_metric, reference_metric),
+                             (check_sqrt_distance, reference_sqrt_distance)):
+        for d in (stack, stack[::-1]):
+            assert check(d) == tuple(reference(m) for m in d)
+    metric = check_metric(stack)
+    assert [r.note for r in metric[:4]] == axioms + ["distinct vertices at zero distance"]
+    assert metric[4].witness == (1, 2, 3)
+    assert [r.holds for r in metric] == [False] * 6 + [True]
+    assert [r.holds for r in check_sqrt_distance(stack)] == [False] * 3 + [True, True, False, True]
 
 
 ASYMMETRIC = np.array([[0.0, 1.0], [0.0, 0.0]])
@@ -365,6 +399,37 @@ def test_a_hand_built_kernel_symmetric_to_its_floor_is_averaged(path4):
     assert not asym.symmetric and np.array_equal(asym.matrix, skew)
 
 
+HUGE = float(np.finfo(float).max)
+NEAR_MAX = np.full((1, 4, 4), 1.5e308)
+NEAR_MAX[0, 0, 1] = np.nextafter(1.5e308, 0.0)
+
+
+def bits(a: np.ndarray) -> bytes:
+    return np.ascontiguousarray(a).tobytes()
+
+
+# stacks of B <= 3 matrices of order n <= 8, scaled by 2^k, k in [-1100, 1023]
+scaled_stacks = st.tuples(st.integers(1, 3), st.integers(1, 8), st.integers(-1100, 1023)).flatmap(
+    lambda bnk: hnp.arrays(
+        float, (bnk[0], bnk[1], bnk[1]), elements=st.floats(-1.5, 1.5, allow_subnormal=False)
+    ).map(lambda a: np.ldexp(a, bnk[2]))
+)
+
+
+@settings(deadline=None)
+@given(a=scaled_stacks)
+@example(a=NEAR_MAX)
+def test_the_average_adds_the_halves(a):
+    # halving is exact but below 2^-1021, where an odd last bit rounds, so
+    # m/2 + m^T/2 is (m + m^T)/2 rounded once where every entry is 0 or
+    # in [2^-1021, max/2], and finite and exactly symmetric everywhere
+    got = linalg._symmetrized(a)
+    assert np.isfinite(got).all() and bits(got) == bits(got.swapaxes(-1, -2))
+    size = np.abs(a)
+    if ((size == 0) | ((size >= 2.0**-1021) & (size <= HUGE / 2))).all():
+        assert bits(got) == bits(0.5 * (a + a.swapaxes(-1, -2)))
+
+
 def test_averaging_near_the_largest_float_stays_finite(path4):
     # m + m^T overflows; the average of the halves does not
     m = np.full((4, 4), 1.5e308)
@@ -381,3 +446,7 @@ def test_averaging_near_the_largest_float_stays_finite(path4):
     k2 = WeightedGraph(np.ones((2, 2)) - np.eye(2), name="K2")
     k = compute_kernel(k2, "comm", 709.9).matrix
     assert np.isfinite(k).all() and np.array_equal(k, k.T)
+    # the rule's one exception: an odd last bit below 2^-1021, here a
+    # symmetric pair of the smallest subnormal, whose halves round to 0
+    tiny = np.array([[0.0, 5e-324], [5e-324, 0.0]])
+    assert (0.5 * (tiny + tiny.T) == tiny).all() and (linalg._symmetrized(tiny) == 0.0).all()

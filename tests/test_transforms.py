@@ -56,6 +56,21 @@ class TestKernelToSqDist:
         with pytest.raises(ValueError, match="symmetric"):
             kernel_to_sq_dist(np.stack([ks[0], np.triu(ks[1])]))
 
+    def test_kernel_symmetric_to_its_floor_gives_the_pair_distance(self, path4):
+        # one entry one ulp off: symmetric to the rounding floor, and the
+        # mean of the diagonal less k would be asymmetric in its last bits
+        k = compute_kernel(path4, "regL", 1.0).matrix
+        off = k.copy()
+        off[0, 1] = np.nextafter(off[0, 1], 1.0)
+        d = kernel_to_sq_dist(off)
+        npt.assert_array_equal(d, d.T)
+        assert d.tobytes() == pair_to_dist(off).tobytes()
+        # an exactly symmetric kernel keeps d = (k_ii + k_jj)/2 - k_ij, bit for bit
+        dg = np.diag(k)
+        mean_less_k = 0.5 * (dg[:, None] + dg[None, :]) - k
+        np.fill_diagonal(mean_less_k, 0.0)
+        assert kernel_to_sq_dist(k).tobytes() == mean_less_k.tobytes()
+
 
 class TestPairToDist:
     def test_coincides_with_kernel_transform_on_symmetric(self, path4):
