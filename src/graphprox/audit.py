@@ -25,7 +25,7 @@ import numpy as np
 
 from ._version import __version__
 from .graphs import WeightedGraph
-from .kernels import SYMMETRIC_MEASURES, KernelResult, _proximities, _stack, compute_kernel
+from .kernels import SYMMETRIC_MEASURES, KernelResult, _shared, _stack, compute_kernel
 from .linalg import DEFAULT_TOL, _EPS, _max_abs_each, _symmetrized
 from .properties import (
     PropertyReport,
@@ -287,41 +287,36 @@ def _renamed(prop: str, reports: tuple[PropertyReport, ...]) -> tuple[PropertyRe
     return tuple([dataclasses.replace(r, property=prop) for r in reports])
 
 
-def _split(kres, chosen, check, other) -> tuple[PropertyReport, ...]:
-    """check of the kernel results among kres for which chosen holds, in
-    one call, and other of every other one."""
-    picked = [kr for kr in kres if chosen(kr)]
-    reports = iter(check(picked) if picked else ())
-    return tuple(next(reports) if chosen(kr) else other(kr) for kr in kres)
-
-
 def _if_symmetric(kres, prop: str, tol: float, check) -> tuple[PropertyReport, ...]:
     """check of the kernel results among kres whose matrix is symmetric,
     in one call, and prop's asymmetry report of every other one."""
-    return _split(
-        kres, lambda kr: kr.symmetric, check, lambda kr: _asymmetry_report(prop, kr.matrix, tol)
-    )
+    picked = [kr for kr in kres if kr.symmetric]
+    reports = iter(check(picked) if picked else ())
+    return tuple([
+        next(reports) if kr.symmetric else _asymmetry_report(prop, kr.matrix, tol)
+        for kr in kres
+    ])
+
+
+def _proximity_reports(kres, tol: float) -> tuple[PropertyReport, ...]:
+    """check_proximity of each of kres, symmetric kernel results, kept in
+    their memos for both proximity and sigma."""
+    return _shared(kres, ("proximity", tol), lambda todo: check_proximity(_stack(todo), tol))
 
 
 def _transitional_reports(kres, tol: float) -> tuple[PropertyReport, ...]:
-    """check_transitional of each kernel result, in one call; each keeps
-    whether its report certifies cutpoint_additive at tol."""
+    """check_transitional of each kernel result, in one call. Where a
+    pass certifies cutpoint_additive, the kernel result keeps in its memo
+    the passing report, not indeterminate, that check_cutpoint_additive
+    gives its logarithmic distance at tol, which then need not be
+    derived."""
     reports, certified = _transitional(_stack(kres), kres[0].graph, tol)
     for kr, c in zip(kres, certified):
-        kr._cutpoint_certified[tol] = c
+        if c:
+            kr._memo[("cutpoint_additive", tol)] = PropertyReport(
+                "cutpoint_additive", holds=True, tolerance=tol
+            )
     return tuple(reports)
-
-
-def _cutpoint_reports(kres, tol: float) -> tuple[PropertyReport, ...]:
-    """check_cutpoint_additive of the logarithmic distance of each kernel
-    result, in one call, but for those whose transitional check at tol
-    certified it: each of them gets the passing report, not indeterminate,
-    that the check gives it, without deriving that distance."""
-    return _split(
-        kres, lambda kr: not kr._cutpoint_certified.get(tol),
-        lambda rest: check_cutpoint_additive(_stack(rest, "log_dist"), kres[0].graph, tol),
-        lambda kr: PropertyReport("cutpoint_additive", holds=True, tolerance=tol),
-    )
 
 
 # Requestable audit checks, each a function of (kernel results on one
@@ -333,9 +328,11 @@ def _cutpoint_reports(kres, tol: float) -> tuple[PropertyReport, ...]:
 # question that remains once an asymmetric measure has failed plain psd
 # by definition; sigma adds the row-sum condition to the proximity
 # report. proximity and sigma read kr.symmetric, which the matrix
-# decides, not the measure: on a regular graph ppr's is. The distances,
-# the logarithmic similarity and the proximity scan are the kernel
-# result's, derived once however many checks read them. A matrix is
+# decides, not the measure: on a regular graph ppr's is. What one check
+# hands another is kept in each kernel result's memo (kernels._shared),
+# so it is derived once however many checks read it: the distances and
+# the logarithmic similarity under their names, and the proximity scan
+# that proximity and sigma share under ("proximity", tol). A matrix is
 # symmetrized at most once before the eigensolver reads it: sym_psd forms
 # (K + K^T)/2, which is exactly symmetric, and decides it through
 # check_psd's eigenvalue core without testing its symmetry again.
@@ -344,21 +341,21 @@ def _cutpoint_reports(kres, tol: float) -> tuple[PropertyReport, ...]:
 # -(ln(1 + rel_ijk) + ln(1 + rel_kji)) / 2 for the logarithmic distance d
 # and the relative excess rel, it does where no distinct triple has |rel|
 # in [tol/2 - w, 2 tol + w], w = tol^2 + the rounding floor of operands of
-# size 2 + 2 max|ln s| (see properties). The kernel result keeps that
-# certificate per tolerance, and cutpoint_additive gives each certified
-# one the passing report the logarithmic distance would get, deriving that
-# distance only for the others. The other checks look up the property
-# checks by their module-level names at call time, so a caller may wrap
-# those names.
+# size 2 + 2 max|ln s| (see properties). transitional stores the passing
+# report that the logarithmic distance would get in the memo of each
+# kernel result it certifies, under ("cutpoint_additive", tol), and
+# cutpoint_additive reads that key, deriving the logarithmic distance only
+# for the others. The other checks look up the property checks by their
+# module-level names at call time, so a caller may wrap those names.
 _CHECKS: dict[str, Callable[[tuple[KernelResult, ...], float], tuple[PropertyReport, ...]]] = {
     "psd": lambda ks, tol: check_psd(_stack(ks), tol),
     "sym_psd": lambda ks, tol: tuple(_psd_reports("sym_psd", _symmetrized(_stack(ks)), tol)),
     "proximity": lambda ks, tol: _if_symmetric(
-        ks, "proximity", tol, lambda sym: _proximities(sym, tol)
+        ks, "proximity", tol, lambda sym: _proximity_reports(sym, tol)
     ),
     "sigma": lambda ks, tol: _if_symmetric(
         ks, "sigma_proximity", tol,
-        lambda sym: _sigma_proximity(_stack(sym), _proximities(sym, tol), tol),
+        lambda sym: _sigma_proximity(_stack(sym), _proximity_reports(sym, tol), tol),
     ),
     "egocentrism": lambda ks, tol: check_egocentrism(_stack(ks), tol),
     "metric": lambda ks, tol: check_metric(_stack(ks, "dist"), tol),
@@ -368,7 +365,10 @@ _CHECKS: dict[str, Callable[[tuple[KernelResult, ...], float], tuple[PropertyRep
     "sqrt_distance": lambda ks, tol: check_sqrt_distance(_stack(ks, "dist"), tol),
     "distance_order": lambda ks, tol: check_distance_order(_stack(ks, "dist")),
     "transitional": _transitional_reports,
-    "cutpoint_additive": _cutpoint_reports,
+    "cutpoint_additive": lambda ks, tol: _shared(
+        ks, ("cutpoint_additive", tol),
+        lambda todo: check_cutpoint_additive(_stack(todo, "log_dist"), ks[0].graph, tol),
+    ),
     "log_metric": lambda ks, tol: _renamed(
         "log_metric", check_metric(_stack(ks, "log_dist"), tol)
     ),

@@ -19,14 +19,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
 from .graphs import WeightedGraph, _read_only
 from .linalg import _double_factorial_series, _symmetrized, _symmetry_gaps, invert, matrix_exp
-from .properties import PropertyReport, check_proximity
 from .transforms import _require_positive, log_distance, pair_to_dist, symmetrize_geometric
 
 __all__ = [
@@ -109,14 +107,15 @@ class KernelResult:
     floor is replaced by that average, linalg._symmetrized, the package's
     only one: K/2 + K^T/2, which cannot overflow.
 
-    What the audit checks derive from the matrix, its pair distance,
-    logarithmic distance and logarithmic similarity, and its proximity
-    report at each tolerance, is computed on first use and then kept, so
-    that every check run on one kernel result derives each of them once.
-    So is whether its transitional check at a tolerance certifies
-    cutpoint_additive there, which then needs no logarithmic distance.
-    Each derivation looks up its transform or check by module-level name
-    at call time, so a caller may wrap those names.
+    Its memo keeps what is derived from the matrix on first use: its pair
+    distance, logarithmic distance and logarithmic similarity, each also
+    a read-only property, and whatever report one audit check hands
+    another (see audit._CHECKS), so that every check run on one kernel
+    result derives each of them once. _shared fills the memo, one call
+    over the stack of the kernel results that lack a value, and one
+    kernel result is a stack of one. Each derivation looks up its
+    transform by module-level name at call time, so a caller may wrap
+    those names.
     """
 
     graph: WeightedGraph
@@ -125,6 +124,7 @@ class KernelResult:
     matrix: np.ndarray
     param_domain: tuple[float, float]
     symmetric: bool = field(init=False)
+    _memo: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         m = np.array(self.matrix, dtype=float)
@@ -136,45 +136,32 @@ class KernelResult:
         object.__setattr__(self, "param", float(self.param))
         object.__setattr__(self, "symmetric", gap is not None)
 
-    @cached_property
+    @property
     def dist(self) -> np.ndarray:
         """pair_to_dist of the matrix, the induced distance."""
-        return _read_only(pair_to_dist(self.matrix))
+        return _stack((self,), "dist")[0]
 
-    @cached_property
+    @property
     def log_dist(self) -> np.ndarray:
         """log_distance of the matrix."""
-        return _read_only(log_distance(self.matrix))
+        return _stack((self,), "log_dist")[0]
 
-    @cached_property
+    @property
     def log_similarity(self) -> np.ndarray:
         """ln of the matrix, geometrically symmetrized first if asymmetric;
         either way every entry must be strictly positive."""
-        return _read_only(_log_similarity((self,))[0])
-
-    @cached_property
-    def _proximity(self) -> dict[float, PropertyReport]:
-        return {}
-
-    @cached_property
-    def _cutpoint_certified(self) -> dict[float, bool]:
-        """Whether the audit's transitional check at each tolerance found
-        that it certifies cutpoint_additive (properties._transitional)."""
-        return {}
-
-    def proximity(self, tol: float) -> PropertyReport:
-        """check_proximity of the matrix at tol."""
-        return _proximities((self,), tol)[0]
+        return _stack((self,), "log_similarity")[0]
 
 
-def _proximities(results, tol: float) -> tuple[PropertyReport, ...]:
-    """KernelResult.proximity(tol) of each of results; the matrices not
-    yet checked at tol are checked in one call over their stack."""
-    todo = [r for r in results if tol not in r._proximity]
+def _shared(results, key, compute) -> tuple:
+    """The value each of results keeps in its memo under key. Those that
+    lack it get it from one call compute(todo) over them, in order, which
+    returns one value each."""
+    todo = [r for r in results if key not in r._memo]
     if todo:
-        for r, report in zip(todo, check_proximity(_stack(todo), tol)):
-            r._proximity[tol] = report
-    return tuple(r._proximity[tol] for r in results)
+        for r, value in zip(todo, compute(todo)):
+            r._memo[key] = value
+    return tuple([r._memo[key] for r in results])
 
 
 def _log_similarity(results) -> np.ndarray:
@@ -189,8 +176,8 @@ def _log_similarity(results) -> np.ndarray:
 
 # What _stack derives over a stack of kernel results at once.
 _DERIVED = {
-    "dist": lambda results: pair_to_dist(np.stack([r.matrix for r in results])),
-    "log_dist": lambda results: log_distance(np.stack([r.matrix for r in results])),
+    "dist": lambda results: pair_to_dist(_stack(results)),
+    "log_dist": lambda results: log_distance(_stack(results)),
     "log_similarity": _log_similarity,
 }
 
@@ -199,15 +186,12 @@ def _stack(results, attr: str = "matrix") -> np.ndarray:
     """The stack (B, n, n) of what results on one graph derive under attr,
     in order: a view where B is 1. Their distances and logarithmic
     similarities not yet derived are derived in one call over the stack,
-    and kept."""
-    if len(results) == 1:
-        return getattr(results[0], attr)[None]
-    todo = [r for r in results if attr in _DERIVED and attr not in r.__dict__]
-    if len(todo) > 1:
-        derived = _DERIVED[attr](todo)
-        for i, r in enumerate(todo):
-            r.__dict__[attr] = _read_only(derived[i])  # where the cached property keeps it
-    return np.stack([getattr(r, attr) for r in results])
+    and kept read-only in their memos."""
+    if attr == "matrix":
+        mats = [r.matrix for r in results]
+    else:
+        mats = _shared(results, attr, lambda todo: _read_only(_DERIVED[attr](todo)))
+    return mats[0][None] if len(mats) == 1 else np.stack(mats)
 
 
 def param_domain(measure: str, g: WeightedGraph) -> tuple[float, float]:

@@ -5,8 +5,8 @@ A caller may wrap a public function where another module looks it up,
 as the per-layer tracer in perfbench/spans.py does: compute_kernel must
 reach each kernel through graphprox.kernels, the audit checks must reach
 each property check and transform through graphprox.audit, and a kernel
-result must reach what it derives its distances and proximity scan with
-through graphprox.kernels. A table that held the functions themselves
+result must reach what it derives its distances with through
+graphprox.kernels. A table that held the functions themselves
 would bypass the wrapper. The CLI writes every JSON document through
 graphprox.cli.report_json, the span the tracer times as audit.report_json.
 """
@@ -77,9 +77,9 @@ def test_audit_names_cover_checks_and_transforms():
     }
     # sym_psd, sigma and transitional go through private cores
     assert len([n for n in AUDIT_NAMES if n.startswith("check_")]) == 8
-    # a kernel result derives its distances and proximity scan itself
+    # a kernel result derives its distances itself; the audit runs every check
     assert {n for m, n in AUDIT_BINDINGS if m is kernels} == {
-        "check_proximity", "log_distance", "pair_to_dist", "symmetrize_geometric",
+        "log_distance", "pair_to_dist", "symmetrize_geometric",
     }
 
 

@@ -1,15 +1,16 @@
 """Each piece of per-command work is done once.
 
-A kernel result derives its pair distance, logarithmic distance and
-logarithmic similarity once, and scans its matrix for the proximity
-triangle once, for `proximity` and `sigma` together, whether an audit
-or repeated run_check calls read them; an audit's reports still equal
-those of one run_check per check on a fresh kernel result. Where the
-transitional check certifies cutpoint_additive, the audit derives no
-logarithmic distance for it. A threshold evaluation builds one kernel
-result. The transitional check forms each block of relative excesses
-once, and forms one again only to locate the witness of a failing
-matrix. A graph computes its spectral radius once,
+A kernel result keeps in its memo its pair distance, logarithmic
+distance and logarithmic similarity, and the audit keeps there its
+proximity scan, which `proximity` and `sigma` share, so each is formed
+once whether an audit or repeated run_check calls read them, on the
+kernel result alone or in stacks; an audit's reports still equal those
+of one run_check per check on a fresh kernel result. Where the
+transitional check certifies cutpoint_additive, the audit keeps its
+report and derives no logarithmic distance for it. A threshold
+evaluation builds one kernel result. The transitional check forms each
+block of relative excesses once, and forms one again only to locate the
+witness of a failing matrix. A graph computes its spectral radius once,
 however many commands read it. The eigenvalue checks and the spectral
 radius compute no eigenvectors; an embedding computes them once. A
 process builds its parser once, and the help text still wraps to the
@@ -27,6 +28,7 @@ from hypothesis import strategies as st
 from graphprox import (
     KernelResult,
     WeightedGraph,
+    audit,
     builtin_graph,
     check_sigma_proximity,
     check_transitional,
@@ -40,6 +42,7 @@ from graphprox import (
     properties,
     run_audit,
     run_check,
+    transforms,
 )
 from graphprox.audit import default_checks
 from graphprox.cli import build_parser, main
@@ -126,16 +129,19 @@ def count_calls(monkeypatch, module, names) -> Counter:
 
 
 def test_symmetric_kernel_derives_and_scans_once(monkeypatch, capsys):
-    calls = count_calls(monkeypatch, kernels, ("check_proximity", "pair_to_dist", "log_distance"))
+    calls = count_calls(monkeypatch, kernels, ("pair_to_dist", "log_distance"))
+    scans = count_calls(monkeypatch, audit, ("check_proximity",))
     # regL is transitional, and its check certifies cutpoint_additive
     # without a logarithmic distance; heat is not, so that check derives one
     for measure, log_distances in (("regL:1.0", 0), ("heat:1.0", 1)):
         calls.clear()
+        scans.clear()
         code = main(["audit", "paper:path5", "--measure", measure, "--check", "all"])
         capsys.readouterr()
         assert code in (0, 1)
         # a Counter reads a missing name as 0
-        assert calls == Counter(check_proximity=1, pair_to_dist=1, log_distance=log_distances)
+        assert calls == Counter(pair_to_dist=1, log_distance=log_distances)
+        assert scans == {"check_proximity": 1}
 
 
 @pytest.mark.parametrize("per_block, blocks", [(1, 7), (3, 3)])
@@ -155,11 +161,24 @@ def test_transitional_forms_each_block_once(monkeypatch, per_block, blocks):
 
 
 def test_run_check_calls_share_the_kernel_results_distance(monkeypatch, path4):
-    calls = count_calls(monkeypatch, kernels, ("pair_to_dist",))
-    kres = compute_kernel(path4, "regL", 1.0)
-    for check in ("metric", "sqrt_distance"):
-        run_check(check, kres)
-    assert calls == {"pair_to_dist": 1}
+    # one kernel result alone and in stacks, in either order, reads one memo
+    calls = count_calls(monkeypatch, kernels, ("pair_to_dist", "log_distance"))
+    scans = count_calls(monkeypatch, audit, ("check_proximity",))
+    a, b = compute_kernel(path4, "regL", 1.0), compute_kernel(path4, "heat", 1.0)
+    run_check("metric", a)
+    run_check("sqrt_distance", [a, b])
+    run_check("sq_euclidean", [b, a])
+    b.dist
+    assert calls == {"pair_to_dist": 2}
+    run_check("proximity", [a, b])
+    run_check("sigma", a)
+    assert scans == {"check_proximity": 1}
+    # regL's transitional pass certifies cutpoint_additive
+    run_check("transitional", [a, b])
+    run_check("cutpoint_additive", a)
+    assert calls == {"pair_to_dist": 2}
+    assert not a.dist.flags.writeable
+    assert a.dist.tobytes() == transforms.pair_to_dist(a.matrix).tobytes()
 
 
 def test_threshold_evaluation_builds_one_kernel_result(monkeypatch, path4):
