@@ -31,8 +31,10 @@ from .properties import (
     PropertyReport,
     _asymmetry_report,
     _check_tol,
+    _metric,
     _psd_reports,
     _sigma_proximity,
+    _take,
     _transitional,
     check_cutpoint_additive,
     check_distance_order,
@@ -300,8 +302,28 @@ def _if_symmetric(kres, prop: str, tol: float, check) -> tuple[PropertyReport, .
 
 def _proximity_reports(kres, tol: float) -> tuple[PropertyReport, ...]:
     """check_proximity of each of kres, symmetric kernel results, kept in
-    their memos for both proximity and sigma."""
+    their memos for both proximity and sigma, and for metric."""
     return _shared(kres, ("proximity", tol), lambda todo: check_proximity(_stack(todo), tol))
+
+
+def _metric_reports(kres, tol: float) -> tuple[PropertyReport, ...]:
+    """check_metric of each kernel result's pair distance. Where the
+    matrix is symmetric and its proximity report holds, that report's
+    slack, the largest T1 excess, is the largest triangle excess of the
+    distance (see properties), so only metric's O(n^2) axioms remain to
+    check; every other distance, failing or asymmetric, goes through
+    check_metric."""
+    sym = [m for m, kr in enumerate(kres) if kr.symmetric]
+    proximity = _proximity_reports([kres[m] for m in sym], tol)
+    tops = {m: r.slack for m, r in zip(sym, proximity) if r.holds and r.slack is not None}
+    known, rest = list(tops), [m for m in range(len(kres)) if m not in tops]
+    d = _stack(kres, "dist")
+    reports = {}
+    if known:
+        reports.update(zip(known, _metric(_take(d, known), tol, list(tops.values()))))
+    if rest:
+        reports.update(zip(rest, check_metric(_take(d, rest), tol)))
+    return tuple([reports[m] for m in range(len(kres))])
 
 
 def _transitional_reports(kres, tol: float) -> tuple[PropertyReport, ...]:
@@ -327,12 +349,22 @@ def _transitional_reports(kres, tol: float) -> tuple[PropertyReport, ...]:
 # distance; sym_psd tests the symmetrized kernel (K + K^T)/2, the PSD
 # question that remains once an asymmetric measure has failed plain psd
 # by definition; sigma adds the row-sum condition to the proximity
-# report. proximity and sigma read kr.symmetric, which the matrix
-# decides, not the measure: on a regular graph ppr's is. What one check
-# hands another is kept in each kernel result's memo (kernels._shared),
-# so it is derived once however many checks read it: the distances and
-# the logarithmic similarity under their names, and the proximity scan
-# that proximity and sigma share under ("proximity", tol). A matrix is
+# report. proximity, sigma and metric read kr.symmetric, which the
+# matrix decides, not the measure: on a regular graph ppr's is. What one
+# check hands another is kept in each kernel result's memo
+# (kernels._shared), so it is derived once however many checks read it:
+# the distances and the logarithmic similarity under their names, and
+# the proximity report under ("proximity", tol), the T1 walk of a
+# symmetric matrix, which proximity and sigma report and metric reads:
+# metric's triangle excess at (x, y, z) is proximity's at (y, x, z) (see
+# properties). Where that report holds, metric takes its slack as the
+# largest triangle excess and checks only its O(n^2) axioms on the
+# distance, through properties._metric; it forms the report itself where
+# the memo lacks it, so that no report depends on what the memo holds.
+# Every other distance, failing or asymmetric, goes through check_metric,
+# which walks it and searches a failing triangle's witness in its own
+# order; every triple walk searches a witness only where its report
+# fails. A matrix is
 # symmetrized at most once before the eigensolver reads it: sym_psd forms
 # (K + K^T)/2, which is exactly symmetric, and decides it through
 # check_psd's eigenvalue core without testing its symmetry again.
@@ -346,7 +378,10 @@ def _transitional_reports(kres, tol: float) -> tuple[PropertyReport, ...]:
 # kernel result it certifies, under ("cutpoint_additive", tol), and
 # cutpoint_additive reads that key, deriving the logarithmic distance only
 # for the others. The other checks look up the property checks by their
-# module-level names at call time, so a caller may wrap those names.
+# module-level names at call time, so a caller may wrap those names. Not
+# every call goes through one: sym_psd and transitional run private
+# cores, and metric of a symmetric kernel whose proximity report holds
+# runs properties._metric (tests/test_late_binding.py pins this list).
 _CHECKS: dict[str, Callable[[tuple[KernelResult, ...], float], tuple[PropertyReport, ...]]] = {
     "psd": lambda ks, tol: check_psd(_stack(ks), tol),
     "sym_psd": lambda ks, tol: tuple(_psd_reports("sym_psd", _symmetrized(_stack(ks)), tol)),
@@ -358,7 +393,7 @@ _CHECKS: dict[str, Callable[[tuple[KernelResult, ...], float], tuple[PropertyRep
         lambda sym: _sigma_proximity(_stack(sym), _proximity_reports(sym, tol), tol),
     ),
     "egocentrism": lambda ks, tol: check_egocentrism(_stack(ks), tol),
-    "metric": lambda ks, tol: check_metric(_stack(ks, "dist"), tol),
+    "metric": _metric_reports,
     "sq_euclidean": lambda ks, tol: check_sq_euclidean(
         _stack(ks, "dist"), tol, _max_abs_each(_stack(ks))
     ),

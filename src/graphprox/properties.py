@@ -32,7 +32,12 @@ tol is known. Transitional forms the mask of products that are not
 normal floats only on a block whose extreme products, bounded by the
 extremes of its rows and of its matrices, leave the normal range, and
 then over the whole block at once: a matrix whose products are all
-normal keeps the linear form there, as it does alone.
+normal keeps the linear form there, as it does alone. Its repeated
+triples i = j and j = k, whose excess is 0 by construction, are filled
+with -inf, as proximity and the metric family fill all of theirs, so a
+passing slack is the largest excess over the other triples (None for
+n < 3) and no witness names one; i = k != j stays, as s_ij s_ji <=
+s_ii s_jj is a real instance of the inequality.
 
 The same scan certifies cutpoint_additive, by Chebotarev's graph
 bottleneck identity: for a positive s, d = log_distance(s) has
@@ -52,6 +57,16 @@ of d decides a matrix first; the matrices that pass get d's transform
 self-distance and, for metric, distinct vertices at zero distance decide
 more; one walk of the triangle inequality decides the rest.
 
+Proximity and metric are one inequality (family T1): for a symmetric K
+and its pair distance d, metric's excess d(x,z) - d(x,y) - d(y,z) at
+(x, y, z) is proximity's k(y,x) + k(y,z) - k(x,z) - k(y,y) at (y, x, z).
+So proximity's walk of K, _t1_excess, is the T1 walk: where its report
+holds, its slack is metric's largest triangle excess of d. The audit's
+metric reads it there, as the tops of _distance_axioms, which then
+checks only the O(n^2) axioms of d; every other matrix, failing or
+asymmetric, walks d, and so gets its witness in metric's own order. The
+public check_metric always walks d.
+
 Candidates that tie in exact arithmetic can differ in their last bits,
 and which one rounding favours depends on operation order and on the
 BLAS kernel. So the slack is the extreme of the inequality, and the
@@ -61,7 +76,8 @@ value lies within the rounding floor of that extreme (_rounding_floor:
 negative-entry, asymmetric and self-distance witnesses too. The walker
 keeps each block's extreme and searches only the first block of a matrix
 that reaches the band, so the witness does not depend on the block size;
-it searches only where the report reads the witness. The eigenvalue
+it searches only where the report fails, its extreme beyond tol, so a
+passing walk forms no block twice. The eigenvalue
 checks decide against max(tol, floor), the floor of the operands of the
 matrix whose eigenvalues they read; where that floor exceeds tol, a
 negative smallest eigenvalue within twice the floor is indeterminate, as
@@ -232,19 +248,22 @@ def _stack_blocks(count: int, n: int):
                 yield slice(m, m + 1), xs
 
 
-def _fill_repeats(v: np.ndarray, xs: slice, value) -> np.ndarray:
+def _fill_repeats(v: np.ndarray, xs: slice, value, outer: bool = True) -> np.ndarray:
     """Write value to each entry of block v (first indices xs, and any
-    leading matrix axes) whose x, y, z are not all distinct, and return
-    v. In C order, entry (x, y, z) of matrix m lies
-    ((m b + x - s) n + y) n + z items into the block, s = xs.start, so
-    each of v[x, x, :], v[x, :, x] and v[:, y, y] is one strided view of
-    it, written at once. Any other v is copied to C order first."""
+    leading matrix axes) whose x, y, z are not all distinct, or, where
+    not outer, to those with x = y or y = z only, and return v. In C
+    order, entry (x, y, z) of matrix m lies ((m b + x - s) n + y) n + z
+    items into the block, s = xs.start, so each of v[x, x, :], v[x, :, x]
+    and v[:, y, y] is one strided view of it, written at once. Any other
+    v is copied to C order first."""
     v = np.ascontiguousarray(v)
     b, n = v.shape[-3], v.shape[-1]
     item, s = v.itemsize, xs.start
     shape = (v.size // (b * n * n), b, n)  # matrix, first index, free index
-    # start, first-index step and free-index step, in items
-    for start, x_step, step in ((s * n, n * n + n, 1), (s, n * n + 1, n), (0, n * n, n + 1)):
+    # start, first-index step and free-index step, in items, of x = y,
+    # x = z and y = z
+    views = ((s * n, n * n + n, 1), (s, n * n + 1, n), (0, n * n, n + 1))
+    for start, x_step, step in views if outer else views[::2]:
         strides = (b * n * n * item, x_step * item, step * item)
         np.ndarray(shape, v.dtype, v, start * item, strides).fill(value)
     return v
@@ -273,7 +292,7 @@ def _band(extreme: float, floor: float) -> float:
 
 
 def _walk_triples(
-    a: np.ndarray, form, floor=None, g: WeightedGraph | None = None, tol=0.0, widths=None
+    a: np.ndarray, form, tol: float, floor=None, g: WeightedGraph | None = None, widths=None
 ):
     """Walk every triple of each matrix of the stack a, one block of
     _stack_blocks at a time; form(a[ms], xs) is the (k, b, n, n) block of
@@ -281,11 +300,12 @@ def _walk_triples(
     (top, witness, mismatch, near, wide).
 
     Given floor, top is the largest value, NaN aside (-inf if there is
-    none), and witness the first (x, y, z) in C order whose value lies
-    within floor(m, top) of it, or None where that gives None. Only the
-    first block of the matrix whose top reaches the band is searched,
-    formed again unless it is the last, so the witness does not depend on
-    the block size; a NaN value is never in the band. Given the graph g,
+    none), and, only where top exceeds tol, witness is the first
+    (x, y, z) in C order whose value lies within floor(m, top) of it;
+    else None, as a report that holds names no witness. Only the first
+    block of the matrix whose top reaches the band is searched, formed
+    again unless it is the last, so the witness does not depend on the
+    block size; a NaN value is never in the band. Given the graph g,
     mismatch, near and wide are those of _separation_scan at tol, with
     each matrix's widening widths[m] (0 without widths), over the blocks
     of a matrix until it has a mismatch or a top beyond tol. A matrix with
@@ -320,13 +340,21 @@ def _walk_triples(
         if floor is None or xs.stop < n:
             continue
         for i, m in enumerate(block):
-            width = floor(m, tops[m])
-            if width is not None:
-                cut = _band(tops[m], width)
+            if tops[m] > tol:
+                cut = _band(tops[m], floor(m, tops[m]))
                 first = next(s for top, s in seen[m] if top >= cut)
                 w = v[i] if first == xs else form(a[m:m + 1], first)[0]
                 witness[m] = _triple(first, int((w >= cut).argmax()), n)
     return list(zip(tops, witness, mismatch, near, wide))
+
+
+def _t1_excess(a: np.ndarray, xs: slice) -> np.ndarray:
+    """The T1 block of the symmetric stack a for first indices xs:
+    proximity's excess v[x, y, z] = k(x,y) + k(x,z) - k(y,z) - k(x,x),
+    left to right, and -inf where x, y, z are not all distinct."""
+    diag = a.diagonal(0, 1, 2)
+    v = ((a[:, xs, :, None] + a[:, xs, None, :]) - a[:, None]) - diag[:, xs, None, None]
+    return _fill_repeats(v, xs, -np.inf)
 
 
 def _first_max(v: np.ndarray, floor: float) -> tuple[float, int]:
@@ -440,11 +468,7 @@ def check_proximity(k: np.ndarray, tol: float = DEFAULT_TOL) -> PropertyReport:
     n = k.shape[1]
     diag = k.diagonal(0, 1, 2)
     floors = _floors(k)
-    # v[x, y, z] = k(x,y) + k(x,z) - k(y,z) - k(x,x), left to right
-    weak = _walk_triples(k, lambda a, xs: _fill_repeats(
-        ((a[:, xs, :, None] + a[:, xs, None, :]) - a[:, None])
-        - a.diagonal(0, 1, 2)[:, xs, None, None], xs, -np.inf
-    ), lambda m, top: floors[m])
+    weak = _walk_triples(k, _t1_excess, tol, lambda m, top: floors[m])
     strict = _off_diagonal_minima((diag[:, :, None] + diag[:, None, :]) - 2.0 * k, floors)
     return [
         _proximity_report(n, tol, top, witness, *s)
@@ -557,13 +581,16 @@ def check_egocentrism(k: np.ndarray, tol: float = DEFAULT_TOL) -> PropertyReport
 
 
 def _distance_axioms(
-    d: np.ndarray, tol: float, prop: str, note: str, transform, require_separation: bool
+    d: np.ndarray, tol: float, prop: str, note: str, transform, require_separation: bool,
+    tops=None,
 ) -> list[PropertyReport]:
     """prop of each matrix of the stack d: it fails at a negative entry of
     d below -tol (note names it); else the other metric axioms decide it
     on transform of d, which only the matrices left undecided get: the
     symmetry, a zero self-distance, distinct vertices apart where
-    require_separation, and then, in one walk, the triangle inequality."""
+    require_separation, and then, in one walk, the triangle inequality.
+    Where tops gives the largest triangle excess of each matrix of d, each
+    known to be within tol, it is read instead of walked."""
     n = d.shape[1]
     reports: list[PropertyReport | None] = [None] * len(d)
     for m, neg in enumerate(d.min(axis=(1, 2)).tolist()):
@@ -602,21 +629,23 @@ def _distance_axioms(
             )
         else:
             undecided.append(i)
-    # v[x, y, z] = d(x,z) - d(x,y) - d(y,z), left to right
-    triples = _walk_triples(_take(t, undecided), lambda a, xs: _fill_repeats(
-        (a[:, xs, None, :] - a[:, xs, :, None]) - a[:, None], xs, -np.inf
-    ), lambda k, top: floors[undecided[k]])
+    if tops is None:
+        # v[x, y, z] = d(x,z) - d(x,y) - d(y,z), left to right
+        triples = _walk_triples(_take(t, undecided), lambda a, xs: _fill_repeats(
+            (a[:, xs, None, :] - a[:, xs, :, None]) - a[:, None], xs, -np.inf
+        ), tol, lambda k, top: floors[undecided[k]])
+    else:
+        triples = [(tops[rest[i]], None) for i in undecided]
     for i, (worst, witness, *_) in zip(undecided, triples):
         if n < 3:  # no distinct triples: nothing to check
             reports[rest[i]] = PropertyReport(prop, holds=True, tolerance=tol)
             continue
-        x, y, z = witness
         holds = worst <= tol
         reports[rest[i]] = PropertyReport(
             prop,
             holds=holds,
             tolerance=tol,
-            witness=None if holds else (x + 1, y + 1, z + 1),
+            witness=None if holds else tuple(v + 1 for v in witness),
             slack=float(worst),
             indeterminate=0.5 * tol <= worst <= 2.0 * tol,
             note="triangle excess d(x,z)-d(x,y)-d(y,z) at worst (x,y,z)",
@@ -630,9 +659,16 @@ def check_metric(d: np.ndarray, tol: float = DEFAULT_TOL) -> PropertyReport:
     indiscernibles, and the triangle inequality over all ordered triples.
     Of a stack or sequence of matrices, a tuple of reports, one per
     matrix."""
+    return _metric(d, tol)
+
+
+def _metric(d: np.ndarray, tol: float, tops=None) -> list[PropertyReport]:
+    """check_metric of each matrix of the stack d; where tops is given,
+    it reads each matrix's largest triangle excess there instead of
+    walking d (see _distance_axioms)."""
     _check_tol(tol)
     _require_finite(d, "check_metric")
-    return _distance_axioms(d, tol, "metric", "negative entry", lambda a: a, True)
+    return _distance_axioms(d, tol, "metric", "negative entry", lambda a: a, True, tops)
 
 
 @_per_matrix
@@ -778,11 +814,12 @@ def _transitional(
         tol * tol + _rounding_floor(n, 2.0 + 2.0 * max(-math.log(lo), math.log(hi)))
         for lo, hi in zip(s.min(axis=(1, 2)).tolist(), s.max(axis=(1, 2)).tolist())
     ]
-    # a witness only for an excess beyond tol, whose operands, the excess
-    # being relative, are 1 and 1 + top
+    # the repeated triples i = j and j = k, whose excess is 0 exactly, are
+    # filled with -inf; the witness band of an excess, being relative,
+    # reads operands 1 and 1 + top
     found = _walk_triples(
-        s, _relative_excess,
-        lambda m, top: _rounding_floor(n, 1.0 + top) if top > tol else None, g, tol, widths,
+        s, lambda a, xs: _fill_repeats(_relative_excess(a, xs), xs, -np.inf, outer=False),
+        tol, lambda m, top: _rounding_floor(n, 1.0 + top), g, widths,
     )
     reports, certified = [], []
     for worst, witness, mismatch, near, wide in found:
@@ -806,8 +843,8 @@ def _transitional(
             ))
         else:
             reports.append(PropertyReport(
-                "transitional", holds=True, tolerance=tol, slack=float(worst),
-                indeterminate=near,
+                "transitional", holds=True, tolerance=tol,
+                slack=None if n < 3 else float(worst), indeterminate=near,
             ))
     return reports, certified
 
@@ -824,7 +861,7 @@ def check_cutpoint_additive(
     _require_order(d, g, "check_cutpoint_additive")
     # gap[i, j, k] = d(i,j) + d(j,k) - d(i,k), left to right
     gaps = _walk_triples(
-        d, lambda a, xs: (a[:, xs, :, None] + a[:, None]) - a[:, xs, None, :], g=g, tol=tol
+        d, lambda a, xs: (a[:, xs, :, None] + a[:, None]) - a[:, xs, None, :], tol, g=g
     )
     reports = []
     for _, _, found, near, _ in gaps:

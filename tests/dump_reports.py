@@ -2,11 +2,15 @@
 
 Usage, from a source checkout:
 
-    python tests/dump_reports.py [--out FILE]
+    python tests/dump_reports.py [--out FILE] [--diff PARENT_OUT]
 
 A change meant to leave every output as it is prints the same hash as its
 parent commit; --out also writes the dumped lines, so that two trees that
-disagree can be compared line by line. pytest does not collect this file.
+disagree can be compared line by line. --diff reads the lines another
+tree wrote with --out and prints, per check and per field (holds,
+witness, slack, indeterminate, note, ...), how many reports differ, and
+each difference in a field other than a slack, margin or sigma. pytest
+does not collect this file.
 
 The corpus:
 - ten-measure audits at tol 1e-9, 0 and 1e-6, '--check all' at two
@@ -24,8 +28,12 @@ The corpus:
 from __future__ import annotations
 
 import hashlib
+import json
+import math
 import os
+import re
 import sys
+from collections import Counter
 from pathlib import Path
 
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
@@ -177,13 +185,93 @@ def public_checks(lines: list[str]) -> None:
                                             properties.check_distance_order, d)
 
 
+# a public line's reports, each "PropertyReport(...) margin=M", split on
+# what ends one
+_REPORT_END = re.compile(r"\) margin=(\S+)(?: \| |$)")
+_PUBLIC_NAME = re.compile(r"  (check_\w+(?:\([^)]*\))?)")
+# what a field is compared by when it differs only in its value
+_VALUE_FIELDS = ("slack", "margin", "sigma")
+
+
+def entries(text: str) -> list[tuple[str, list[tuple[str, dict]]]]:
+    """Each entry of a dump, in order, as (label, reports): an audit or a
+    threshold search with the reports of its JSON or its error, or one
+    public-check line with its reports or its error. A report is (check,
+    fields); an error is the report ("error", {"error": text})."""
+    lines = text.split("\n")
+    out, i = [], 0
+    while i < len(lines):
+        line = lines[i]
+        i += 1
+        if line.startswith(("audit ", "threshold ")):
+            if i < len(lines) and lines[i] == "{":
+                end = lines.index("}", i)
+                doc = json.loads("\n".join(lines[i:end + 1]))
+                i = end + 1
+                if line.startswith("threshold "):
+                    reports = [("threshold", doc)]
+                else:
+                    reports = [
+                        (c["property"], dict(c, measure=r["measure"], param=r["param"]))
+                        for r in doc["results"] for c in r["checks"]
+                    ]
+                out.append((line, reports))
+            else:  # the header ends in the error
+                out.append((line.split(" tol=")[0], [("error", {"error": line})]))
+        elif line.startswith("  "):
+            name = _PUBLIC_NAME.match(line)
+            head, _, rest = line.partition(" PropertyReport(")
+            if name is None or not rest:
+                out.append((line[:40], [("error", {"error": line})]))
+                continue
+            pieces = _REPORT_END.split("PropertyReport(" + rest)
+            reports = []
+            for body, margin in zip(pieces[0::2], pieces[1::2]):
+                fields = eval(body + ")", {  # the dump's own repr of PropertyReport
+                    "__builtins__": {}, "PropertyReport": dict, "inf": math.inf, "nan": math.nan,
+                })
+                fields["margin"] = None if margin == "None" else float(margin)
+                reports.append((name.group(1), fields))
+            out.append((head, reports))
+    return out
+
+
+def diff(parent: str, text: str) -> int:
+    """Print how the reports of the dump text differ from those of the
+    dump parent, entry by entry; 1 where their entries do not pair up."""
+    old, new = entries(parent), entries(text)
+    if len(old) != len(new):
+        print(f"entries differ in number: {len(old)} in the parent, {len(new)} here")
+        return 1
+    counts, reports, changed, details = Counter(), 0, 0, []
+    for (label, was), (_, now) in zip(old, new):
+        if len(was) != len(now) or [c for c, _ in was] != [c for c, _ in now]:
+            counts["(entry)", "reports"] += 1
+            details.append(f"{label}: {was} -> {now}")
+            continue
+        for (check, a), (_, b) in zip(was, now):
+            reports += 1
+            moved = [f for f in {**a, **b} if repr(a.get(f)) != repr(b.get(f))]
+            changed += bool(moved)
+            for f in moved:
+                counts[check, f] += 1
+                if f not in _VALUE_FIELDS:
+                    details.append(f"{label} | {check} {f}: {a.get(f)!r} -> {b.get(f)!r}"
+                                   f" (slack {a.get('slack')!r} -> {b.get('slack')!r})")
+    print(f"{changed} of {reports} reports differ, in {len(new)} entries")
+    for (check, f), count in sorted(counts.items()):
+        print(f"  {check:40s} {f:14s} {count}")
+    for line in details:
+        print(line)
+    return 0
+
+
 def main(argv: list[str]) -> int:
-    out = None
-    if argv[:1] == ["--out"] and len(argv) == 2:
-        out = Path(argv[1])
-    elif argv:
+    opts = dict(zip(argv[0::2], argv[1::2]))
+    if len(argv) % 2 or not set(opts) <= {"--out", "--diff"}:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2
+    out = Path(opts["--out"]) if "--out" in opts else None
     lines: list[str] = []
     with np.errstate(all="ignore"):
         for g in pin_corpus() + size_corpus():
@@ -194,6 +282,8 @@ def main(argv: list[str]) -> int:
     if out is not None:
         out.write_text(text, encoding="utf-8")
     print(f"{hashlib.sha256(text.encode()).hexdigest()}  {text.count(chr(10))} lines")
+    if "--diff" in opts:
+        return diff(Path(opts["--diff"]).read_text(encoding="utf-8"), text)
     return 0
 
 

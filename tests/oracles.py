@@ -545,9 +545,11 @@ def reference_transitional(
     s: np.ndarray, g: WeightedGraph, tol: float = DEFAULT_TOL
 ) -> PropertyReport:
     """Transitional-measure test: s_ij s_jk <= s_ik s_jj for all triples
-    (relative slack), with equality exactly when j separates i from k.
-    Equality detection at relative tolerance is cross-checked against the
-    cut-vertex predicate in both directions."""
+    with i != j and j != k, where the excess is not 0 by construction
+    (relative slack, None on a pass for n < 3), with equality exactly
+    when j separates i from k. Equality detection at relative tolerance
+    is cross-checked against the cut-vertex predicate in both
+    directions."""
     a = np.asarray(s, dtype=float)
     if a.min() <= 0:
         i, j = np.unravel_index(int(np.argmin(a)), a.shape)
@@ -561,6 +563,7 @@ def reference_transitional(
         for i in range(n)
         for j in range(n)
         for k in range(n)
+        if i != j and j != k
     ]
     worst = first_near_max(scan, 0.0)[0]
     # the excess is relative: its operands are 1 and 1 + worst
@@ -592,8 +595,8 @@ def reference_transitional(
                 note="j separates i from k but products differ",
             )
     return PropertyReport(
-        "transitional", holds=True, tolerance=tol, slack=float(worst),
-        indeterminate=boundary_cases,
+        "transitional", holds=True, tolerance=tol,
+        slack=None if n < 3 else float(worst), indeterminate=boundary_cases,
     )
 
 

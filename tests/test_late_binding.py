@@ -7,7 +7,12 @@ reach each kernel through graphprox.kernels, the audit checks must reach
 each property check and transform through graphprox.audit, and a kernel
 result must reach what it derives its distances with through
 graphprox.kernels. A table that held the functions themselves
-would bypass the wrapper. The CLI writes every JSON document through
+would bypass the wrapper. Not every audit check reports through a
+wrappable name, and those that do not are pinned: sym_psd and
+transitional run private cores, an asymmetric kernel's proximity and
+sigma are decided by its asymmetry alone, and metric reads a symmetric
+kernel's passing proximity report instead of walking the distance
+through check_metric. The CLI writes every JSON document through
 graphprox.cli.report_json, the span the tracer times as audit.report_json.
 """
 
@@ -105,6 +110,39 @@ def test_audit_sees_a_wrapped_check_or_transform(
             for check in CHECKS:
                 run_check(check, kres)
     assert calls
+
+
+# The public check each audit check reports through, where it does;
+# sym_psd and transitional have none.
+PUBLIC_CHECK = {
+    "psd": "check_psd",
+    "proximity": "check_proximity",
+    "sigma": "check_proximity",
+    "egocentrism": "check_egocentrism",
+    "metric": "check_metric",
+    "sq_euclidean": "check_sq_euclidean",
+    "sqrt_distance": "check_sqrt_distance",
+    "distance_order": "check_distance_order",
+    "cutpoint_additive": "check_cutpoint_additive",
+    "log_metric": "check_metric",
+    "log_proximity": "check_proximity",
+    "log_psd": "check_psd",
+    "log_order": "check_distance_order",
+}
+
+
+def test_audit_checks_that_bypass_a_wrapped_check_are_pinned(monkeypatch, path4):
+    assert set(CHECKS) - set(PUBLIC_CHECK) == {"sym_psd", "transitional"}
+    calls = {name: wrap_counting(monkeypatch, audit, name) for name in set(PUBLIC_CHECK.values())}
+    bypassed = set()
+    # regL passes proximity, ppr is asymmetric, heat fails proximity
+    for measure in ("regL", "ppr", "heat"):
+        for check, name in PUBLIC_CHECK.items():
+            calls[name].clear()
+            run_check(check, compute_kernel(path4, measure, 0.9))  # a fresh memo
+            if not calls[name]:
+                bypassed.add((check, measure))
+    assert bypassed == {("metric", "regL"), ("proximity", "ppr"), ("sigma", "ppr")}
 
 
 @pytest.mark.parametrize("argv", [

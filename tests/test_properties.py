@@ -31,6 +31,7 @@ from graphprox import (
     regularized_laplacian,
     WeightedGraph,
 )
+from graphprox.cli import main
 
 from oracles import reference_relative_excess
 
@@ -406,6 +407,51 @@ def test_fortran_order_matrices_get_the_same_reports(path5):
         assert check(np.asfortranarray(m)) == check(m)
     assert check_transitional(np.asfortranarray(k), path5) == check_transitional(k, path5)
     assert check_cutpoint_additive(np.asfortranarray(d), path5) == check_cutpoint_additive(d, path5)
+
+
+def excess_without_repeats(s: np.ndarray) -> float:
+    """The largest relative excess over the triples with i != j and
+    j != k, by a loop."""
+    n = len(s)
+    return max(
+        (s[i, j] * s[j, k] - s[i, k] * s[j, j]) / (s[i, k] * s[j, j])
+        for i in range(n) for j in range(n) for k in range(n) if i != j and j != k
+    )
+
+
+class TestTransitionalRepeatedTriples:
+    """The triples i = j and j = k, whose relative excess is 0 by
+    construction, neither set a slack nor name a witness."""
+
+    def test_failure_below_the_floor_names_a_distinct_triple(self, capsys, path5):
+        argv = ["audit", "paper:path5", "--measure", "regL:1.0", "--check", "transitional"]
+        assert main(argv + ["--tol", "0"]) == 1
+        line = capsys.readouterr().out.splitlines()[3]
+        assert "FAIL" in line and "slack=1.903e-16" in line and "witness=(1,1,1)" not in line
+        rep = check_transitional(regularized_laplacian(path5, 1.0).matrix, path5, 0.0)
+        i, j, k = rep.witness
+        assert i != j and j != k
+
+    def test_passing_slack_is_the_largest_excess_over_the_other_triples(
+        self, tmp_path, capsys, triangle
+    ):
+        edges = tmp_path / "k3.txt"
+        edges.write_text("1 2 1\n2 3 1\n1 3 1\n", encoding="utf-8")
+        argv = ["audit", str(edges), "--measure", "regL:1.0,katz:0.3,ppr:0.9",
+                "--check", "transitional", "--tol", "0"]
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()[3:6]
+        assert all("slack=-" in line for line in lines), lines
+        for measure, param in [("regL", 1.0), ("katz", 0.3), ("ppr", 0.9)]:
+            s = compute_kernel(triangle, measure, param).matrix
+            rep = check_transitional(s, triangle, 0.0)
+            assert rep.holds
+            assert rep.slack == excess_without_repeats(s) < -0.18
+
+    def test_unit_k2_passes_with_no_slack(self):
+        g = WeightedGraph(np.ones((2, 2)) - np.eye(2), name="K2")
+        rep = check_transitional(regularized_laplacian(g, 1.0).matrix, g, 0.0)
+        assert rep.holds and rep.slack is None
 
 
 class TestCheckCutpointAdditive:

@@ -1,20 +1,20 @@
 """Each piece of per-command work is done once.
 
 A kernel result keeps in its memo its pair distance, logarithmic
-distance and logarithmic similarity, and the audit keeps there its
-proximity scan, which `proximity` and `sigma` share, so each is formed
-once whether an audit or repeated run_check calls read them, on the
-kernel result alone or in stacks; an audit's reports still equal those
-of one run_check per check on a fresh kernel result. Where the
-transitional check certifies cutpoint_additive, the audit keeps its
+distance and logarithmic similarity, and the audit keeps there the T1
+walk of its matrix, which `proximity`, `sigma` and `metric` share, so
+each is formed once whether an audit or repeated run_check calls read
+them, on the kernel result alone or in stacks; an audit's reports still
+equal those of one run_check per check on a fresh kernel result. Where
+the transitional check certifies cutpoint_additive, the audit keeps its
 report and derives no logarithmic distance for it. A threshold
-evaluation builds one kernel result. The transitional check forms each
-block of relative excesses once, and forms one again only to locate the
-witness of a failing matrix. A graph computes its spectral radius once,
-however many commands read it. The eigenvalue checks and the spectral
-radius compute no eigenvectors; an embedding computes them once. A
-process builds its parser once, and the help text still wraps to the
-terminal.
+evaluation builds one kernel result. Every triple walk forms each block
+once, and forms one again only to locate the witness of a failing
+matrix; a passing walk forms none again. A graph computes its spectral
+radius once, however many commands read it. The eigenvalue checks and
+the spectral radius compute no eigenvectors; an embedding computes them
+once. A process builds its parser once, and the help text still wraps
+to the terminal.
 """
 
 import textwrap
@@ -130,18 +130,46 @@ def count_calls(monkeypatch, module, names) -> Counter:
 
 def test_symmetric_kernel_derives_and_scans_once(monkeypatch, capsys):
     calls = count_calls(monkeypatch, kernels, ("pair_to_dist", "log_distance"))
-    scans = count_calls(monkeypatch, audit, ("check_proximity",))
+    scans = count_calls(monkeypatch, audit, ("check_proximity", "check_metric"))
+    blocks = count_calls(monkeypatch, properties, ("_t1_excess",))
     # regL is transitional, and its check certifies cutpoint_additive
-    # without a logarithmic distance; heat is not, so that check derives one
-    for measure, log_distances in (("regL:1.0", 0), ("heat:1.0", 1)):
+    # without a logarithmic distance; heat is not, so that check derives
+    # one. proximity, sigma and metric read one T1 walk; heat fails
+    # proximity, so its metric walks the distance through check_metric
+    for measure, log_distances, metric_walks in (("regL:1.0", 0, 0), ("heat:1.0", 1, 1)):
         calls.clear()
         scans.clear()
+        blocks.clear()
         code = main(["audit", "paper:path5", "--measure", measure, "--check", "all"])
         capsys.readouterr()
         assert code in (0, 1)
         # a Counter reads a missing name as 0
         assert calls == Counter(pair_to_dist=1, log_distance=log_distances)
-        assert scans == {"check_proximity": 1}
+        assert scans == Counter(check_proximity=1, check_metric=metric_walks)
+        assert blocks == {"_t1_excess": 1}
+
+
+def test_passing_walks_form_each_block_once(monkeypatch):
+    # n = 40 in four blocks of first indices: every check passes, so no
+    # walk forms a block again to locate a witness
+    n = 40
+    monkeypatch.setattr(properties, "_BLOCK_ENTRIES", 10 * n * n)
+    g = random_connected_graph(np.random.default_rng(1), n, name="g")
+    kres = compute_kernel(g, "regL", 1.0)
+    calls = count_calls(
+        monkeypatch, properties,
+        ("_t1_excess", "_fill_repeats", "_relative_excess"),
+    )
+    for check in ("proximity", "sigma", "metric"):
+        assert run_check(check, kres).holds
+    assert calls == {"_t1_excess": 4, "_fill_repeats": 4}
+    for check in (properties.check_metric, properties.check_sqrt_distance):
+        calls.clear()
+        assert check(kres.dist).holds
+        assert calls == {"_fill_repeats": 4}
+    calls.clear()
+    assert check_transitional(kres.matrix, g).holds
+    assert calls["_relative_excess"] == 4
 
 
 @pytest.mark.parametrize("per_block, blocks", [(1, 7), (3, 3)])
@@ -163,16 +191,18 @@ def test_transitional_forms_each_block_once(monkeypatch, per_block, blocks):
 def test_run_check_calls_share_the_kernel_results_distance(monkeypatch, path4):
     # one kernel result alone and in stacks, in either order, reads one memo
     calls = count_calls(monkeypatch, kernels, ("pair_to_dist", "log_distance"))
-    scans = count_calls(monkeypatch, audit, ("check_proximity",))
+    blocks = count_calls(monkeypatch, properties, ("_t1_excess",))
     a, b = compute_kernel(path4, "regL", 1.0), compute_kernel(path4, "heat", 1.0)
     run_check("metric", a)
     run_check("sqrt_distance", [a, b])
     run_check("sq_euclidean", [b, a])
     b.dist
     assert calls == {"pair_to_dist": 2}
+    # metric walked a's T1 block; proximity walks b's, and sigma neither
+    assert blocks == {"_t1_excess": 1}
     run_check("proximity", [a, b])
     run_check("sigma", a)
-    assert scans == {"check_proximity": 1}
+    assert blocks == {"_t1_excess": 2}
     # regL's transitional pass certifies cutpoint_additive
     run_check("transitional", [a, b])
     run_check("cutpoint_additive", a)
