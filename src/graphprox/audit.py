@@ -34,7 +34,6 @@ from .properties import (
     _metric,
     _psd_reports,
     _sigma_proximity,
-    _take,
     _transitional,
     check_cutpoint_additive,
     check_distance_order,
@@ -301,43 +300,32 @@ def _if_symmetric(kres, prop: str, tol: float, check) -> tuple[PropertyReport, .
 
 
 def _proximity_reports(kres, tol: float) -> tuple[PropertyReport, ...]:
-    """check_proximity of each of kres, symmetric kernel results, kept in
-    their memos for both proximity and sigma, and for metric."""
-    return _shared(kres, ("proximity", tol), lambda todo: check_proximity(_stack(todo), tol))
+    """The proximity check of each of kres, kept in its memo for
+    proximity, sigma and metric: check_proximity of a symmetric matrix,
+    in one call, and the asymmetry report of any other."""
+    return _shared(kres, ("proximity", tol), lambda todo: _if_symmetric(
+        todo, "proximity", tol, lambda sym: check_proximity(_stack(sym), tol)
+    ))
 
 
 def _metric_reports(kres, tol: float) -> tuple[PropertyReport, ...]:
-    """check_metric of each kernel result's pair distance. Where the
-    matrix is symmetric and its proximity report holds, that report's
-    slack, the largest T1 excess, is the largest triangle excess of the
-    distance (see properties), so only metric's O(n^2) axioms remain to
-    check; every other distance, failing or asymmetric, goes through
-    check_metric."""
-    sym = [m for m, kr in enumerate(kres) if kr.symmetric]
-    proximity = _proximity_reports([kres[m] for m in sym], tol)
-    tops = {m: r.slack for m, r in zip(sym, proximity) if r.holds and r.slack is not None}
-    known, rest = list(tops), [m for m in range(len(kres)) if m not in tops]
-    d = _stack(kres, "dist")
-    reports = {}
-    if known:
-        reports.update(zip(known, _metric(_take(d, known), tol, list(tops.values()))))
-    if rest:
-        reports.update(zip(rest, check_metric(_take(d, rest), tol)))
-    return tuple([reports[m] for m in range(len(kres))])
+    """check_metric of each kernel result's pair distance, in one call
+    that reads each kernel result's proximity report, formed first, for
+    the T1 rule (see properties._metric)."""
+    t1 = _proximity_reports(kres, tol)
+    return tuple(_metric(_stack(kres, "dist"), tol, t1))
 
 
 def _transitional_reports(kres, tol: float) -> tuple[PropertyReport, ...]:
     """check_transitional of each kernel result, in one call. Where a
     pass certifies cutpoint_additive, the kernel result keeps in its memo
-    the passing report, not indeterminate, that check_cutpoint_additive
-    gives its logarithmic distance at tol, which then need not be
-    derived."""
-    reports, certified = _transitional(_stack(kres), kres[0].graph, tol)
-    for kr, c in zip(kres, certified):
-        if c:
-            kr._memo[("cutpoint_additive", tol)] = PropertyReport(
-                "cutpoint_additive", holds=True, tolerance=tol
-            )
+    the report properties._transitional returns for it, the one
+    check_cutpoint_additive gives its logarithmic distance at tol, which
+    then need not be derived."""
+    reports, cutpoints = _transitional(_stack(kres), kres[0].graph, tol)
+    for kr, cutpoint in zip(kres, cutpoints):
+        if cutpoint is not None:
+            kr._memo[("cutpoint_additive", tol)] = cutpoint
     return tuple(reports)
 
 
@@ -354,40 +342,40 @@ def _transitional_reports(kres, tol: float) -> tuple[PropertyReport, ...]:
 # check hands another is kept in each kernel result's memo
 # (kernels._shared), so it is derived once however many checks read it:
 # the distances and the logarithmic similarity under their names, and
-# the proximity report under ("proximity", tol), the T1 walk of a
-# symmetric matrix, which proximity and sigma report and metric reads:
-# metric's triangle excess at (x, y, z) is proximity's at (y, x, z) (see
-# properties). Where that report holds, metric takes its slack as the
-# largest triangle excess and checks only its O(n^2) axioms on the
-# distance, through properties._metric; it forms the report itself where
-# the memo lacks it, so that no report depends on what the memo holds.
-# Every other distance, failing or asymmetric, goes through check_metric,
-# which walks it and searches a failing triangle's witness in its own
-# order; every triple walk searches a witness only where its report
-# fails. A matrix is
+# the proximity report under ("proximity", tol): the T1 walk of a
+# symmetric matrix, or the asymmetry report of any other, which proximity
+# reports, sigma extends and metric reads: metric's triangle excess at
+# (x, y, z) is proximity's at (y, x, z) (see properties). metric takes
+# one route, properties._metric, which is given each kernel's proximity
+# report and applies the T1 rule itself: where the report holds, its
+# slack is the largest triangle excess, and only the O(n^2) axioms of the
+# distance are checked; every other distance, its kernel failing or
+# asymmetric, is walked, so a failing triangle gets its witness in
+# metric's own order. metric forms the proximity reports itself where the
+# memo lacks them, so that no report depends on what the memo holds;
+# every triple walk searches a witness only where its report fails. A
+# matrix is
 # symmetrized at most once before the eigensolver reads it: sym_psd forms
 # (K + K^T)/2, which is exactly symmetric, and decides it through
 # check_psd's eigenvalue core without testing its symmetry again.
-# transitional runs check_transitional's core, which also tells whether
-# its pass certifies cutpoint_additive: by d_ij + d_jk - d_ik =
+# transitional runs check_transitional's core, which also returns the
+# report that check_cutpoint_additive gives the logarithmic distance
+# where a pass certifies it: by d_ij + d_jk - d_ik =
 # -(ln(1 + rel_ijk) + ln(1 + rel_kji)) / 2 for the logarithmic distance d
 # and the relative excess rel, it does where no distinct triple has |rel|
 # in [tol/2 - w, 2 tol + w], w = tol^2 + the rounding floor of operands of
-# size 2 + 2 max|ln s| (see properties). transitional stores the passing
-# report that the logarithmic distance would get in the memo of each
-# kernel result it certifies, under ("cutpoint_additive", tol), and
-# cutpoint_additive reads that key, deriving the logarithmic distance only
-# for the others. The other checks look up the property checks by their
-# module-level names at call time, so a caller may wrap those names. Not
-# every call goes through one: sym_psd and transitional run private
-# cores, and metric of a symmetric kernel whose proximity report holds
-# runs properties._metric (tests/test_late_binding.py pins this list).
+# size 2 + 2 max|ln s| (see properties). transitional files that report
+# in the memo of each kernel result it certifies, under
+# ("cutpoint_additive", tol), and cutpoint_additive reads that key,
+# deriving the logarithmic distance only for the others. The other checks
+# look up the property checks by their module-level names at call time,
+# so a caller may wrap those names. Not every check goes through one:
+# sym_psd, metric and transitional run private cores
+# (tests/test_late_binding.py pins this list).
 _CHECKS: dict[str, Callable[[tuple[KernelResult, ...], float], tuple[PropertyReport, ...]]] = {
     "psd": lambda ks, tol: check_psd(_stack(ks), tol),
     "sym_psd": lambda ks, tol: tuple(_psd_reports("sym_psd", _symmetrized(_stack(ks)), tol)),
-    "proximity": lambda ks, tol: _if_symmetric(
-        ks, "proximity", tol, lambda sym: _proximity_reports(sym, tol)
-    ),
+    "proximity": _proximity_reports,
     "sigma": lambda ks, tol: _if_symmetric(
         ks, "sigma_proximity", tol,
         lambda sym: _sigma_proximity(_stack(sym), _proximity_reports(sym, tol), tol),

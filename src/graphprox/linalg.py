@@ -128,17 +128,20 @@ def is_symmetric(m: np.ndarray) -> bool:
     return a.ndim == 2 and a.shape[0] == a.shape[1] and _symmetry_gaps(a[None])[0] is not None
 
 
+@np.errstate(invalid="ignore")  # inf - inf is NaN, quietly; cheaper than a with block
 def _symmetry_gaps(a: np.ndarray) -> list[float | None]:
     """max|m - m^T| of each matrix m of the stack a that is symmetric, and
     None for every other one: m is symmetric where the gap is 0.0, which
     marks an exactly symmetric matrix, or at most its rounding floor
-    (_rounding_floor(n, max|m|))."""
+    (_rounding_floor(n, max|m|)) where that floor is finite. An entry that
+    is not finite leaves a gap of inf or NaN, which is neither, so its
+    matrix is not symmetric."""
     gaps = np.abs(a - a.transpose(0, 2, 1)).max(axis=(1, 2), initial=0.0).tolist()
     if not any(gaps):  # max|m| only for a nonzero gap: exact symmetry costs one pass
         return gaps
     n = a.shape[1]
     return [
-        gap if gap == 0.0 or gap <= _rounding_floor(n, size) else None
+        gap if gap == 0.0 or gap <= _rounding_floor(n, size) < math.inf else None
         for gap, size in zip(gaps, _max_abs_each(a))
     ]
 

@@ -45,10 +45,12 @@ d_ij + d_jk - d_ik = -(ln(1 + rel_ijk) + ln(1 + rel_kji)) / 2, with rel
 transitional's relative excess. Where transitional passes at tol and no
 distinct triple has |rel| in [tol/2 - w, 2 tol + w], with
 w = tol^2 + _rounding_floor(n, 2 + 2 max|ln s|), check_cutpoint_additive
-passes d with no triple near its boundary; _transitional returns that
-certificate beside the reports, for the audit. Its cut-vertex scan forms
-the mask of that widened band in place of [tol/2, 2 tol], and the
-narrower one only for a matrix with a value in the wider.
+passes d with no triple near its boundary; _transitional returns, beside
+its reports, the report check_cutpoint_additive gives d there, built by
+that check's own _cutpoint_pass, for the audit to keep. Its cut-vertex
+scan forms the mask of that widened band in place of [tol/2, 2 tol], and
+the narrower one only for a matrix with a value in the wider. A mismatch
+of the cut-vertex scan fails either check through one _separation_report.
 
 The metric family, metric and sqrt_distance (and so the audit's
 log_metric), splits a stack once, in _distance_axioms: a negative entry
@@ -61,11 +63,14 @@ Proximity and metric are one inequality (family T1): for a symmetric K
 and its pair distance d, metric's excess d(x,z) - d(x,y) - d(y,z) at
 (x, y, z) is proximity's k(y,x) + k(y,z) - k(x,z) - k(y,y) at (y, x, z).
 So proximity's walk of K, _t1_excess, is the T1 walk: where its report
-holds, its slack is metric's largest triangle excess of d. The audit's
-metric reads it there, as the tops of _distance_axioms, which then
-checks only the O(n^2) axioms of d; every other matrix, failing or
+holds, its slack is metric's largest triangle excess of d. _metric
+applies that rule itself: given each matrix's proximity report, it reads
+the slack of each report that holds as the top of _distance_axioms,
+which then checks only the O(n^2) axioms of d and walks exactly the
+matrices without a known top; every other matrix, failing or
 asymmetric, walks d, and so gets its witness in metric's own order. The
-public check_metric always walks d.
+audit's metric takes that one route; the public check_metric gives no
+reports and so always walks d.
 
 Candidates that tie in exact arithmetic can differ in their last bits,
 and which one rounding favours depends on operation order and on the
@@ -357,6 +362,13 @@ def _t1_excess(a: np.ndarray, xs: slice) -> np.ndarray:
     return _fill_repeats(v, xs, -np.inf)
 
 
+def _triangle_excess(a: np.ndarray, xs: slice) -> np.ndarray:
+    """The triangle block of the stack a of distances for first indices
+    xs: v[x, y, z] = d(x,z) - d(x,y) - d(y,z), left to right, and -inf
+    where x, y, z are not all distinct."""
+    return _fill_repeats((a[:, xs, None, :] - a[:, xs, :, None]) - a[:, None], xs, -np.inf)
+
+
 def _first_max(v: np.ndarray, floor: float) -> tuple[float, int]:
     """Largest entry of v and the first C-order flat index whose entry
     lies within floor of it. NaN never wins; a result of -inf means
@@ -432,7 +444,7 @@ def check_psd(k: np.ndarray, tol: float = DEFAULT_TOL) -> PropertyReport:
     outright; it is never silently symmetrized. Of a stack or sequence
     of matrices, a tuple of reports, one per matrix."""
     _check_tol(tol)
-    _require_nonempty(k[0], "check_psd")
+    _require_finite(k, "check_psd")
     gaps = _symmetry_gaps(k)
     rows = [m for m, gap in enumerate(gaps) if gap is not None]
     reports = iter(_psd_reports("psd", _take(k, rows), tol, not any(gaps[m] for m in rows))
@@ -589,8 +601,9 @@ def _distance_axioms(
     on transform of d, which only the matrices left undecided get: the
     symmetry, a zero self-distance, distinct vertices apart where
     require_separation, and then, in one walk, the triangle inequality.
-    Where tops gives the largest triangle excess of each matrix of d, each
-    known to be within tol, it is read instead of walked."""
+    Where tops gives a matrix's largest triangle excess, known to be
+    within tol, it is read instead of walked; a top of None, or no tops,
+    leaves the matrix to the walk."""
     n = d.shape[1]
     reports: list[PropertyReport | None] = [None] * len(d)
     for m, neg in enumerate(d.min(axis=(1, 2)).tolist()):
@@ -629,14 +642,12 @@ def _distance_axioms(
             )
         else:
             undecided.append(i)
-    if tops is None:
-        # v[x, y, z] = d(x,z) - d(x,y) - d(y,z), left to right
-        triples = _walk_triples(_take(t, undecided), lambda a, xs: _fill_repeats(
-            (a[:, xs, None, :] - a[:, xs, :, None]) - a[:, None], xs, -np.inf
-        ), tol, lambda k, top: floors[undecided[k]])
-    else:
-        triples = [(tops[rest[i]], None) for i in undecided]
-    for i, (worst, witness, *_) in zip(undecided, triples):
+    walk = [i for i in undecided if tops is None or tops[rest[i]] is None]
+    walked = dict(zip(walk, _walk_triples(
+        _take(t, walk), _triangle_excess, tol, lambda k, top: floors[walk[k]]
+    )))
+    for i in undecided:
+        worst, witness, *_ = walked[i] if i in walked else (tops[rest[i]], None)
         if n < 3:  # no distinct triples: nothing to check
             reports[rest[i]] = PropertyReport(prop, holds=True, tolerance=tol)
             continue
@@ -662,12 +673,18 @@ def check_metric(d: np.ndarray, tol: float = DEFAULT_TOL) -> PropertyReport:
     return _metric(d, tol)
 
 
-def _metric(d: np.ndarray, tol: float, tops=None) -> list[PropertyReport]:
-    """check_metric of each matrix of the stack d; where tops is given,
-    it reads each matrix's largest triangle excess there instead of
-    walking d (see _distance_axioms)."""
+def _metric(d: np.ndarray, tol: float, t1=None) -> list[PropertyReport]:
+    """check_metric of each matrix of the stack d, which applies the T1
+    rule itself. t1 gives, per matrix, the proximity report of the kernel
+    whose pair distance it is; one that holds is of a symmetric kernel,
+    and its slack, the largest T1 excess, is the matrix's largest
+    triangle excess, so only the O(n^2) axioms of d are checked. Every
+    other matrix, its kernel failing proximity or asymmetric, and every
+    matrix without t1, is walked, and so gets its witness in metric's own
+    order."""
     _check_tol(tol)
     _require_finite(d, "check_metric")
+    tops = None if t1 is None else [r.slack if r.holds else None for r in t1]
     return _distance_axioms(d, tol, "metric", "negative entry", lambda a: a, True, tops)
 
 
@@ -717,12 +734,8 @@ def _relative_excess(a: np.ndarray, xs: slice) -> np.ndarray:
     with np.errstate(over="ignore", under="ignore"):
         num = a[..., xs, :, None] * a[..., None, :, :]
         den = a[..., xs, None, :] * a.diagonal(0, -2, -1)[..., None, :, None]
-        low, high = a.min(), a.max()
-        if xs.stop - xs.start < a.shape[-1]:
-            rows = a[..., xs, :]
-            lo, hi = rows.min() * low, rows.max() * high
-        else:
-            lo, hi = low * low, high * high
+        rows = a[..., xs, :]
+        lo, hi = rows.min() * a.min(), rows.max() * a.max()
     if _TINY <= lo and hi <= _HUGE:
         return (num - den) / den
     bad = np.nonzero(~(_normal(num) & _normal(den)))  # (*m, x, j, k)
@@ -788,11 +801,12 @@ def check_transitional(
 
 def _transitional(
     s: np.ndarray, g: WeightedGraph, tol: float
-) -> tuple[list[PropertyReport], list[bool]]:
-    """check_transitional's reports of each matrix of the stack s, and
-    whether each certifies check_cutpoint_additive(log_distance(s), g, tol):
-    it passes, and no distinct triple has a relative excess rel with |rel|
-    in [tol/2 - w, 2 tol + w].
+) -> tuple[list[PropertyReport], list[PropertyReport | None]]:
+    """check_transitional's reports of each matrix of the stack s, and,
+    where a pass certifies check_cutpoint_additive(log_distance(s), g, tol),
+    the report that check gives, a pass that is not indeterminate; None
+    elsewhere. A pass certifies it where no distinct triple has a relative
+    excess rel with |rel| in [tol/2 - w, 2 tol + w].
 
     Then the log distance passes cutpoint_additive with no triple near
     its boundary, since its gap d_ij + d_jk - d_ik is
@@ -821,32 +835,46 @@ def _transitional(
         s, lambda a, xs: _fill_repeats(_relative_excess(a, xs), xs, -np.inf, outer=False),
         tol, lambda m, top: _rounding_floor(n, 1.0 + top), g, widths,
     )
-    reports, certified = [], []
+    reports, cutpoints = [], []
     for worst, witness, mismatch, near, wide in found:
-        certified.append(witness is None and mismatch is None and not wide)
+        # certified where no witness, mismatch or value in the wide band
+        cutpoints.append(None if witness or mismatch or wide else _cutpoint_pass(tol))
         if witness is not None:
-            i, j, k = witness
             reports.append(PropertyReport(
                 "transitional", holds=False, tolerance=tol,
-                witness=(i + 1, j + 1, k + 1), slack=float(worst),
+                witness=tuple(v + 1 for v in witness), slack=float(worst),
                 indeterminate=worst <= 2.0 * tol,
                 note="relative excess of s(i,j)s(j,k) over s(i,k)s(j,j)",
             ))
         elif mismatch is not None:
-            (i, j, k), value, equal = mismatch
-            reports.append(PropertyReport(
-                "transitional", holds=False, tolerance=tol,
-                witness=(i + 1, j + 1, k + 1), slack=float(value),
-                note="product equality although j does not separate i from k"
-                if equal
-                else "j separates i from k but products differ",
+            reports.append(_separation_report(
+                "transitional", tol, mismatch, "product equality", "products differ"
             ))
         else:
             reports.append(PropertyReport(
                 "transitional", holds=True, tolerance=tol,
                 slack=None if n < 3 else float(worst), indeterminate=near,
             ))
-    return reports, certified
+    return reports, cutpoints
+
+
+def _separation_report(prop: str, tol: float, mismatch, equal: str, differ: str) -> PropertyReport:
+    """The failing report of prop, a cut-vertex check, at a mismatch of
+    _separation_scan; equal and differ say what a value within tol, and
+    one beyond it, means to prop."""
+    (i, j, k), value, small = mismatch
+    return PropertyReport(
+        prop, holds=False, tolerance=tol,
+        witness=(i + 1, j + 1, k + 1), slack=float(value),
+        note=f"{equal} although j does not separate i from k" if small
+        else f"j separates i from k but {differ}",
+    )
+
+
+def _cutpoint_pass(tol: float, near: bool = False) -> PropertyReport:
+    """check_cutpoint_additive's passing report, indeterminate where a
+    value lies near the boundary; _transitional's certificate too."""
+    return PropertyReport("cutpoint_additive", holds=True, tolerance=tol, indeterminate=near)
 
 
 @_per_matrix
@@ -863,22 +891,12 @@ def check_cutpoint_additive(
     gaps = _walk_triples(
         d, lambda a, xs: (a[:, xs, :, None] + a[:, None]) - a[:, xs, None, :], tol, g=g
     )
-    reports = []
-    for _, _, found, near, _ in gaps:
-        if found is None:
-            reports.append(PropertyReport(
-                "cutpoint_additive", holds=True, tolerance=tol, indeterminate=near
-            ))
-            continue
-        (i, j, k), value, additive = found
-        reports.append(PropertyReport(
-            "cutpoint_additive", holds=False, tolerance=tol,
-            witness=(i + 1, j + 1, k + 1), slack=float(value),
-            note="additive although j does not separate i from k"
-            if additive
-            else "j separates i from k but d(i,j)+d(j,k) != d(i,k)",
-        ))
-    return reports
+    return [
+        _cutpoint_pass(tol, near) if found is None else _separation_report(
+            "cutpoint_additive", tol, found, "additive", "d(i,j)+d(j,k) != d(i,k)"
+        )
+        for _, _, found, near, _ in gaps
+    ]
 
 
 @_per_matrix

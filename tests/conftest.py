@@ -4,7 +4,7 @@ from hypothesis import settings
 
 from graphprox import WeightedGraph, builtin_graph
 
-from oracles import random_connected_graph
+from oracles import pin_corpus
 
 # Tier-1 draws the same examples on every run, so that a failure there is
 # reproducible rather than flaky. The "explore" profile draws fresh ones,
@@ -38,12 +38,7 @@ def cycle4():
 
 
 @pytest.fixture(scope="session")
-def corpus(path4, path5, triangle):
-    """path4, path5, the unit triangle, and 20 seeded random connected
-    graphs with n <= 7 and weights in (0, 3]."""
-    rng = np.random.default_rng(20260808)
-    graphs = [path4, path5, triangle]
-    for idx in range(20):
-        n = 3 + idx % 5  # sizes 3..7
-        graphs.append(random_connected_graph(rng, n, name=f"random{idx}"))
-    return graphs
+def corpus():
+    """oracles.pin_corpus(): the paper paths, the unit triangle and 20
+    seeded random connected graphs, the graphs the report dump reads."""
+    return pin_corpus()

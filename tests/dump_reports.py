@@ -15,9 +15,9 @@ does not collect this file.
 The corpus:
 - ten-measure audits at tol 1e-9, 0 and 1e-6, '--check all' at two
   parameters per measure and each check on its own at the first, on the
-  23 graphs of the verdict pin (tests/conftest.py) and on random graphs,
-  trees among them, with n = 3 to 40: report_json of each, or the error
-  it raises;
+  23 graphs of the verdict pin (oracles.pin_corpus, which the tests'
+  corpus fixture returns too) and on random graphs, trees among them,
+  with n = 3 to 40: report_json of each, or the error it raises;
 - threshold searches on the paper paths, as report_json;
 - every public check on stacks of kernel matrices, their distances and
   log distances, as given, scaled by 2^-600 or 2^600, and with only one
@@ -50,22 +50,12 @@ from graphprox.audit import CHECKS  # noqa: E402
 from graphprox.kernels import MEASURES, param_domain  # noqa: E402
 from graphprox.transforms import log_distance, pair_to_dist  # noqa: E402
 
-from oracles import random_connected_graph  # noqa: E402
+from oracles import pin_corpus, random_connected_graph  # noqa: E402
 
 TOLS = (1e-9, 0.0, 1e-6)
 # t of the measures with an infinite domain; the others take these
 # fractions of their domain's upper end
 PARAMS = ({"t": 1.0, "frac": 0.5}, {"t": 0.3, "frac": 0.9})
-
-
-def pin_corpus() -> list[WeightedGraph]:
-    """The graphs of tests/conftest.py's corpus fixture."""
-    rng = np.random.default_rng(20260808)
-    graphs = [builtin_graph("paper:path4"), builtin_graph("paper:path5")]
-    graphs.append(WeightedGraph(np.ones((3, 3)) - np.eye(3), name="triangle"))
-    for idx in range(20):
-        graphs.append(random_connected_graph(rng, 3 + idx % 5, name=f"random{idx}"))
-    return graphs
 
 
 def random_tree(rng: np.random.Generator, n: int, name: str) -> WeightedGraph:

@@ -32,6 +32,8 @@ is the library's former relative excess of the transitional check,
 which formed its mask of out-of-range products on every block.
 audit_document is the library's former AuditReport.to_dict, kept as a
 reference for report_json's schema that does not go through its writer.
+pin_corpus builds the test corpus once for both of its readers, the
+corpus fixture and tests/dump_reports.py.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ from graphprox import (
     AuditReport,
     PropertyReport,
     WeightedGraph,
+    builtin_graph,
     is_symmetric,
 )
 from graphprox.linalg import _as_square
@@ -360,6 +363,18 @@ def random_connected_graph(rng: np.random.Generator, n: int, name: str) -> Weigh
             if w[i, j] == 0 and rng.random() < 0.3:
                 w[i, j] = w[j, i] = rng.uniform(0.1, 3.0)
     return WeightedGraph(w, name=name)
+
+
+def pin_corpus() -> list[WeightedGraph]:
+    """The test corpus, which the verdict pin and the report dump read:
+    paper:path4, paper:path5, the unit triangle, and 20 seeded random
+    connected graphs with n <= 7 and weights in (0, 3]."""
+    rng = np.random.default_rng(20260808)
+    graphs = [builtin_graph("paper:path4"), builtin_graph("paper:path5")]
+    graphs.append(WeightedGraph(np.ones((3, 3)) - np.eye(3), name="triangle"))
+    for idx in range(20):
+        graphs.append(random_connected_graph(rng, 3 + idx % 5, name=f"random{idx}"))
+    return graphs
 
 
 def pairwise_sq_dists(x: np.ndarray) -> np.ndarray:

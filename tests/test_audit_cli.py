@@ -121,6 +121,11 @@ class TestRunAudit:
         with pytest.raises(ValueError, match="tolerance"):
             run_check(check, kres, tol)
 
+    def test_run_check_rejects_an_unknown_check(self, path4):
+        kres = compute_kernel(path4, "heat", 1.0)
+        with pytest.raises(ValueError, match=r"^unknown check 'psdd' \(known: psd, sym_psd, "):
+            run_check("psdd", kres)
+
     def test_kernel_is_checked_against_its_own_graph(self, path4):
         star = load_graph("1 2 1\n1 3 1\n1 4 1\n")
         kres = compute_kernel(path4, "regL", 1.0)

@@ -101,10 +101,11 @@ def test_tol_zero_declines_where_a_cut_triple_has_no_excess(path4):
     # regL:0.5 on the path is transitional at tol 0: every cut triple's
     # excess is exactly 0, which lies in the band [-w, w]
     s = compute_kernel(path4, "regL", 0.5).matrix
-    reports, certified = _transitional(s[None], path4, 0.0)
-    assert reports[0].holds and certified == [False]
+    reports, cutpoints = _transitional(s[None], path4, 0.0)
+    assert reports[0].holds and cutpoints == [None]
     assert_audit_matches(path4, [("regL", 0.5)], 0.0)
-    assert _transitional(s[None], path4, 1e-9)[1] == [True]
+    certified = check_cutpoint_additive(log_distance(s), path4, 1e-9)
+    assert _transitional(s[None], path4, 1e-9)[1] == [certified]
 
 
 def test_an_off_cut_excess_inside_the_widened_band_declines():
@@ -120,12 +121,13 @@ def test_an_off_cut_excess_inside_the_widened_band_declines():
     tol = 0.5 * nearest * (1.0 - 1e-3)
     w = tol * tol + _rounding_floor(n, 2.0 + 2.0 * np.abs(np.log(s)).max())
     assert 2.0 * tol < nearest <= 2.0 * tol + w
-    reports, certified = _transitional(s[None], g, tol)
+    reports, cutpoints = _transitional(s[None], g, tol)
     assert reports[0].holds and not reports[0].indeterminate
-    assert certified == [False]
+    assert cutpoints == [None]
     assert_audit_matches(g, [("regL", 0.5)], tol)
     # at a tol a little smaller, nothing lies in the band
-    assert _transitional(s[None], g, 0.25 * nearest)[1] == [True]
+    certified = check_cutpoint_additive(log_distance(s), g, 0.25 * nearest)
+    assert _transitional(s[None], g, 0.25 * nearest)[1] == [certified]
     assert_audit_matches(g, [("regL", 0.5)], 0.25 * nearest)
 
 

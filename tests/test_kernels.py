@@ -86,6 +86,8 @@ class TestParameterDomains:
     def test_unknown_measure(self, path4):
         with pytest.raises(ValueError, match="unknown measure"):
             compute_kernel(path4, "ppx", 0.5)
+        with pytest.raises(ValueError, match="^unknown measure 'ppx'$"):
+            param_domain("ppx", path4)
 
 
 class TestSmallParameterLimit:

@@ -8,11 +8,11 @@ each property check and transform through graphprox.audit, and a kernel
 result must reach what it derives its distances with through
 graphprox.kernels. A table that held the functions themselves
 would bypass the wrapper. Not every audit check reports through a
-wrappable name, and those that do not are pinned: sym_psd and
-transitional run private cores, an asymmetric kernel's proximity and
-sigma are decided by its asymmetry alone, and metric reads a symmetric
-kernel's passing proximity report instead of walking the distance
-through check_metric. The CLI writes every JSON document through
+wrappable name, and those that do not are pinned: sym_psd, metric and
+transitional run private cores (metric applies the T1 rule in
+properties._metric, which reads the proximity reports and walks the
+distances left), and an asymmetric kernel's proximity and sigma are
+decided by its asymmetry alone. The CLI writes every JSON document through
 graphprox.cli.report_json, the span the tracer times as audit.report_json.
 """
 
@@ -113,13 +113,12 @@ def test_audit_sees_a_wrapped_check_or_transform(
 
 
 # The public check each audit check reports through, where it does;
-# sym_psd and transitional have none.
+# sym_psd, metric and transitional have none.
 PUBLIC_CHECK = {
     "psd": "check_psd",
     "proximity": "check_proximity",
     "sigma": "check_proximity",
     "egocentrism": "check_egocentrism",
-    "metric": "check_metric",
     "sq_euclidean": "check_sq_euclidean",
     "sqrt_distance": "check_sqrt_distance",
     "distance_order": "check_distance_order",
@@ -132,7 +131,7 @@ PUBLIC_CHECK = {
 
 
 def test_audit_checks_that_bypass_a_wrapped_check_are_pinned(monkeypatch, path4):
-    assert set(CHECKS) - set(PUBLIC_CHECK) == {"sym_psd", "transitional"}
+    assert set(CHECKS) - set(PUBLIC_CHECK) == {"sym_psd", "metric", "transitional"}
     calls = {name: wrap_counting(monkeypatch, audit, name) for name in set(PUBLIC_CHECK.values())}
     bypassed = set()
     # regL passes proximity, ppr is asymmetric, heat fails proximity
@@ -142,7 +141,7 @@ def test_audit_checks_that_bypass_a_wrapped_check_are_pinned(monkeypatch, path4)
             run_check(check, compute_kernel(path4, measure, 0.9))  # a fresh memo
             if not calls[name]:
                 bypassed.add((check, measure))
-    assert bypassed == {("metric", "regL"), ("proximity", "ppr"), ("sigma", "ppr")}
+    assert bypassed == {("proximity", "ppr"), ("sigma", "ppr")}
 
 
 @pytest.mark.parametrize("argv", [

@@ -147,6 +147,11 @@ def test_real_reports_match(path4):
     assert report_json(result) == dumped(result)
 
 
+def test_threshold_result_to_dict_is_its_document(path4):
+    result = find_threshold(path4, "katz", "order:13<14", 0.3, 0.385)
+    assert report_json(result) == json.dumps(result.to_dict(), indent=2, sort_keys=True)
+
+
 # Values outside the schema: json.dumps takes some (containers, a plain
 # int for a float) and rejects the rest with TypeError.
 ODD_VALUES = [

@@ -18,7 +18,8 @@ graphprox.linalg.
 - The structure rule: whether a matrix is symmetric, and whether a
   distance's diagonal is zero, is decided against the rounding floor
   8 n eps max|a|, never against a tolerance, so neither answer changes
-  when the matrix is scaled by a power of 2.
+  when the matrix is scaled by a power of 2. A matrix with an entry that
+  is not finite is not symmetric, and check_psd rejects it by name.
 """
 
 import dataclasses
@@ -305,6 +306,41 @@ def test_symmetry_does_not_change_under_scaling(m, symmetric):
         assert is_symmetric(scaled) is symmetric, k
         report = check_psd(scaled)
         assert dataclasses.replace(report, slack=report.slack / 2.0**k) == base, k
+
+
+NEAR_ONES = np.eye(4) + 0.1
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("where", [[(0, 1)], [(0, 1), (1, 0)], [(2, 2)]],
+                         ids=["one", "pair", "diagonal"])
+def test_a_non_finite_entry_makes_a_matrix_asymmetric(path4, value, where):
+    # the floor 8 n eps max|m| is then infinite too, so no gap may be read
+    # against it; inf - inf would warn, and a RuntimeWarning fails the test
+    m = NEAR_ONES
+    for i, j in where:
+        m = with_entry(m, i, j, value)
+    assert is_symmetric(m) is False
+    assert not KernelResult(path4, "x", 1.0, m, (0, 1)).symmetric
+
+
+def test_a_kernel_with_one_infinite_entry_gets_an_asymmetry_report(path4):
+    # once read as symmetric: proximity stopped on "requires finite
+    # entries" where an asymmetry report was meant
+    kres = KernelResult(path4, "x", 1.0, with_entry(NEAR_ONES, 0, 1, np.inf), (0, 1))
+    report = run_check("proximity", kres)
+    assert not report.holds and report.note == "matrix is not symmetric"
+    assert report.slack == np.inf
+    # sym_psd averages it into a symmetric matrix the eigensolver refuses
+    with pytest.raises(ValueError, match="^matrix has non-finite entries$"):
+        run_check("sym_psd", kres)
+
+
+def test_check_psd_rejects_non_finite_entries_by_name():
+    # a symmetric pair of infs once failed as "not symmetric" with slack NaN
+    with pytest.raises(ValueError) as err:
+        check_psd(with_entry(with_entry(NEAR_ONES, 0, 1, np.inf), 1, 0, np.inf))
+    assert str(err.value) == "check_psd requires finite entries; entry (1,2) = inf"
 
 
 SQUARED_PATH3 = np.array([[0.0, 1.0, 4.0], [1.0, 0.0, 1.0], [4.0, 1.0, 0.0]])

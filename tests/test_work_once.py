@@ -130,12 +130,13 @@ def count_calls(monkeypatch, module, names) -> Counter:
 
 def test_symmetric_kernel_derives_and_scans_once(monkeypatch, capsys):
     calls = count_calls(monkeypatch, kernels, ("pair_to_dist", "log_distance"))
-    scans = count_calls(monkeypatch, audit, ("check_proximity", "check_metric"))
-    blocks = count_calls(monkeypatch, properties, ("_t1_excess",))
+    scans = count_calls(monkeypatch, audit, ("check_proximity",))
+    blocks = count_calls(monkeypatch, properties, ("_t1_excess", "_triangle_excess"))
     # regL is transitional, and its check certifies cutpoint_additive
     # without a logarithmic distance; heat is not, so that check derives
     # one. proximity, sigma and metric read one T1 walk; heat fails
-    # proximity, so its metric walks the distance through check_metric
+    # proximity, so its metric walks the distance, one block for n = 5.
+    # sqrt_distance walks its own triangle block either way
     for measure, log_distances, metric_walks in (("regL:1.0", 0, 0), ("heat:1.0", 1, 1)):
         calls.clear()
         scans.clear()
@@ -145,8 +146,8 @@ def test_symmetric_kernel_derives_and_scans_once(monkeypatch, capsys):
         assert code in (0, 1)
         # a Counter reads a missing name as 0
         assert calls == Counter(pair_to_dist=1, log_distance=log_distances)
-        assert scans == Counter(check_proximity=1, check_metric=metric_walks)
-        assert blocks == {"_t1_excess": 1}
+        assert scans == Counter(check_proximity=1)
+        assert blocks == {"_t1_excess": 1, "_triangle_excess": 1 + metric_walks}
 
 
 def test_passing_walks_form_each_block_once(monkeypatch):
