@@ -310,18 +310,16 @@ def _proximity_reports(kres, tol: float) -> tuple[PropertyReport, ...]:
 
 def _metric_reports(kres, tol: float) -> tuple[PropertyReport, ...]:
     """check_metric of each kernel result's pair distance, in one call
-    that reads each kernel result's proximity report, formed first, for
-    the T1 rule (see properties._metric)."""
+    to properties._metric, given each kernel result's proximity report,
+    formed first."""
     t1 = _proximity_reports(kres, tol)
     return tuple(_metric(_stack(kres, "dist"), tol, t1))
 
 
 def _transitional_reports(kres, tol: float) -> tuple[PropertyReport, ...]:
-    """check_transitional of each kernel result, in one call. Where a
-    pass certifies cutpoint_additive, the kernel result keeps in its memo
-    the report properties._transitional returns for it, the one
-    check_cutpoint_additive gives its logarithmic distance at tol, which
-    then need not be derived."""
+    """check_transitional of each kernel result, in one call. A kernel
+    result whose pass certifies cutpoint_additive keeps in its memo the
+    report properties._transitional returns for it."""
     reports, cutpoints = _transitional(_stack(kres), kres[0].graph, tol)
     for kr, cutpoint in zip(kres, cutpoints):
         if cutpoint is not None:
@@ -329,49 +327,20 @@ def _transitional_reports(kres, tol: float) -> tuple[PropertyReport, ...]:
     return tuple(reports)
 
 
-# Requestable audit checks, each a function of (kernel results on one
-# graph, tolerance) that runs its property check once over the stack of
-# their matrices and returns one report per kernel result; transitional
-# and cutpoint_additive read the graph the kernel results carry. The
-# log_* family evaluates the logarithmic similarity ln(s) and its induced
-# distance; sym_psd tests the symmetrized kernel (K + K^T)/2, the PSD
-# question that remains once an asymmetric measure has failed plain psd
-# by definition; sigma adds the row-sum condition to the proximity
-# report. proximity, sigma and metric read kr.symmetric, which the
-# matrix decides, not the measure: on a regular graph ppr's is. What one
-# check hands another is kept in each kernel result's memo
-# (kernels._shared), so it is derived once however many checks read it:
-# the distances and the logarithmic similarity under their names, and
-# the proximity report under ("proximity", tol): the T1 walk of a
-# symmetric matrix, or the asymmetry report of any other, which proximity
-# reports, sigma extends and metric reads: metric's triangle excess at
-# (x, y, z) is proximity's at (y, x, z) (see properties). metric takes
-# one route, properties._metric, which is given each kernel's proximity
-# report and applies the T1 rule itself: where the report holds, its
-# slack is the largest triangle excess, and only the O(n^2) axioms of the
-# distance are checked; every other distance, its kernel failing or
-# asymmetric, is walked, so a failing triangle gets its witness in
-# metric's own order. metric forms the proximity reports itself where the
-# memo lacks them, so that no report depends on what the memo holds;
-# every triple walk searches a witness only where its report fails. A
-# matrix is
-# symmetrized at most once before the eigensolver reads it: sym_psd forms
-# (K + K^T)/2, which is exactly symmetric, and decides it through
-# check_psd's eigenvalue core without testing its symmetry again.
-# transitional runs check_transitional's core, which also returns the
-# report that check_cutpoint_additive gives the logarithmic distance
-# where a pass certifies it: by d_ij + d_jk - d_ik =
-# -(ln(1 + rel_ijk) + ln(1 + rel_kji)) / 2 for the logarithmic distance d
-# and the relative excess rel, it does where no distinct triple has |rel|
-# in [tol/2 - w, 2 tol + w], w = tol^2 + the rounding floor of operands of
-# size 2 + 2 max|ln s| (see properties). transitional files that report
-# in the memo of each kernel result it certifies, under
-# ("cutpoint_additive", tol), and cutpoint_additive reads that key,
-# deriving the logarithmic distance only for the others. The other checks
-# look up the property checks by their module-level names at call time,
-# so a caller may wrap those names. Not every check goes through one:
-# sym_psd, metric and transitional run private cores
-# (tests/test_late_binding.py pins this list).
+# Requestable audit checks: each maps (kernel results on one graph,
+# tolerance) to one report per kernel result, running its property check
+# once over the stack of their matrices. sym_psd tests (K + K^T)/2, the PSD
+# question left once an asymmetric measure has failed psd; sigma adds the
+# row-sum condition to the proximity report; the log_* checks read ln S
+# and its distance. proximity, sigma and metric ask kr.symmetric, which
+# the matrix decides, not the measure. What one check hands another stays
+# in each kernel result's memo (kernels._shared): the proximity report,
+# which metric reads (properties._metric), and the cutpoint_additive
+# report that a transitional pass certifies (properties._transitional);
+# cutpoint_additive derives the logarithmic distance only where the memo
+# lacks it. Entries reach the public checks by module-level name
+# (tests/test_late_binding.py); sym_psd, metric and transitional run
+# private cores.
 _CHECKS: dict[str, Callable[[tuple[KernelResult, ...], float], tuple[PropertyReport, ...]]] = {
     "psd": lambda ks, tol: check_psd(_stack(ks), tol),
     "sym_psd": lambda ks, tol: tuple(_psd_reports("sym_psd", _symmetrized(_stack(ks)), tol)),
@@ -697,6 +666,8 @@ def export_embedding(
     NotPositiveSemidefiniteError for one that fails run_check("psd") at
     the default tolerance 1e-9, whose bound gram_factor shares, whatever
     tolerance an audit of the kernel used: no embedding exists either way.
+    Raises RuntimeError, and writes nothing, where the rows do not
+    reproduce the kernel's squared distances or are not exactly symmetric.
     """
     kres = compute_kernel(g, measure, param, rates=rates)
     if not kres.symmetric:

@@ -151,11 +151,9 @@ class WeightedGraph:
         # reverse discovery order, so each is final when read
         low = np.where(self.weights > 0, disc, n).min(axis=1).tolist()
         size, lowest = [1] * n, list(range(n))
-        # Removing j splits off the subtree of each child c with
-        # low[c] >= disc[j] (Hopcroft & Tarjan, CACM 16(6), 1973), which
-        # holds for every child of the root 0.
-        # Unless j is 0, what is left holds vertex 0 and takes label 0, and
-        # the parts count up from 1 in the order of their lowest vertices.
+        # the parts removing j splits off (see separation_labels); unless j
+        # is 0, what is left holds vertex 0 and takes label 0, and the parts
+        # count up from 1 in the order of their lowest vertices
         parts: dict[int, list[tuple[int, int, int]]] = {}
         for c in reversed(order[1:]):
             j = parent[c]
@@ -243,9 +241,15 @@ def separation_labels(g: WeightedGraph) -> np.ndarray:
 
     For distinct i, j, k, vertex j separates i from k exactly when
     comp[j, i] != comp[j, k]. Labels count up from 0 in the order of each
-    component's lowest vertex. Built once per graph from the depth-first
-    search that checked its connectivity, in O(n^2) numpy work and
-    O(n + m) Python steps; later calls return the same read-only array.
+    component's lowest vertex.
+
+    Built once per graph, in O(n^2) numpy work and O(n + m) Python steps,
+    from the depth-first search from vertex 0 that checked its
+    connectivity (Hopcroft & Tarjan, CACM 16(6), 1973): removing j splits
+    off the search subtree of each child c whose low point does not reach
+    above j, low[c] >= disc[j], which holds for every child of the root;
+    each subtree is one range of the discovery order, and the rest stays
+    one component. Later calls return the same read-only array.
     """
     return g._separation
 

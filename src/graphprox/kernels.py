@@ -13,6 +13,11 @@ Measure names used throughout the library, reports, and the CLI:
     ppr       personalized PageRank, (I - a P)^-1  (asymmetric)
     modifppr  modified personalized PageRank, (D - a W)^-1
     heatppr   PageRank heat, exp(-t (I - P))  (asymmetric)
+
+_SPECS holds what the paper fixes for each measure, and _kernel checks a
+parameter against its open domain. KernelResult decides whether the
+matrix is symmetric and keeps what is derived from it (_shared, _stack).
+The numerics are linalg's.
 """
 
 from __future__ import annotations
@@ -56,8 +61,8 @@ class _Measure:
     the upper end of its open parameter domain, whose lower end is always
     0. An upper end of None stands for 1/rho(W), which depends on the
     graph. compute maps (graph, parameter, absorption rates or None) to
-    the kernel; it calls the public function by its module-level name at
-    call time, so a caller may wrap that name."""
+    the kernel, through the public function's module-level name
+    (tests/test_late_binding.py)."""
 
     param: str
     symmetric: bool
@@ -96,26 +101,21 @@ class KernelResult:
     on, its measure and its parameter; kernel results compare by identity.
 
     symmetric tells whether this matrix is symmetric to its rounding
-    floor (linalg.is_symmetric); it is decided once, from the matrix, and
-    is not a constructor argument. It may differ from the measure's flag
-    in SYMMETRIC_MEASURES: on a regular graph P = W / deg is symmetric to
-    its floor, and so are the matrices of the asymmetric measures ppr and
-    heatppr. A matrix it flags is exactly symmetric. Those of the ten
-    measures are so as computed: invert and matrix_exp average their
-    result with its transpose where they find their input symmetric, and
-    the dfact series always does. A matrix given symmetric only to its
-    floor is replaced by that average, linalg._symmetrized, the package's
-    only one: K/2 + K^T/2, which cannot overflow.
+    floor (linalg.is_symmetric), with no tolerance; it is decided once,
+    from the matrix, and is not a constructor argument. It may differ
+    from the measure's flag in SYMMETRIC_MEASURES: on a regular graph
+    P = W / deg is symmetric to its floor, and so are the matrices of the
+    asymmetric measures ppr and heatppr. A matrix it flags is exactly
+    symmetric. Those of the ten measures are so as computed: invert and
+    matrix_exp average their result where they find their input
+    symmetric, and the dfact series always does. A matrix given symmetric
+    only to its floor is replaced by its average (linalg._symmetrized).
 
     Its memo keeps what is derived from the matrix on first use: its pair
     distance, logarithmic distance and logarithmic similarity, each also
     a read-only property, and whatever report one audit check hands
-    another (see audit._CHECKS), so that every check run on one kernel
-    result derives each of them once. _shared fills the memo, one call
-    over the stack of the kernel results that lack a value, and one
-    kernel result is a stack of one. Each derivation looks up its
-    transform by module-level name at call time, so a caller may wrap
-    those names.
+    another (audit._CHECKS). _shared fills it, in one call over the stack
+    of the kernel results that lack a value.
     """
 
     graph: WeightedGraph

@@ -1,38 +1,18 @@
-"""Dense matrix primitives: inverse, symmetric eigensolvers, matrix
-exponential, double-factorial series, spectral radius, PSD square root.
+"""Dense matrix primitives on float64 arrays of a few hundred rows at
+most, and the numeric rules the layers above share.
 
-Everything works on plain float64 numpy arrays sized for the small dense
-matrices this package deals in (a few hundred rows at most). The
-inverse, the symmetric eigensolvers, and the spectral radius and PSD
-square root built on them come from LAPACK through numpy.linalg. On the
-M-matrix resolvents the property checks read entry by entry, the LU
-inverse is accurate entrywise: on regL:1 of a unit 40-path its largest
-relative entry error against a 60-digit reference is 6.9e-16 (5.9e-16
-once symmetrized), where the former in-package Gauss-Jordan loop gave
-8.2e-16. Both series stay here, and one relative bound, 2^-60,
-truncates them. The exponential squares a degree-18 Taylor polynomial
-of B / 2^k, B = A + sI >= 0, with k set so that every term up to the
-largest graph distance keeps its coefficient to 2^-60 (matrix_exp); the
-double-factorial series stops once its last two terms are at most
-2^-60 of the partial sum, entry by entry (_double_factorial_series).
-Nothing cancels, so every entry is accurate relative to itself: on
-heat:1 of a unit 40-path the largest relative entry error against a
-60-digit reference is 6.5e-15, at entries down to 7e-48. No kernel is
-assembled from an eigendecomposition: V f(Lambda) V^T leaves absolute
-errors of about eps times the largest eigenvalue, enough to flip the
-sign or the last digits of small entries.
-
-The rules the layers above share live here too: DEFAULT_TOL, the
-rounding floor 8 n eps max|operands|, the symmetry test and the guard
-against asymmetric input that read it, the PSD bound max(tol, floor)
-that check_psd and gram_factor decide by, and the one symmetric average
-(_symmetrized) that forms every exactly symmetric result. It adds the
-halves m/2 + m^T/2, which cannot overflow, and equals (m + m^T) / 2
-rounded once, bit for bit, except where an entry below 2^-1021 in
-magnitude has an odd last bit, whose halving rounds. Tolerances
-judge properties only; whether a matrix is symmetric, or a distance's
-diagonal zero, is decided against the floor, so the answer does not
-change when the matrix is scaled by a power of 2.
+- invert (LAPACK's LU solve), the symmetric eigensolvers and
+  spectral_radius (LAPACK), and gram_factor, the PSD square root.
+- matrix_exp and _double_factorial_series, summed in-package so that
+  every entry is accurate relative to itself, to the bound each states.
+  No kernel is assembled from an eigendecomposition: V f(Lambda) V^T
+  leaves absolute errors of about eps times the largest eigenvalue,
+  enough to flip the sign or the last digits of small entries.
+- DEFAULT_TOL; the rounding floor (_rounding_floor); the symmetry test
+  and the guard against asymmetric input that read it (_symmetry_gaps,
+  _require_symmetric); the PSD bound max(tol, floor) that check_psd and
+  gram_factor decide by (_eigen_bound); and the one symmetric average
+  (_symmetrized).
 """
 
 from __future__ import annotations
@@ -148,10 +128,12 @@ def _symmetry_gaps(a: np.ndarray) -> list[float | None]:
 
 def _symmetrized(a: np.ndarray) -> np.ndarray:
     """m/2 + m^T/2 of the matrix a, or of each matrix m of the stack a:
-    exactly symmetric, as float sums commute, and finite where m is, as
-    no sum of halves overflows. Halving is exact but where an entry below
-    2^-1021 in magnitude has an odd last bit, so elsewhere this is
-    (m + m^T) / 2 rounded once, bit for bit."""
+    the package's one symmetric average, which forms every exactly
+    symmetric result. It is exactly symmetric, as float sums commute, and
+    finite where m is, as no sum of halves overflows: comm:710.2 on the
+    unit K2, whose entries are near 1.1e308, passes psd. Halving is exact
+    but where an entry below 2^-1021 in magnitude has an odd last bit, so
+    elsewhere this is (m + m^T) / 2 rounded once, bit for bit."""
     half = 0.5 * a
     return half + half.swapaxes(-1, -2)
 
@@ -248,10 +230,7 @@ def _lapack(solver, a: np.ndarray):
 def _min_eigenvalues(a: np.ndarray) -> list[float]:
     """The smallest eigenvalue of each matrix of the stack a, which must
     be exactly symmetric: what sym_eigenvalues gives, without testing or
-    forming that symmetry once more. A matrix is symmetrized once, by
-    whoever finds it symmetric only to its rounding floor (check_psd);
-    the stacks formed symmetric, such as sym_psd's (K + K^T) / 2 and the
-    centered Gram matrices of sq_euclidean, come here as they are."""
+    forming that symmetry once more (see properties._psd_reports)."""
     if not np.isfinite(a).all():
         raise ValueError("matrix has non-finite entries")
     return _lapack(np.linalg.eigvalsh, a)[:, 0].tolist()

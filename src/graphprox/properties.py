@@ -1,107 +1,34 @@
-"""Property checks with explicit witnesses.
+"""Property checks with explicit witnesses; README states what each
+check decides, and this is a map of how.
 
-Every check returns a PropertyReport. Witness vertex indices are 1-based
-to match file and report conventions; the numeric slack is the value of
-the defining inequality at the witness, so a reported violation can be
-reproduced by re-evaluating it there.
+Every check_* takes one matrix, or a stack (B, n, n) or sequence of
+matrices of one size, and returns one PropertyReport per matrix
+(_per_matrix). Each numpy operation runs once over the stack, and each
+report is the one its matrix gets alone: validation, floors, extremes
+and witnesses are taken matrix by matrix. Loops index a stack rather
+than iterate it, which numpy ends by raising and formatting an
+IndexError.
 
-Every check takes one matrix, or a stack (B, n, n) or sequence of
-matrices of one size, for which it returns a tuple of reports. Each
-numpy operation then runs once over the stack, and validation, rounding
-floors, extremes and witnesses are taken matrix by matrix with the
-operands and operation order of one matrix, so each report is the one
-that matrix gets on its own; a stack raises an error that one of its
-matrices raises on its own. One matrix is checked as a stack of one.
-Loops over the matrices index the stack rather than iterate it: numpy
-ends an iteration by raising and formatting an IndexError, which costs
-more than a small check does.
-
-The triple checks (proximity, the metric and square-root triangles,
-transitional and cutpoint_additive) share one walker, _walk_triples. It
-forms a check's values over blocks of (matrix, first index) pairs, each
-one (k, b, n, n) numpy array of at most 2^15 entries (256 KB of
-float64). A block holds as many whole matrices as fit, which they do for
-n <= 32; larger n takes each matrix in consecutive blocks of first
-indices, O(n^3) work in bounded memory. Each term is formed with the
-operands and operation order of the defining inequality, so a report
-equals the one a scalar loop over all triples would give. The walker
-runs the cut-vertex test on the blocks it forms, so transitional forms
-each block of relative excesses once for both its largest excess and its
-cut-vertex test, and skips that test for a matrix once an excess beyond
-tol is known. Transitional forms the mask of products that are not
-normal floats only on a block whose extreme products, bounded by the
-extremes of its rows and of its matrices, leave the normal range, and
-then over the whole block at once: a matrix whose products are all
-normal keeps the linear form there, as it does alone. Its repeated
-triples i = j and j = k, whose excess is 0 by construction, are filled
-with -inf, as proximity and the metric family fill all of theirs, so a
-passing slack is the largest excess over the other triples (None for
-n < 3) and no witness names one; i = k != j stays, as s_ij s_ji <=
-s_ii s_jj is a real instance of the inequality.
-
-The same scan certifies cutpoint_additive, by Chebotarev's graph
-bottleneck identity: for a positive s, d = log_distance(s) has
-d_ij + d_jk - d_ik = -(ln(1 + rel_ijk) + ln(1 + rel_kji)) / 2, with rel
-transitional's relative excess. Where transitional passes at tol and no
-distinct triple has |rel| in [tol/2 - w, 2 tol + w], with
-w = tol^2 + _rounding_floor(n, 2 + 2 max|ln s|), check_cutpoint_additive
-passes d with no triple near its boundary; _transitional returns, beside
-its reports, the report check_cutpoint_additive gives d there, built by
-that check's own _cutpoint_pass, for the audit to keep. Its cut-vertex
-scan forms the mask of that widened band in place of [tol/2, 2 tol], and
-the narrower one only for a matrix with a value in the wider. A mismatch
-of the cut-vertex scan fails either check through one _separation_report.
-
-The metric family, metric and sqrt_distance (and so the audit's
-log_metric), splits a stack once, in _distance_axioms: a negative entry
-of d decides a matrix first; the matrices that pass get d's transform
-(the identity, or the square root), on which asymmetry, a nonzero
-self-distance and, for metric, distinct vertices at zero distance decide
-more; one walk of the triangle inequality decides the rest.
-
-Proximity and metric are one inequality (family T1): for a symmetric K
-and its pair distance d, metric's excess d(x,z) - d(x,y) - d(y,z) at
-(x, y, z) is proximity's k(y,x) + k(y,z) - k(x,z) - k(y,y) at (y, x, z).
-So proximity's walk of K, _t1_excess, is the T1 walk: where its report
-holds, its slack is metric's largest triangle excess of d. _metric
-applies that rule itself: given each matrix's proximity report, it reads
-the slack of each report that holds as the top of _distance_axioms,
-which then checks only the O(n^2) axioms of d and walks exactly the
-matrices without a known top; every other matrix, failing or
-asymmetric, walks d, and so gets its witness in metric's own order. The
-audit's metric takes that one route; the public check_metric gives no
-reports and so always walks d.
-
-Candidates that tie in exact arithmetic can differ in their last bits,
-and which one rounding favours depends on operation order and on the
-BLAS kernel. So the slack is the extreme of the inequality, and the
-witness is the first candidate in C order, (x, y, z) or (x, y), whose
-value lies within the rounding floor of that extreme (_rounding_floor:
-8 n eps times the size of the inequality's operands), the metric axioms'
-negative-entry, asymmetric and self-distance witnesses too. The walker
-keeps each block's extreme and searches only the first block of a matrix
-that reaches the band, so the witness does not depend on the block size;
-it searches only where the report fails, its extreme beyond tol, so a
-passing walk forms no block twice. The eigenvalue
-checks decide against max(tol, floor), the floor of the operands of the
-matrix whose eigenvalues they read; where that floor exceeds tol, a
-negative smallest eigenvalue within twice the floor is indeterminate, as
-rounding cannot resolve its sign. The floor, that bound and DEFAULT_TOL
-live in linalg, whose gram_factor shares them.
-
-The eigensolver reads exactly symmetric matrices, and each matrix is
-symmetrized once at most: check_psd symmetrizes the matrices it finds
-symmetric only to their rounding floor, reading their floor before it
-does, and passes exactly symmetric ones as they are, while the centered
-Gram matrices of sq_euclidean and the audit's sym_psd matrix
-(K + K^T) / 2 are formed exactly symmetric.
+- _failed builds every report that fails at a witness, which it writes
+  1-based; _asymmetry_report builds that of an asymmetric matrix, and
+  _eigen_reports those of the eigenvalue checks.
+- _walk_triples, over the blocks of _stack_blocks, walks the triples of
+  proximity (_t1_excess), of the metric and square-root triangles
+  (_triangle_excess), of transitional (_relative_excess) and of
+  cutpoint_additive, and runs their cut-vertex test, _separation_scan.
+- _metric applies the T1 rule, by which metric reads proximity's walk.
+- _transitional certifies cutpoint_additive from a transitional pass.
+- _distance_axioms decides the metric family, metric and sqrt_distance.
+- Witnesses are the first candidate in C order within the rounding floor
+  of the extreme (_band, _first_max_each); the floor, the eigenvalue
+  bound and DEFAULT_TOL live in linalg.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -301,8 +228,10 @@ def _walk_triples(
 ):
     """Walk every triple of each matrix of the stack a, one block of
     _stack_blocks at a time; form(a[ms], xs) is the (k, b, n, n) block of
-    values of the matrices ms and first indices xs. Returns, per matrix,
-    (top, witness, mismatch, near, wide).
+    values of the matrices ms and first indices xs, each term formed with
+    the operands and operation order of the defining inequality, so that
+    a report equals the one a scalar loop over all triples gives. Returns,
+    per matrix, (top, witness, mismatch, near, wide).
 
     Given floor, top is the largest value, NaN aside (-inf if there is
     none), and, only where top exceeds tol, witness is the first
@@ -385,28 +314,37 @@ def _first_max_each(v: np.ndarray, floors: list[float]) -> list[tuple[float, int
     return list(zip(tops, (flat >= cuts[:, None]).argmax(axis=1).tolist()))
 
 
-def _first_min(v: np.ndarray, floor: float) -> tuple[float, int]:
-    """Smallest entry of v, as _first_max; +inf means nothing was found."""
-    val, idx = _first_max(-v, floor)
-    return -val, idx
-
-
 def _off_diagonal_minima(v: np.ndarray, floors: list[float]) -> list[tuple[float, int]]:
-    """_first_min of each matrix v[i] of the stack v over its entries off
-    the diagonal, with floor floors[i]; (+inf, 0) for a 1 x 1 matrix."""
+    """The smallest entry of each matrix v[i] of the stack v off its
+    diagonal, and the first C-order index within floors[i] of it, as
+    _first_max finds them on -v[i]; (+inf, 0) for a 1 x 1 matrix."""
     neg = -v
     neg.reshape(len(v), -1)[:, ::v.shape[1] + 1] = -np.inf  # the diagonal
     return [(-val, idx) for val, idx in _first_max_each(neg, floors)]
+
+
+def _failed(
+    prop: str, tol: float, witness, slack: float, note: str, indeterminate: bool = False
+) -> PropertyReport:
+    """prop's failing report at tol, whose witness, given 0-based, it names
+    1-based, as every report does."""
+    return PropertyReport(
+        prop, holds=False, tolerance=tol, witness=tuple(v + 1 for v in witness),
+        slack=slack, indeterminate=indeterminate, note=note,
+    )
 
 
 def _asymmetry_report(
     prop: str, a: np.ndarray, tol: float, note: str = "matrix is not symmetric"
 ) -> PropertyReport:
     """prop fails on the asymmetric float matrix a; the slack is the
-    largest |a - a^T| entry."""
-    return PropertyReport(
-        prop, holds=False, tolerance=tol, slack=float(np.abs(a - a.T).max()), note=note
-    )
+    largest |a - a^T| entry. A gap that is NaN, of a non-finite entry on
+    the diagonal or mirrored by one, raises ValueError naming the entry."""
+    with np.errstate(invalid="ignore"):  # inf - inf
+        slack = np.abs(a - a.T).max()
+    if slack != slack:
+        _require_finite(a[None], prop)
+    return PropertyReport(prop, holds=False, tolerance=tol, slack=slack, note=note)
 
 
 def _eigen_reports(
@@ -492,31 +430,23 @@ def _proximity_report(
     n: int, tol: float, worst_weak: float, weak_witness, worst_strict: float, strict_idx: int
 ) -> PropertyReport:
     """check_proximity's report of one matrix from its weak and strict scans."""
-    weak_fail = worst_weak > tol
-    strict_fail = worst_strict < tol
     indeterminate = (0.5 * tol <= worst_weak <= 2.0 * tol) or (
         0.0 <= worst_strict <= 2.0 * tol
     )
-    if weak_fail:
-        x, y, z = weak_witness
-        return PropertyReport(
-            "proximity", holds=False, tolerance=tol,
-            witness=(x + 1, y + 1, z + 1), slack=float(worst_weak),
-            indeterminate=indeterminate,
-            note="k(x,y)+k(x,z)-k(y,z)-k(x,x) at witness (x,y,z)",
+    if worst_weak > tol:
+        return _failed(
+            "proximity", tol, weak_witness, worst_weak,
+            "k(x,y)+k(x,z)-k(y,z)-k(x,x) at witness (x,y,z)", indeterminate,
         )
-    if strict_fail:
+    if worst_strict < tol:
         x, y = divmod(strict_idx, n)
-        return PropertyReport(
-            "proximity", holds=False, tolerance=tol,
-            witness=(x + 1, y + 1, y + 1), slack=float(worst_strict),
-            indeterminate=indeterminate,
-            note="strictness margin k(x,x)+k(y,y)-2k(x,y) at witness (x,y,y)",
+        return _failed(
+            "proximity", tol, (x, y, y), worst_strict,
+            "strictness margin k(x,x)+k(y,y)-2k(x,y) at witness (x,y,y)", indeterminate,
         )
     return PropertyReport(
         "proximity", holds=True, tolerance=tol,
-        slack=None if n < 3 else float(worst_weak),
-        indeterminate=indeterminate,
+        slack=None if n < 3 else worst_weak, indeterminate=indeterminate,
     )
 
 
@@ -545,18 +475,14 @@ def _sigma_proximity(
         normalized = spread <= tol
         sigma = means[m] if normalized else None
         if not prox.holds:
-            reports.append(PropertyReport(
-                "sigma_proximity", holds=False, tolerance=tol,
-                witness=prox.witness, slack=prox.slack, sigma=sigma,
-                indeterminate=prox.indeterminate, note="not a proximity",
+            reports.append(replace(
+                prox, property="sigma_proximity", sigma=sigma, note="not a proximity"
             ))
         elif not normalized:
             floor = _floors(rows[m:m + 1])[0]
-            hi, lo = _first_max(rows[m], floor)[1], _first_min(rows[m], floor)[1]
-            reports.append(PropertyReport(
-                "sigma_proximity", holds=False, tolerance=tol,
-                witness=(hi + 1, lo + 1), slack=spread,
-                note="row-sum spread between witness rows",
+            hi, lo = _first_max(rows[m], floor)[1], _first_max(-rows[m], floor)[1]
+            reports.append(_failed(
+                "sigma_proximity", tol, (hi, lo), spread, "row-sum spread between witness rows"
             ))
         else:
             reports.append(PropertyReport(
@@ -574,21 +500,19 @@ def check_egocentrism(k: np.ndarray, tol: float = DEFAULT_TOL) -> PropertyReport
     _require_finite(k, "check_egocentrism")
     n = k.shape[1]
     found = _off_diagonal_minima(k.diagonal(0, 1, 2)[:, :, None] - k, _floors(k))
+    note = "diagonal dominance margin k(x,x)-k(x,y)"
     reports = []
     for worst, idx in found:
+        indeterminate = 0.0 <= worst <= 2.0 * tol
         if worst == np.inf:  # 1x1 matrix
             reports.append(PropertyReport("egocentrism", holds=True, tolerance=tol))
-            continue
-        x, y = divmod(idx, n)
-        reports.append(PropertyReport(
-            "egocentrism",
-            holds=worst > tol,
-            tolerance=tol,
-            witness=None if worst > tol else (x + 1, y + 1),
-            slack=float(worst),
-            indeterminate=0.0 <= worst <= 2.0 * tol,
-            note="diagonal dominance margin k(x,x)-k(x,y)",
-        ))
+        elif worst > tol:
+            reports.append(PropertyReport(
+                "egocentrism", holds=True, tolerance=tol, slack=worst,
+                indeterminate=indeterminate, note=note,
+            ))
+        else:
+            reports.append(_failed("egocentrism", tol, divmod(idx, n), worst, note, indeterminate))
     return reports
 
 
@@ -608,9 +532,8 @@ def _distance_axioms(
     reports: list[PropertyReport | None] = [None] * len(d)
     for m, neg in enumerate(d.min(axis=(1, 2)).tolist()):
         if neg < -tol:
-            i, j = divmod(_first_min(d[m], _floors(d[m:m + 1])[0])[1], n)
-            reports[m] = PropertyReport(
-                prop, holds=False, tolerance=tol, witness=(i + 1, j + 1), slack=neg, note=note
+            reports[m] = _failed(
+                prop, tol, divmod(_first_max(-d[m], _floors(d[m:m + 1])[0])[1], n), neg, note
             )
     rest = [m for m, r in enumerate(reports) if r is None]
     t = transform(_take(d, rest))
@@ -623,22 +546,14 @@ def _distance_axioms(
     for i, m in enumerate(rest):
         if asyms[i] > tol:
             x, y = divmod(_first_max(gap[i], floors[i])[1], n)
-            reports[m] = PropertyReport(
-                prop, holds=False, tolerance=tol,
-                witness=(x + 1, y + 1), slack=asyms[i], note="asymmetric",
-            )
+            reports[m] = _failed(prop, tol, (x, y), asyms[i], "asymmetric")
         elif diags[i] > tol:
             x = _first_max(self_dist[i], floors[i])[1]
-            reports[m] = PropertyReport(
-                prop, holds=False, tolerance=tol,
-                witness=(x + 1, x + 1), slack=diags[i], note="nonzero self-distance",
-            )
+            reports[m] = _failed(prop, tol, (x, x), diags[i], "nonzero self-distance")
         elif close is not None and close[i].any():
             x, y = divmod(int(close[i].argmax()), n)
-            reports[m] = PropertyReport(
-                prop, holds=False, tolerance=tol,
-                witness=(x + 1, y + 1), slack=float(t[i, x, y]),
-                note="distinct vertices at zero distance",
+            reports[m] = _failed(
+                prop, tol, (x, y), t[i, x, y], "distinct vertices at zero distance"
             )
         else:
             undecided.append(i)
@@ -646,21 +561,19 @@ def _distance_axioms(
     walked = dict(zip(walk, _walk_triples(
         _take(t, walk), _triangle_excess, tol, lambda k, top: floors[walk[k]]
     )))
+    note = "triangle excess d(x,z)-d(x,y)-d(y,z) at worst (x,y,z)"
     for i in undecided:
         worst, witness, *_ = walked[i] if i in walked else (tops[rest[i]], None)
+        indeterminate = 0.5 * tol <= worst <= 2.0 * tol
         if n < 3:  # no distinct triples: nothing to check
             reports[rest[i]] = PropertyReport(prop, holds=True, tolerance=tol)
-            continue
-        holds = worst <= tol
-        reports[rest[i]] = PropertyReport(
-            prop,
-            holds=holds,
-            tolerance=tol,
-            witness=None if holds else tuple(v + 1 for v in witness),
-            slack=float(worst),
-            indeterminate=0.5 * tol <= worst <= 2.0 * tol,
-            note="triangle excess d(x,z)-d(x,y)-d(y,z) at worst (x,y,z)",
-        )
+        elif witness is None:  # a walk names a witness exactly where worst exceeds tol
+            reports[rest[i]] = PropertyReport(
+                prop, holds=True, tolerance=tol, slack=worst, indeterminate=indeterminate,
+                note=note,
+            )
+        else:
+            reports[rest[i]] = _failed(prop, tol, witness, worst, note, indeterminate)
     return reports
 
 
@@ -674,14 +587,20 @@ def check_metric(d: np.ndarray, tol: float = DEFAULT_TOL) -> PropertyReport:
 
 
 def _metric(d: np.ndarray, tol: float, t1=None) -> list[PropertyReport]:
-    """check_metric of each matrix of the stack d, which applies the T1
-    rule itself. t1 gives, per matrix, the proximity report of the kernel
-    whose pair distance it is; one that holds is of a symmetric kernel,
-    and its slack, the largest T1 excess, is the matrix's largest
-    triangle excess, so only the O(n^2) axioms of d are checked. Every
-    other matrix, its kernel failing proximity or asymmetric, and every
-    matrix without t1, is walked, and so gets its witness in metric's own
-    order."""
+    """check_metric of each matrix of the stack d, applying the T1 rule.
+
+    Proximity and metric are one inequality (family T1): for a symmetric
+    K and its pair distance d, metric's triangle excess
+    d(x,z) - d(x,y) - d(y,z) at (x, y, z) is proximity's
+    k(y,x) + k(y,z) - k(x,z) - k(y,y) at (y, x, z). t1 gives, per matrix,
+    the proximity report of the kernel whose pair distance it is; one
+    that holds is of a symmetric kernel, and its slack, the largest T1
+    excess, is read as the matrix's largest triangle excess, so only the
+    O(n^2) axioms of d are checked; the two slacks agree within the floor
+    of d. Every other matrix, its kernel failing proximity or asymmetric,
+    and every matrix without t1, is walked, and so gets its witness in
+    metric's own order. The audit's metric takes this one route; the
+    public check_metric gives no t1 and so always walks d."""
     _check_tol(tol)
     _require_finite(d, "check_metric")
     tops = None if t1 is None else [r.slack if r.holds else None for r in t1]
@@ -758,10 +677,10 @@ def _separation_scan(v: np.ndarray, xs: slice, comp: np.ndarray, tol: float, wid
     None, or the 0-based triple, the value of v there and whether it was
     within tol. near_boundary and wide, reported only when there is no
     mismatch, say whether some |v| over the block's distinct triples lies
-    in [tol/2, 2 tol], and in [tol/2 - w, 2 tol + w] for the matrix's
-    widening w = widths[i], or w = 0 without widths. Given widths, the
-    mask of [tol/2, 2 tol] is formed only for a matrix whose widened band
-    holds a value.
+    in [tol/2, 2 tol], and in that band widened on each side by the
+    matrix's w = widths[i] (_transitional), or by 0 without widths. Given
+    widths, the mask of the narrow band is formed only for a matrix whose
+    widened band holds a value.
     """
     n = comp.shape[0]
     m = np.abs(v)
@@ -806,11 +725,13 @@ def _transitional(
     where a pass certifies check_cutpoint_additive(log_distance(s), g, tol),
     the report that check gives, a pass that is not indeterminate; None
     elsewhere. A pass certifies it where no distinct triple has a relative
-    excess rel with |rel| in [tol/2 - w, 2 tol + w].
+    excess rel with |rel| in [tol/2 - w, 2 tol + w]; the walk forms that
+    band's mask with its cut-vertex test (_separation_scan).
 
     Then the log distance passes cutpoint_additive with no triple near
-    its boundary, since its gap d_ij + d_jk - d_ik is
-    -(ln(1 + rel_ijk) + ln(1 + rel_kji)) / 2 and j separates i from k
+    its boundary, by Chebotarev's graph bottleneck identity (Adv. Appl.
+    Math. 47, 2011): its gap d_ij + d_jk - d_ik is
+    -(ln(1 + rel_ijk) + ln(1 + rel_kji)) / 2, and j separates i from k
     exactly when it separates k from i: on those triples both |rel| are
     below tol/2 - w, so |gap| is below tol/2; on every other distinct
     triple both rel are below -2 tol - w, so the gap exceeds 2 tol. The
@@ -829,8 +750,9 @@ def _transitional(
         for lo, hi in zip(s.min(axis=(1, 2)).tolist(), s.max(axis=(1, 2)).tolist())
     ]
     # the repeated triples i = j and j = k, whose excess is 0 exactly, are
-    # filled with -inf; the witness band of an excess, being relative,
-    # reads operands 1 and 1 + top
+    # filled with -inf, so no slack or witness reads them; i = k != j stays,
+    # s_ij s_ji <= s_ii s_jj being a real case. The witness band of an
+    # excess, being relative, reads operands 1 and 1 + top
     found = _walk_triples(
         s, lambda a, xs: _fill_repeats(_relative_excess(a, xs), xs, -np.inf, outer=False),
         tol, lambda m, top: _rounding_floor(n, 1.0 + top), g, widths,
@@ -840,11 +762,9 @@ def _transitional(
         # certified where no witness, mismatch or value in the wide band
         cutpoints.append(None if witness or mismatch or wide else _cutpoint_pass(tol))
         if witness is not None:
-            reports.append(PropertyReport(
-                "transitional", holds=False, tolerance=tol,
-                witness=tuple(v + 1 for v in witness), slack=float(worst),
-                indeterminate=worst <= 2.0 * tol,
-                note="relative excess of s(i,j)s(j,k) over s(i,k)s(j,j)",
+            reports.append(_failed(
+                "transitional", tol, witness, worst,
+                "relative excess of s(i,j)s(j,k) over s(i,k)s(j,j)", worst <= 2.0 * tol,
             ))
         elif mismatch is not None:
             reports.append(_separation_report(
@@ -853,7 +773,7 @@ def _transitional(
         else:
             reports.append(PropertyReport(
                 "transitional", holds=True, tolerance=tol,
-                slack=None if n < 3 else float(worst), indeterminate=near,
+                slack=None if n < 3 else worst, indeterminate=near,
             ))
     return reports, cutpoints
 
@@ -862,11 +782,10 @@ def _separation_report(prop: str, tol: float, mismatch, equal: str, differ: str)
     """The failing report of prop, a cut-vertex check, at a mismatch of
     _separation_scan; equal and differ say what a value within tol, and
     one beyond it, means to prop."""
-    (i, j, k), value, small = mismatch
-    return PropertyReport(
-        prop, holds=False, tolerance=tol,
-        witness=(i + 1, j + 1, k + 1), slack=float(value),
-        note=f"{equal} although j does not separate i from k" if small
+    triple, value, small = mismatch
+    return _failed(
+        prop, tol, triple, value,
+        f"{equal} although j does not separate i from k" if small
         else f"j separates i from k but {differ}",
     )
 
@@ -911,10 +830,9 @@ def check_distance_order(d: np.ndarray) -> PropertyReport:
 def _distance_order(a: np.ndarray) -> PropertyReport:
     for y in (1, 2):  # 0-based: d(1,2) < d(1,3), then d(1,3) < d(1,4)
         if not a[0, y] < a[0, y + 1]:
-            return PropertyReport(
-                "distance_order", holds=False, tolerance=0.0,
-                witness=(1, y + 1, 1, y + 2), slack=float(a[0, y] - a[0, y + 1]),
-                note=f"d(1,{y + 1}) >= d(1,{y + 2})",
+            return _failed(
+                "distance_order", 0.0, (0, y, 0, y + 1), a[0, y] - a[0, y + 1],
+                f"d(1,{y + 1}) >= d(1,{y + 2})",
             )
     return PropertyReport("distance_order", holds=True, tolerance=0.0)
 

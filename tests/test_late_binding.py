@@ -9,11 +9,10 @@ result must reach what it derives its distances with through
 graphprox.kernels. A table that held the functions themselves
 would bypass the wrapper. Not every audit check reports through a
 wrappable name, and those that do not are pinned: sym_psd, metric and
-transitional run private cores (metric applies the T1 rule in
-properties._metric, which reads the proximity reports and walks the
-distances left), and an asymmetric kernel's proximity and sigma are
-decided by its asymmetry alone. The CLI writes every JSON document through
-graphprox.cli.report_json, the span the tracer times as audit.report_json.
+transitional run private cores, and an asymmetric kernel's proximity
+and sigma are decided by its asymmetry alone. The CLI writes every JSON
+document through graphprox.cli.report_json, the span the tracer times as
+audit.report_json.
 """
 
 import importlib

@@ -336,6 +336,24 @@ def test_a_kernel_with_one_infinite_entry_gets_an_asymmetry_report(path4):
         run_check("sym_psd", kres)
 
 
+@pytest.mark.parametrize("check", ["proximity", "sigma", "metric"])
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("where, named", [([(0, 1), (1, 0)], "(1,2)"), ([(2, 2)], "(3,3)")],
+                         ids=["pair", "diagonal"])
+def test_an_asymmetry_report_names_a_non_finite_entry_whose_gap_is_nan(
+    path4, check, value, where, named
+):
+    # |a - a^T| is NaN there, inf - inf or a NaN itself: once a
+    # RuntimeWarning and a slack of NaN
+    m = NEAR_ONES
+    for i, j in where:
+        m = with_entry(m, i, j, value)
+    kres = KernelResult(path4, "x", 1.0, m, (0, 1))
+    with pytest.raises(ValueError) as err:
+        run_check(check, kres)
+    assert str(err.value).endswith(f"requires finite entries; entry {named} = {value}")
+
+
 def test_check_psd_rejects_non_finite_entries_by_name():
     # a symmetric pair of infs once failed as "not symmetric" with slack NaN
     with pytest.raises(ValueError) as err:
